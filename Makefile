@@ -28,9 +28,10 @@ linkcheck:
 
 # fuzz-short runs every Fuzz* target in the tree for FUZZTIME each
 # (Go allows one -fuzz pattern per invocation, hence the loop). The
-# targets discovered today: FuzzLowestFit (core), FuzzRead (grid),
-# FuzzGreedyRepair (parallel), FuzzInjectionSchedule (chaos) — but the
-# loop finds new ones automatically.
+# targets discovered today: FuzzLowestFit and FuzzOrderByKey (core),
+# FuzzRead (grid), FuzzGreedyRepair (parallel), FuzzInjectionSchedule
+# (chaos), FuzzDistStorm (distsolve) — but the loop finds new ones
+# automatically.
 FUZZTIME ?= 10s
 fuzz-short:
 	@set -e; for pkg in $$($(GO) list ./...); do \

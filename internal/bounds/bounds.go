@@ -26,31 +26,22 @@ func MaxPair(g core.Graph) int64 {
 
 // MaxK4 returns the max-clique lower bound of a 9-pt stencil: the largest
 // total weight of any 2×2 block (Section III-A). Degenerate grids
-// (X == 1 or Y == 1) contain no K4 and fall back to the pair bound.
-func MaxK4(g *grid.Grid2D) int64 {
-	blocks := grid.Blocks2D(g)
-	if len(blocks) == 0 {
-		return MaxPair(g)
-	}
-	return max(grid.MaxBlockWeight(blocks), core.MaxWeight(g))
-}
+// (X == 1 or Y == 1) contain no K4; their clique cover holds the chain's
+// edge pairs, so the bound is the pair bound there.
+func MaxK4(g *grid.Grid2D) int64 { return maxClique(g) }
 
 // MaxK8 returns the max-clique lower bound of a 27-pt stencil: the largest
-// total weight of any 2×2×2 block. Grids with a unit dimension fall back
-// to the K4 bound of their only layer orientation via the generic pair
-// bound on the full graph combined with per-layer K4 bounds.
-func MaxK8(g *grid.Grid3D) int64 {
-	blocks := grid.Blocks3D(g)
-	if len(blocks) == 0 {
-		// A 3D grid with a unit dimension is 2D in disguise (Section II);
-		// use the best K4 bound over every axis-aligned slab of thickness 1.
-		b := MaxPair(g)
-		if g.Z == 1 {
-			b = max(b, MaxK4(g.Layer(0)))
-		}
-		return b
-	}
-	return max(grid.MaxBlockWeight(blocks), core.MaxWeight(g))
+// total weight of any 2×2×2 block. A grid with a unit dimension is 2D in
+// disguise (Section II): its clique cover holds the K4 blocks of its plane
+// in whichever orientation it has (X×Y×1, X×1×Z or 1×Y×Z), or the pairs
+// of a chain, so the bound is the best K4 (or pair) bound over every
+// axis-aligned slab of thickness 1.
+func MaxK8(g *grid.Grid3D) int64 { return maxClique(g) }
+
+// maxClique is the heaviest block of the stencil's clique cover, or the
+// heaviest single vertex if that is larger.
+func maxClique(s grid.Stencil) int64 {
+	return max(s.CliqueBlocks().MaxWeight(), core.MaxWeight(s))
 }
 
 // CliqueSum returns the exact optimum of a clique: the sum of all weights

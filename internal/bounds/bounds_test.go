@@ -55,6 +55,35 @@ func TestMaxK8(t *testing.T) {
 	}
 }
 
+// TestMaxK8Orientations: a 3D grid with one unit axis is the same 2D
+// instance whichever axis is the unit one, so the K8 bound must find the
+// K4 blocks of its plane in every orientation. On all-5 4×4 planes the
+// K4 bound is 20, and line-by-line greedy reaches it in each.
+func TestMaxK8Orientations(t *testing.T) {
+	for _, sh := range [][3]int{{4, 4, 1}, {4, 1, 4}, {1, 4, 4}} {
+		g := grid.MustGrid3D(sh[0], sh[1], sh[2])
+		for v := range g.W {
+			g.W[v] = 5
+		}
+		if b := MaxK8(g); b != 20 {
+			t.Errorf("MaxK8 on %v = %d, want 20", sh, b)
+		}
+		c, err := core.GreedyColor(g, g.LineOrder())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mc := c.MaxColor(g); mc != 20 {
+			t.Errorf("GLL on %v = %d, want 20", sh, mc)
+		}
+		if r := Report3D(g, 0); r.Clique != 20 {
+			t.Errorf("Report3D on %v: clique %d, want 20", sh, r.Clique)
+		}
+		if b := Combined3D(g, 0); b != 20 {
+			t.Errorf("Combined3D on %v = %d, want 20", sh, b)
+		}
+	}
+}
+
 func TestCliqueSum(t *testing.T) {
 	if s := CliqueSum([]int64{1, 2, 3}); s != 6 {
 		t.Errorf("CliqueSum = %d", s)

@@ -2,17 +2,16 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"stencilivc/internal/obsv"
 )
 
 // smallSortMax is the occupancy-list length up to which LowestFit sorts
-// with an inline insertion sort instead of sort.Slice. Stencil degrees
-// are at most 26, so the greedy hot path always stays on the inline
-// branch; sort.Slice (whose reflect-based swapper allocates and whose
-// comparator is an indirect call) remains only for large general-graph
-// neighborhoods.
+// with an inline insertion sort instead of slices.SortFunc. Stencil
+// degrees are at most 26, so the greedy hot path always stays on the
+// inline branch; the library sort (O(d log d), but with an indirect
+// comparator call) remains only for large general-graph neighborhoods.
 const smallSortMax = 32
 
 // LowestFit returns the smallest non-negative start s such that [s, s+w)
@@ -30,7 +29,7 @@ func LowestFit(occ []Interval, w int64) int64 {
 	if len(occ) <= smallSortMax {
 		insertionSortByStart(occ)
 	} else {
-		sort.Slice(occ, func(i, j int) bool { return byStart(occ[i], occ[j]) < 0 })
+		slices.SortFunc(occ, byStart)
 	}
 	var cur int64
 	for _, iv := range occ {

@@ -7,7 +7,7 @@ import (
 
 // TestLowestFitSortCrossover pins LowestFit against the brute-force
 // reference at occupancy sizes straddling the smallSortMax threshold, so
-// the insertion-sort branch and the sort.Slice fallback are both checked
+// the insertion-sort branch and the slices.SortFunc fallback are both checked
 // on the same distribution.
 func TestLowestFitSortCrossover(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))

@@ -1,9 +1,8 @@
 package exact
 
 import (
-	"sort"
-
 	"stencilivc/internal/core"
+	"stencilivc/internal/order"
 )
 
 // SolveByOrder is an exact branch-and-bound over vertex orders with greedy
@@ -32,14 +31,7 @@ func SolveByOrder(g core.Graph, lowerBound int64, nodeBudget int) Result {
 	}
 	n := g.Len()
 	// Incumbent: greedy in weight-descending order.
-	seed := make([]int, n)
-	for i := range seed {
-		seed[i] = i
-	}
-	sort.SliceStable(seed, func(a, b int) bool {
-		return g.Weight(seed[a]) > g.Weight(seed[b])
-	})
-	inc, err := core.GreedyColor(g, seed)
+	inc, err := core.GreedyColor(g, order.ByWeightDesc(g))
 	if err != nil {
 		panic("exact: seed permutation rejected: " + err.Error())
 	}

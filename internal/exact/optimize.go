@@ -1,9 +1,8 @@
 package exact
 
 import (
-	"sort"
-
 	"stencilivc/internal/core"
+	"stencilivc/internal/order"
 )
 
 // Result reports the outcome of an exact optimization attempt.
@@ -43,17 +42,9 @@ func Optimize(g core.Graph, opts OptimizeOptions) Result {
 	if opts.NodeBudget <= 0 {
 		opts.NodeBudget = defaultNodeBudget
 	}
-	n := g.Len()
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return g.Weight(order[a]) > g.Weight(order[b])
-	})
-	ubColoring, err := core.GreedyColor(g, order)
+	ubColoring, err := core.GreedyColor(g, order.ByWeightDesc(g))
 	if err != nil {
-		panic("exact: identity permutation rejected: " + err.Error())
+		panic("exact: weight order rejected: " + err.Error())
 	}
 	res := Result{
 		Coloring:   ubColoring,

@@ -1,98 +1,92 @@
 package grid
 
-import "sort"
+import "stencilivc/internal/core"
 
-// Block is a maximal clique of a stencil grid: a 2×2 square (K4) of a
-// Grid2D or a 2×2×2 cube (K8) of a Grid3D. Blocks drive the max-clique
-// lower bound (Section III-A) and the GKF/SGK heuristics (Section V-A).
-type Block struct {
-	// Vertices lists the member vertex ids; 4 entries in 2D, 8 in 3D.
-	Vertices []int
-	// Weight is the sum of the member weights.
-	Weight int64
+// Cover is the compact clique cover of a stencil grid: equal-shaped
+// maximal cliques that share one member-offset table. Block b holds the
+// vertices Anchor[b]+Offsets[t], t = 0..len(Offsets)-1, in that order.
+// On a non-degenerate grid the blocks are the 2×2 squares (K4) of a
+// Grid2D or the 2×2×2 cubes (K8) of a Grid3D; they drive the max-clique
+// lower bound (Section III-A), the GKF/SGK heuristics (Section V-A), and
+// BDP's recoloring order (Section V-B).
+//
+// One offset table plus one anchor and one weight per block keep a cover
+// at three allocations on any grid.
+type Cover struct {
+	// Offsets is the shared member table: {0,1,X,X+1} for K4, the eight
+	// corners {0,1,X,X+1,XY,XY+1,XY+X,XY+X+1} for K8, {0,1} for the pairs
+	// of a chain, and {0} for a single vertex.
+	Offsets []int
+	// Anchor lists each block's first (smallest) vertex id, increasing.
+	Anchor []int
+	// Weight is each block's total member weight.
+	Weight []int64
 }
 
-// Blocks2D enumerates all K4 blocks of g: one per anchor (i,j) with
-// 0 <= i < X-1 and 0 <= j < Y-1. Degenerate grids (X == 1 or Y == 1) have
-// no K4; callers fall back to pair "blocks" via PairBlocks.
-func Blocks2D(g *Grid2D) []Block {
-	if g.X < 2 || g.Y < 2 {
-		return nil
+// Len returns the number of blocks.
+func (cv Cover) Len() int { return len(cv.Anchor) }
+
+// ByWeightDesc returns the block indices by non-increasing weight, ties
+// by anchor: the visit order of GKF, SGK and BDP's recoloring pass. It
+// is a stable sort by core.WeightDescKey over the increasing anchors.
+func (cv Cover) ByWeightDesc() []int {
+	keys := make([]uint64, len(cv.Weight))
+	for b, w := range cv.Weight {
+		keys[b] = core.WeightDescKey(w)
 	}
-	blocks := make([]Block, 0, (g.X-1)*(g.Y-1))
-	for j := 0; j+1 < g.Y; j++ {
-		for i := 0; i+1 < g.X; i++ {
-			vs := []int{
-				g.ID(i, j), g.ID(i+1, j),
-				g.ID(i, j+1), g.ID(i+1, j+1),
-			}
-			var w int64
-			for _, v := range vs {
-				w += g.W[v]
-			}
-			blocks = append(blocks, Block{Vertices: vs, Weight: w})
-		}
-	}
-	return blocks
+	return core.OrderByKey(keys)
 }
 
-// Blocks3D enumerates all K8 blocks of g: one per anchor (i,j,k) with each
-// coordinate at most dimension-2.
-func Blocks3D(g *Grid3D) []Block {
-	if g.X < 2 || g.Y < 2 || g.Z < 2 {
-		return nil
-	}
-	blocks := make([]Block, 0, (g.X-1)*(g.Y-1)*(g.Z-1))
-	for k := 0; k+1 < g.Z; k++ {
-		for j := 0; j+1 < g.Y; j++ {
-			for i := 0; i+1 < g.X; i++ {
-				vs := []int{
-					g.ID(i, j, k), g.ID(i+1, j, k),
-					g.ID(i, j+1, k), g.ID(i+1, j+1, k),
-					g.ID(i, j, k+1), g.ID(i+1, j, k+1),
-					g.ID(i, j+1, k+1), g.ID(i+1, j+1, k+1),
-				}
-				var w int64
-				for _, v := range vs {
-					w += g.W[v]
-				}
-				blocks = append(blocks, Block{Vertices: vs, Weight: w})
-			}
-		}
-	}
-	return blocks
-}
-
-// PairBlocks returns one Block per edge of a degenerate (chain-like) grid
-// axis, used as the clique set when no K4/K8 exists. vertices must be the
-// ids along the chain in order.
-func PairBlocks(weights []int64, ids []int) []Block {
-	blocks := make([]Block, 0, max(0, len(ids)-1))
-	for i := 0; i+1 < len(ids); i++ {
-		blocks = append(blocks, Block{
-			Vertices: []int{ids[i], ids[i+1]},
-			Weight:   weights[ids[i]] + weights[ids[i+1]],
-		})
-	}
-	return blocks
-}
-
-// SortBlocksByWeightDesc orders blocks by non-increasing weight. Ties are
-// broken by the first vertex id so the order is deterministic across runs.
-func SortBlocksByWeightDesc(blocks []Block) {
-	sort.SliceStable(blocks, func(a, b int) bool {
-		if blocks[a].Weight != blocks[b].Weight {
-			return blocks[a].Weight > blocks[b].Weight
-		}
-		return blocks[a].Vertices[0] < blocks[b].Vertices[0]
-	})
-}
-
-// MaxBlockWeight returns the largest block weight (0 when blocks is empty).
-func MaxBlockWeight(blocks []Block) int64 {
+// MaxWeight returns the largest block weight; an empty cover, or one whose
+// blocks all weigh less than 0, gives 0.
+func (cv Cover) MaxWeight() int64 {
 	var m int64
-	for _, b := range blocks {
-		m = max(m, b.Weight)
+	for _, w := range cv.Weight {
+		m = max(m, w)
 	}
 	return m
+}
+
+// cliqueCover builds the cover of an x×y×z grid with x-fastest ids. Unit
+// axes are dropped first, so a grid that is 2D or 1D in disguise gets
+// the K4 blocks of its plane (in whatever orientation) or the edge pairs
+// of its chain, and a single vertex one block of its own; the block
+// heuristics thereby stay defined on every shape. Blocks span two cells
+// along each remaining axis and are anchored in id order.
+func cliqueCover(w []int64, x, y, z int) Cover {
+	ax := [3]int{1, 1, 1}
+	m := 0
+	for _, d := range [3]int{x, y, z} {
+		if d > 1 {
+			ax[m] = d
+			m++
+		}
+	}
+	// Along the kept axes ids step by 1, ax[0] and ax[0]*ax[1].
+	stride := [3]int{1, ax[0], ax[0] * ax[1]}
+	offsets := make([]int, 1<<m)
+	for t := range offsets {
+		for a := range m {
+			if t&(1<<a) != 0 {
+				offsets[t] += stride[a]
+			}
+		}
+	}
+	ext := [3]int{max(ax[0]-1, 1), max(ax[1]-1, 1), max(ax[2]-1, 1)}
+	n := ext[0] * ext[1] * ext[2]
+	cv := Cover{Offsets: offsets, Anchor: make([]int, 0, n), Weight: make([]int64, 0, n)}
+	for k := range ext[2] {
+		for j := range ext[1] {
+			row := j*stride[1] + k*stride[2]
+			for a := row; a < row+ext[0]; a++ {
+				var sum int64
+				for _, off := range offsets {
+					sum += w[a+off]
+				}
+				cv.Anchor = append(cv.Anchor, a)
+				cv.Weight = append(cv.Weight, sum)
+			}
+		}
+	}
+	return cv
 }

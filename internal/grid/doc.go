@@ -1,9 +1,9 @@
 // Package grid provides the stencil graphs studied by the paper: the 9-pt
 // 2D stencil (Grid2D, Section II) and the 27-pt 3D stencil (Grid3D), along
-// with their 5-pt/7-pt relaxations, Z-order (Morton) traversals, the K4/K8
-// clique blocks used by the block-based heuristics and lower bounds
-// (Sections III and V-A), and the cache-sized tilings the parallel solver
-// partitions a grid into.
+// with their 5-pt/7-pt relaxations, Z-order (Morton) traversals, the
+// compact K4/K8 clique cover used by the block-based heuristics and lower
+// bounds (Sections III and V-A), and the cache-sized tilings the parallel
+// solver partitions a grid into.
 //
 // The key invariant is implicit adjacency: both grid types implement
 // core.Graph by synthesizing neighbor lists from coordinates — vertices

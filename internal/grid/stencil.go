@@ -15,11 +15,12 @@ type Stencil interface {
 	LineOrder() []int
 	// ZOrder returns the Morton-order traversal (GZO's visit order).
 	ZOrder() []int
-	// CliqueBlocks returns the maximal-clique blocks driving GKF/SGK and
+	// CliqueBlocks returns the compact clique cover driving GKF/SGK and
 	// the BDP recoloring order: the K4/K8 blocks on non-degenerate grids,
-	// with chain-pair fallbacks on degenerate ones so the block heuristics
-	// stay defined on 1×N (and 1×1×N etc.) instances.
-	CliqueBlocks() []Block
+	// with the K4s of the plane, chain pairs, or a lone vertex on
+	// degenerate ones, so the block heuristics stay defined on 1×N (and
+	// X×1×Z, 1×1×N etc.) instances.
+	CliqueBlocks() Cover
 	// Tiling partitions the grid into size-edged tiles (2D) or bricks
 	// (3D) for the tile-parallel speculative solver.
 	Tiling(size int) (*Tiling, error)
@@ -40,20 +41,9 @@ func (g *Grid2D) LineOrder() []int { return LineByLine2D(g) }
 func (g *Grid2D) ZOrder() []int { return ZOrder2D(g) }
 
 // CliqueBlocks returns the K4 blocks when both dimensions exceed 1,
-// otherwise the edge pairs of the degenerate chain.
-func (g *Grid2D) CliqueBlocks() []Block {
-	if b := Blocks2D(g); len(b) > 0 {
-		return b
-	}
-	if g.Len() == 1 {
-		return []Block{{Vertices: []int{0}, Weight: g.W[0]}}
-	}
-	ids := make([]int, g.Len())
-	for i := range ids {
-		ids[i] = i
-	}
-	return PairBlocks(g.W, ids)
-}
+// otherwise the edge pairs of the degenerate chain (or, on a 1×1 grid,
+// the lone vertex).
+func (g *Grid2D) CliqueBlocks() Cover { return cliqueCover(g.W, g.X, g.Y, 1) }
 
 // Dims returns 3.
 func (g *Grid3D) Dims() int { return 3 }
@@ -65,38 +55,6 @@ func (g *Grid3D) LineOrder() []int { return LineByLine3D(g) }
 func (g *Grid3D) ZOrder() []int { return ZOrder3D(g) }
 
 // CliqueBlocks returns the K8 blocks of a non-degenerate grid. A grid
-// with a unit dimension falls back to the K4 blocks of its plane, and a
-// doubly-degenerate grid to chain pairs.
-func (g *Grid3D) CliqueBlocks() []Block {
-	if b := Blocks3D(g); len(b) > 0 {
-		return b
-	}
-	// One unit dimension: reuse the 2D blocks of the flattened plane.
-	// Vertex ids coincide because ids are x-fastest in both views.
-	if g.Z == 1 {
-		flat := &Grid2D{X: g.X, Y: g.Y, W: g.W}
-		if b := Blocks2D(flat); len(b) > 0 {
-			return b
-		}
-	}
-	if g.Y == 1 && g.Z > 1 && g.X > 1 {
-		flat := &Grid2D{X: g.X, Y: g.Z, W: g.W}
-		if b := Blocks2D(flat); len(b) > 0 {
-			return b
-		}
-	}
-	if g.X == 1 && g.Y > 1 && g.Z > 1 {
-		flat := &Grid2D{X: g.Y, Y: g.Z, W: g.W}
-		if b := Blocks2D(flat); len(b) > 0 {
-			return b
-		}
-	}
-	if g.Len() == 1 {
-		return []Block{{Vertices: []int{0}, Weight: g.W[0]}}
-	}
-	ids := make([]int, g.Len())
-	for i := range ids {
-		ids[i] = i
-	}
-	return PairBlocks(g.W, ids)
-}
+// with a unit dimension falls back to the K4 blocks of its plane, in any
+// orientation, and a doubly-degenerate grid to chain pairs.
+func (g *Grid3D) CliqueBlocks() Cover { return cliqueCover(g.W, g.X, g.Y, g.Z) }

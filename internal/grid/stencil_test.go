@@ -29,7 +29,7 @@ func TestStencilHooks2D(t *testing.T) {
 			t.Fatalf("ZOrder()[%d] = %d, ZOrder2D %d", i, v, zo[i])
 		}
 	}
-	if got, want := len(s.CliqueBlocks()), (g.X-1)*(g.Y-1); got != want {
+	if got, want := s.CliqueBlocks().Len(), (g.X-1)*(g.Y-1); got != want {
 		t.Errorf("CliqueBlocks: %d blocks, want %d", got, want)
 	}
 }
@@ -47,7 +47,7 @@ func TestStencilHooks3D(t *testing.T) {
 	if err := core.CheckPermutation(s.ZOrder(), g.Len()); err != nil {
 		t.Errorf("ZOrder: %v", err)
 	}
-	if got, want := len(s.CliqueBlocks()), (g.X-1)*(g.Y-1)*(g.Z-1); got != want {
+	if got, want := s.CliqueBlocks().Len(), (g.X-1)*(g.Y-1)*(g.Z-1); got != want {
 		t.Errorf("CliqueBlocks: %d blocks, want %d", got, want)
 	}
 }
@@ -67,15 +67,15 @@ func TestCliqueBlocksDegenerate(t *testing.T) {
 	}
 }
 
-func assertBlocksCover(t *testing.T, blocks []Block, n int, label string) {
+func assertBlocksCover(t *testing.T, cv Cover, n int, label string) {
 	t.Helper()
-	if len(blocks) == 0 {
+	if cv.Len() == 0 {
 		t.Errorf("%s: no clique blocks", label)
 		return
 	}
 	covered := make([]bool, n)
-	for _, b := range blocks {
-		for _, v := range b.Vertices {
+	for b := range cv.Len() {
+		for _, v := range members(cv, b) {
 			if v < 0 || v >= n {
 				t.Fatalf("%s: block vertex %d out of range", label, v)
 			}

@@ -1,6 +1,6 @@
 package grid
 
-import "sort"
+import "stencilivc/internal/core"
 
 // Morton2D interleaves the low 21 bits of i and j into a Z-order key:
 // bit b of i lands at position 2b, bit b of j at position 2b+1. Cells that
@@ -38,30 +38,29 @@ func spread3(v uint64) uint64 {
 }
 
 // ZOrder2D returns the vertices of g sorted by their 2D Morton key.
-// The result is a permutation of 0..g.Len()-1.
+// The result is a permutation of 0..g.Len()-1. Morton keys are unique,
+// so the order needs no tie-break.
 func ZOrder2D(g *Grid2D) []int {
-	order := make([]int, g.Len())
-	keys := make([]uint64, g.Len())
-	for v := range order {
-		order[v] = v
-		i, j := g.Coords(v)
-		keys[v] = Morton2D(i, j)
+	keys := make([]uint64, 0, g.Len())
+	for j := range g.Y {
+		for i := range g.X {
+			keys = append(keys, Morton2D(i, j))
+		}
 	}
-	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
-	return order
+	return core.OrderByKey(keys)
 }
 
 // ZOrder3D returns the vertices of g sorted by their 3D Morton key.
 func ZOrder3D(g *Grid3D) []int {
-	order := make([]int, g.Len())
-	keys := make([]uint64, g.Len())
-	for v := range order {
-		order[v] = v
-		i, j, k := g.Coords(v)
-		keys[v] = Morton3D(i, j, k)
+	keys := make([]uint64, 0, g.Len())
+	for k := range g.Z {
+		for j := range g.Y {
+			for i := range g.X {
+				keys = append(keys, Morton3D(i, j, k))
+			}
+		}
 	}
-	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
-	return order
+	return core.OrderByKey(keys)
 }
 
 // LineByLine2D returns the row-major traversal used by the Greedy

@@ -2,7 +2,6 @@ package heuristics
 
 import (
 	"fmt"
-	"sort"
 
 	"stencilivc/internal/core"
 	"stencilivc/internal/grid"
@@ -125,23 +124,27 @@ func BipartiteDecomposition3DOpts(g *grid.Grid3D, opts *core.SolveOptions) (core
 // postOrder builds BDP's recoloring order (Section V-B): vertices are
 // listed as members of the clique blocks sorted by non-increasing total
 // weight; within a block they are taken in increasing order of the lower
-// end of their current interval; each vertex appears at its first listing.
-func postOrder(g core.Graph, c core.Coloring, blocks []grid.Block) []int {
-	sorted := append([]grid.Block{}, blocks...)
-	grid.SortBlocksByWeightDesc(sorted)
+// end of their current interval (stably, so equal starts keep the stored
+// member order); each vertex appears at its first listing.
+func postOrder(g core.Graph, c core.Coloring, cv grid.Cover) []int {
 	order := make([]int, 0, g.Len())
 	seen := make([]bool, g.Len())
 	var members []int
-	for _, b := range sorted {
+	for _, b := range cv.ByWeightDesc() {
 		members = members[:0]
-		for _, v := range b.Vertices {
-			if !seen[v] {
-				members = append(members, v)
+		a := cv.Anchor[b]
+		for _, off := range cv.Offsets {
+			v := a + off
+			if seen[v] {
+				continue
+			}
+			// Stable insertion by start: v goes after every member whose
+			// start is not larger.
+			members = append(members, v)
+			for i := len(members) - 1; i > 0 && c.Start[members[i-1]] > c.Start[v]; i-- {
+				members[i], members[i-1] = members[i-1], v
 			}
 		}
-		sort.SliceStable(members, func(a, bb int) bool {
-			return c.Start[members[a]] < c.Start[members[bb]]
-		})
 		for _, v := range members {
 			seen[v] = true
 			order = append(order, v)

@@ -1,10 +1,9 @@
 package heuristics
 
 import (
-	"sort"
-
 	"stencilivc/internal/core"
 	"stencilivc/internal/grid"
+	"stencilivc/internal/order"
 )
 
 // Algorithm names a coloring heuristic from the paper.
@@ -42,7 +41,7 @@ func init() {
 	MustRegister(Descriptor{
 		Name: GLF, Dims: DimBoth, Paper: true, Order: 3,
 		Fn: func(s grid.Stencil, opts *core.SolveOptions) (core.Coloring, error) {
-			return core.GreedyColorOpts(s, WeightDescOrder(s), opts)
+			return core.GreedyColorOpts(s, order.ByWeightDesc(s), opts)
 		},
 	})
 }
@@ -50,8 +49,8 @@ func init() {
 // mustGreedy runs the greedy engine with an order we constructed
 // ourselves; a permutation failure is a programming error, not an input
 // error.
-func mustGreedy(g core.Graph, order []int) core.Coloring {
-	c, err := core.GreedyColor(g, order)
+func mustGreedy(g core.Graph, visit []int) core.Coloring {
+	c, err := core.GreedyColor(g, visit)
 	if err != nil {
 		panic("heuristics: internal order invalid: " + err.Error())
 	}
@@ -61,19 +60,5 @@ func mustGreedy(g core.Graph, order []int) core.Coloring {
 // LargestFirst is GLF: greedy over vertices sorted by non-increasing
 // weight (ties by vertex id for determinism). Works on any graph.
 func LargestFirst(g core.Graph) core.Coloring {
-	return mustGreedy(g, WeightDescOrder(g))
-}
-
-// WeightDescOrder returns the GLF vertex order — non-increasing weight,
-// ties by vertex id — without coloring; it is the single comparator
-// shared by LargestFirst, the exact solvers, and the experiment harness.
-func WeightDescOrder(g core.Graph) []int {
-	order := make([]int, g.Len())
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return g.Weight(order[a]) > g.Weight(order[b])
-	})
-	return order
+	return mustGreedy(g, order.ByWeightDesc(g))
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -248,11 +249,13 @@ func TestHeuristicsVsExactSmall(t *testing.T) {
 	}
 }
 
+// TestWeightDescOrder: GLF colors by non-increasing weight, ties by id.
+// On the chain 2-9-4 that visits 9, 4, 2: the 9 takes [0,9) and both
+// of its neighbors stack on top of it.
 func TestWeightDescOrder(t *testing.T) {
 	g := core.Chain([]int64{2, 9, 4})
-	order := WeightDescOrder(g)
-	if order[0] != 1 || order[1] != 2 || order[2] != 0 {
-		t.Errorf("order = %v", order)
+	if got, want := LargestFirst(g).Start, []int64{9, 0, 9}; !slices.Equal(got, want) {
+		t.Errorf("GLF starts = %v, want %v", got, want)
 	}
 }
 

@@ -1,10 +1,11 @@
 package heuristics
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -128,11 +129,11 @@ func Descriptors() []Descriptor {
 		out = append(out, d)
 	}
 	registry.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Order != out[j].Order {
-			return out[i].Order < out[j].Order
+	slices.SortFunc(out, func(a, b Descriptor) int {
+		if c := cmp.Compare(a.Order, b.Order); c != 0 {
+			return c
 		}
-		return out[i].Name < out[j].Name
+		return cmp.Compare(a.Name, b.Name)
 	})
 	return out
 }

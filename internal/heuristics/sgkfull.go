@@ -14,31 +14,5 @@ import (
 // on real instances most blocks have few uncolored vertices, so the
 // factorial blowup concentrates on the first blocks visited.
 func SmartLargestCliqueFirst3DFull(g *grid.Grid3D) core.Coloring {
-	blocks := append([]grid.Block{}, g.CliqueBlocks()...)
-	grid.SortBlocksByWeightDesc(blocks)
-	c := core.NewColoring(g.Len())
-	s := core.AcquireFitScratch(nil)
-	defer core.ReleaseFitScratch(s)
-	var uncolored []int
-	for _, b := range blocks {
-		uncolored = uncolored[:0]
-		for _, v := range b.Vertices {
-			if !c.Colored(v) {
-				uncolored = append(uncolored, v)
-			}
-		}
-		if len(uncolored) == 0 {
-			continue
-		}
-		best := commitBestPermutation(g, c, s, b.Vertices, uncolored)
-		for i, v := range uncolored {
-			c.Start[v] = best[i]
-		}
-	}
-	for v := 0; v < g.Len(); v++ {
-		if !c.Colored(v) {
-			c.Start[v] = s.PlaceLowest(g, c, v, -1)
-		}
-	}
-	return c
+	return mustBlocks(smartBlocksPermuted(g, g.CliqueBlocks(), nil))
 }

@@ -24,14 +24,15 @@ func Identity(n int) []int {
 	return out
 }
 
-// ByWeightDesc orders vertices by non-increasing weight (ties by id) —
-// the GLF order, exposed here for composition with iterated greedy.
+// ByWeightDesc orders vertices by non-increasing weight, ties by id: the
+// GLF visit order (Section V-A), shared by the GLF/PGLF solvers and the
+// exact solvers' incumbents. It runs in linear time on core.OrderByKey.
 func ByWeightDesc(g core.Graph) []int {
-	out := Identity(g.Len())
-	sort.SliceStable(out, func(a, b int) bool {
-		return g.Weight(out[a]) > g.Weight(out[b])
-	})
-	return out
+	keys := make([]uint64, g.Len())
+	for v := range keys {
+		keys[v] = core.WeightDescKey(g.Weight(v))
+	}
+	return core.OrderByKey(keys)
 }
 
 // ByDegreeDesc is Welsh & Powell's Largest First: vertices by

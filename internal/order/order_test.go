@@ -2,6 +2,7 @@ package order
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -19,10 +20,11 @@ func TestIdentity(t *testing.T) {
 }
 
 func TestByWeightDesc(t *testing.T) {
-	g := core.Chain([]int64{2, 9, 4})
+	g := core.Chain([]int64{2, 9, 4, 9})
 	got := ByWeightDesc(g)
-	if got[0] != 1 || got[1] != 2 || got[2] != 0 {
-		t.Errorf("order = %v", got)
+	// Heaviest first; the tied 9s keep increasing id order.
+	if want := []int{1, 3, 2, 0}; !slices.Equal(got, want) {
+		t.Errorf("order = %v, want %v", got, want)
 	}
 }
 

@@ -342,9 +342,10 @@ func TestServiceDeadlinePartial(t *testing.T) {
 		// Budget enough for GLL with margin but well under the full
 		// portfolio, so the deadline lands mid-sweep. If this machine
 		// runs the whole portfolio too close to the GLL budget, grow the
-		// instance and try again.
+		// instance and try again. The portfolio runs about 12 GLLs of
+		// work, so twice the budget leaves the sweep a wide margin.
 		timeout := 3*gll + 5*time.Millisecond
-		if full < 4*timeout {
+		if full < 2*timeout {
 			continue
 		}
 		code, res := postSolve(t, ts.URL, Request{
