@@ -3,6 +3,7 @@ package grid
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"stencilivc/internal/core"
 )
@@ -29,23 +30,33 @@ var _ core.Graph = (*Grid2D)(nil)
 // rejected with an error instead of wrapping into a short (or negative)
 // weight slice and corrupting every derived vertex id.
 func NewGrid2D(x, y int) (*Grid2D, error) {
+	cells, err := cells2D(x, y)
+	if err != nil {
+		return nil, err
+	}
+	return &Grid2D{X: x, Y: y, W: make([]int64, cells)}, nil
+}
+
+// cells2D validates 2D dimensions and returns the cell count X*Y
+// without allocating anything.
+func cells2D(x, y int) (int, error) {
 	if x < 1 || y < 1 {
-		return nil, fmt.Errorf("grid: invalid 2D dimensions %dx%d", x, y)
+		return 0, fmt.Errorf("grid: invalid 2D dimensions %dx%d", x, y)
 	}
 	// Axis caps first: with both axes <= 2^20 the product fits easily,
 	// so the x*y below can never overflow. checkedCells is belt and
 	// braces should the caps ever be raised.
 	if x > 1<<20 || y > 1<<20 {
-		return nil, fmt.Errorf("grid: 2D dimensions %dx%d too large", x, y)
+		return 0, fmt.Errorf("grid: 2D dimensions %dx%d too large", x, y)
 	}
 	cells, err := checkedCells(x, y, 1)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if cells > 1<<28 {
-		return nil, fmt.Errorf("grid: 2D dimensions %dx%d too large", x, y)
+		return 0, fmt.Errorf("grid: 2D dimensions %dx%d too large", x, y)
 	}
-	return &Grid2D{X: x, Y: y, W: make([]int64, cells)}, nil
+	return cells, nil
 }
 
 // checkedCells multiplies grid dimensions with explicit overflow
@@ -74,27 +85,28 @@ func MustGrid2D(x, y int) *Grid2D {
 // (weights[j*x+i] is the weight of cell (i,j)). The slice is copied.
 // Weight sets whose total overflows int64 are rejected: the total
 // bounds every interval end (start + w) a solver can produce, so a
-// finite total is what keeps downstream arithmetic exact.
+// finite total is what keeps downstream arithmetic exact. Every check
+// runs before the grid is allocated, so a request naming huge
+// dimensions with too few weights costs nothing.
 func FromWeights2D(x, y int, weights []int64) (*Grid2D, error) {
-	g, err := NewGrid2D(x, y)
+	cells, err := cells2D(x, y)
 	if err != nil {
 		return nil, err
 	}
-	if len(weights) != x*y {
-		return nil, fmt.Errorf("grid: want %d weights, got %d", x*y, len(weights))
-	}
-	total, err := checkWeights(weights)
+	total, err := checkWeights(cells, weights)
 	if err != nil {
 		return nil, err
 	}
-	copy(g.W, weights)
-	g.total = total
-	return g, nil
+	return &Grid2D{X: x, Y: y, W: slices.Clone(weights), total: total}, nil
 }
 
-// checkWeights rejects negative weights and totals that overflow int64,
-// returning the total for the grid's running-sum cache.
-func checkWeights(weights []int64) (int64, error) {
+// checkWeights rejects a weight count other than cells, negative
+// weights, and totals that overflow int64, returning the total for the
+// grid's running-sum cache.
+func checkWeights(cells int, weights []int64) (int64, error) {
+	if len(weights) != cells {
+		return 0, fmt.Errorf("grid: want %d weights, got %d", cells, len(weights))
+	}
 	var total int64
 	for _, w := range weights {
 		if w < 0 {

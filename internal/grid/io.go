@@ -74,21 +74,17 @@ func Read(r io.Reader) (*Grid2D, *Grid3D, error) {
 		if err1 != nil || err2 != nil {
 			return nil, nil, fmt.Errorf("grid: bad ivc2d dimensions %q %q", header[1], header[2])
 		}
-		// Validate dimensions BEFORE sizing the weight buffer: a hostile
-		// header must not drive a huge allocation.
-		g, err := NewGrid2D(x, y)
+		n, err := cells2D(x, y)
 		if err != nil {
 			return nil, nil, err
 		}
-		weights, err := readWeights(sc, x*y)
+		weights, err := readWeights(sc, n)
 		if err != nil {
 			return nil, nil, err
 		}
-		for i, w := range weights {
-			if w < 0 {
-				return nil, nil, fmt.Errorf("grid: negative weight %d", w)
-			}
-			g.W[i] = w
+		g, err := FromWeights2D(x, y, weights)
+		if err != nil {
+			return nil, nil, err
 		}
 		return g, nil, nil
 	case "ivc3d":
@@ -101,19 +97,17 @@ func Read(r io.Reader) (*Grid2D, *Grid3D, error) {
 		if err1 != nil || err2 != nil || err3 != nil {
 			return nil, nil, fmt.Errorf("grid: bad ivc3d dimensions")
 		}
-		g, err := NewGrid3D(x, y, z)
+		n, err := cells3D(x, y, z)
 		if err != nil {
 			return nil, nil, err
 		}
-		weights, err := readWeights(sc, x*y*z)
+		weights, err := readWeights(sc, n)
 		if err != nil {
 			return nil, nil, err
 		}
-		for i, w := range weights {
-			if w < 0 {
-				return nil, nil, fmt.Errorf("grid: negative weight %d", w)
-			}
-			g.W[i] = w
+		g, err := FromWeights3D(x, y, z, weights)
+		if err != nil {
+			return nil, nil, err
 		}
 		return nil, g, nil
 	default:
@@ -138,11 +132,16 @@ func nextTokens(sc *bufio.Scanner) ([]string, error) {
 	return nil, io.ErrUnexpectedEOF
 }
 
+// maxWeightPresize caps the weight buffer readWeights reserves up
+// front. A header alone can claim up to 2^28 cells; reserving that
+// before a single weight arrives would let a few bytes of input drive
+// gigabytes of allocation. Larger instances grow the buffer as weights
+// actually arrive.
+const maxWeightPresize = 1 << 16
+
+// readWeights reads exactly n weights.
 func readWeights(sc *bufio.Scanner, n int) ([]int64, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("grid: negative cell count")
-	}
-	weights := make([]int64, 0, n)
+	weights := make([]int64, 0, min(n, maxWeightPresize))
 	for len(weights) < n {
 		fields, err := nextTokens(sc)
 		if err != nil {

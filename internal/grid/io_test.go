@@ -87,6 +87,8 @@ func TestReadErrors(t *testing.T) {
 		"ivc2d 2 2\n1 2 3 -4",  // negative weight
 		"ivc3d 2 2\n1 2 3 4",   // 3d header with 2 dims
 		"ivc3d 1 1 1\n",        // missing weight
+		"ivc2d 2 1\n9223372036854775807 9223372036854775807\n",   // total overflows int64
+		"ivc3d 1 1 2\n9223372036854775807 9223372036854775807\n", // total overflows int64
 	}
 	for i, in := range cases {
 		if _, _, err := Read(strings.NewReader(in)); err == nil {

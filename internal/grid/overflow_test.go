@@ -2,6 +2,8 @@ package grid
 
 import (
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -111,4 +113,44 @@ func mustPanic(t *testing.T, name string, fn func()) {
 		}
 	}()
 	fn()
+}
+
+// TestOversizedClaimsRejectedBeforeAllocating: dimensions at the
+// accepted maximum with no weights behind them are rejected before the
+// grid, or Read's weight buffer, is sized from the claim. Each of these
+// inputs is a few dozen bytes of a request body.
+func TestOversizedClaimsRejectedBeforeAllocating(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		parse func() error
+	}{
+		{"FromWeights2D 16384x16384", func() error {
+			_, err := FromWeights2D(1<<14, 1<<14, nil)
+			return err
+		}},
+		{"FromWeights3D 512x512x512", func() error {
+			_, err := FromWeights3D(512, 512, 512, nil)
+			return err
+		}},
+		{"Read ivc2d 16384 16384", func() error {
+			_, _, err := Read(strings.NewReader("ivc2d 16384 16384\n"))
+			return err
+		}},
+		{"Read ivc3d 512 512 512", func() error {
+			_, _, err := Read(strings.NewReader("ivc3d 512 512 512\n"))
+			return err
+		}},
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		err := tc.parse()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: accepted with no weights", tc.name)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Errorf("%s: allocated %d bytes before rejecting, want < 1 MiB", tc.name, d)
+		}
+	}
 }

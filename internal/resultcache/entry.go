@@ -126,7 +126,9 @@ func decodeEntry(data []byte) (Entry, error) {
 	if err != nil {
 		return Entry{}, err
 	}
-	if n < 0 || int64(len(r)) != n*8 {
+	// Compare against len(r)/8 rather than n*8: a crafted n near 2^61
+	// wraps n*8 onto len(r) and would reach make with an absurd length.
+	if len(r)%8 != 0 || n != int64(len(r)/8) {
 		return Entry{}, fmt.Errorf("%w: starts framing (%d declared, %d bytes left)", ErrCorrupt, n, len(r))
 	}
 	e.Starts = make([]int64, n)

@@ -172,4 +172,17 @@ func TestEntryEncodeRejectsHostileLengths(t *testing.T) {
 	if _, err := decodeEntry(data[:len(entryMagic)+3]); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("short body: got %v, want ErrCorrupt", err)
 	}
+	// Checksum-valid starts counts whose byte length n*8 wraps int64
+	// onto the bytes actually present.
+	for _, tc := range []struct {
+		n       int64
+		payload []byte
+	}{
+		{1 << 61, nil},
+		{1<<61 + 1, make([]byte, 8)},
+	} {
+		if _, err := decodeEntry(seal(craftBody(tc.n, tc.payload))); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("starts count %d with %d bytes: got %v, want ErrCorrupt", tc.n, len(tc.payload), err)
+		}
+	}
 }

@@ -101,8 +101,9 @@ func TestSweepMaxEntriesEvictsOldestByMtime(t *testing.T) {
 }
 
 // TestSweepReclaimsCorruptEntries: the TTL pass decodes every entry, so
-// a bit-rotted payload is deleted at open instead of surfacing as
-// ErrCorrupt on every future Get.
+// a bit-rotted payload — or a checksum-valid one with impossible
+// framing — is deleted at open instead of surfacing as ErrCorrupt on
+// every future Get.
 func TestSweepReclaimsCorruptEntries(t *testing.T) {
 	dir := t.TempDir()
 	fs, err := OpenFileStore(dir)
@@ -123,19 +124,26 @@ func TestSweepReclaimsCorruptEntries(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A starts count of 2^61 whose byte length wraps to zero.
+	crafted := filepath.Join(dir, testKey(3).String()+entrySuffix)
+	if err := os.WriteFile(crafted, seal(craftBody(1<<61, nil)), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	fs2, err := OpenFileStoreSwept(dir, SweepPolicy{TTL: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fs2.SweepReport(); got.Corrupt != 1 || got.Expired != 0 {
-		t.Fatalf("sweep report = %+v, want 1 corrupt", got)
+	if got := fs2.SweepReport(); got.Corrupt != 2 || got.Expired != 0 {
+		t.Fatalf("sweep report = %+v, want 2 corrupt", got)
 	}
 	if fs2.Len() != 1 {
 		t.Fatalf("len = %d, want 1", fs2.Len())
 	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Error("corrupt entry file still on disk after sweep")
+	for _, p := range []string{path, crafted} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("corrupt entry file %s still on disk after sweep", filepath.Base(p))
+		}
 	}
 	if _, ok, err := fs2.Get(testKey(2)); !ok || err != nil {
 		t.Errorf("healthy entry: ok=%v err=%v", ok, err)
