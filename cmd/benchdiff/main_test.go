@@ -186,7 +186,7 @@ func TestDiffOneSidedNeverGates(t *testing.T) {
 // TestExitStatusOneSidedNewRowsInformational pins the gate decision
 // itself, not just the diff bookkeeping: a snapshot that adds a new
 // benchmark row (the situation every PR introducing a bench stage
-// creates, e.g. the DistSolve2D rows) exits 0 however slow the new row
+// creates, e.g. the CacheHit rows) exits 0 however slow the new row
 // is, regressions on shared rows exit 1, and a comparison that matched
 // nothing exits 2 even when one-sided rows exist on both sides.
 func TestExitStatusOneSidedNewRowsInformational(t *testing.T) {
@@ -194,7 +194,7 @@ func TestExitStatusOneSidedNewRowsInformational(t *testing.T) {
 	oldSnap.add(Bench{Name: "Shared", NsPerOp: 100, AllocsOp: 0})
 	newSnap := &Snapshot{Path: "new", Label: "new", Benches: map[string]Bench{}}
 	newSnap.add(Bench{Name: "Shared", NsPerOp: 100, AllocsOp: 0})
-	newSnap.add(Bench{Name: "DistSolve2D/2048x2048/shards4", NsPerOp: 9e9, AllocsOp: 4096})
+	newSnap.add(Bench{Name: "CacheHit/2048x2048", NsPerOp: 9e9, AllocsOp: 4096})
 
 	if got := exitStatus(diff(oldSnap, newSnap, 0.10)); got != 0 {
 		t.Errorf("new one-sided row changed the exit status to %d, want 0", got)
@@ -209,7 +209,7 @@ func TestExitStatusOneSidedNewRowsInformational(t *testing.T) {
 
 	// One-sided rows alone are not a comparison.
 	disjoint := &Snapshot{Path: "new", Label: "new", Benches: map[string]Bench{}}
-	disjoint.add(Bench{Name: "DistSolve2D/2048x2048/shards4", NsPerOp: 1, AllocsOp: 0})
+	disjoint.add(Bench{Name: "CacheHit/2048x2048", NsPerOp: 1, AllocsOp: 0})
 	if got := exitStatus(diff(oldSnap, disjoint, 0.10)); got != 2 {
 		t.Errorf("disjoint snapshots exited %d, want 2", got)
 	}

@@ -71,7 +71,6 @@ func run() (err error) {
 	cacheBytes := flag.Int64("cache-bytes", 0, "with -serve, byte budget for the in-memory result cache (0 = 64 MiB default, negative disables caching)")
 	cacheMaxEntries := flag.Int("cache-max-entries", 0, "with -serve and -cache-dir, cap persisted entries at open; oldest evicted first (0 = unbounded)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "with -serve and -cache-dir, expire persisted entries older than this at open (0 = never)")
-	shards := flag.Int("shards", 0, "if > 1, solve with the fault-tolerant distributed sharded solver on this many simulated nodes (GLF/PGLF sweep by weight, every other -alg line by line)")
 	flightEntries := flag.Int("flight-entries", 0, "with -serve or -http, size of the always-on flight-recorder ring served at /debug/flight (0 = 4096)")
 	flag.Parse()
 
@@ -162,30 +161,6 @@ func run() (err error) {
 		s, lb = g3, rep.Best()
 		fmt.Printf("instance: 27-pt stencil %dx%dx%d, %d vertices\n", g3.X, g3.Y, g3.Z, g3.Len())
 		fmt.Println(rep)
-	}
-
-	if *shards > 1 {
-		ord := stencilivc.DistOrderLine
-		if *algName == "GLF" || *algName == "PGLF" {
-			ord = stencilivc.DistOrderWeightDesc
-		}
-		t0 := time.Now()
-		c, err := stencilivc.DistSolve(s, stencilivc.DistConfig{Shards: *shards, Order: ord}, opts)
-		if err != nil {
-			return err
-		}
-		dt := time.Since(t0)
-		if err := c.Validate(s); err != nil {
-			return fmt.Errorf("distributed solve produced an invalid coloring: %w", err)
-		}
-		mark := ""
-		if c.MaxColor(s) == lb {
-			mark = "  (provably optimal)"
-		}
-		fmt.Printf("DIST maxcolor=%-8d %10.3fms  (shards=%d)%s\n",
-			c.MaxColor(s), float64(dt.Microseconds())/1000, *shards, mark)
-		reportStats(*stats, opts)
-		return finish(s, c, lb, *print, *exactBudget, *workers, *gantt, g2, g3)
 	}
 
 	algs := []stencilivc.Algorithm{stencilivc.Algorithm(*algName)}

@@ -25,9 +25,6 @@
 //     (Figures 5a and 7a of the paper),
 //   - the tile-parallel speculative solver (PGLL) against sequential
 //     GLL on large grids at increasing worker counts,
-//   - the fault-free distributed sharded solver over four shards
-//     (DistSolve2D — the halo-exchange protocol's coordination
-//     overhead, DESIGN.md §16),
 //   - a warm content-addressed cache hit on the large 2D instance
 //     (CacheHit — what the result cache saves on repeats).
 package main
@@ -227,9 +224,6 @@ func run() error {
 		// sweep churns the heap, and running it earlier would skew the
 		// Fig* numbers relative to how older snapshots measured them.
 		if err := benchSteal(ctx, rep, sm, events); err != nil {
-			return err
-		}
-		if err := benchDistSolve(ctx, rep, size2, sm); err != nil {
 			return err
 		}
 		return benchCacheHit(ctx, rep, size2, sm)
@@ -507,60 +501,6 @@ func benchCacheHit(ctx context.Context, rep *Report, size int, sm *stencilivc.So
 	}
 	r := record(rep, fmt.Sprintf("CacheHit/%dx%d", size, size), br)
 	r.MaxColor = mc
-	return nil
-}
-
-// benchDistSolve measures the fault-free distributed sharded solve
-// (DESIGN.md §16) on a size×size instance over four shards with the
-// weight-descending sweep order, whose rounds-to-fixpoint stay constant
-// with grid size (line order's wavefront scales with the axis extent).
-// The coloring is byte-identical to the sequential greedy, so the gap
-// between this row and the same-size sequential rows is exactly the
-// halo-exchange protocol's coordination overhead. The row additionally
-// asserts the fixpoint path produced the result: a fault-free bench run
-// must never descend to the sequential fallback.
-func benchDistSolve(ctx context.Context, rep *Report, size int, sm *stencilivc.SolveMetrics) error {
-	if err := checkpoint(ctx); err != nil {
-		return err
-	}
-	const shards = 4
-	g := grid.MustGrid2D(size, size)
-	rng := rand.New(rand.NewSource(6))
-	for v := range g.W {
-		g.W[v] = rng.Int63n(9) + 1
-	}
-	cfg := stencilivc.DistConfig{Shards: shards, Order: stencilivc.DistOrderWeightDesc}
-	// The fallback assertion needs a meter even when -metrics is off.
-	dm := sm
-	if dm == nil {
-		dm = stencilivc.NewSolveMetrics(stencilivc.NewMetricsRegistry())
-	}
-	opts := &stencilivc.SolveOptions{Metrics: dm}
-	fallbacksBefore := dm.Dist.Fallbacks.Value()
-	var last stencilivc.Coloring
-	var solveErr error
-	br := measure(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c, err := stencilivc.DistSolve(g, cfg, opts)
-			if err != nil {
-				solveErr = err
-				b.FailNow()
-			}
-			last = c
-		}
-	})
-	if solveErr != nil {
-		return solveErr
-	}
-	if err := last.Validate(g); err != nil {
-		return fmt.Errorf("distributed solve produced an invalid coloring: %w", err)
-	}
-	if got := dm.Dist.Fallbacks.Value(); got != fallbacksBefore {
-		return fmt.Errorf("fault-free distributed bench fell back %d times", got-fallbacksBefore)
-	}
-	r := record(rep, fmt.Sprintf("DistSolve2D/%dx%d/shards%d", size, size, shards), br)
-	r.MaxColor = last.MaxColor(g)
-	r.Par = shards
 	return nil
 }
 

@@ -2,9 +2,8 @@
 // solve pipeline. It implements core.Injector with a seeded, named-site
 // rule table: tests (and the fuzz target) build an Injector that fires
 // specific faults — induced panics, forced halo misreads, dropped
-// repair updates, worker stalls, lost or duplicated halo-exchange
-// messages, shard crashes — at exact or pseudo-random visits of the
-// sites the solvers consult via core.SolveOptions.Fault.
+// repair updates, worker stalls — at exact or pseudo-random visits of
+// the sites the solvers consult via core.SolveOptions.Fault.
 //
 // Everything is reproducible from the construction parameters: the same
 // rules and seed produce the same fire schedule on a sequential solve,
@@ -27,14 +26,9 @@
 //	service/batch-stall      solve service; per batch: the batcher stalls inside Inject
 //	service/worker-panic     solve service; per job run: induced panic, contained to a typed job error
 //	resultcache/get-corrupt  result cache; per persistence-tier read: the payload is treated as checksum-failed
-//	distsolve/msg-drop       distributed solver transport; per send: the message is silently lost
-//	distsolve/msg-dup        distributed solver transport; per send: the message is delivered twice
-//	distsolve/msg-delay      distributed solver transport; per send: delivery is deferred and reordered
-//	distsolve/shard-crash    distributed solver coordinator; per live original node per round: the node dies and its shard is re-homed
 //
 // The package deliberately lives behind the nil-cost core.Injector hook:
 // production binaries never import it, and a nil injector costs one
 // pointer comparison per site. See DESIGN.md §11 for the failure model
-// the harness exercises and DESIGN.md §16 for the distributed solver's
-// recovery ladder.
+// the harness exercises.
 package chaos

@@ -100,11 +100,11 @@ type SolveOptions struct {
 	Deadline time.Time
 	// TraceCtx, when non-nil, is the request's flight-recorder trace
 	// context: the trace id minted at service admission plus the span to
-	// parent new spans under. The registry dispatcher, the tile-parallel
-	// solvers, and the distributed solver record spans and events against
-	// it so one request's path through every layer shares a trace id in
-	// the flight recorder. A nil TraceCtx — the default — costs one
-	// pointer compare per instrumented site.
+	// parent new spans under. The registry dispatcher and the
+	// tile-parallel solvers record spans and events against it so one
+	// request's path through every layer shares a trace id in the flight
+	// recorder. A nil TraceCtx — the default — costs one pointer compare
+	// per instrumented site.
 	TraceCtx *obsv.TraceContext
 	// PartialOnCancel makes Portfolio/Best return the best coloring of
 	// the algorithms that completed before cancellation, tagged with the

@@ -230,8 +230,8 @@ func Run(alg Algorithm, s grid.Stencil, opts *core.SolveOptions) (core.Coloring,
 	t0 := time.Now()
 	runOpts := opts.WithPhase(sp)
 	if fs.Active() {
-		// Solver-internal phases (and the distributed solver's wire
-		// messages) parent under the solve span, not the admission span.
+		// Solver-internal phases parent under the solve span, not the
+		// admission span.
 		runOpts.TraceCtx = fs.Context()
 	}
 	c, err := contained(d, s, runOpts)

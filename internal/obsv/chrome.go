@@ -30,7 +30,7 @@ type chromeDoc struct {
 // events, one tid per lane), loadable by chrome://tracing and Perfetto.
 // When the trace has content, a process_name metadata row plus one
 // thread_name row per lane labeled via LabelLane precede the spans, so
-// distsolve shard lanes and service worker lanes render with their
+// tile-worker lanes and per-algorithm solve lanes render with their
 // names instead of bare tids. A nil or empty trace writes a valid
 // document with no events.
 func (t *Trace) WriteChrome(w io.Writer) error {

@@ -291,65 +291,6 @@ func (e *EventSink) CacheCorrupt(key, reason string) {
 		slog.String("reason", reason))
 }
 
-// DistStart records the start of a distributed sharded solve: how many
-// shards the grid split into and the round budget.
-func (e *EventSink) DistStart(shards, maxRounds int) {
-	if e == nil {
-		return
-	}
-	e.log("dist.start",
-		slog.Int("shards", shards),
-		slog.Int("maxrounds", maxRounds))
-}
-
-// DistRound records one completed compute/exchange/barrier round of the
-// distributed solver: the round number, how many vertices changed
-// across all shards, and whether every halo exchange of the round was
-// fully acknowledged.
-func (e *EventSink) DistRound(round int, changed int64, exchangeOK bool) {
-	if e == nil {
-		return
-	}
-	e.log("dist.round",
-		slog.Int("round", round),
-		slog.Int64("changed", changed),
-		slog.Bool("acked", exchangeOK))
-}
-
-// DistCrash records a shard crash induced by the shard-crash site.
-func (e *EventSink) DistCrash(node, round int) {
-	if e == nil {
-		return
-	}
-	e.log("dist.crash",
-		slog.Int("node", node),
-		slog.Int("round", round))
-}
-
-// DistRehome records a shard region re-homed onto a replacement node,
-// with the reason (crashed, or unresponsive to a peer's retries).
-func (e *EventSink) DistRehome(node, round int, reason string) {
-	if e == nil {
-		return
-	}
-	e.log("dist.rehome",
-		slog.Int("node", node),
-		slog.Int("round", round),
-		slog.String("reason", reason))
-}
-
-// DistFixpoint records a distributed solve reaching its certified
-// fixpoint: the final round number and total messages the exchange
-// moved.
-func (e *EventSink) DistFixpoint(rounds int, msgs int64) {
-	if e == nil {
-		return
-	}
-	e.log("dist.fixpoint",
-		slog.Int("rounds", rounds),
-		slog.Int64("msgs", msgs))
-}
-
 // Event records an ad-hoc event for call sites outside the fixed solver
 // taxonomy (CLIs, experiments). Unlike the fixed methods it takes
 // variadic attrs, so guard hot paths with a nil check before building

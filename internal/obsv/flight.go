@@ -16,7 +16,7 @@ import (
 // GET /debug/flight (FlightHandler) dumps the retained window filtered
 // by trace id, tenant, or job. SolveErrors and sheds additionally copy
 // the failing trace's records into a small incident buffer, so the
-// evidence survives ring overwrite. See DESIGN.md §17.
+// evidence survives ring overwrite. See DESIGN.md §16.
 
 // DefaultFlightEntries is the ring capacity a FlightRecorder gets when
 // the caller does not size it (ivc -flight-entries overrides).
@@ -54,19 +54,19 @@ type FlightRecord struct {
 	// Kind is FlightKindSpan or FlightKindEvent.
 	Kind string
 	// Name identifies the record, e.g. "admission", "solve:GLL",
-	// "dist.retry".
+	// "fault.injected".
 	Name string
 	// Detail is an optional free-form annotation (error text, shed
 	// reason, fault site).
 	Detail string
 	// Tenant and Job carry the request identity for filtered dumps;
-	// empty for subsystems that only know the wire-level trace id.
+	// empty for subsystems that only know the trace id.
 	Tenant string
 	// Job is the service job id the record belongs to, when known.
 	Job string
-	// Arg is a small numeric payload — the distsolve round, a fault
-	// visit number, a maxcolor — kept as an integer so the record path
-	// never formats strings.
+	// Arg is a small numeric payload — a fault visit number, a
+	// maxcolor — kept as an integer so the record path never formats
+	// strings.
 	Arg int64
 	// Start is the record's start time in Unix nanoseconds.
 	Start int64
@@ -179,10 +179,10 @@ func (f *FlightRecorder) record(rec FlightRecord) {
 }
 
 // RecordEvent records a bare event under an already-minted trace id —
-// the entry point for subsystems that hold only the wire-level id (the
-// chaos injector, the distsolve transport) and not a full context. A
-// zero trace id is a no-op: the recorder retains per-request records,
-// and an unattributable event would only displace attributable ones.
+// the entry point for subsystems that hold only the trace id (the chaos
+// injector) and not a full context. A zero trace id is a no-op: the
+// recorder retains per-request records, and an unattributable event
+// would only displace attributable ones.
 func (f *FlightRecorder) RecordEvent(trace uint64, name, detail string, arg int64) {
 	if f == nil || trace == 0 {
 		return
@@ -202,17 +202,6 @@ func (f *FlightRecorder) NewContext(job, tenant string) *TraceContext {
 		return nil
 	}
 	return &TraceContext{rec: f, trace: f.nextID(), job: job, tenant: tenant}
-}
-
-// Context rebuilds a trace context from raw wire ids — the receiving
-// side of trace propagation through a message schema (distsolve halo
-// messages carry Trace/Span fields). Records made through it attach to
-// the originating request's trace. A zero trace id returns nil.
-func (f *FlightRecorder) Context(trace, parent uint64, job, tenant string) *TraceContext {
-	if f == nil || trace == 0 {
-		return nil
-	}
-	return &TraceContext{rec: f, trace: trace, parent: parent, job: job, tenant: tenant}
 }
 
 // Snapshot returns the retained records matching the filters, sorted by
@@ -318,15 +307,6 @@ func (tc *TraceContext) TraceID() uint64 {
 	return tc.trace
 }
 
-// SpanID returns the id of the span the context is inside (the parent
-// of records made through it); 0 on nil.
-func (tc *TraceContext) SpanID() uint64 {
-	if tc == nil {
-		return 0
-	}
-	return tc.parent
-}
-
 // Job returns the context's job id; "" on nil.
 func (tc *TraceContext) Job() string {
 	if tc == nil {
@@ -341,14 +321,6 @@ func (tc *TraceContext) Tenant() string {
 		return ""
 	}
 	return tc.tenant
-}
-
-// Recorder returns the recorder the context records into; nil on nil.
-func (tc *TraceContext) Recorder() *FlightRecorder {
-	if tc == nil {
-		return nil
-	}
-	return tc.rec
 }
 
 // Start opens a span named name as a child of the context's current
@@ -411,7 +383,7 @@ func (s FlightSpan) ID() uint64 { return s.id }
 func (s FlightSpan) End() { s.EndDetail("", 0) }
 
 // EndDetail completes the span with an annotation and numeric payload
-// (an error string, a maxcolor, a round count).
+// (an error string, a maxcolor).
 func (s FlightSpan) EndDetail(detail string, arg int64) {
 	if s.tc == nil {
 		return

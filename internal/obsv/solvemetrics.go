@@ -56,10 +56,6 @@ type SolveMetrics struct {
 	// valid coloring with ErrPartial after cancellation —
 	// solver_partial_results_total.
 	PartialResults *Counter
-
-	// Dist is the distributed sharded solver's taxonomy (distsolve_*
-	// families); nil disables it like every other field.
-	Dist *DistMetrics
 }
 
 // NewSolveMetrics registers the solver taxonomy in r and returns the
@@ -99,6 +95,5 @@ func NewSolveMetrics(r *Registry) *SolveMetrics {
 			"Solver panics recovered into typed errors instead of crashing."),
 		PartialResults: r.Counter("solver_partial_results_total",
 			"Portfolio solves returning a best-so-far valid coloring with ErrPartial."),
-		Dist: NewDistMetrics(r),
 	}
 }

@@ -73,9 +73,9 @@ func (t *Trace) Lane() int {
 }
 
 // LabelLane names a lane for human-facing renderings — the Chrome
-// export emits it as thread_name metadata so distsolve shard lanes and
-// service worker lanes show up labeled in chrome://tracing instead of
-// as bare tids. Later labels for the same lane win. No-op on nil.
+// export emits it as thread_name metadata so tile-worker lanes and
+// per-algorithm solve lanes show up labeled in chrome://tracing instead
+// of as bare tids. Later labels for the same lane win. No-op on nil.
 func (t *Trace) LabelLane(lane int, name string) {
 	if t == nil || name == "" {
 		return

@@ -133,7 +133,7 @@ func TestTraceConcurrentLanes(t *testing.T) {
 func TestWriteChrome(t *testing.T) {
 	tr := NewTrace()
 	lane := tr.Lane()
-	tr.LabelLane(lane, "dist/shard-0")
+	tr.LabelLane(lane, "tile-worker-0")
 	sp := tr.Start("solve")
 	sp.ChildLane(lane, "inner").End()
 	sp.End()
@@ -166,7 +166,7 @@ func TestWriteChrome(t *testing.T) {
 			}
 		case "M":
 			meta++
-			if ev.Name == "thread_name" && ev.Tid == lane && ev.Args["name"] == "dist/shard-0" {
+			if ev.Name == "thread_name" && ev.Tid == lane && ev.Args["name"] == "tile-worker-0" {
 				laneNamed = true
 			}
 		default:

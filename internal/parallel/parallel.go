@@ -257,7 +257,7 @@ type run struct {
 // counters, and the worker's observability identity (trace lane,
 // counter shard).
 type scratch struct {
-	pl    Placer
+	pl    placer
 	verts []int
 	// steals counts tile-range steals this worker performed; flushed
 	// into the Steals metric alongside the placement counters.

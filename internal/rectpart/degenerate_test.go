@@ -7,8 +7,7 @@ import (
 )
 
 // checkCuts asserts interior cuts are sorted and within [0, n] — the
-// contract boundsFromCuts (and distsolve's shard decomposition) relies
-// on even for degenerate inputs.
+// contract boundsFromCuts relies on even for degenerate inputs.
 func checkCuts(t *testing.T, name string, cuts []int, k, n int) {
 	t.Helper()
 	if len(cuts) != k-1 {

@@ -448,13 +448,18 @@ func TestServiceQueueBoundSheds(t *testing.T) {
 func TestServiceHTTPValidation(t *testing.T) {
 	_, ts := newTestService(t, Config{Workers: 1})
 
-	resp, err := http.Post(ts.URL+"/solve", "application/json", strings.NewReader("{nope"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed JSON: status %d, want 400", resp.StatusCode)
+	for _, body := range []string{
+		"{nope",
+		`{"alg":"GLL","shards":4,"x":2,"y":2,"weights":[1,2,3,4]}`, // unknown field
+	} {
+		resp, err := http.Post(ts.URL+"/solve", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("body %q: status %d, want 400", body, resp.StatusCode)
+		}
 	}
 
 	cases := []struct {
@@ -466,6 +471,8 @@ func TestServiceHTTPValidation(t *testing.T) {
 		{"bad-tenant", Request{Tenant: "a|b", Alg: "GLL", X: 2, Y: 2, Weights: []int64{1, 2, 3, 4}}},
 		{"both-forms", Request{Alg: "GLL", X: 2, Y: 2, Weights: []int64{1, 2, 3, 4}, Instance: "ivc2d 1 1\n1\n"}},
 		{"bad-grid", Request{Alg: "GLL", X: 3, Y: 2, Weights: []int64{1}}},
+		{"oversized-dims", Request{Alg: "GLL", X: 16384, Y: 16384}},
+		{"overflow-text", Request{Alg: "GLL", Instance: "ivc2d 2 1\n9223372036854775807 9223372036854775807\n"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -476,7 +483,7 @@ func TestServiceHTTPValidation(t *testing.T) {
 		})
 	}
 
-	resp, err = http.Get(ts.URL + "/jobs/job-999")
+	resp, err := http.Get(ts.URL + "/jobs/job-999")
 	if err != nil {
 		t.Fatal(err)
 	}

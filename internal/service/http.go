@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -69,11 +70,8 @@ func statusCode(res Result) int {
 // handleSolve is POST /solve: decode, admit, and either wait for the
 // result (sync) or return 202 with the job id (async).
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	var req Request
-	body := http.MaxBytesReader(w, r.Body, maxRequestBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -95,6 +93,17 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		// The client went away; the job keeps running and stays pollable.
 		writeJSON(w, http.StatusAccepted, j.snapshot())
 	}
+}
+
+// decodeRequest parses a POST /solve body. Unknown fields are an error,
+// so a misspelled or unsupported option is refused instead of silently
+// ignored.
+func decodeRequest(body io.Reader) (Request, error) {
+	var req Request
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	return req, err
 }
 
 // handleJob is GET /jobs/{id}: report a job's current snapshot.

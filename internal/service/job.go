@@ -41,12 +41,6 @@ type Request struct {
 	// mid-portfolio returns the best-so-far coloring as a partial
 	// result.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Shards > 1 runs the job on the fault-tolerant distributed sharded
-	// solver split into this many shards instead of the in-process
-	// solver. Only the greedy orders the round protocol pins its fixpoint
-	// to are shardable ("GLL", "GLF"); other algorithms — and "best" —
-	// reject at admission. 0 or 1 solves in-process as before.
-	Shards int `json:"shards,omitempty"`
 	// Async makes POST /solve return 202 with the job id immediately;
 	// poll GET /jobs/{id} for the result.
 	Async bool `json:"async,omitempty"`
@@ -109,8 +103,6 @@ type job struct {
 	stencil  grid.Stencil
 	deadline time.Time // zero = unbounded
 	enqueued time.Time
-	// shards > 1 routes the job to the distributed sharded solver.
-	shards int
 	// tc is the job's flight-recorder context, parented under the
 	// admission span (nil when the server has no recorder); every later
 	// stage records its span against it.
@@ -190,18 +182,9 @@ func parseRequest(req *Request) (tenant string, alg heuristics.Algorithm, s grid
 	if err != nil {
 		return "", "", nil, err
 	}
-	if req.Shards < 0 {
-		return "", "", nil, fmt.Errorf("shards must be >= 0, got %d", req.Shards)
-	}
 	alg = heuristics.Algorithm(req.Alg)
 	if alg == "" || alg == algBest {
-		if req.Shards > 1 {
-			return "", "", nil, fmt.Errorf("the %q portfolio cannot run sharded; pick GLL or GLF", algBest)
-		}
 		return tenant, algBest, s, nil
-	}
-	if req.Shards > 1 && alg != "GLL" && alg != "GLF" {
-		return "", "", nil, fmt.Errorf("%s cannot run sharded: the distributed solver pins its fixpoint to the GLL/GLF greedy orders", alg)
 	}
 	d, ok := heuristics.Lookup(alg)
 	if !ok {

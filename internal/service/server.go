@@ -10,10 +10,8 @@ import (
 	"time"
 
 	"stencilivc/internal/core"
-	"stencilivc/internal/distsolve"
 	"stencilivc/internal/heuristics"
 	"stencilivc/internal/obsv"
-	"stencilivc/internal/parallel"
 	"stencilivc/internal/resultcache"
 )
 
@@ -254,12 +252,11 @@ func (s *Server) Submit(req *Request) (*job, error) {
 	id := fmt.Sprintf("job-%d", s.nextID.Add(1))
 	// Mint the request's trace: the admission span is the root, and the
 	// job's context is parented under it so every later stage (batch,
-	// schedule, solve, distsolve rounds) hangs off one tree.
+	// schedule, solve) hangs off one tree.
 	tc := s.flight.NewContext(id, tenant)
 	adm := tc.Start("admission")
 	defer adm.End()
 	j := newJob(id, tenant, alg, stencil, time.Now().Add(timeout))
-	j.shards = req.Shards
 	j.tc = adm.Context()
 	s.remember(j)
 
@@ -396,20 +393,9 @@ func (s *Server) runJob(j *job) {
 		winner heuristics.Algorithm
 		err    error
 	)
-	switch {
-	case j.alg == algBest:
+	if j.alg == algBest {
 		c, winner, err = heuristics.Best(j.stencil, opts)
-	case j.shards > 1:
-		// Sharded dispatch: the distributed solver reproduces the GLL /
-		// GLF greedy fixpoint (parseRequest admitted nothing else), with
-		// its round spans and fault events recording under opts.TraceCtx.
-		ord := parallel.OrderLine
-		if j.alg == "GLF" {
-			ord = parallel.OrderWeightDesc
-		}
-		winner = j.alg
-		c, err = distsolve.Solve(j.stencil, distsolve.Config{Shards: j.shards, Order: ord}, opts)
-	default:
+	} else {
 		winner = j.alg
 		c, err = heuristics.Run(j.alg, j.stencil, opts)
 	}

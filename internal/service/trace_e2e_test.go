@@ -3,15 +3,14 @@ package service
 import (
 	"encoding/json"
 	"net/http"
-	"strings"
 	"sync"
 	"testing"
 
 	"stencilivc/internal/chaos"
 	"stencilivc/internal/core"
-	"stencilivc/internal/distsolve"
-	"stencilivc/internal/heuristics"
+	"stencilivc/internal/grid"
 	"stencilivc/internal/obsv"
+	"stencilivc/internal/parallel"
 )
 
 // flightRec mirrors the GET /debug/flight record wire shape.
@@ -143,56 +142,26 @@ func TestServiceTraceSpanTree(t *testing.T) {
 	}
 }
 
-// TestServiceShardsValidation covers the admission rules for sharded
-// requests: only the GLL/GLF greedy orders may shard, the portfolio may
-// not, and a negative count is malformed.
-func TestServiceShardsValidation(t *testing.T) {
-	_, ts := newTestService(t, Config{Workers: 1})
-	w4 := gridWeights(4)
-	bad := []struct {
-		name string
-		req  Request
-	}{
-		{"best-sharded", Request{Shards: 2, X: 4, Y: 4, Weights: w4}},
-		{"bdp-sharded", Request{Alg: "BDP", Shards: 2, X: 4, Y: 4, Weights: w4}},
-		{"negative", Request{Alg: "GLL", Shards: -1, X: 4, Y: 4, Weights: w4}},
-	}
-	for _, tc := range bad {
-		t.Run(tc.name, func(t *testing.T) {
-			code, body := postSolveRaw(t, ts.URL, tc.req)
-			if code != http.StatusBadRequest {
-				t.Errorf("status %d (%s), want 400", code, body)
-			}
-		})
-	}
-	// Shards: 1 is the in-process path, not an error.
-	code, res := postSolve(t, ts.URL, Request{Alg: "GLL", Shards: 1, X: 4, Y: 4, Weights: w4})
-	if code != http.StatusOK || res.Status != StatusDone {
-		t.Fatalf("shards=1 solve: status %d/%q (%s)", code, res.Status, res.Error)
-	}
-}
-
-// TestServiceShardedStormFlightScrape is the -race acceptance test: a
-// chaos-stormed multi-shard solve runs through the service while
-// concurrent scrapers hammer /debug/flight and /healthz. Every job must
-// still reproduce the sequential GLL coloring, its trace must contain
-// the distributed rounds under the request's tree, and the storm's
-// fault events — carried across the halo-exchange wire — must attach to
-// the originating jobs' traces.
-func TestServiceShardedStormFlightScrape(t *testing.T) {
+// TestServiceStormFlightScrape is the -race acceptance test of the
+// tracing tier: chaos-stormed PGLL and BDP jobs run through the service
+// while concurrent scrapers hammer /debug/flight and /healthz. Every
+// job must still return a valid coloring, solver-internal phase spans
+// must nest under the request's solve span, and the traced
+// service/worker-panic fault must be recorded under the trace of the
+// job it hit.
+func TestServiceStormFlightScrape(t *testing.T) {
 	rec := obsv.NewFlightRecorder(8192, nil)
+	// A 128² grid is 2×2 default PGLL tiles, so a forced halo misread
+	// plants real cross-tile conflicts for the repair rounds — and their
+	// dropped updates — to resolve. The worker-panic rule fires on every
+	// job without panicking: it puts one traced fault event into each
+	// job's trace.
 	inj := chaos.New(20260808).
-		WithProb(distsolve.SiteMsgDrop, 0.15).
-		WithProb(distsolve.SiteMsgDup, 0.15).
-		WithProb(distsolve.SiteMsgDelay, 0.05).
+		WithProb(parallel.SiteHaloRead, 0.05).
+		WithProb(parallel.SiteRepairDrop, 0.2).
+		EveryNth(SiteWorkerPanic, 1, 0).
 		WithFlight(rec)
 	_, ts := newTestService(t, Config{Workers: 2, Flight: rec, Injector: inj})
-
-	want, err := heuristics.Run("GLL", mustGrid2D(t, 8), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMC := want.MaxColor(mustGrid2D(t, 8))
 
 	stop := make(chan struct{})
 	var scrapers sync.WaitGroup
@@ -218,66 +187,54 @@ func TestServiceShardedStormFlightScrape(t *testing.T) {
 		}()
 	}
 
-	const jobs = 4
-	traces := make(map[string]bool, jobs)
-	for i := 0; i < jobs; i++ {
+	const n = 128
+	for i, alg := range []string{"PGLL", "BDP", "PGLL", "BDP"} {
+		// Shift the weights per job so no job is served from the cache.
+		w := make([]int64, n*n)
+		for v := range w {
+			w[v] = int64((v+i)%9 + 1)
+		}
 		code, res := postSolve(t, ts.URL, Request{
-			Tenant: "storm", Alg: "GLL", Shards: 4,
-			X: 8, Y: 8, Weights: gridWeights(8), TimeoutMS: 20000,
+			Tenant: "storm", Alg: alg, X: n, Y: n, Weights: w, TimeoutMS: 20000,
 		})
 		if code != http.StatusOK || res.Status != StatusDone {
-			t.Fatalf("sharded job %d: status %d/%q (%s)", i, code, res.Status, res.Error)
+			t.Fatalf("%s job %d: status %d/%q (%s)", alg, i, code, res.Status, res.Error)
 		}
-		if res.MaxColor != wantMC {
-			t.Fatalf("sharded job %d maxcolor %d, want the sequential %d", i, res.MaxColor, wantMC)
+		g, err := grid.FromWeights2D(n, n, w)
+		if err != nil {
+			t.Fatal(err)
 		}
-		c := core.Coloring{Start: res.Starts}
-		if err := c.Validate(mustGrid2D(t, 8)); err != nil {
-			t.Fatalf("sharded job %d: invalid coloring under storm: %v", i, err)
+		if err := (core.Coloring{Start: res.Starts}).Validate(g); err != nil {
+			t.Fatalf("%s job %d: invalid coloring under storm: %v", alg, i, err)
 		}
-		if res.TraceID == "" {
-			t.Fatalf("sharded job %d carries no trace id", i)
-		}
-		traces[res.TraceID] = true
 
 		dump := getFlight(t, ts.URL, "trace="+res.TraceID)
-		adm := findSpan(t, dump.Records, "admission")
 		solve := findSpan(t, dump.Records, "solve")
-		if solve.Parent != adm.Span {
-			t.Errorf("job %d: solve parent %s, want admission %s", i, solve.Parent, adm.Span)
+		inner := findSpan(t, dump.Records, "solve:"+alg)
+		if inner.Parent != solve.Span {
+			t.Errorf("%s job %d: solve:%s parent %s, want the solve span %s", alg, i, alg, inner.Parent, solve.Span)
 		}
-		rounds := 0
-		for _, r := range dump.Records {
-			if r.Kind == "span" && r.Name == "dist/round" {
-				rounds++
-				if r.Parent != solve.Span {
-					t.Errorf("job %d: dist/round parent %s, want the solve span %s", i, r.Parent, solve.Span)
+		if alg == "BDP" {
+			for _, phase := range []string{"BDP/decompose", "BDP/post"} {
+				if sp := findSpan(t, dump.Records, phase); sp.Parent != inner.Span {
+					t.Errorf("job %d: %s parent %s, want the solve:BDP span %s", i, phase, sp.Parent, inner.Span)
 				}
 			}
 		}
-		if rounds == 0 {
-			t.Errorf("job %d: no dist/round spans in its trace", i)
+		fault := false
+		for _, r := range dump.Records {
+			if r.Kind == "event" && r.Name == "fault.injected" && r.Detail == string(SiteWorkerPanic) {
+				fault = true
+			}
+		}
+		if !fault {
+			t.Errorf("%s job %d: no %s fault.injected event in its trace", alg, i, SiteWorkerPanic)
 		}
 	}
 	close(stop)
 	scrapers.Wait()
 
-	// The storm fired (probability 0.15 over hundreds of halo messages);
-	// its events must be attributed to the submitted jobs' traces.
-	if inj.TotalFires() == 0 {
-		t.Fatal("the storm never fired; the test exercised nothing")
-	}
-	attributed := 0
-	dump := getFlight(t, ts.URL, "")
-	for _, r := range dump.Records {
-		if r.Kind == "event" && r.Name == "fault.injected" && traces[r.Trace] {
-			attributed++
-			if !strings.HasPrefix(r.Detail, "distsolve/msg-") {
-				t.Errorf("fault.injected detail %q, want a distsolve/msg-* site", r.Detail)
-			}
-		}
-	}
-	if attributed == 0 {
-		t.Errorf("%d faults fired but none recorded under the jobs' traces", inj.TotalFires())
+	if inj.Fires(parallel.SiteHaloRead) == 0 {
+		t.Fatal("no halo misread fired; the storm exercised nothing")
 	}
 }
