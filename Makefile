@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check cache-check trace-check doclint linkcheck fuzz-short bench bench-kernel benchdiff-smoke serve-smoke microbench experiments experiments-full stkde cover clean
+.PHONY: all build vet fmt-check test race check cache-check trace-check doclint linkcheck fuzz-short bench bench-kernel benchdiff-smoke serve-smoke microbench experiments experiments-full stkde cover clean
 
 all: build check
 
@@ -9,6 +9,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when gofmt would reformat any Go file, listing them.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -41,15 +45,16 @@ fuzz-short:
 		done; \
 	done
 
-# check is the CI gate: static analysis, the full suite under the race
-# detector (so the portfolio's concurrency paths are race-checked on
-# every build; the slog nil-sink and injector nil-path AllocsPerRun pins
-# run here too), a short fuzz pass over every fuzz target, the
-# documentation lints, the benchdiff self-diff smoke, the solve-daemon
-# boot smoke, the quick kernel-benchmark tier (bench-kernel), the
-# result-cache tier (cache-check), and the request-tracing tier
-# (trace-check). It is part of the default `make` flow via `all`.
-check: vet race fuzz-short doclint linkcheck benchdiff-smoke serve-smoke trace-check bench-kernel cache-check
+# check is the CI gate: gofmt and static analysis, the full suite under
+# the race detector (so the portfolio's concurrency paths are
+# race-checked on every build; the slog nil-sink and injector nil-path
+# AllocsPerRun pins run here too), a short fuzz pass over every fuzz
+# target, the documentation lints, the benchdiff self-diff smoke, the
+# solve-daemon boot smoke, the quick kernel-benchmark tier
+# (bench-kernel), the result-cache tier (cache-check), and the
+# request-tracing tier (trace-check). It is part of the default `make`
+# flow via `all`.
+check: fmt-check vet race fuzz-short doclint linkcheck benchdiff-smoke serve-smoke trace-check bench-kernel cache-check
 
 # cache-check is the result-cache tier: the content-addressed cache and
 # its persistence stores under the race detector (the concurrent
@@ -60,7 +65,8 @@ cache-check:
 	$(GO) test -run 'TestNilCacheLookupNoAllocs|TestRunCacheHitSkipsSolver' ./internal/heuristics
 
 # bench-kernel is the quick placement-kernel tier: the PlaceLowest
-# micro-benchmarks (interval, streaming, and packed free-map paths —
+# micro-benchmarks (interval, streaming, and packed free-map paths, and
+# the Metrics rows that flush into a metrics bundle as the daemon does —
 # allocs/op must print 0) and the work-stealing scheduler scaling sweep.
 # Short -benchtime keeps it CI-cheap; the committed numbers come from
 # `make bench` (cmd/ivcbench), this tier just proves the benchmarks run

@@ -89,20 +89,20 @@ type LatencySummary struct {
 
 // Report is the top-level JSON document.
 type Report struct {
-	GeneratedUnix int64  `json:"generated_unix"`
-	Started       string `json:"started,omitempty"`
-	WallSeconds   float64 `json:"wall_seconds,omitempty"`
-	GoVersion     string `json:"go_version"`
-	GOOS          string `json:"goos"`
-	GOARCH        string `json:"goarch"`
-	NumCPU        int    `json:"num_cpu"`
-	GOMAXPROCS    int    `json:"gomaxprocs"`
-	Quick         bool   `json:"quick"`
+	GeneratedUnix int64    `json:"generated_unix"`
+	Started       string   `json:"started,omitempty"`
+	WallSeconds   float64  `json:"wall_seconds,omitempty"`
+	GoVersion     string   `json:"go_version"`
+	GOOS          string   `json:"goos"`
+	GOARCH        string   `json:"goarch"`
+	NumCPU        int      `json:"num_cpu"`
+	GOMAXPROCS    int      `json:"gomaxprocs"`
+	Quick         bool     `json:"quick"`
 	Git           *GitInfo `json:"git,omitempty"`
 	// Runtime summarizes what the runtime sampler saw across the whole
 	// run: GC pauses, scheduler latencies, heap and goroutine peaks —
 	// the measurement conditions behind the numbers.
-	Runtime     *stencilivc.RuntimeSummary `json:"runtime,omitempty"`
+	Runtime *stencilivc.RuntimeSummary `json:"runtime,omitempty"`
 	// SolveLatency summarizes the solve_seconds histogram over the whole
 	// run (present with -metrics, which arms the solver metrics bundle).
 	SolveLatency *LatencySummary `json:"solve_latency,omitempty"`
@@ -347,19 +347,21 @@ func record(rep *Report, name string, br testing.BenchmarkResult) *Result {
 }
 
 // benchPlaceLowest measures the steady-state placement kernel on interior
-// stencil neighborhoods; allocs/op must be 0 — including with the metrics
-// bundle attached, since its counters are plain atomics.
+// stencil neighborhoods; allocs/op must be 0. The kernel's tallies are
+// flushed into the metrics bundle after every pass over the grid, as a
+// metered solve flushes once per solve.
 func benchPlaceLowest(rep *Report, sm *stencilivc.SolveMetrics) {
-	run := func(name string, g grid.Stencil, w []int64) {
+	opts := &stencilivc.SolveOptions{Metrics: sm}
+	run := func(name string, g grid.Stencil, w []int64, weight, start func(*rand.Rand) int64) {
 		rng := rand.New(rand.NewSource(1))
 		for v := range w {
-			w[v] = rng.Int63n(9) + 1
+			w[v] = weight(rng)
 		}
 		c := core.NewColoring(g.Len())
 		for v := range c.Start {
-			c.Start[v] = rng.Int63n(60)
+			c.Start[v] = start(rng)
 		}
-		s := core.FitScratch{Metrics: sm}
+		var s core.FitScratch
 		v := 0
 		br := measure(func(b *testing.B) {
 			b.ReportAllocs()
@@ -368,52 +370,39 @@ func benchPlaceLowest(rep *Report, sm *stencilivc.SolveMetrics) {
 				v++
 				if v == g.Len() {
 					v = 0
+					s.Flush(opts, 0)
 				}
 			}
+			s.Flush(opts, 0)
 		})
 		record(rep, name, br)
 	}
+	mixed := func(rng *rand.Rand) int64 { return rng.Int63n(9) + 1 }
+	mixedStart := func(rng *rand.Rand) int64 { return rng.Int63n(60) }
 	g2 := grid.MustGrid2D(64, 64)
-	run("PlaceLowest/9pt", g2, g2.W)
+	run("PlaceLowest/9pt", g2, g2.W, mixed, mixedStart)
 	g3 := grid.MustGrid3D(16, 16, 16)
-	run("PlaceLowest/27pt", g3, g3.W)
+	run("PlaceLowest/27pt", g3, g3.W, mixed, mixedStart)
 
 	// The uniform-weight kernels: PlaceLowestUnit is the unit-weight
 	// degenerate case (classic vertex coloring; the STKDE warm-up tier),
-	// PlaceLowestBitset a common weight w > 1 with slot-aligned starts.
-	// Both route through the packed free-map scan instead of the
-	// interval kernel; allocs/op must likewise stay 0.
-	runUniform := func(name string, g grid.Stencil, w []int64, wv int64) {
-		rng := rand.New(rand.NewSource(1))
-		for v := range w {
-			w[v] = wv
-		}
-		c := core.NewColoring(g.Len())
-		for v := range c.Start {
-			c.Start[v] = rng.Int63n(12) * wv // slot-aligned, as greedy produces
-		}
-		s := core.FitScratch{Metrics: sm}
-		v := 0
-		br := measure(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s.PlaceLowest(g, c, v, -1)
-				v++
-				if v == g.Len() {
-					v = 0
-				}
-			}
-		})
-		record(rep, name, br)
+	// PlaceLowestBitset a common weight w > 1 with slot-aligned starts
+	// (as greedy produces). Both route through the packed free-map scan
+	// instead of the interval kernel; allocs/op must likewise stay 0.
+	uniform := func(wv int64) (func(*rand.Rand) int64, func(*rand.Rand) int64) {
+		return func(*rand.Rand) int64 { return wv },
+			func(rng *rand.Rand) int64 { return rng.Int63n(12) * wv }
 	}
+	unitW, unitStart := uniform(1)
 	u2 := grid.MustGrid2D(64, 64)
-	runUniform("PlaceLowestUnit/9pt", u2, u2.W, 1)
+	run("PlaceLowestUnit/9pt", u2, u2.W, unitW, unitStart)
 	u3 := grid.MustGrid3D(16, 16, 16)
-	runUniform("PlaceLowestUnit/27pt", u3, u3.W, 1)
+	run("PlaceLowestUnit/27pt", u3, u3.W, unitW, unitStart)
+	bitW, bitStart := uniform(5)
 	b2 := grid.MustGrid2D(64, 64)
-	runUniform("PlaceLowestBitset/9pt", b2, b2.W, 5)
+	run("PlaceLowestBitset/9pt", b2, b2.W, bitW, bitStart)
 	b3 := grid.MustGrid3D(16, 16, 16)
-	runUniform("PlaceLowestBitset/27pt", b3, b3.W, 5)
+	run("PlaceLowestBitset/27pt", b3, b3.W, bitW, bitStart)
 }
 
 // benchSteal measures the work-stealing tile scheduler on a

@@ -25,11 +25,11 @@ import (
 //	byte 2: magnitude (visit, period, or probability numerator)
 //	byte 3: budget (EveryNth only)
 func FuzzInjectionSchedule(f *testing.F) {
-	f.Add(uint64(1), []byte{})                          // no faults
-	f.Add(uint64(2), []byte{1, 0, 2, 0})                // panic site, OnNth(3)
-	f.Add(uint64(3), []byte{2, 2, 128, 0})              // halo misreads, p≈0.25
-	f.Add(uint64(4), []byte{3, 1, 1, 0, 2, 3, 64, 0})   // drop every visit + panicking halo
-	f.Add(uint64(5), []byte{0, 1, 2, 4, 1, 3, 255, 0})  // stalls + always-panicking panic site
+	f.Add(uint64(1), []byte{})                         // no faults
+	f.Add(uint64(2), []byte{1, 0, 2, 0})               // panic site, OnNth(3)
+	f.Add(uint64(3), []byte{2, 2, 128, 0})             // halo misreads, p≈0.25
+	f.Add(uint64(4), []byte{3, 1, 1, 0, 2, 3, 64, 0})  // drop every visit + panicking halo
+	f.Add(uint64(5), []byte{0, 1, 2, 4, 1, 3, 255, 0}) // stalls + always-panicking panic site
 	sites := []core.FaultSite{
 		parallel.SiteWorkerStall,
 		parallel.SiteWorkerPanic,

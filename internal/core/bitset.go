@@ -2,11 +2,11 @@ package core
 
 import "math/bits"
 
-// This file holds the v2 placement kernels (PR 7): the packed free-map
-// fast path for uniform-weight instances and the sort-free streaming
-// min-gap scan for general weights. Both produce bit-identical results
-// to the sort+scan kernel of LowestFit — the v1 kernel stays as the
-// general-weights reference and cross-check path.
+// This file holds the pieces of the v2 placement rungs (PR 7): the
+// packed free map that FitScratch fills for uniform-weight instances and
+// the sort-free streaming min-gap scan for general weights. Both produce
+// bit-identical results to the sort+scan kernel of LowestFit — the v1
+// kernel stays as the long-list rung and the cross-check reference.
 //
 // The uniform-weight degeneracy (cf. the classic-coloring equivalence
 // for common weight w): every start a greedy placement can produce is a
@@ -39,7 +39,7 @@ type UniformWeighter interface {
 // codebase, so a construction-time verdict could silently survive a
 // mutation to mixed weights and corrupt placements. Callers that place
 // many vertices should compute this once per solve, not per placement —
-// FitScratch memoizes it per graph.
+// FitScratch caches it when it binds.
 func UniformWeight(g Graph) (int64, bool) {
 	if uw, ok := g.(UniformWeighter); ok {
 		return uw.UniformWeight()
@@ -99,33 +99,6 @@ func (f *freeMap) firstFree() int64 {
 		}
 	}
 	return freeMapSlots
-}
-
-// LowestFitUniform computes LowestFit(occ, w) for a uniform-weight
-// occupancy list: every interval in occ must have width w and a start
-// that is a multiple of w. It reports false — and the caller must fall
-// back to the interval kernel — when an interval breaks the
-// multiple-of-w invariant or the occupancy overflows the free map
-// (len(occ) >= freeMapSlots). occ is not mutated.
-func LowestFitUniform(occ []Interval, w int64) (int64, bool) {
-	if w <= 0 {
-		return 0, true
-	}
-	if len(occ) >= freeMapSlots {
-		return 0, false
-	}
-	var f freeMap
-	for _, iv := range occ {
-		if iv.Empty() {
-			continue
-		}
-		slot, ok := slotOf(iv.Start, w)
-		if !ok {
-			return 0, false
-		}
-		f.set(slot)
-	}
-	return f.firstFree() * w, true
 }
 
 // slotOf converts a uniform-weight start to its slot index, reporting

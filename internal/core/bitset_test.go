@@ -97,30 +97,67 @@ func TestFreeMapSpill(t *testing.T) {
 	}
 }
 
-// TestLowestFitUniformRefusals: the kernel must report false — never a
-// wrong answer — on inputs it cannot represent: starts that are not
-// multiples of w and occupancies that could overflow the map.
+// uniformStar binds a kernel to a star whose center 0 and leaves
+// 1..len(occ) all weigh w, with leaf i+1 colored at occ[i].Start
+// (Unset stays uncolored). Placing the center runs the kernel against
+// exactly occ.
+func uniformStar(occ []Interval, w int64) (*FitScratch, Coloring) {
+	weights := make([]int64, len(occ)+1)
+	edges := make([]Edge, len(occ))
+	c := NewColoring(len(weights))
+	for i, iv := range occ {
+		edges[i] = Edge{U: 0, V: i + 1}
+		c.Start[i+1] = iv.Start
+	}
+	for v := range weights {
+		weights[v] = w
+	}
+	var s FitScratch
+	s.Bind(MustCSRGraph(weights, edges))
+	return &s, c
+}
+
+// placeSlots runs the kernel's uniform rung alone on occ, whose
+// intervals must all have width w.
+func placeSlots(occ []Interval, w int64) (int64, bool) {
+	s, c := uniformStar(occ, w)
+	return s.placeSlots(c.Start, s.Neighbors(0))
+}
+
+// TestLowestFitUniformRefusals: the kernel's uniform rung must report
+// false — never a wrong answer — on occupancies it cannot represent
+// (starts that are not multiples of w, occupancies that could overflow
+// the map), and the full kernel must then still place correctly.
 func TestLowestFitUniformRefusals(t *testing.T) {
-	if _, ok := LowestFitUniform([]Interval{{Start: 3, End: 5}}, 2); ok {
+	odd := []Interval{{Start: 3, End: 5}}
+	if _, ok := placeSlots(odd, 2); ok {
 		t.Error("non-multiple start was not refused")
 	}
 	big := make([]Interval, freeMapSlots)
 	for i := range big {
 		big[i] = Interval{Start: int64(i) * 2, End: int64(i)*2 + 2}
 	}
-	if _, ok := LowestFitUniform(big, 2); ok {
+	if _, ok := placeSlots(big, 2); ok {
 		t.Error("map-overflowing occupancy was not refused")
 	}
-	if s, ok := LowestFitUniform([]Interval{{Start: 2, End: 4}}, 0); !ok || s != 0 {
-		t.Errorf("zero width: got (%d, %v), want (0, true)", s, ok)
+	for _, occ := range [][]Interval{odd, big} {
+		s, c := uniformStar(occ, 2)
+		if got, want := s.PlaceLowest(s.g, c, 0, -1), bruteLowestFit(occ, 2); got != want {
+			t.Errorf("after a refusal: placed at %d, want %d", got, want)
+		}
 	}
-	// Empty intervals are ignored, exactly like the interval kernels.
-	if s, ok := LowestFitUniform([]Interval{{Start: 3, End: 3}, {Start: 0, End: 2}}, 2); !ok || s != 2 {
-		t.Errorf("empty interval not ignored: got (%d, %v), want (2, true)", s, ok)
+	// Zero width never reaches the rung (a uniform verdict needs w > 0);
+	// the kernel places it at 0.
+	if s, c := uniformStar([]Interval{{Start: 2, End: 2}}, 0); s.uniW != 0 || s.PlaceLowest(s.g, c, 0, -1) != 0 {
+		t.Errorf("zero width: uniW = %d, placed at %d, want 0 and 0", s.uniW, s.PlaceLowest(s.g, c, 0, -1))
+	}
+	// Uncolored neighbors are ignored, exactly like the interval rungs.
+	if s, ok := placeSlots([]Interval{{Start: Unset}, {Start: 0, End: 2}}, 2); !ok || s != 2 {
+		t.Errorf("uncolored neighbor not ignored: got (%d, %v), want (2, true)", s, ok)
 	}
 }
 
-// TestKernelsAgreeRandom hammers the three kernels against the brute
+// TestKernelsAgreeRandom hammers the three rungs against the brute
 // reference on random occupancies, both general and uniform-shaped.
 func TestKernelsAgreeRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -143,12 +180,12 @@ func TestKernelsAgreeRandom(t *testing.T) {
 			for i := range uocc {
 				uocc[i] = NewInterval(int64(rng.Intn(30))*w, w)
 			}
-			ugot, ok := LowestFitUniform(uocc, w)
+			ugot, ok := placeSlots(uocc, w)
 			if !ok {
-				t.Fatalf("trial %d: LowestFitUniform refused %v (w=%d)", trial, uocc, w)
+				t.Fatalf("trial %d: the uniform rung refused %v (w=%d)", trial, uocc, w)
 			}
 			if uwant := bruteLowestFit(uocc, w); ugot != uwant {
-				t.Fatalf("trial %d: LowestFitUniform(%v, %d) = %d, want %d", trial, uocc, w, ugot, uwant)
+				t.Fatalf("trial %d: uniform rung on (%v, %d) = %d, want %d", trial, uocc, w, ugot, uwant)
 			}
 		}
 	}
@@ -168,7 +205,7 @@ func TestLowestFitStreamDescending(t *testing.T) {
 }
 
 // TestV2KernelsNoAllocs pins the zero-allocation contract of both v2
-// kernels.
+// rungs.
 func TestV2KernelsNoAllocs(t *testing.T) {
 	occ := []Interval{{Start: 4, End: 6}, {Start: 0, End: 2}, {Start: 8, End: 10}}
 	if n := testing.AllocsPerRun(100, func() {
@@ -176,10 +213,11 @@ func TestV2KernelsNoAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("LowestFitStream allocates %v/op, want 0", n)
 	}
+	s, c := uniformStar(occ, 2)
 	if n := testing.AllocsPerRun(100, func() {
-		LowestFitUniform(occ, 2)
+		s.placeSlots(c.Start, s.Neighbors(0))
 	}); n != 0 {
-		t.Errorf("LowestFitUniform allocates %v/op, want 0", n)
+		t.Errorf("the uniform rung allocates %v/op, want 0", n)
 	}
 }
 

@@ -17,12 +17,21 @@
 //     greedy pass that always places against all colored neighbors can
 //     only produce valid colorings (Section V-A).
 //
-//   - An allocation-free hot path. FitScratch.PlaceLowest on a FixedGraph
-//     (both stencils) performs zero heap allocations per placement: the
-//     neighbor ids and occupancy list live in fixed-size arrays inside the
-//     scratch, sized by MaxFixedDegree = 26, the 27-pt stencil's degree.
-//     Tests pin this to 0 allocs/op; attaching Stats or an obsv metrics
-//     bundle must not break it.
+//   - One placement kernel. FitScratch is the only lowest-fit engine:
+//     every solver binds one per solve (the tile workers share one bound
+//     uniform-weight verdict), places through its single gather loop and
+//     dispatch ladder (packed free map for uniform weights, streaming
+//     scan, sort for long general-graph lists), and flushes its plain
+//     per-solve tallies into the Stats sink and the obsv metrics bundle
+//     with Flush — the only writer of the placement, probe and
+//     occupancy-length counters.
+//
+//   - An allocation-free hot path. A placement on a FixedGraph (both
+//     stencils) performs zero heap allocations: the neighbor ids and
+//     occupancy list live in fixed-size arrays inside the kernel, sized
+//     by MaxFixedDegree = 26, the 27-pt stencil's degree. Tests pin this
+//     to 0 allocs/op, including when flushing into Stats and a metrics
+//     bundle.
 //
 // SolveOptions threads the cross-cutting concerns — context cancellation,
 // parallelism, a Stats sink, and the obsv trace/metrics handles — through

@@ -2,10 +2,10 @@ package core
 
 import "testing"
 
-// FuzzLowestFit cross-checks every placement kernel — the v1 sort+scan
+// FuzzLowestFit cross-checks every placement rung — the v1 sort+scan
 // (LowestFit), the v2 sort-free streaming scan (LowestFitStream), and,
-// on uniform-shaped occupancies, the v2 packed free-map kernel
-// (LowestFitUniform) — against the color-by-color reference on
+// on uniform-shaped occupancies, the kernel's packed free-map rung
+// (FitScratch.placeSlots) — against the color-by-color reference on
 // fuzzer-chosen occupations.
 func FuzzLowestFit(f *testing.F) {
 	f.Add(int64(0), int64(3), int64(5), int64(2), int64(4), int64(2), uint8(2))
@@ -40,19 +40,19 @@ func FuzzLowestFit(f *testing.F) {
 		}
 		// Reshape the same inputs into a uniform-weight occupancy (all
 		// widths w, starts multiples of w) and cross-check the free-map
-		// kernel; it must accept the instance, never fall back.
+		// rung; it must accept the instance, never fall back.
 		if w > 0 {
 			uocc := make([]Interval, 0, len(occ))
 			for _, iv := range occ {
 				slot := iv.Start % 6
 				uocc = append(uocc, Interval{Start: slot * w, End: slot*w + w})
 			}
-			ugot, ok := LowestFitUniform(uocc, w)
+			ugot, ok := placeSlots(uocc, w)
 			if !ok {
-				t.Fatalf("LowestFitUniform(%v, %d) refused a uniform instance", uocc, w)
+				t.Fatalf("uniform rung on (%v, %d) refused a uniform instance", uocc, w)
 			}
 			if uwant := bruteLowestFit(uocc, w); ugot != uwant {
-				t.Fatalf("LowestFitUniform(%v, %d) = %d, reference %d", uocc, w, ugot, uwant)
+				t.Fatalf("uniform rung on (%v, %d) = %d, reference %d", uocc, w, ugot, uwant)
 			}
 		}
 	})

@@ -3,8 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
-
-	"stencilivc/internal/obsv"
+	"sync/atomic"
 )
 
 // smallSortMax is the occupancy-list length up to which LowestFit sorts
@@ -60,153 +59,140 @@ func insertionSortByStart(occ []Interval) {
 	}
 }
 
-// FitScratch is a reusable buffer for repeated lowest-fit queries over a
-// graph; it avoids per-vertex allocations in the greedy inner loop. When
-// Stats is non-nil, every PlaceLowest records one placement and one probe
-// per neighbor interval examined.
+// occTallyLen is the number of exact cells in a kernel's occupancy
+// tally: list lengths 0..32, which covers every stencil placement
+// (MaxFixedDegree = 26) and every finite bucket of the
+// ivc_occupancy_list_length histogram. Longer lists (general graphs
+// only) share one overflow tally; they all land in the +Inf bucket.
+const occTallyLen = 33
+
+// FitScratch is the placement kernel every solver in this module places
+// vertices through: the greedy engine, the block sweeps, BD's
+// recoloring pass, the tile workers of the parallel solver,
+// order.Repair and the exact search. It owns the one gather loop over
+// a vertex's colored neighbors, the one dispatch ladder (packed free
+// map when all weights are equal, then the streaming scan, then the
+// sort for long general-graph lists), and per-solve tallies of the
+// work done, which Flush hands to the stats sink and metrics bundle
+// once per solve.
 //
-// Scratches are cheap to zero-construct, but solver loops that run per
-// request (the service daemon) should acquire one from the arena with
-// AcquireFitScratch so grown buffers survive across solves.
+// A kernel is bound to one graph at a time and caches the
+// uniform-weight verdict when it binds. The zero value is ready to use:
+// PlaceLowest binds on first use and rebinds whenever it is handed a
+// different graph. A FitScratch is not safe for concurrent use; each
+// tile worker embeds its own.
 type FitScratch struct {
-	nbuf []int
-	occ  []Interval
-	// fixN and fixI back the FixedGraph fast path: neighbor ids and
-	// occupied intervals live in fixed-size arrays inside the scratch, so
-	// the placement loop touches no slice growth and no heap at all.
+	g     Graph
+	fixed FixedGraph // g as a FixedGraph, nil when it is not one
+	uniW  int64      // the common weight of every vertex of g, 0 when mixed
+	// fixN and fixI back placements with at most MaxFixedDegree
+	// neighbors (every stencil placement): ids and occupied intervals
+	// live in fixed-size arrays, so the gather allocates nothing.
 	fixN [MaxFixedDegree]int
 	fixI [MaxFixedDegree]Interval
-	// uniFor/uniW memoize the uniform-weight verdict per graph, so the
-	// per-placement dispatch onto the packed free-map kernel is one
-	// interface compare. uniW > 0 means every vertex of uniFor weighs
-	// uniW; uniW == 0 means the verdict for uniFor was "not uniform".
-	uniFor Graph
-	uniW   int64
-	// Stats is an optional sink for placement/probe counters.
-	Stats *Stats
-	// Metrics is an optional metrics bundle; when non-nil every
-	// PlaceLowest also feeds the vertices/probes counters and the
-	// occupancy-list-length histogram with lock-free increments.
-	Metrics *obsv.SolveMetrics
+	// nbuf and occ are the growable buffers of general graphs.
+	nbuf []int
+	occ  []Interval
+	// The tallies since the last Flush: occLen[m] counts placements
+	// against m occupied intervals; long and longProbes count the
+	// placements against occTallyLen or more and their intervals; bulk
+	// counts placements made outside the kernel (AddPlacements).
+	occLen           [occTallyLen]int64
+	long, longProbes int64
+	bulk             int64
+}
+
+// Bind points the kernel at g and caches what every placement would
+// otherwise recompute: g's fixed-degree view and its uniform-weight
+// verdict (one O(n) weight scan for the grids). Solvers bind once per
+// solve; tallies are kept across a rebind.
+func (s *FitScratch) Bind(g Graph) {
+	s.g = g
+	s.fixed, _ = g.(FixedGraph)
+	s.uniW, _ = UniformWeight(g)
+}
+
+// BindAs binds s to the graph o is bound to, reusing o's
+// uniform-weight verdict instead of rescanning the weights, so the tile
+// workers of one solve share a single scan.
+func (s *FitScratch) BindAs(o *FitScratch) {
+	s.g, s.fixed, s.uniW = o.g, o.fixed, o.uniW
 }
 
 // PlaceLowest computes the lowest feasible start for vertex v given the
 // colored neighbors in c, ignoring vertex skip (pass -1 to ignore none;
 // skip is used by recoloring passes that lift v out before reinserting).
-//
-// Graphs implementing FixedGraph (the stencils) take an allocation-free
-// fast path: neighbors are enumerated into a fixed-size array and the
-// occupancy list never leaves the scratch, so the greedy inner loop does
-// zero heap work per placement.
+// It binds the kernel to g first when g is not the bound graph.
 func (s *FitScratch) PlaceLowest(g Graph, c Coloring, v int, skip int) int64 {
-	if fg, ok := g.(FixedGraph); ok {
-		return s.placeFixed(fg, c, v, skip)
+	if g != s.g {
+		s.Bind(g)
 	}
-	s.nbuf = g.Neighbors(v, s.nbuf[:0])
-	s.occ = s.occ[:0]
-	for _, u := range s.nbuf {
-		if u == skip || !c.Colored(u) {
-			continue
-		}
-		iv := c.Interval(g, u)
-		if !iv.Empty() {
-			s.occ = append(s.occ, iv)
-		}
+	nb := s.Neighbors(v)
+	if skip >= 0 {
+		nb = slices.DeleteFunc(nb, func(u int) bool { return u == skip })
 	}
-	if s.Stats != nil {
-		s.Stats.AddPlacements(1)
-		s.Stats.AddProbes(int64(len(s.occ)))
+	return s.Place(c, v, nb)
+}
+
+// Neighbors lists v's neighbors in the bound graph, in the kernel's own
+// buffer (valid until the next call). Callers may drop entries before
+// passing the list to Place: that is how visibility rules, such as the
+// parallel solver's blind speculation, reach the kernel.
+func (s *FitScratch) Neighbors(v int) []int {
+	if s.fixed != nil {
+		return s.fixN[:s.fixed.NeighborsFixed(v, &s.fixN)]
 	}
-	if s.Metrics != nil {
-		s.Metrics.Vertices.Add(1)
-		s.Metrics.Probes.Add(int64(len(s.occ)))
-		s.Metrics.OccLen.ObserveInt(int64(len(s.occ)))
-	}
-	w := g.Weight(v)
-	if s.uniformFor(g) > 0 {
-		if start, ok := LowestFitUniform(s.occ, w); ok {
+	s.nbuf = s.g.Neighbors(v, s.nbuf[:0])
+	return s.nbuf
+}
+
+// Place returns the lowest start for v whose interval avoids every
+// colored vertex of nb in c, and tallies the placement. nb is a list
+// from Neighbors, possibly filtered. Starts are read atomically, so
+// tile workers can place against a coloring other workers are writing.
+func (s *FitScratch) Place(c Coloring, v int, nb []int) int64 {
+	if s.uniW > 0 {
+		if start, ok := s.placeSlots(c.Start, nb); ok {
 			return start
 		}
 	}
-	if len(s.occ) <= smallSortMax {
-		return LowestFitStream(s.occ, w)
+	g, start := s.g, c.Start
+	occ := s.fixI[:0]
+	if len(nb) > len(s.fixI) {
+		occ = s.occ[:0]
 	}
-	return LowestFit(s.occ, w)
-}
-
-// uniformFor returns the memoized uniform weight of g (0 when g's
-// weights are not uniform), recomputing the memo on graph change. The
-// verdict itself is cached on the graph (UniformWeighter), so a memo
-// miss costs one interface call, not a weight scan, for the stencils
-// and CSR.
-func (s *FitScratch) uniformFor(g Graph) int64 {
-	if g != s.uniFor {
-		s.uniFor = g
-		s.uniW = 0
-		if w, ok := UniformWeight(g); ok {
-			s.uniW = w
-		}
-	}
-	return s.uniW
-}
-
-// placeFixed is PlaceLowest specialized to fixed-degree (stencil) graphs.
-func (s *FitScratch) placeFixed(g FixedGraph, c Coloring, v int, skip int) int64 {
-	if s.uniformFor(g) > 0 {
-		if start, ok := s.placeFixedBits(g, c, v, skip); ok {
-			return start
-		}
-	}
-	deg := g.NeighborsFixed(v, &s.fixN)
-	m := 0
-	for t := 0; t < deg; t++ {
-		u := s.fixN[t]
-		if u == skip {
+	for _, u := range nb {
+		su := atomic.LoadInt64(&start[u])
+		if su == Unset {
 			continue
 		}
-		sv := c.Start[u]
-		if sv == Unset {
-			continue
+		if w := g.Weight(u); w > 0 {
+			occ = append(occ, Interval{Start: su, End: su + w})
 		}
-		w := g.Weight(u)
-		if w <= 0 {
-			continue
-		}
-		s.fixI[m] = Interval{Start: sv, End: sv + w}
-		m++
 	}
-	if s.Stats != nil {
-		s.Stats.AddPlacements(1)
-		s.Stats.AddProbes(int64(m))
+	if len(nb) > len(s.fixI) {
+		s.occ = occ
 	}
-	if s.Metrics != nil {
-		s.Metrics.Vertices.Add(1)
-		s.Metrics.Probes.Add(int64(m))
-		s.Metrics.OccLen.ObserveInt(int64(m))
+	s.tally(len(occ))
+	if len(occ) <= smallSortMax {
+		return LowestFitStream(occ, g.Weight(v))
 	}
-	return LowestFitStream(s.fixI[:m], g.Weight(v))
+	return LowestFit(occ, g.Weight(v))
 }
 
-// placeFixedBits is the uniform-weight fast path of placeFixed: the
-// occupancy of v's colored neighbors is a packed slot bitmap and the
-// lowest fit is one word-level first-free scan — no interval is ever
-// materialized and no neighbor weight is ever loaded (uniformity makes
-// them all s.uniW). It reports false, recording nothing, when a
-// neighbor start breaks the multiple-of-w invariant; the caller then
-// takes the general interval path. Placement/probe accounting matches
-// the interval kernel exactly, so the two paths are observably
-// identical except for speed.
-func (s *FitScratch) placeFixedBits(g FixedGraph, c Coloring, v int, skip int) (int64, bool) {
+// placeSlots is the uniform-weight rung of Place: each colored
+// neighbor's start goes straight into a packed free map as it is read
+// (no interval is built and no neighbor weight loaded, since all equal
+// uniW), and the lowest fit is the map's first free slot. It reports
+// false, tallying nothing, when a start breaks the multiple-of-w
+// invariant or the occupancy could overflow the map; Place then takes
+// the interval rungs, which give the same answer.
+func (s *FitScratch) placeSlots(start []int64, nb []int) (int64, bool) {
 	w := s.uniW
-	deg := g.NeighborsFixed(v, &s.fixN)
 	var f freeMap
 	m := 0
-	for t := 0; t < deg; t++ {
-		u := s.fixN[t]
-		if u == skip {
-			continue
-		}
-		su := c.Start[u]
+	for _, u := range nb {
+		su := atomic.LoadInt64(&start[u])
 		if su < 0 {
 			continue // Unset
 		}
@@ -217,16 +203,60 @@ func (s *FitScratch) placeFixedBits(g FixedGraph, c Coloring, v int, skip int) (
 		f.set(slot)
 		m++
 	}
-	if s.Stats != nil {
-		s.Stats.AddPlacements(1)
-		s.Stats.AddProbes(int64(m))
+	if m >= freeMapSlots {
+		return 0, false
 	}
-	if s.Metrics != nil {
-		s.Metrics.Vertices.Add(1)
-		s.Metrics.Probes.Add(int64(m))
-		s.Metrics.OccLen.ObserveInt(int64(m))
-	}
+	s.tally(m)
 	return f.firstFree() * w, true
+}
+
+// tally records one placement against m occupied intervals.
+func (s *FitScratch) tally(m int) {
+	if m < occTallyLen {
+		s.occLen[m]++
+		return
+	}
+	s.long++
+	s.longProbes += int64(m)
+}
+
+// AddPlacements tallies n placements made without a lowest-fit probe
+// (BD's optimal chain colorings), so they reach the sinks through Flush
+// like the kernel's own.
+func (s *FitScratch) AddPlacements(n int64) { s.bulk += n }
+
+// Flush adds the tallies since the last flush to the stats sink and the
+// metrics bundle of opts, the counters on the given shard (tile workers
+// flush concurrently on distinct shards), and zeroes them. It is the
+// only writer of the placement, probe and occupancy-length metrics;
+// solvers call it once per solve. With no sinks it only zeroes.
+func (s *FitScratch) Flush(opts *SolveOptions, shard int) {
+	sm := opts.Meters()
+	placements, probes := s.bulk+s.long, s.longProbes
+	for m, n := range s.occLen {
+		if n > 0 {
+			placements += n
+			probes += int64(m) * n
+			if sm != nil {
+				sm.OccLen.ObserveN(float64(m), n)
+			}
+		}
+	}
+	if placements == 0 {
+		return
+	}
+	if sm != nil {
+		if s.long > 0 {
+			sm.OccLen.ObserveSum(occTallyLen, s.long, float64(s.longProbes))
+		}
+		sm.Vertices.AddShard(shard, placements)
+		sm.Probes.AddShard(shard, probes)
+	}
+	st := opts.Sink()
+	st.AddPlacements(placements)
+	st.AddProbes(probes)
+	s.occLen = [occTallyLen]int64{}
+	s.long, s.longProbes, s.bulk = 0, 0, 0
 }
 
 // GreedyColor colors the vertices of g one at a time in the given order,
@@ -241,26 +271,24 @@ func GreedyColor(g Graph, order []int) (Coloring, error) {
 
 // GreedyColorOpts is GreedyColor threaded with SolveOptions: it polls
 // opts for cancellation every CtxCheckInterval placements (returning the
-// context's error with no coloring) and records placements and probes
-// into the stats sink. A nil opts behaves exactly like GreedyColor.
+// context's error with no coloring) and flushes its placement tallies
+// into opts' sinks when it returns. A nil opts behaves exactly like
+// GreedyColor.
 func GreedyColorOpts(g Graph, order []int, opts *SolveOptions) (Coloring, error) {
 	if err := CheckPermutation(order, g.Len()); err != nil {
 		return Coloring{}, err
 	}
 	c := NewColoring(g.Len())
-	// A stack scratch, not the arena: a single greedy pass over a stencil
-	// stays on the fixed-array path and never grows heap state, so the
-	// pool would only add a Get/Put (and a cold-miss allocation) here.
-	// The arena pays off where scratches are acquired repeatedly — tile
-	// workers and the recoloring passes.
-	s := FitScratch{Stats: opts.Sink(), Metrics: opts.Meters()}
+	var s FitScratch
+	s.Bind(g)
+	defer s.Flush(opts, 0)
 	for i, v := range order {
 		if i%CtxCheckInterval == 0 {
 			if err := opts.Err(); err != nil {
 				return Coloring{}, err
 			}
 		}
-		c.Start[v] = s.PlaceLowest(g, c, v, -1)
+		c.Start[v] = s.Place(c, v, s.Neighbors(v))
 	}
 	return c, nil
 }

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"stencilivc/internal/obsv"
 )
 
 func TestLowestFitBasics(t *testing.T) {
@@ -172,6 +174,55 @@ func TestPlaceLowestSkip(t *testing.T) {
 	// skip vertex 2 instead and vertex 0 still blocks [0,2).
 	if got := s.PlaceLowest(g, c, 1, 2); got != 2 {
 		t.Errorf("PlaceLowest skip=2 -> %d, want 2", got)
+	}
+}
+
+// TestFlushTallies: Flush hands the kernel's per-solve tallies to both
+// sinks — one placement per Place, one probe per occupied neighbor
+// interval, one occupancy observation per Place — including lists
+// longer than the exact tally, which must land in the histogram's +Inf
+// bucket with their exact sum. A second flush adds nothing.
+func TestFlushTallies(t *testing.T) {
+	sm := obsv.NewSolveMetrics(obsv.NewRegistry())
+	bounds := sm.OccLen.Buckets()
+	if last := bounds[len(bounds)-2].UpperBound; last >= occTallyLen {
+		t.Fatalf("the occupancy histogram resolves %v > %d, the exact tally's reach", last, occTallyLen-1)
+	}
+	// A star whose 40 leaves are all colored, plus a chain vertex with
+	// one colored neighbor: 40 probes and 1 probe.
+	const leaves = 40
+	weights := make([]int64, leaves+3)
+	edges := []Edge{{U: leaves + 1, V: leaves + 2}}
+	c := NewColoring(len(weights))
+	for v := range weights {
+		weights[v] = int64(1 + v%3)
+	}
+	for i := 1; i <= leaves; i++ {
+		edges = append(edges, Edge{U: 0, V: i})
+		c.Start[i] = int64(i)
+	}
+	c.Start[leaves+2] = 0
+	g := MustCSRGraph(weights, edges)
+	var s FitScratch
+	for range 3 {
+		s.PlaceLowest(g, c, 0, -1)
+	}
+	s.PlaceLowest(g, c, leaves+1, -1)
+	s.AddPlacements(5)
+	var st Stats
+	opts := &SolveOptions{Stats: &st, Metrics: sm}
+	s.Flush(opts, 3)
+	s.Flush(opts, 3)
+	if st.Placements() != 9 || sm.Vertices.Value() != 9 {
+		t.Errorf("placements: stats %d, metrics %d, want 9", st.Placements(), sm.Vertices.Value())
+	}
+	if want := int64(3*leaves + 1); st.Probes() != want || sm.Probes.Value() != want || sm.OccLen.Sum() != float64(want) {
+		t.Errorf("probes: stats %d, metrics %d, histogram sum %g, want %d",
+			st.Probes(), sm.Probes.Value(), sm.OccLen.Sum(), want)
+	}
+	b := sm.OccLen.Buckets()
+	if got := b[len(b)-1].CumulativeCount - b[len(b)-2].CumulativeCount; got != 3 || sm.OccLen.Count() != 4 {
+		t.Errorf("occupancy histogram: %d long lists of %d, want 3 of 4", got, sm.OccLen.Count())
 	}
 }
 

@@ -44,6 +44,7 @@ func SolveByOrder(g core.Graph, lowerBound int64, nodeBudget int) Result {
 		cur:     core.NewColoring(n),
 		used:    make([]bool, n),
 	}
+	s.scratch.Bind(g)
 	if s.best > s.lb {
 		s.dfs(0, 0)
 	}
@@ -83,7 +84,7 @@ func (s *orderSearch) dfs(placed int, curMax int64) {
 		if s.used[v] {
 			continue
 		}
-		start := s.scratch.PlaceLowest(s.g, s.cur, v, -1)
+		start := s.scratch.Place(s.cur, v, s.scratch.Neighbors(v))
 		end := start + s.g.Weight(v)
 		if max(curMax, end) >= s.best {
 			continue // cannot improve on the incumbent

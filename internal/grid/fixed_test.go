@@ -104,8 +104,9 @@ func setWeight(s Stencil, v int, w int64) { weights(s)[v] = w }
 // TestPlaceLowestNoAllocs: the FixedGraph fast path does zero heap work
 // per placement — the contract behind the tile-parallel solver's
 // allocation-free inner loop. The contract holds both bare and with a
-// metrics bundle attached: the obsv counters are plain atomics, so
-// observability must not cost the hot path a single allocation.
+// stats sink and metrics bundle attached: flushing the kernel's tallies
+// into them is plain atomic adds, so observability must not cost the
+// hot path a single allocation.
 func TestPlaceLowestNoAllocs(t *testing.T) {
 	g := MustGrid3D(6, 6, 6)
 	rng := rand.New(rand.NewSource(2))
@@ -116,15 +117,17 @@ func TestPlaceLowestNoAllocs(t *testing.T) {
 	for v := range c.Start {
 		c.Start[v] = rng.Int63n(40)
 	}
-	scratches := map[string]*core.FitScratch{
-		"bare":    {},
-		"metrics": {Metrics: obsv.NewSolveMetrics(obsv.NewRegistry())},
+	sinks := map[string]*core.SolveOptions{
+		"bare":    nil,
+		"metrics": {Stats: &core.Stats{}, Metrics: obsv.NewSolveMetrics(obsv.NewRegistry())},
 	}
-	for name, s := range scratches {
+	for name, opts := range sinks {
 		t.Run(name, func(t *testing.T) {
+			var s core.FitScratch
 			v := 0
 			allocs := testing.AllocsPerRun(500, func() {
 				s.PlaceLowest(g, c, v, -1)
+				s.Flush(opts, 0)
 				v = (v + 1) % g.Len()
 			})
 			if allocs != 0 {
@@ -136,18 +139,12 @@ func TestPlaceLowestNoAllocs(t *testing.T) {
 
 // BenchmarkPlaceLowest measures the steady-state placement kernel on
 // fully colored interior neighborhoods (the hot case of every greedy
-// solver). The acceptance bar for PR 2 is 0 allocs/op.
+// solver). The acceptance bar for PR 2 is 0 allocs/op. Each sweep over
+// the grid, and the run, ends with a flush of the kernel's tallies, as
+// a solve does; the Metrics rows flush into a metrics bundle, the
+// daemon's configuration.
 func BenchmarkPlaceLowest(b *testing.B) {
-	run := func(b *testing.B, g Stencil) {
-		rng := rand.New(rand.NewSource(1))
-		w := weights(g)
-		for v := range w {
-			w[v] = rng.Int63n(9) + 1
-		}
-		c := core.NewColoring(g.Len())
-		for v := range c.Start {
-			c.Start[v] = rng.Int63n(60)
-		}
+	sweep := func(b *testing.B, g Stencil, c core.Coloring, opts *core.SolveOptions) {
 		var s core.FitScratch
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -157,8 +154,22 @@ func BenchmarkPlaceLowest(b *testing.B) {
 			v++
 			if v == g.Len() {
 				v = 0
+				s.Flush(opts, 0)
 			}
 		}
+		s.Flush(opts, 0)
+	}
+	run := func(b *testing.B, g Stencil, opts *core.SolveOptions) {
+		rng := rand.New(rand.NewSource(1))
+		w := weights(g)
+		for v := range w {
+			w[v] = rng.Int63n(9) + 1
+		}
+		c := core.NewColoring(g.Len())
+		for v := range c.Start {
+			c.Start[v] = rng.Int63n(60)
+		}
+		sweep(b, g, c, opts)
 	}
 	// Uniform-weight variants route through the packed free-map kernel
 	// (weight 1 is the classic-coloring degenerate case, weight 5 a
@@ -173,22 +184,15 @@ func BenchmarkPlaceLowest(b *testing.B) {
 		for v := range c.Start {
 			c.Start[v] = rng.Int63n(12) * wv
 		}
-		var s core.FitScratch
-		b.ReportAllocs()
-		b.ResetTimer()
-		v := 0
-		for i := 0; i < b.N; i++ {
-			s.PlaceLowest(g, c, v, -1)
-			v++
-			if v == g.Len() {
-				v = 0
-			}
-		}
+		sweep(b, g, c, nil)
 	}
-	b.Run("9pt", func(b *testing.B) { run(b, MustGrid2D(64, 64)) })
-	b.Run("27pt", func(b *testing.B) { run(b, MustGrid3D(16, 16, 16)) })
+	metered := &core.SolveOptions{Metrics: obsv.NewSolveMetrics(obsv.NewRegistry())}
+	b.Run("9pt", func(b *testing.B) { run(b, MustGrid2D(64, 64), nil) })
+	b.Run("27pt", func(b *testing.B) { run(b, MustGrid3D(16, 16, 16), nil) })
 	b.Run("Unit/9pt", func(b *testing.B) { runUniform(b, MustGrid2D(64, 64), 1) })
 	b.Run("Unit/27pt", func(b *testing.B) { runUniform(b, MustGrid3D(16, 16, 16), 1) })
 	b.Run("Bitset/9pt", func(b *testing.B) { runUniform(b, MustGrid2D(64, 64), 5) })
 	b.Run("Bitset/27pt", func(b *testing.B) { runUniform(b, MustGrid3D(16, 16, 16), 5) })
+	b.Run("Metrics/9pt", func(b *testing.B) { run(b, MustGrid2D(64, 64), metered) })
+	b.Run("Metrics/27pt", func(b *testing.B) { run(b, MustGrid3D(16, 16, 16), metered) })
 }

@@ -53,9 +53,10 @@ func BipartiteDecomposition2D(g *grid.Grid2D) (core.Coloring, int64) {
 }
 
 // BipartiteDecomposition2DOpts is BipartiteDecomposition2D threaded with
-// SolveOptions: the pass polls for cancellation once per row and records
-// placements into the stats sink, returning the context's error (and no
-// coloring) if the solve is abandoned mid-decomposition.
+// SolveOptions: the pass polls for cancellation once per row and flushes
+// its chain placements through the placement kernel into opts' sinks,
+// returning the context's error (and no coloring) if the solve is
+// abandoned mid-decomposition.
 func BipartiteDecomposition2DOpts(g *grid.Grid2D, opts *core.SolveOptions) (core.Coloring, int64, error) {
 	c := core.NewColoring(g.Len())
 	var rc int64
@@ -69,7 +70,9 @@ func BipartiteDecomposition2DOpts(g *grid.Grid2D, opts *core.SolveOptions) (core
 			c.Start[g.ID(i, j)] = starts[i]
 		}
 	}
-	opts.Sink().AddPlacements(int64(g.Len()))
+	var chains core.FitScratch
+	chains.AddPlacements(int64(g.Len()))
+	chains.Flush(opts, 0)
 	// Each row's colors live in [0, its own maxcolor) ⊆ [0, RC); lifting
 	// odd rows by RC separates every cross-row conflict (rows two apart
 	// are non-adjacent in the 9-pt stencil).
@@ -165,8 +168,9 @@ func postOrder(g core.Graph, c core.Coloring, cv grid.Cover) []int {
 // is polled every core.CtxCheckInterval vertices; on cancellation the
 // coloring may be left partially compacted but is abandoned by callers.
 func recolor(g core.Graph, c core.Coloring, order []int, opts *core.SolveOptions) error {
-	s := core.AcquireFitScratch(opts)
-	defer core.ReleaseFitScratch(s)
+	var s core.FitScratch
+	s.Bind(g)
+	defer s.Flush(opts, 0)
 	for i, v := range order {
 		if i%core.CtxCheckInterval == 0 {
 			if err := opts.Err(); err != nil {
@@ -174,7 +178,7 @@ func recolor(g core.Graph, c core.Coloring, order []int, opts *core.SolveOptions
 			}
 		}
 		c.Start[v] = core.Unset
-		c.Start[v] = s.PlaceLowest(g, c, v, -1)
+		c.Start[v] = s.Place(c, v, s.Neighbors(v))
 	}
 	return nil
 }

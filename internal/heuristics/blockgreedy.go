@@ -40,19 +40,20 @@ const ctxEveryBlocks = 256
 func sweepBlocks(g core.Graph, cv grid.Cover, opts *core.SolveOptions,
 	visit func(c core.Coloring, s *core.FitScratch, anchor int)) (core.Coloring, error) {
 	c := core.NewColoring(g.Len())
-	s := core.AcquireFitScratch(opts)
-	defer core.ReleaseFitScratch(s)
+	var s core.FitScratch
+	s.Bind(g)
+	defer s.Flush(opts, 0)
 	for bi, b := range cv.ByWeightDesc() {
 		if bi%ctxEveryBlocks == 0 {
 			if err := opts.Err(); err != nil {
 				return core.Coloring{}, err
 			}
 		}
-		visit(c, s, cv.Anchor[b])
+		visit(c, &s, cv.Anchor[b])
 	}
 	// Blocks cover every vertex on all supported grids, but guard anyway:
 	// any straggler is colored greedily.
-	if err := colorStragglers(g, c, s, opts); err != nil {
+	if err := colorStragglers(g, c, &s, opts); err != nil {
 		return core.Coloring{}, err
 	}
 	return c, nil
@@ -66,7 +67,7 @@ func greedyBlocksFirst(g core.Graph, cv grid.Cover, opts *core.SolveOptions) (co
 	return sweepBlocks(g, cv, opts, func(c core.Coloring, s *core.FitScratch, a int) {
 		for _, off := range cv.Offsets {
 			if v := a + off; !c.Colored(v) {
-				c.Start[v] = s.PlaceLowest(g, c, v, -1)
+				c.Start[v] = s.Place(c, v, s.Neighbors(v))
 			}
 		}
 	})
@@ -81,7 +82,7 @@ func colorStragglers(g core.Graph, c core.Coloring, s *core.FitScratch, opts *co
 			}
 		}
 		if !c.Colored(v) {
-			c.Start[v] = s.PlaceLowest(g, c, v, -1)
+			c.Start[v] = s.Place(c, v, s.Neighbors(v))
 		}
 	}
 	return nil
@@ -188,7 +189,7 @@ func (ps *permSearch) try(k int) {
 	for i := k; i < len(perm); i++ {
 		perm[k], perm[i] = perm[i], perm[k]
 		v := perm[k]
-		c.Start[v] = ps.s.PlaceLowest(g, c, v, -1)
+		c.Start[v] = ps.s.Place(c, v, ps.s.Neighbors(v))
 		ps.try(k + 1)
 		c.Start[v] = core.Unset
 		perm[k], perm[i] = perm[i], perm[k]
@@ -219,7 +220,7 @@ func smartBlocksSorted(g core.Graph, cv grid.Cover, opts *core.SolveOptions) (co
 			}
 		}
 		for _, v := range uncolored {
-			c.Start[v] = s.PlaceLowest(g, c, v, -1)
+			c.Start[v] = s.Place(c, v, s.Neighbors(v))
 		}
 	})
 }

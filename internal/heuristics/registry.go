@@ -207,6 +207,13 @@ func Run(alg Algorithm, s grid.Stencil, opts *core.SolveOptions) (core.Coloring,
 		opts.FlightCtx().Event("cache.hit", string(alg), 0)
 		return cached, nil
 	}
+	// The allocation count brackets everything a metered miss does, from
+	// here to the cache store.
+	m := opts.Meters()
+	var mallocs0 uint64
+	if m != nil {
+		mallocs0 = readMallocs()
+	}
 	if sampler := opts.RuntimeSampler(); sampler != nil {
 		sampler.Start()
 		defer sampler.Stop()
@@ -220,11 +227,6 @@ func Run(alg Algorithm, s grid.Stencil, opts *core.SolveOptions) (core.Coloring,
 	}
 	sp := tr.StartLane(lane, name)
 	fs := startFlight(opts, name)
-	m := opts.Meters()
-	var mallocs0 uint64
-	if m != nil {
-		mallocs0 = readMallocs()
-	}
 	ev := opts.EventLog()
 	ev.SolveStart(string(alg), s.Dims(), s.Len())
 	t0 := time.Now()

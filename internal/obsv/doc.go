@@ -56,11 +56,14 @@
 //
 // Every method on *Trace, *Span, *Counter, *Gauge, *Histogram,
 // *SolveMetrics, *EventSink, and *Sampler accepts a nil receiver as a
-// no-op, so instrumented code
-// never branches on whether a sink is attached, and the disabled path
-// costs one nil check and allocates nothing — the placement kernel's
-// 0 allocs/op contract (BenchmarkPlaceLowest) holds with instrumentation
-// compiled in. Hot-path increments on enabled counters are lock-free:
-// counters are sharded across padded cache lines so concurrent tile
-// workers never contend on one word (Counter.AddShard).
+// no-op, so instrumented code never branches on whether a sink is
+// attached, and the disabled path costs one nil check and allocates
+// nothing. The placement kernel never touches a metric per placement:
+// it tallies plain integers and flushes them once per solve (Counter
+// adds, Histogram.ObserveN/ObserveSum). BenchmarkPlaceLowest pins its
+// 0 allocs/op contract bare and, in the Metrics rows, flushing into a
+// SolveMetrics bundle after every pass. Increments on enabled counters
+// are lock-free: counters are sharded across padded cache lines so
+// concurrent tile-worker flushes never contend on one word
+// (Counter.AddShard).
 package obsv

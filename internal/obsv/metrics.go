@@ -238,23 +238,18 @@ func (h *Histogram) ObserveInt(v int64) { h.Observe(float64(v)) }
 // ObserveN records n observations of value v in one update — the bulk
 // path the runtime sampler uses to fold a runtime/metrics bucket delta
 // into the histogram without n individual Observe calls.
-func (h *Histogram) ObserveN(v float64, n int64) {
+func (h *Histogram) ObserveN(v float64, n int64) { h.ObserveSum(v, n, v*float64(n)) }
+
+// ObserveSum records n observations that all fall in v's bucket and sum
+// to sum — ObserveN for callers that tally observations themselves and
+// keep an exact total but not every value (the placement kernel's
+// per-solve flush of its long occupancy lists).
+func (h *Histogram) ObserveSum(v float64, n int64, sum float64) {
 	if h == nil || n <= 0 {
 		return
 	}
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i].Add(n)
-	add := v * float64(n)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + add)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
+	h.counts[h.bucketIdx(v)].Add(n)
+	h.addSum(sum)
 }
 
 // Count returns the total number of observations; 0 on nil.

@@ -142,3 +142,28 @@ func TestObserveN(t *testing.T) {
 	var nilH *Histogram
 	nilH.ObserveN(1, 1) // nil no-op
 }
+
+// TestObserveSum: observations recorded as a count and an exact total
+// land like the individual values would, when those share a bucket.
+func TestObserveSum(t *testing.T) {
+	r := NewRegistry()
+	a := r.Histogram("obsv_test_sum_a", "", []float64{1, 10, 100})
+	b := r.Histogram("obsv_test_sum_b", "", []float64{1, 10, 100})
+	a.ObserveSum(200, 3, 200+301+1000)
+	a.ObserveSum(5, 0, 9) // n <= 0 is a no-op
+	for _, v := range []float64{200, 301, 1000} {
+		b.Observe(v)
+	}
+	if a.Count() != b.Count() || a.Sum() != b.Sum() {
+		t.Fatalf("ObserveSum: count %d sum %g, repeated Observe: count %d sum %g",
+			a.Count(), a.Sum(), b.Count(), b.Sum())
+	}
+	ab, bb := a.Buckets(), b.Buckets()
+	for i := range ab {
+		if ab[i] != bb[i] {
+			t.Errorf("bucket %d: ObserveSum %+v != Observe %+v", i, ab[i], bb[i])
+		}
+	}
+	var nilH *Histogram
+	nilH.ObserveSum(1, 1, 1) // nil no-op
+}

@@ -124,11 +124,11 @@ func ByEndDesc(g core.Graph, c core.Coloring) []int {
 // order is lifted out and re-placed at its lowest feasible start. Since a
 // vertex's old start stays feasible, maxcolor never increases.
 func Recolor(g core.Graph, c core.Coloring, order []int) {
-	s := core.AcquireFitScratch(nil)
-	defer core.ReleaseFitScratch(s)
+	var s core.FitScratch
+	s.Bind(g)
 	for _, v := range order {
 		c.Start[v] = core.Unset
-		c.Start[v] = s.PlaceLowest(g, c, v, -1)
+		c.Start[v] = s.Place(c, v, s.Neighbors(v))
 	}
 }
 

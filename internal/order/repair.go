@@ -1,7 +1,7 @@
 package order
 
 import (
-	"sort"
+	"slices"
 
 	"stencilivc/internal/core"
 )
@@ -17,67 +17,50 @@ import (
 // Returns the number of vertices whose start changed. The coloring is
 // guaranteed complete and valid afterwards.
 func Repair(g core.Graph, c core.Coloring) int {
-	n := g.Len()
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	const inf = int64(1) << 62
-	key := func(v int) int64 {
-		if c.Start[v] < 0 {
-			return inf // never-colored vertices slot in around the kept ones
+	old := slices.Clone(c.Start)
+	// Never-colored vertices slot in around the kept ones; ties by id.
+	const inf = uint64(1) << 62
+	keys := make([]uint64, len(old))
+	for v, s := range old {
+		keys[v] = inf
+		if s >= 0 {
+			keys[v] = uint64(s)
 		}
-		return c.Start[v]
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ka, kb := key(order[a]), key(order[b])
-		if ka != kb {
-			return ka < kb
-		}
-		return order[a] < order[b]
-	})
-	placed := make([]bool, n)
-	var buf []int
+	// Lift every vertex out, then revisit them in order, so the colored
+	// vertices are exactly the visited ones: each is placed against the
+	// already-visited subset only, and later vertices adapt around it.
+	for v := range c.Start {
+		c.Start[v] = core.Unset
+	}
+	var s core.FitScratch
+	s.Bind(g)
 	changed := 0
-	for _, v := range order {
-		old := c.Start[v]
-		ok := old >= 0
-		if ok && g.Weight(v) > 0 {
-			iv := core.NewInterval(old, g.Weight(v))
-			buf = g.Neighbors(v, buf[:0])
-			for _, u := range buf {
-				if placed[u] && iv.Overlaps(c.Interval(g, u)) {
-					ok = false
-					break
-				}
-			}
+	for _, v := range core.OrderByKey(keys) {
+		nb := s.Neighbors(v)
+		if fits(g, c, v, old[v], nb) {
+			c.Start[v] = old[v]
+			continue
 		}
-		if !ok {
-			// Re-place against the already-visited subset only; later
-			// vertices will adapt around this one in turn.
-			saved := c.Start[v]
-			c.Start[v] = core.Unset
-			c.Start[v] = lowestAgainstPlaced(g, c, v, placed)
-			if c.Start[v] != saved {
-				changed++
-			}
+		c.Start[v] = s.Place(c, v, nb)
+		if c.Start[v] != old[v] {
+			changed++
 		}
-		placed[v] = true
 	}
 	return changed
 }
 
-// lowestAgainstPlaced is PlaceLowest restricted to already-visited
-// neighbors.
-func lowestAgainstPlaced(g core.Graph, c core.Coloring, v int, placed []bool) int64 {
-	var occ []core.Interval
-	for _, u := range g.Neighbors(v, nil) {
-		if placed[u] && c.Colored(u) {
-			iv := c.Interval(g, u)
-			if !iv.Empty() {
-				occ = append(occ, iv)
-			}
+// fits reports whether v can keep start: it was colored, and its
+// interval overlaps no colored vertex of nb.
+func fits(g core.Graph, c core.Coloring, v int, start int64, nb []int) bool {
+	if start < 0 {
+		return false
+	}
+	iv := core.NewInterval(start, g.Weight(v))
+	for _, u := range nb {
+		if iv.Overlaps(c.Interval(g, u)) {
+			return false
 		}
 	}
-	return core.LowestFit(occ, g.Weight(v))
+	return true
 }

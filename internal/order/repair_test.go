@@ -5,6 +5,8 @@ package order_test
 
 import (
 	"math/rand"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"stencilivc/internal/core"
@@ -95,5 +97,39 @@ func TestRepairStability(t *testing.T) {
 	}
 	if changed > g.Len()/2 {
 		t.Fatalf("one bump moved %d of %d vertices", changed, g.Len())
+	}
+}
+
+// TestRepairAllocsSizeIndependent pins Repair to a constant number of
+// allocations per call: re-placing a vertex goes through the placement
+// kernel's own buffers, so a grid four times larger, with four times as
+// many perturbed weights, allocates exactly as often. The collector is
+// paused while it counts.
+func TestRepairAllocsSizeIndependent(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(n int) float64 {
+		rng := rand.New(rand.NewSource(94))
+		g := grid.MustGrid2D(n, n)
+		for v := range g.W {
+			g.W[v] = 1 + rng.Int63n(9)
+		}
+		c, err := heuristics.Run2D(heuristics.GLL, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < g.Len()/10; i++ {
+			g.W[rng.Intn(g.Len())] = 1 + rng.Int63n(20)
+		}
+		colored := slices.Clone(c.Start)
+		if changed := Repair(g, c); changed == 0 {
+			t.Fatalf("%d²: the perturbation moved no vertex", n)
+		}
+		return testing.AllocsPerRun(5, func() {
+			copy(c.Start, colored)
+			Repair(g, c)
+		})
+	}
+	if small, large := allocs(64), allocs(128); small != large {
+		t.Errorf("Repair allocates %v times on 64², %v on 128²", small, large)
 	}
 }

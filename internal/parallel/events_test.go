@@ -28,13 +28,13 @@ func TestSolveEvents(t *testing.T) {
 	}
 
 	type event struct {
-		Msg        string  `json:"msg"`
-		Tiles      int     `json:"tiles"`
-		Workers    int     `json:"workers"`
-		Blind      bool    `json:"blind"`
-		Round      int     `json:"round"`
-		Conflicts  int64   `json:"conflicts"`
-		Sequential bool    `json:"sequential"`
+		Msg        string `json:"msg"`
+		Tiles      int    `json:"tiles"`
+		Workers    int    `json:"workers"`
+		Blind      bool   `json:"blind"`
+		Round      int    `json:"round"`
+		Conflicts  int64  `json:"conflicts"`
+		Sequential bool   `json:"sequential"`
 	}
 	var events []event
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {

@@ -185,11 +185,9 @@ func speculative(fg core.FixedGraph, s grid.Stencil, cfg Config, opts *core.Solv
 		bufs: bufs,
 		mark: bufs.mark,
 	}
-	// The uniform-weight verdict, computed once per solve: it routes
-	// every placement of this run onto the packed free-map kernel.
-	if w, ok := core.UniformWeight(fg); ok {
-		r.uniW = w
-	}
+	// One bind per solve: every worker kernel shares its uniform-weight
+	// verdict (BindAs) instead of rescanning the weights.
+	r.fit.Bind(fg)
 
 	r.ev.Speculation(len(tl.Tiles), r.par, cfg.SpeculateBlind)
 	if err := r.phase("pgreedy/speculate", r.speculate); err != nil {
@@ -227,9 +225,8 @@ type run struct {
 	ev  *obsv.EventSink
 	c   core.Coloring
 	par int
-	// uniW is the uniform-weight verdict for this solve (0 when weights
-	// are mixed): > 0 routes placements onto core.LowestFitUniform.
-	uniW int64
+	// fit is bound to g once per solve; worker kernels copy its binding.
+	fit core.FitScratch
 	// bufs holds the arena-pooled per-solve buffers; released by
 	// speculative when the solve returns.
 	bufs *solveBufs
@@ -252,19 +249,16 @@ type run struct {
 }
 
 // scratch is the per-worker state: the placement kernel with its
-// fixed-size neighbor and occupancy arrays (kept in one heap object per
-// worker so a placement allocates nothing) plus reusable buffers,
-// counters, and the worker's observability identity (trace lane,
-// counter shard).
+// fixed-size neighbor and occupancy arrays and its tallies (kept in one
+// heap object per worker so a placement allocates nothing) plus
+// reusable buffers, counters, and the worker's observability identity
+// (trace lane, counter shard).
 type scratch struct {
-	pl    placer
+	fit   core.FitScratch
 	verts []int
 	// steals counts tile-range steals this worker performed; flushed
-	// into the Steals metric alongside the placement counters.
+	// into the Steals metric alongside the placement tallies.
 	steals int64
-	// m is the solve metrics bundle (nil when disabled); per-placement
-	// histogram observations go straight in, counters flush in bulk.
-	m *obsv.SolveMetrics
 	// shard is the worker's counter shard, so concurrent flushes land on
 	// distinct cache lines.
 	shard int
@@ -272,13 +266,12 @@ type scratch struct {
 	lane int
 }
 
-// newScratch acquires a worker scratch from the arena, wiring the
-// run's metrics bundle, a fresh counter shard, and — when tracing — a
-// fresh trace lane. Counterpart of release.
+// newScratch acquires a worker scratch from the arena, binding its
+// kernel to the run's graph and giving it a fresh counter shard and —
+// when tracing — a fresh trace lane. Counterpart of release.
 func (r *run) newScratch() *scratch {
 	w := scratchPool.Get().(*scratch)
-	w.pl.Reset(r.g, r.uniW)
-	w.m = r.opts.Meters()
+	w.fit.BindAs(&r.fit)
 	w.shard = int(r.workerSeq.Add(1))
 	if tr := r.opts.Tracer(); tr != nil {
 		w.lane = tr.Lane()
@@ -289,16 +282,21 @@ func (r *run) newScratch() *scratch {
 	return w
 }
 
-// release flushes a worker scratch's counters and returns it to the
-// arena; the grown verts buffer stays warm for the next worker.
+// release flushes a worker scratch's tallies and steal count — on the
+// worker's own counter shard, so concurrent flushes do not contend —
+// and returns it to the arena; the grown verts buffer stays warm for
+// the next worker.
 func (r *run) release(w *scratch) {
-	r.flush(w)
-	w.m = nil
+	w.fit.Flush(r.opts, w.shard)
+	if m := r.opts.Meters(); m != nil {
+		m.Steals.AddShard(w.shard, w.steals)
+	}
+	w.steals = 0
 	scratchPool.Put(w)
 }
 
-// Gather modes of the placement kernel: which neighbors a placement is
-// allowed to observe.
+// Visibility modes of a placement: which neighbors it is allowed to
+// observe.
 const (
 	// readAll observes every neighbor's current (atomic) state: the
 	// optimistic speculative phase and the sequential repair pass.
@@ -315,29 +313,24 @@ const (
 	skipMarked
 )
 
-// place computes the lowest-fit start of v against the shared state,
-// reading neighbor starts atomically and treating Unset as free.
-// ownTile is v's tile id (used by the blindCross/skipMarked modes).
+// place computes the lowest-fit start of v against the shared state
+// (the kernel reads neighbor starts atomically and treats Unset as
+// free). ownTile is v's tile id: the blindCross and skipMarked modes
+// drop the neighbors they hide from the kernel's list before it
+// gathers.
 func (r *run) place(w *scratch, v, ownTile, mode int) int64 {
-	g, start := r.g, r.c.Start
-	pl := &w.pl
-	for _, u := range pl.Begin(v) {
-		switch mode {
-		case blindCross:
-			if r.tl.TileOf(u) != ownTile {
-				continue
-			}
-		case skipMarked:
-			if r.mark[u] == r.round && r.tl.TileOf(u) != ownTile {
-				continue
+	nb := w.fit.Neighbors(v)
+	if mode != readAll {
+		k := 0
+		for _, u := range nb {
+			if (mode == skipMarked && r.mark[u] != r.round) || r.tl.TileOf(u) == ownTile {
+				nb[k] = u
+				k++
 			}
 		}
-		pl.Observe(atomic.LoadInt64(&start[u]), g.Weight(u))
+		nb = nb[:k]
 	}
-	if w.m != nil {
-		w.m.OccLen.ObserveInt(int64(pl.Observed()))
-	}
-	return pl.Commit(g.Weight(v))
+	return w.fit.Place(r.c, v, nb)
 }
 
 // forEach runs fn(worker-scratch, i) for i in [0, n) on r.par
@@ -347,8 +340,8 @@ func (r *run) place(w *scratch, v, ownTile, mode int) int64 {
 // share halo rows — and a worker that drains its range steals half of
 // a victim's remainder instead of idling. The first error
 // (cancellation, recovered worker panic) stops all workers promptly;
-// scratch counters (including steal counts) are flushed into the stats
-// sink on return.
+// scratch tallies (including steal counts) are flushed into the sinks
+// on return.
 //
 // Worker panics are contained here: each call runs under a recover that
 // converts the panic into a *core.SolveError (keeping the injection
@@ -415,28 +408,12 @@ func (r *run) contain(w *scratch, i int, fn func(w *scratch, i int) error) (err 
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = core.PanicToError("", rec)
-			if w.m != nil {
-				w.m.PanicsRecovered.Add(1)
+			if m := r.opts.Meters(); m != nil {
+				m.PanicsRecovered.Add(1)
 			}
 		}
 	}()
 	return fn(w, i)
-}
-
-// flush moves a worker's local counters into the shared stats sink and
-// metrics bundle (on the worker's own shard, so concurrent flushes do
-// not contend).
-func (r *run) flush(w *scratch) {
-	if w.m != nil {
-		w.m.Vertices.AddShard(w.shard, w.pl.Placements)
-		w.m.Probes.AddShard(w.shard, w.pl.Probes)
-		w.m.Steals.AddShard(w.shard, w.steals)
-	}
-	if sink := r.opts.Sink(); sink != nil {
-		sink.AddPlacements(w.pl.Placements)
-		sink.AddProbes(w.pl.Probes)
-	}
-	w.pl.Placements, w.pl.Probes, w.steals = 0, 0, 0
 }
 
 // tileOrder fills w.verts with tile t's cells in the configured
@@ -525,7 +502,7 @@ func (r *run) detect(losersByTile [][]int) (total int, err error) {
 				continue
 			}
 			iv := core.Interval{Start: sv, End: sv + wv}
-			for _, u := range w.pl.Begin(v) {
+			for _, u := range w.fit.Neighbors(v) {
 				tu := tl.TileOf(u)
 				if tu == tid {
 					continue

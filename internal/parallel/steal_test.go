@@ -130,7 +130,7 @@ func TestStealCounterFlushed(t *testing.T) {
 	r := &run{g: g, s: g, opts: &core.SolveOptions{Metrics: sm}}
 	w := r.newScratch()
 	w.steals = 3
-	w.pl.Placements = 7
+	w.fit.AddPlacements(7)
 	r.release(w)
 	if got := sm.Steals.Value(); got != 3 {
 		t.Errorf("Steals = %d, want 3", got)
