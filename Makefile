@@ -88,13 +88,14 @@ serve-smoke:
 # admission → batch → schedule → solve — comes back from /debug/flight
 # by job id, plus a live /healthz p50 for the tenant. The in-process
 # half of the tier (flight span tree + chaos-stormed PGLL/BDP solves
-# scraped concurrently under -race, and the disabled-path 0-alloc pins)
-# rides along.
+# scraped concurrently under -race, `ivc -trace`/`-stats` on a PGLL
+# solve, and the disabled-path 0-alloc pins) rides along.
 trace-check:
 	$(GO) build -o .smoke-ivc ./cmd/ivc
 	$(GO) run ./cmd/servesmoke -bin ./.smoke-ivc -flight
 	rm -f .smoke-ivc
 	$(GO) test -race -run 'TestServiceTraceSpanTree|TestServiceStormFlightScrape' ./internal/service/
+	$(GO) test -race -run 'TestTraceAndStats' ./cmd/ivc
 	$(GO) test -run 'TestNilTraceCtxNoAllocs|TestFlightRecordNoAllocs' ./internal/heuristics ./internal/obsv
 
 # bench runs the committed performance suite (placement kernel, figure

@@ -6,13 +6,13 @@
 //	ivc -alg all -in instance.ivc        compare all algorithms
 //	ivc -alg best -par 4 -in g.ivc       run the portfolio on 4 goroutines
 //	ivc -alg SGK -in g.ivc -print        also print the coloring
-//	ivc -alg BDP -in g.ivc -stats        report solver work counters
+//	ivc -alg BDP -in g.ivc -stats        report work counters and per-span wall times
 //	ivc -alg BDP -in g.ivc -timeout 2s   abort long solves
 //	ivc -alg BDP -in g.ivc -exact 500000 additionally certify optimality
 //	ivc -alg BDP -in g.ivc -simulate 4 -gantt   draw the schedule
 //	ivc -alg PGLL -par 8 -in g.ivc       tile-parallel speculative solve
 //	ivc -alg BDP -in g.ivc -cpuprofile cpu.pprof -memprofile mem.pprof
-//	ivc -alg PGLL -par 8 -in g.ivc -trace out.json   phase spans for chrome://tracing
+//	ivc -alg PGLL -par 8 -in g.ivc -trace out.json   solve, phase, tile and round spans for chrome://tracing
 //	ivc -alg BDP -in g.ivc -http :6060 -linger 30s   serve /metrics, /debug/vars, /debug/pprof
 //	ivc -alg best -in g.ivc -log events.jsonl        structured solve-event log (JSON lines)
 //	ivc -serve :8080 -par 4                          solve daemon: POST /solve job API
@@ -34,10 +34,12 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 	"time"
 
 	"stencilivc"
 	"stencilivc/internal/bounds"
+	"stencilivc/internal/obsv"
 	"stencilivc/internal/render"
 	"stencilivc/internal/service"
 )
@@ -53,7 +55,7 @@ func run() (err error) {
 	algName := flag.String("alg", "BDP", "algorithm (GLL, GZO, GLF, GKF, SGK, BD, BDP, BDL, PGLL, PGLF, best, all)")
 	inPath := flag.String("in", "-", "instance file ('-' for stdin)")
 	print := flag.Bool("print", false, "print the start color of every vertex")
-	stats := flag.Bool("stats", false, "report solver work counters and per-phase wall times")
+	stats := flag.Bool("stats", false, "report solver work counters, then run count and total wall time per span name")
 	timeout := flag.Duration("timeout", 0, "if > 0, abort solving after this long")
 	par := flag.Int("par", 1, "parallelism: portfolio goroutines for -alg best, tile workers for PGLL/PGLF")
 	exactBudget := flag.Int("exact", 0, "if > 0, also run the exact solver with this node budget")
@@ -61,7 +63,7 @@ func run() (err error) {
 	gantt := flag.Bool("gantt", false, "with -simulate, draw the schedule as a Gantt chart")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	tracePath := flag.String("trace", "", "write phase spans to this file in Chrome trace format")
+	tracePath := flag.String("trace", "", "write the solve's spans to this file in Chrome trace format")
 	logPath := flag.String("log", "", "write the structured solve-event log (JSON lines) to this file ('-' for stderr)")
 	httpAddr := flag.String("http", "", "serve /metrics (Prometheus), /debug/vars (expvar), and /debug/pprof on this address")
 	serveAddr := flag.String("serve", "", "run as a solve daemon: job API (POST /solve, GET /jobs/{id}, GET /healthz) plus /metrics and /debug/ on this address")
@@ -71,7 +73,7 @@ func run() (err error) {
 	cacheBytes := flag.Int64("cache-bytes", 0, "with -serve, byte budget for the in-memory result cache (0 = 64 MiB default, negative disables caching)")
 	cacheMaxEntries := flag.Int("cache-max-entries", 0, "with -serve and -cache-dir, cap persisted entries at open; oldest evicted first (0 = unbounded)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "with -serve and -cache-dir, expire persisted entries older than this at open (0 = never)")
-	flightEntries := flag.Int("flight-entries", 0, "with -serve or -http, size of the always-on flight-recorder ring served at /debug/flight (0 = 4096)")
+	flightEntries := flag.Int("flight-entries", 0, "size of the flight-recorder ring that -trace, -stats and -http read (served at /debug/flight) and that -serve keeps always on; the oldest records drop when it fills (0 = 4096)")
 	flag.Parse()
 
 	// SIGINT/SIGTERM cancel the solve (or stop the daemon) through the
@@ -137,7 +139,10 @@ func run() (err error) {
 		Stats:           &stencilivc.Stats{},
 		PartialOnCancel: *partial,
 	}
-	obsDone, err := setupObs(ctx, *tracePath, *httpAddr, *logPath, *linger, *flightEntries, opts)
+	obsDone, err := setupObs(ctx, os.Stdout, obsConfig{
+		tracePath: *tracePath, httpAddr: *httpAddr, logPath: *logPath, stats: *stats,
+		linger: *linger, flightEntries: *flightEntries,
+	}, opts)
 	if err != nil {
 		return err
 	}
@@ -181,7 +186,6 @@ func run() (err error) {
 		}
 		fmt.Printf("best: %-4s maxcolor=%d (%.3fms, all algorithms, par=%d)\n",
 			winner, c.MaxColor(s), float64(time.Since(t0).Microseconds())/1000, opts.Par())
-		reportStats(*stats, opts)
 		return finish(s, c, lb, *print, *exactBudget, *workers, *gantt, g2, g3)
 	}
 
@@ -204,88 +208,97 @@ func run() (err error) {
 			alg, c.MaxColor(s), float64(dt.Microseconds())/1000, mark)
 		last = c
 	}
-	reportStats(*stats, opts)
 	return finish(s, last, lb, *print, *exactBudget, *workers, *gantt, g2, g3)
 }
 
-// setupObs attaches the requested observability sinks to opts: a trace
-// when -trace was given, a structured solve-event log when -log was
-// given, and a metrics registry — fed by both the solvers and a runtime
-// sampler — served over HTTP (with expvar and pprof riding on the
-// default mux) when -http was given. The -http path also arms a flight
-// recorder under a "cli" trace context and serves it at /debug/flight,
-// so even a one-shot solve leaves an inspectable span tree. The
-// returned finalizer writes the Chrome trace file, closes the event
-// log, keeps the HTTP
-// endpoints up for the -linger window (cut short by SIGINT/SIGTERM via
-// ctx), and then shuts the server down gracefully so an in-flight
-// /metrics scrape finishes instead of seeing a reset connection; run
-// defers it so every exit path flushes the trace.
-func setupObs(ctx context.Context, tracePath, httpAddr, logPath string, linger time.Duration,
-	flightEntries int, opts *stencilivc.SolveOptions) (func() error, error) {
+// obsConfig is the observability half of the command line.
+type obsConfig struct {
+	tracePath, httpAddr, logPath string
+	stats                        bool
+	linger                       time.Duration
+	flightEntries                int
+}
 
-	var tr *stencilivc.Trace
-	if tracePath != "" {
-		tr = stencilivc.NewTrace()
-		opts.Trace = tr
-	}
+// setupObs attaches the requested observability sinks to opts. -trace,
+// -stats and -http share one flight recorder, sized by -flight-entries,
+// under a "cli" trace context, so every solve and phase span lands in
+// it. -log attaches a structured solve-event log, and -http a metrics
+// registry — fed by both the solvers and a runtime sampler — served
+// over HTTP with expvar, pprof and /debug/flight riding on the default
+// mux. The returned finalizer writes the Chrome trace file, prints the
+// -stats report to out, closes the event log, keeps the HTTP endpoints
+// up for the -linger window (cut short by SIGINT/SIGTERM via ctx), and
+// then shuts the server down gracefully so an in-flight scrape finishes
+// instead of seeing a reset connection; run defers it so every exit
+// path flushes the trace.
+func setupObs(ctx context.Context, out io.Writer, cfg obsConfig, opts *stencilivc.SolveOptions) (func() error, error) {
 	var logFile *os.File
-	if logPath == "-" {
+	if cfg.logPath == "-" {
 		opts.Events = stencilivc.NewJSONEventSink(os.Stderr)
-	} else if logPath != "" {
-		f, err := os.Create(logPath)
+	} else if cfg.logPath != "" {
+		f, err := os.Create(cfg.logPath)
 		if err != nil {
 			return nil, err
 		}
 		logFile = f
 		opts.Events = stencilivc.NewJSONEventSink(f)
 	}
-	var srv *http.Server
-	if httpAddr != "" {
-		reg := stencilivc.NewMetricsRegistry()
+	var reg *stencilivc.MetricsRegistry
+	if cfg.httpAddr != "" {
+		reg = stencilivc.NewMetricsRegistry()
 		opts.Metrics = stencilivc.NewSolveMetrics(reg)
 		opts.Sampler = stencilivc.NewRuntimeSampler(reg, 0)
 		reg.Publish("ivc")
 		http.Handle("/metrics", stencilivc.MetricsHandler(reg))
-		rec := stencilivc.NewFlightRecorder(flightEntries, reg)
+	}
+	var rec *stencilivc.FlightRecorder
+	if cfg.tracePath != "" || cfg.stats || reg != nil {
+		rec = stencilivc.NewFlightRecorder(cfg.flightEntries, reg)
 		opts.TraceCtx = rec.NewContext("cli", "cli")
+	}
+	var srv *http.Server
+	if reg != nil {
 		http.Handle("/debug/flight", stencilivc.FlightHandler(rec))
-		ln, err := service.Listen(httpAddr)
+		ln, err := service.Listen(cfg.httpAddr)
 		if err != nil {
 			return nil, err
 		}
-		fmt.Printf("serving /metrics, /debug/vars, /debug/pprof on http://%s\n", ln.Addr())
+		fmt.Fprintf(out, "serving /metrics, /debug/vars, /debug/pprof on http://%s\n", ln.Addr())
 		srv = service.NewHTTPServer(http.DefaultServeMux)
 		go srv.Serve(ln)
 	}
 	return func() error {
-		if tr != nil {
-			f, err := os.Create(tracePath)
+		recs := rec.Snapshot(0, "", "", 0)
+		if cfg.tracePath != "" {
+			f, err := os.Create(cfg.tracePath)
 			if err != nil {
 				return err
 			}
-			if err := tr.WriteChrome(f); err != nil {
+			if err := stencilivc.WriteChromeTrace(f, recs); err != nil {
 				f.Close()
 				return err
 			}
 			if err := f.Close(); err != nil {
 				return err
 			}
-			fmt.Printf("trace: %d spans -> %s\n", tr.Len(), tracePath)
+			fmt.Fprintf(out, "trace: %d records -> %s\n", len(recs), cfg.tracePath)
+		}
+		if cfg.stats {
+			writeStats(out, opts.Stats, recs)
 		}
 		if logFile != nil {
 			if err := logFile.Close(); err != nil {
 				return err
 			}
-			fmt.Printf("events: %d -> %s\n", opts.Events.Emitted(), logPath)
+			fmt.Fprintf(out, "events: %d -> %s\n", opts.Events.Emitted(), cfg.logPath)
 		}
 		if srv == nil {
 			return nil
 		}
-		if linger > 0 && ctx.Err() == nil {
-			fmt.Printf("lingering %s for scrapes (^C to stop early)\n", linger)
+		if cfg.linger > 0 && ctx.Err() == nil {
+			fmt.Fprintf(out, "lingering %s for scrapes (^C to stop early)\n", cfg.linger)
 			select {
-			case <-time.After(linger):
+			case <-time.After(cfg.linger):
 			case <-ctx.Done():
 			}
 		}
@@ -296,10 +309,24 @@ func setupObs(ctx context.Context, tracePath, httpAddr, logPath string, linger t
 	}, nil
 }
 
-// reportStats prints the solver counters when -stats was requested.
-func reportStats(enabled bool, opts *stencilivc.SolveOptions) {
-	if enabled {
-		fmt.Println(opts.Stats.String())
+// writeStats prints the -stats report: the work counters, then one row
+// per span name with its run count and total wall time, sorted by name.
+func writeStats(out io.Writer, st *stencilivc.Stats, recs []stencilivc.FlightRecord) {
+	fmt.Fprintln(out, st)
+	runs, wallNS := map[string]int{}, map[string]int64{}
+	for _, r := range recs {
+		if r.Kind == obsv.FlightKindSpan {
+			runs[r.Name]++
+			wallNS[r.Name] += r.WallNS
+		}
+	}
+	names := make([]string, 0, len(runs))
+	for name := range runs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Fprintf(out, "  span %-20s runs=%-5d total=%.3fms\n", name, runs[name], float64(wallNS[name])/1e6)
 	}
 }
 

@@ -34,7 +34,7 @@ func Example() {
 // The Solver pipeline: SolveOptions carries a context (cancellation), a
 // parallelism knob (the portfolio runs concurrently but returns results
 // byte-identical to the sequential run), and a Stats sink counting
-// placements, probes, and per-phase wall time.
+// placements and probes.
 func ExampleBest() {
 	g := stencilivc.MustGrid2D(8, 8)
 	for v := range g.W {

@@ -2,47 +2,50 @@ package main
 
 import (
 	"fmt"
-	"sort"
 
 	"stencilivc"
 )
 
-// SolveWithTrace is the observability entry point this example
-// demonstrates; it forwards to stencilivc.SolveWithTrace, which runs a
-// solve with a fresh tracer attached and hands the recorded spans back.
+// SolveWithTrace is the observability recipe this example demonstrates:
+// it runs one solve under a private flight recorder and hands back the
+// recorded spans — the solve itself and every phase inside it.
 func SolveWithTrace(alg stencilivc.Algorithm, s stencilivc.Stencil,
-	opts *stencilivc.SolveOptions) (stencilivc.Coloring, *stencilivc.Trace, error) {
-	return stencilivc.SolveWithTrace(alg, s, opts)
+	opts *stencilivc.SolveOptions) (stencilivc.Coloring, []stencilivc.FlightRecord, error) {
+	var o stencilivc.SolveOptions
+	if opts != nil {
+		o = *opts
+	}
+	rec := stencilivc.NewFlightRecorder(0, nil)
+	o.TraceCtx = rec.NewContext("", "")
+	c, err := stencilivc.Solve(alg, s, &o)
+	return c, rec.Snapshot(0, "", "", 0), err
 }
 
-// ExampleSolveWithTrace traces a solve and reads its phase spans: the
-// solve itself plus BDP's decompose and post-optimization phases. The
-// same Trace can be written to a file with WriteChrome and opened in a
-// Chrome trace viewer (see the README's "Observing a solve" section).
+// ExampleSolveWithTrace traces a solve and reads its spans: the solve
+// itself, with BDP's decompose and post-optimization phases nested under
+// it. The same records render for chrome://tracing with
+// stencilivc.WriteChromeTrace (see the README's "Observing a solve"
+// section).
 func ExampleSolveWithTrace() {
 	g := stencilivc.MustGrid2D(64, 64)
 	for v := range g.W {
 		g.W[v] = int64(v%7) + 1
 	}
 
-	_, tr, err := SolveWithTrace(stencilivc.BDP, g, nil)
+	_, spans, err := SolveWithTrace(stencilivc.BDP, g, nil)
 	if err != nil {
 		panic(err)
 	}
 
-	// The heaviest of the top-3 spans is the solve itself; the other two
-	// are the phases it contains.
-	top := tr.Top(3)
-	fmt.Println("heaviest span:", top[0].Name)
-	var phases []string
-	for _, sp := range top[1:] {
-		phases = append(phases, sp.Name)
+	names := map[uint64]string{0: "(root)"}
+	for _, sp := range spans {
+		names[sp.Span] = sp.Name
 	}
-	sort.Strings(phases)
-	fmt.Println("phases:", phases)
-	fmt.Println("spans recorded:", tr.Len())
+	for _, sp := range spans {
+		fmt.Println(sp.Name, "under", names[sp.Parent])
+	}
 	// Output:
-	// heaviest span: solve:BDP
-	// phases: [BDP/decompose BDP/post]
-	// spans recorded: 3
+	// solve:BDP under (root)
+	// BDP/decompose under solve:BDP
+	// BDP/post under solve:BDP
 }

@@ -3,9 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -14,12 +11,15 @@ import (
 
 // SolveOptions carries the cross-cutting concerns of a solve: a
 // context.Context for cancellation, a parallelism knob for portfolio
-// runs, and an optional Stats sink. The zero value — and a nil pointer —
-// mean "background context, sequential, no stats", so every solver
-// accepts a nil *SolveOptions and never has to guard itself.
+// runs, and the optional observability sinks — Stats counters, the
+// Metrics bundle, the Events log, the runtime Sampler, and TraceCtx,
+// under which every solver phase records its flight-recorder span. The
+// zero value — and a nil pointer — mean "background context,
+// sequential, nothing observed", so every solver accepts a nil
+// *SolveOptions and never has to guard itself.
 //
 // Options are read-only during a solve and may be shared by concurrent
-// solver goroutines; Stats is internally synchronized.
+// solver goroutines; every sink is internally synchronized.
 type SolveOptions struct {
 	// Ctx cancels a solve in flight. Long passes (the greedy engine, the
 	// BD/BDP row and recoloring loops) poll it at line/block granularity,
@@ -35,14 +35,9 @@ type SolveOptions struct {
 	// the speculative solvers always return a valid coloring but their
 	// maxcolor may vary slightly with worker timing.
 	Parallelism int
-	// Stats, when non-nil, accumulates placement counts, probe counts,
-	// and per-phase wall times across the solve.
+	// Stats, when non-nil, accumulates placement and probe counts across
+	// the solve.
 	Stats *Stats
-	// Trace, when non-nil, records hierarchical per-phase spans (solve,
-	// traversal/placement phases, tile speculation, repair rounds) with
-	// wall and CPU time; export with Trace.WriteChrome. A nil Trace
-	// disables tracing at zero cost.
-	Trace *obsv.Trace
 	// Metrics, when non-nil, receives the solver counter taxonomy
 	// (vertices colored, probes, conflicts, repair rounds, occupancy-list
 	// lengths, maxcolor) with lock-free increments. A nil Metrics
@@ -62,11 +57,6 @@ type SolveOptions struct {
 	// portfolio's members) share one sampling goroutine. A nil Sampler —
 	// the default — costs one pointer compare per solve.
 	Sampler *obsv.Sampler
-	// Phase is the span under which nested phases should record; the
-	// registry dispatcher sets it (via WithPhase) to the solve span so
-	// solver-internal phases nest correctly. Solver code should not set
-	// it directly.
-	Phase *obsv.Span
 	// Injector, when non-nil, is the fault-injection hook: instrumented
 	// sites in the solve pipeline consult it and enact the faults it
 	// schedules (stalls, panics, halo misreads, dropped repair updates).
@@ -98,13 +88,14 @@ type SolveOptions struct {
 	// — can bound a solve without building the derived context itself.
 	// It composes with Ctx: whichever expires first cancels the solve.
 	Deadline time.Time
-	// TraceCtx, when non-nil, is the request's flight-recorder trace
-	// context: the trace id minted at service admission plus the span to
-	// parent new spans under. The registry dispatcher and the
-	// tile-parallel solvers record spans and events against it so one
-	// request's path through every layer shares a trace id in the flight
-	// recorder. A nil TraceCtx — the default — costs one pointer compare
-	// per instrumented site.
+	// TraceCtx, when non-nil, is the flight-recorder trace context: the
+	// trace id (minted at service admission, or by a CLI's private
+	// recorder) plus the span to parent new spans under. The registry
+	// dispatcher opens solve:<alg> under it and hands the solver a child
+	// context, so every solver phase — BDP's decompose and post passes,
+	// the tile-parallel solver's speculate/repair phases, tiles, and
+	// repair rounds — records a span in the same trace. A nil TraceCtx —
+	// the default — costs one pointer compare per instrumented site.
 	TraceCtx *obsv.TraceContext
 	// PartialOnCancel makes Portfolio/Best return the best coloring of
 	// the algorithms that completed before cancellation, tagged with the
@@ -143,21 +134,12 @@ func (o *SolveOptions) Par() int {
 
 // Sink returns the stats sink, or nil when no receiver or no sink is
 // configured. All Stats methods accept a nil receiver, so callers can
-// record unconditionally: opts.Sink().AddPhase(...).
+// record unconditionally: opts.Sink().AddPlacements(...).
 func (o *SolveOptions) Sink() *Stats {
 	if o == nil {
 		return nil
 	}
 	return o.Stats
-}
-
-// Tracer returns the trace, or nil when no receiver or no trace is
-// configured; all *obsv.Trace methods are nil-receiver-safe.
-func (o *SolveOptions) Tracer() *obsv.Trace {
-	if o == nil {
-		return nil
-	}
-	return o.Trace
 }
 
 // Meters returns the solve metrics bundle, or nil when no receiver or
@@ -212,7 +194,12 @@ func (o *SolveOptions) Fault(site FaultSite) bool {
 
 // FlightCtx returns the flight-recorder trace context, or nil when no
 // receiver or no context is configured; all *obsv.TraceContext methods
-// are nil-receiver-safe.
+// are nil-receiver-safe, so solvers open their phases unconditionally:
+//
+//	sp := opts.FlightCtx().Start("BDP/post")
+//	defer sp.End()
+//
+// Untraced, that is one pointer compare returning the inert zero span.
 func (o *SolveOptions) FlightCtx() *obsv.TraceContext {
 	if o == nil {
 		return nil
@@ -270,64 +257,6 @@ func (o *SolveOptions) WithDeadlineContext() (*SolveOptions, context.CancelFunc)
 	return &c, cancel
 }
 
-// WithPhase returns a shallow copy of o whose nested phases record under
-// sp. The copy shares every sink (Ctx, Stats, Trace, Metrics, Events,
-// Sampler, Injector, Cache, TraceCtx) with o, so the
-// dispatcher can scope a solve's span without disturbing concurrent
-// users of the original options. A nil o with a nil sp stays nil.
-func (o *SolveOptions) WithPhase(sp *obsv.Span) *SolveOptions {
-	if o == nil {
-		if sp == nil {
-			return nil
-		}
-		return &SolveOptions{Phase: sp}
-	}
-	c := *o
-	c.Phase = sp
-	return &c
-}
-
-// StartSpan opens name as a child of the current phase span (set by the
-// dispatcher), or as a root span on the tracer when no phase is open.
-// It returns nil — a valid no-op span — when tracing is disabled.
-func (o *SolveOptions) StartSpan(name string) *obsv.Span {
-	if o == nil {
-		return nil
-	}
-	if o.Phase != nil {
-		return o.Phase.Child(name)
-	}
-	return o.Trace.Start(name)
-}
-
-// StartPhase opens a named solver phase against every configured sink —
-// a span on the tracer, a span in the flight recorder when a trace
-// context rides in the options, and, on stop, an AddPhase record in the
-// stats sink — and returns the stop function, meant for defer:
-//
-//	defer core.StartPhase(opts, "pgreedy/speculate")()
-//
-// With no sinks configured the returned function is a shared no-op and
-// nothing is allocated.
-func StartPhase(o *SolveOptions, name string) func() {
-	sp := o.StartSpan(name)
-	st := o.Sink()
-	tc := o.FlightCtx()
-	if sp == nil && st == nil && tc == nil {
-		return noopStop
-	}
-	fs := tc.Start(name)
-	t0 := time.Now()
-	return func() {
-		sp.End()
-		fs.End()
-		st.AddPhase(name, time.Since(t0))
-	}
-}
-
-// noopStop is the shared stop function of unobserved phases.
-var noopStop = func() {}
-
 // CtxCheckInterval is the granularity at which per-vertex solver loops
 // poll for cancellation: every this-many placements (roughly one grid
 // line). Block- and row-structured loops poll once per block or row
@@ -338,27 +267,12 @@ const CtxCheckInterval = 1024
 // methods are safe for concurrent use (portfolio runs share one sink
 // across goroutines) and accept a nil receiver as a no-op, so solver
 // code never branches on whether stats are enabled.
+//
+// Per-phase wall times are spans, not stats: attach a TraceCtx and read
+// the flight recorder.
 type Stats struct {
 	placements atomic.Int64
 	probes     atomic.Int64
-
-	mu     sync.Mutex
-	phases map[string]*phaseAcc
-}
-
-type phaseAcc struct {
-	count   int64
-	elapsed time.Duration
-}
-
-// PhaseTime is the aggregated wall time of one named solver phase.
-type PhaseTime struct {
-	// Name identifies the phase, e.g. "solve:BDP" or "BDP/post".
-	Name string
-	// Count is the number of times the phase ran.
-	Count int64
-	// Elapsed is the total wall time across all runs.
-	Elapsed time.Duration
 }
 
 // AddPlacements records n vertex placements.
@@ -378,39 +292,6 @@ func (s *Stats) AddProbes(n int64) {
 	s.probes.Add(n)
 }
 
-// PhaseTimer starts timing a named phase and returns the stop function
-// that records the elapsed wall time; meant for defer:
-//
-//	defer core.PhaseTimer(opts.Sink(), "pgreedy/speculate")()
-//
-// A nil Stats yields a no-op stop function.
-func PhaseTimer(s *Stats, name string) func() {
-	if s == nil {
-		return func() {}
-	}
-	t0 := time.Now()
-	return func() { s.AddPhase(name, time.Since(t0)) }
-}
-
-// AddPhase accumulates d into the named phase's wall time.
-func (s *Stats) AddPhase(name string, d time.Duration) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.phases == nil {
-		s.phases = map[string]*phaseAcc{}
-	}
-	acc := s.phases[name]
-	if acc == nil {
-		acc = &phaseAcc{}
-		s.phases[name] = acc
-	}
-	acc.count++
-	acc.elapsed += d
-}
-
 // Placements returns the number of vertex placements recorded.
 func (s *Stats) Placements() int64 {
 	if s == nil {
@@ -427,31 +308,10 @@ func (s *Stats) Probes() int64 {
 	return s.probes.Load()
 }
 
-// Phases returns the per-phase wall times sorted by name.
-func (s *Stats) Phases() []PhaseTime {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]PhaseTime, 0, len(s.phases))
-	for name, acc := range s.phases {
-		out = append(out, PhaseTime{Name: name, Count: acc.count, Elapsed: acc.elapsed})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// String renders the stats as a compact single-report block.
+// String renders the counters as one line.
 func (s *Stats) String() string {
 	if s == nil {
 		return "stats: (disabled)"
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "stats: placements=%d probes=%d", s.Placements(), s.Probes())
-	for _, p := range s.Phases() {
-		fmt.Fprintf(&b, "\n  phase %-16s runs=%-4d total=%.3fms",
-			p.Name, p.Count, float64(p.Elapsed.Microseconds())/1000)
-	}
-	return b.String()
+	return fmt.Sprintf("stats: placements=%d probes=%d", s.Placements(), s.Probes())
 }

@@ -82,8 +82,7 @@ func TestStatsNilSafety(t *testing.T) {
 	var s *Stats
 	s.AddPlacements(3)
 	s.AddProbes(5)
-	s.AddPhase("x", time.Second)
-	if s.Placements() != 0 || s.Probes() != 0 || s.Phases() != nil {
+	if s.Placements() != 0 || s.Probes() != 0 {
 		t.Error("nil stats must report zero values")
 	}
 	if !strings.Contains(s.String(), "disabled") {
@@ -91,34 +90,20 @@ func TestStatsNilSafety(t *testing.T) {
 	}
 }
 
-// TestStatsAccumulation covers counters and phase aggregation by name.
+// TestStatsAccumulation covers the counters and their rendering.
 func TestStatsAccumulation(t *testing.T) {
 	var s Stats
 	s.AddPlacements(2)
 	s.AddPlacements(3)
 	s.AddProbes(7)
-	s.AddPhase("solve:BD", 2*time.Millisecond)
-	s.AddPhase("solve:BD", 3*time.Millisecond)
-	s.AddPhase("solve:GLL", time.Millisecond)
 	if s.Placements() != 5 {
 		t.Errorf("placements = %d, want 5", s.Placements())
 	}
 	if s.Probes() != 7 {
 		t.Errorf("probes = %d, want 7", s.Probes())
 	}
-	phases := s.Phases()
-	if len(phases) != 2 {
-		t.Fatalf("phases = %v, want 2 entries", phases)
-	}
-	// Sorted by name: solve:BD before solve:GLL, aggregated by name.
-	if phases[0].Name != "solve:BD" || phases[0].Count != 2 || phases[0].Elapsed != 5*time.Millisecond {
-		t.Errorf("phases[0] = %+v", phases[0])
-	}
-	if phases[1].Name != "solve:GLL" || phases[1].Count != 1 {
-		t.Errorf("phases[1] = %+v", phases[1])
-	}
-	if !strings.Contains(s.String(), "placements=5") {
-		t.Errorf("String() = %q", s.String())
+	if got := s.String(); got != "stats: placements=5 probes=7" {
+		t.Errorf("String() = %q", got)
 	}
 }
 
@@ -136,7 +121,6 @@ func TestStatsConcurrent(t *testing.T) {
 			for i := 0; i < each; i++ {
 				s.AddPlacements(1)
 				s.AddProbes(2)
-				s.AddPhase("p", time.Microsecond)
 			}
 		}()
 	}
@@ -144,8 +128,8 @@ func TestStatsConcurrent(t *testing.T) {
 	if s.Placements() != workers*each {
 		t.Errorf("placements = %d, want %d", s.Placements(), workers*each)
 	}
-	if got := s.Phases()[0].Count; got != workers*each {
-		t.Errorf("phase count = %d, want %d", got, workers*each)
+	if s.Probes() != 2*workers*each {
+		t.Errorf("probes = %d, want %d", s.Probes(), 2*workers*each)
 	}
 }
 

@@ -191,18 +191,17 @@ func BipartiteDecompositionPost2D(g *grid.Grid2D) (core.Coloring, int64) {
 }
 
 // BipartiteDecompositionPost2DOpts is BDP in 2D with options; the
-// decompose and post phases are observed separately (stats phases and
-// trace spans).
+// decompose and post phases record separate flight spans.
 func BipartiteDecompositionPost2DOpts(g *grid.Grid2D, opts *core.SolveOptions) (core.Coloring, int64, error) {
-	stop := core.StartPhase(opts, "BDP/decompose")
+	sp := opts.FlightCtx().Start("BDP/decompose")
 	c, rc, err := BipartiteDecomposition2DOpts(g, opts)
-	stop()
+	sp.End()
 	if err != nil {
 		return core.Coloring{}, 0, err
 	}
-	stop = core.StartPhase(opts, "BDP/post")
+	sp = opts.FlightCtx().Start("BDP/post")
 	err = recolor(g, c, postOrder(g, c, g.CliqueBlocks()), opts)
-	stop()
+	sp.End()
 	if err != nil {
 		return core.Coloring{}, 0, err
 	}
@@ -217,15 +216,15 @@ func BipartiteDecompositionPost3D(g *grid.Grid3D) (core.Coloring, int64) {
 
 // BipartiteDecompositionPost3DOpts is BDP in 3D with options.
 func BipartiteDecompositionPost3DOpts(g *grid.Grid3D, opts *core.SolveOptions) (core.Coloring, int64, error) {
-	stop := core.StartPhase(opts, "BDP/decompose")
+	sp := opts.FlightCtx().Start("BDP/decompose")
 	c, lb, err := BipartiteDecomposition3DOpts(g, opts)
-	stop()
+	sp.End()
 	if err != nil {
 		return core.Coloring{}, 0, err
 	}
-	stop = core.StartPhase(opts, "BDP/post")
+	sp = opts.FlightCtx().Start("BDP/post")
 	err = recolor(g, c, postOrder(g, c, g.CliqueBlocks()), opts)
-	stop()
+	sp.End()
 	if err != nil {
 		return core.Coloring{}, 0, err
 	}

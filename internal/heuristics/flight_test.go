@@ -1,6 +1,7 @@
 package heuristics
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"stencilivc/internal/core"
@@ -36,6 +37,25 @@ func TestNilTraceCtxNoAllocs(t *testing.T) {
 		fs.EndDetail("", 0)
 	}); n != 0 {
 		t.Fatalf("disabled flight path allocates %v/op, want 0", n)
+	}
+}
+
+// TestUntracedOptionsNoExtraAllocs: options without a trace context
+// cost Run no allocation over nil options — Run copies the options only
+// when its solve span is active.
+func TestUntracedOptionsNoExtraAllocs(t *testing.T) {
+	g := flightTestGrid(t)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(opts *core.SolveOptions) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Run(GLL, g, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	opts := &core.SolveOptions{Parallelism: 1}
+	if with, bare := allocs(opts), allocs(nil); with != bare {
+		t.Errorf("Run with untraced options allocates %v, with nil options %v", with, bare)
 	}
 }
 

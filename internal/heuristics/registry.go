@@ -156,15 +156,17 @@ func All() []Algorithm {
 // dimensionality. It is the single dispatch path: unknown names and
 // dimension mismatches error, per-algorithm errors (cancellation, failed
 // decompositions) propagate instead of being discarded, and every
-// configured observability sink records here — the algorithm's wall
-// time lands in the stats sink under "solve:<name>", a "solve:<name>"
-// span opens on the tracer (on its own lane, so concurrent portfolio
-// runs render as separate rows), the metrics bundle receives the
-// solve count, wall time, allocations, and resulting maxcolor, the
-// event sink logs solve.start and solve.finish/solve.error records, and
-// the runtime sampler — when configured — runs for the duration of the
-// solve so GC pauses and scheduler stalls during it land in the
-// registry.
+// configured observability sink records here — a "solve:<name>" span
+// opens under SolveOptions.TraceCtx (ending with the maxcolor as its
+// arg, or the error as its detail) and the solver runs under its child
+// context, so the solver's own phases nest beneath it; the metrics
+// bundle receives the solve count, wall time, allocations, and
+// resulting maxcolor, the event sink logs solve.start and
+// solve.finish/solve.error records, and the runtime sampler — when
+// configured — runs for the duration of the solve so GC pauses and
+// scheduler stalls during it land in the registry. The options are
+// copied only when the span is active, so untraced options cost no more
+// than nil options.
 //
 // When SolveOptions.Cache is set, Run first consults the
 // content-addressed result cache: a hit returns the memoized coloring
@@ -218,28 +220,20 @@ func Run(alg Algorithm, s grid.Stencil, opts *core.SolveOptions) (core.Coloring,
 		sampler.Start()
 		defer sampler.Stop()
 	}
-	name := "solve:" + string(alg)
-	tr := opts.Tracer()
-	lane := 0
-	if tr != nil {
-		lane = tr.Lane()
-		tr.LabelLane(lane, name)
-	}
-	sp := tr.StartLane(lane, name)
-	fs := startFlight(opts, name)
+	fs := startFlight(opts, "solve:"+string(alg))
 	ev := opts.EventLog()
 	ev.SolveStart(string(alg), s.Dims(), s.Len())
 	t0 := time.Now()
-	runOpts := opts.WithPhase(sp)
+	runOpts := opts
 	if fs.Active() {
 		// Solver-internal phases parent under the solve span, not the
-		// admission span.
-		runOpts.TraceCtx = fs.Context()
+		// caller's span.
+		o := *opts
+		o.TraceCtx = fs.Context()
+		runOpts = &o
 	}
 	c, err := contained(d, s, runOpts)
 	dt := time.Since(t0)
-	sp.End()
-	opts.Sink().AddPhase(name, dt)
 	if err != nil {
 		fs.EndDetail(err.Error(), 0)
 		ev.SolveFinish(string(alg), 0, dt, err)

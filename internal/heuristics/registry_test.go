@@ -214,7 +214,7 @@ func TestCancellationAllAlgorithms(t *testing.T) {
 }
 
 // TestRunRecordsStats: dispatch through the registry feeds the stats
-// sink with per-algorithm phases and placement counters.
+// sink's placement and probe counters.
 func TestRunRecordsStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := random2D(rng, 8, 8, 9)
@@ -231,18 +231,6 @@ func TestRunRecordsStats(t *testing.T) {
 	}
 	if stats.Probes() == 0 {
 		t.Error("probes = 0, want > 0")
-	}
-	phases := map[string]bool{}
-	for _, p := range stats.Phases() {
-		phases[p.Name] = true
-	}
-	for _, alg := range All() {
-		if !phases["solve:"+string(alg)] {
-			t.Errorf("missing phase solve:%s (have %v)", alg, stats.Phases())
-		}
-	}
-	if !phases["BDP/post"] {
-		t.Errorf("missing phase BDP/post (have %v)", stats.Phases())
 	}
 }
 

@@ -1,25 +1,28 @@
 // Package obsv is the observability layer of the solver pipeline: a
-// span-style tracer for hierarchical per-phase timings, a registry of
-// counters/gauges/histograms for solver work metrics, a structured
-// solve-event log, a Go-runtime sampler, and exposition of the metric
-// state in Prometheus text format and expvar JSON. It depends only on
-// the standard library and is imported by internal/core, so every
-// solver can be instrumented without new dependencies.
+// flight recorder of hierarchical spans for per-phase timings, a
+// registry of counters/gauges/histograms for solver work metrics, a
+// structured solve-event log, a Go-runtime sampler, and exposition of
+// the metric state in Prometheus text format and expvar JSON. It
+// depends only on the standard library and is imported by
+// internal/core, so every solver can be instrumented without new
+// dependencies.
 //
 // The paper argues by per-phase runtime breakdowns (Section VII's Figure
 // 10 splits STKDE time into coloring, scheduling, and kernel work); this
 // package is the machinery that produces such breakdowns for any solve.
 //
-// # Tracer model
+// # Span model
 //
-// A Trace records completed Spans. Spans live on integer lanes (rendered
-// as thread rows by chrome://tracing): lane 0 is the main lane, and
-// concurrent work — a portfolio's algorithm runs, a tile worker — takes a
-// fresh lane from Trace.Lane. Within one lane, nesting is by time
-// containment, exactly as Chrome renders it; Span.Child additionally
-// records an explicit depth for textual reporting (Trace.Top, Tree).
-// Each span captures wall time and the process CPU time consumed while
-// it was open (rusage-based on Unix, zero elsewhere).
+// The FlightRecorder is the one span model. A TraceContext names a
+// trace and the span new work nests under; TraceContext.Start opens a
+// FlightSpan (a value, so the disabled path allocates nothing) and
+// FlightSpan.Context derives the context for work inside it. Completed
+// spans land in a bounded, lock-sharded ring as FlightRecords carrying
+// trace, span and parent ids, a name, an integer Arg (a tile id, a
+// round number, a maxcolor), the start time and the wall time.
+// Snapshot reads the ring back; FlightHandler serves it as
+// /debug/flight, and WriteChrome renders it for chrome://tracing,
+// deriving thread rows from the parent links.
 //
 // # Metric taxonomy
 //
@@ -32,7 +35,7 @@
 //
 // # Event log
 //
-// Where the tracer answers "where did the time go" and the metrics
+// Where the spans answer "where did the time go" and the metrics
 // answer "how much work happened", EventSink is the append-only record
 // of *what happened*: solver start/finish, tile-speculation rounds,
 // repair sweeps, degraded-mode fallbacks, fault injections, and
@@ -54,11 +57,11 @@
 //
 // # Zero cost when disabled
 //
-// Every method on *Trace, *Span, *Counter, *Gauge, *Histogram,
-// *SolveMetrics, *EventSink, and *Sampler accepts a nil receiver as a
-// no-op, so instrumented code never branches on whether a sink is
-// attached, and the disabled path costs one nil check and allocates
-// nothing. The placement kernel never touches a metric per placement:
+// Every method on *TraceContext, *FlightRecorder, *Counter, *Gauge,
+// *Histogram, *SolveMetrics, *EventSink, and *Sampler accepts a nil
+// receiver as a no-op, and the zero FlightSpan is inert, so
+// instrumented code never branches on whether a sink is attached, and
+// the disabled path costs one nil check and allocates nothing. The placement kernel never touches a metric per placement:
 // it tallies plain integers and flushes them once per solve (Counter
 // adds, Histogram.ObserveN/ObserveSum). BenchmarkPlaceLowest pins its
 // 0 allocs/op contract bare and, in the Metrics rows, flushing into a

@@ -7,16 +7,15 @@ import (
 	"time"
 )
 
-// This file is the flight recorder: always-on, bounded, per-request
-// tracing in the Dapper mold. Where the *Trace tracer answers "where did
-// the wall time of THIS solve go" (and must be attached by hand), the
-// flight recorder answers "what happened to request X five minutes ago"
-// — every request records into a fixed-size lock-sharded ring of recent
-// span/event records, cheap enough to leave on in production, and
+// This file is the flight recorder, the package's one span model:
+// bounded per-request tracing in the Dapper mold. Every request (or CLI
+// solve) records into a fixed-size lock-sharded ring of recent
+// span/event records, cheap enough to leave on in production.
 // GET /debug/flight (FlightHandler) dumps the retained window filtered
-// by trace id, tenant, or job. SolveErrors and sheds additionally copy
-// the failing trace's records into a small incident buffer, so the
-// evidence survives ring overwrite. See DESIGN.md §16.
+// by trace id, tenant, or job; WriteChrome renders a snapshot for
+// chrome://tracing. SolveErrors and sheds additionally copy the failing
+// trace's records into a small incident buffer, so the evidence
+// survives ring overwrite. See DESIGN.md §10 and §16.
 
 // DefaultFlightEntries is the ring capacity a FlightRecorder gets when
 // the caller does not size it (ivc -flight-entries overrides).

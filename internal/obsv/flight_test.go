@@ -191,13 +191,17 @@ func TestFlightRecordNoAllocs(t *testing.T) {
 }
 
 // TestFlightHandler: the /debug/flight dump round-trips through JSON
-// with hex ids and honors the query filters.
+// with hex ids and honors the query filters — for incidents too, so one
+// tenant's dump never carries another tenant's failure.
 func TestFlightHandler(t *testing.T) {
 	f := NewFlightRecorder(64, nil)
 	tc := f.NewContext("job-1", "acme")
 	sp := tc.Start("admission")
 	sp.End()
 	f.Incident(tc.TraceID(), "shed: test")
+	bob := f.NewContext("job-2", "bob")
+	bob.Start("admission").End()
+	f.Incident(bob.TraceID(), "solve error: bob")
 
 	h := FlightHandler(f)
 	req := httptest.NewRequest("GET", "/debug/flight?job=job-1", nil)
@@ -228,6 +232,14 @@ func TestFlightHandler(t *testing.T) {
 	}
 	if len(dump.Incidents) != 1 || dump.Incidents[0].Reason != "shed: test" {
 		t.Errorf("incidents wrong: %+v", dump.Incidents)
+	}
+	for _, q := range []string{"tenant=bob", "job=job-2", "trace=" + FlightID(bob.TraceID())} {
+		rr = httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/flight?"+q, nil))
+		body := rr.Body.String()
+		if !strings.Contains(body, "solve error: bob") || strings.Contains(body, "shed: test") {
+			t.Errorf("?%s: want bob's incident alone:\n%s", q, body)
+		}
 	}
 
 	// Trace filter by hex id.

@@ -78,7 +78,10 @@ func recordJSON(r FlightRecord) flightRecordJSON {
 // FlightHandler serves the recorder as GET /debug/flight: a JSON dump of
 // the retained records plus the preserved incident dumps. Query
 // parameters filter the window: trace (hex id), tenant, job, and limit
-// (max records, most recent win). A nil recorder serves an empty dump.
+// (max records, most recent win). The trace, tenant and job filters
+// apply to incidents too: an incident is kept when one of its records
+// matches, so one tenant's dump never shows another's failures. A nil
+// recorder serves an empty dump.
 func FlightHandler(f *FlightRecorder) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
@@ -96,7 +99,8 @@ func FlightHandler(f *FlightRecorder) http.Handler {
 			}
 			limit = n
 		}
-		recs := f.Snapshot(trace, q.Get("tenant"), q.Get("job"), limit)
+		tenant, job := q.Get("tenant"), q.Get("job")
+		recs := f.Snapshot(trace, tenant, job, limit)
 		dump := flightDumpJSON{
 			Entries: f.Entries(),
 			Records: make([]flightRecordJSON, len(recs)),
@@ -105,7 +109,7 @@ func FlightHandler(f *FlightRecorder) http.Handler {
 			dump.Records[i] = recordJSON(rec)
 		}
 		for _, inc := range f.Incidents() {
-			if trace != 0 && inc.Trace != trace {
+			if !incidentMatches(inc, trace, tenant, job) {
 				continue
 			}
 			ij := flightIncidentJSON{
@@ -124,4 +128,19 @@ func FlightHandler(f *FlightRecorder) http.Handler {
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(dump)
 	})
+}
+
+// incidentMatches reports whether inc passes the dump's filters: its
+// trace is trace, and one of its records carries tenant and job. Zero
+// filters match anything, as in Snapshot.
+func incidentMatches(inc FlightIncident, trace uint64, tenant, job string) bool {
+	if trace != 0 && inc.Trace != trace {
+		return false
+	}
+	for _, r := range inc.Records {
+		if (tenant == "" || r.Tenant == tenant) && (job == "" || r.Job == job) {
+			return true
+		}
+	}
+	return tenant == "" && job == ""
 }

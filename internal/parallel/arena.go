@@ -13,9 +13,9 @@ import "sync"
 
 // scratchPool recycles worker scratches across forEach calls and
 // solves; the warm win is the grown verts buffer (one tile's worth of
-// vertex ids). Observability identity (metrics bundle, counter shard,
-// trace lane) is re-assigned on every acquire by run.newScratch, and
-// run.release flushes and zeroes the counters before returning one.
+// vertex ids). The counter shard is re-assigned on every acquire by
+// run.newScratch, and run.release flushes and zeroes the counters
+// before returning one.
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // solveBufs carries the per-solve buffers of the tile-parallel solver.

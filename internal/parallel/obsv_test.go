@@ -1,22 +1,22 @@
 package parallel
 
 import (
-	"strings"
 	"testing"
 
 	"stencilivc/internal/core"
 	"stencilivc/internal/obsv"
 )
 
-// TestTraceSpans: a traced parallel solve records the two top-level
-// phases, one span per tile (on worker lanes, nested under speculate),
-// and a sweep span inside every repair round. Run with -race this also
-// proves concurrent tile workers may share one tracer.
+// TestTraceSpans: a traced parallel solve records the two phases, one
+// "tile" span per tile (its id in Arg) inside speculate, and numbered
+// "round" spans under repair, each holding a "sweep" span. Run with
+// -race this also proves concurrent tile workers may share one
+// recorder.
 func TestTraceSpans(t *testing.T) {
 	g := rand2D(t, 48, 48, 9, 23)
-	tr := obsv.NewTrace()
+	rec := obsv.NewFlightRecorder(4096, nil)
 	c, err := Greedy(g, Config{TileSize: 6},
-		&core.SolveOptions{Parallelism: 4, Trace: tr})
+		&core.SolveOptions{Parallelism: 4, TraceCtx: rec.NewContext("", "")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,46 +24,46 @@ func TestTraceSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var speculate, repair *obsv.SpanRecord
-	tiles, sweeps := 0, 0
-	spans := tr.Spans()
-	for i := range spans {
-		sp := &spans[i]
-		switch {
-		case sp.Name == "pgreedy/speculate":
-			speculate = sp
-		case sp.Name == "pgreedy/repair":
-			repair = sp
-		case strings.HasPrefix(sp.Name, "tile:"):
-			tiles++
-			if sp.Depth == 0 {
-				t.Errorf("%s: depth 0, want nested under speculate", sp.Name)
-			}
-			if sp.Lane == 0 {
-				t.Errorf("%s: lane 0, want a worker lane", sp.Name)
-			}
-		case sp.Name == "sweep":
-			sweeps++
-		}
+	byName := map[string][]obsv.FlightRecord{}
+	for _, r := range rec.Snapshot(0, "", "", 0) {
+		byName[r.Name] = append(byName[r.Name], r)
 	}
-	if speculate == nil || repair == nil {
-		t.Fatalf("missing top-level phase spans; got %v", tr)
+	if len(byName["pgreedy/speculate"]) != 1 || len(byName["pgreedy/repair"]) != 1 {
+		t.Fatalf("want one speculate and one repair span; got %v", byName)
 	}
+	speculate, repair := byName["pgreedy/speculate"][0], byName["pgreedy/repair"][0]
 	wantTiles := ((48 + 5) / 6) * ((48 + 5) / 6)
-	if tiles != wantTiles {
-		t.Errorf("tile spans = %d, want %d", tiles, wantTiles)
-	}
-	if sweeps == 0 {
-		t.Error("no sweep spans inside the repair rounds")
-	}
-	// Tile spans must be contained in the speculate phase's window.
-	for _, sp := range spans {
-		if !strings.HasPrefix(sp.Name, "tile:") {
-			continue
+	ids := map[int64]bool{}
+	for _, sp := range byName["tile"] {
+		ids[sp.Arg] = true
+		if sp.Parent != speculate.Span {
+			t.Errorf("tile %d: parent %d, want speculate %d", sp.Arg, sp.Parent, speculate.Span)
 		}
-		if sp.Start < speculate.Start || sp.Start+sp.Wall > speculate.Start+speculate.Wall {
-			t.Errorf("%s [%v, %v] escapes speculate [%v, %v]", sp.Name,
-				sp.Start, sp.Start+sp.Wall, speculate.Start, speculate.Start+speculate.Wall)
+		if sp.Start < speculate.Start || sp.Start+sp.WallNS > speculate.Start+speculate.WallNS {
+			t.Errorf("tile %d [%d, +%d] escapes speculate [%d, +%d]", sp.Arg,
+				sp.Start, sp.WallNS, speculate.Start, speculate.WallNS)
+		}
+	}
+	if len(byName["tile"]) != wantTiles || len(ids) != wantTiles {
+		t.Errorf("%d tile spans over %d tile ids, want %d of each", len(byName["tile"]), len(ids), wantTiles)
+	}
+	rounds := map[uint64]bool{}
+	for i, sp := range byName["round"] {
+		rounds[sp.Span] = true
+		if sp.Parent != repair.Span || sp.Arg != int64(i) {
+			t.Errorf("round span %d: parent %d arg %d, want repair %d and arg %d", i, sp.Parent, sp.Arg, repair.Span, i)
+		}
+	}
+	swept := map[uint64]bool{}
+	for _, sp := range byName["sweep"] {
+		swept[sp.Parent] = true
+	}
+	if len(rounds) == 0 || len(swept) != len(rounds) {
+		t.Errorf("%d rounds, %d with a sweep span; want every round swept", len(rounds), len(swept))
+	}
+	for _, sp := range append(byName["sweep"], byName["recolor"]...) {
+		if !rounds[sp.Parent] {
+			t.Errorf("%s span parent %d is not a round", sp.Name, sp.Parent)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package parallel
 import (
 	"cmp"
 	"errors"
-	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -139,7 +138,7 @@ func Greedy(s grid.Stencil, cfg Config, opts *core.SolveOptions) (core.Coloring,
 		m.Fallbacks.Add(1)
 	}
 	opts.EventLog().Fallback("pgreedy", "worker panic: "+se.Error())
-	defer core.StartPhase(opts, "pgreedy/seq-fallback")()
+	defer opts.FlightCtx().Start("pgreedy/seq-fallback").End()
 	return core.GreedyColorOpts(s, fallbackOrder(s, cfg), opts)
 }
 
@@ -190,24 +189,19 @@ func speculative(fg core.FixedGraph, s grid.Stencil, cfg Config, opts *core.Solv
 	r.fit.Bind(fg)
 
 	r.ev.Speculation(len(tl.Tiles), r.par, cfg.SpeculateBlind)
-	if err := r.phase("pgreedy/speculate", r.speculate); err != nil {
+	sp := opts.FlightCtx().Start("pgreedy/speculate")
+	err = r.speculate(sp.Context())
+	sp.End()
+	if err != nil {
 		return core.Coloring{}, err
 	}
-	if err := r.phase("pgreedy/repair", func(sp *obsv.Span) error {
-		return r.fixpoint(sp, maxRounds)
-	}); err != nil {
+	sp = opts.FlightCtx().Start("pgreedy/repair")
+	err = r.fixpoint(sp.Context(), maxRounds)
+	sp.End()
+	if err != nil {
 		return core.Coloring{}, err
 	}
 	return r.c, nil
-}
-
-// phase runs fn under a named observability phase: a trace span (passed
-// to fn so it can parent worker spans) plus a stats phase record.
-func (r *run) phase(name string, fn func(sp *obsv.Span) error) error {
-	sp := r.opts.StartSpan(name)
-	defer core.PhaseTimer(r.opts.Sink(), name)()
-	defer sp.End()
-	return fn(sp)
 }
 
 // run holds the shared state of one solve.
@@ -251,8 +245,7 @@ type run struct {
 // scratch is the per-worker state: the placement kernel with its
 // fixed-size neighbor and occupancy arrays and its tallies (kept in one
 // heap object per worker so a placement allocates nothing) plus
-// reusable buffers, counters, and the worker's observability identity
-// (trace lane, counter shard).
+// reusable buffers, counters, and the worker's counter shard.
 type scratch struct {
 	fit   core.FitScratch
 	verts []int
@@ -262,23 +255,15 @@ type scratch struct {
 	// shard is the worker's counter shard, so concurrent flushes land on
 	// distinct cache lines.
 	shard int
-	// lane is the worker's trace lane (0 when tracing is disabled).
-	lane int
 }
 
 // newScratch acquires a worker scratch from the arena, binding its
-// kernel to the run's graph and giving it a fresh counter shard and —
-// when tracing — a fresh trace lane. Counterpart of release.
+// kernel to the run's graph and giving it a fresh counter shard.
+// Counterpart of release.
 func (r *run) newScratch() *scratch {
 	w := scratchPool.Get().(*scratch)
 	w.fit.BindAs(&r.fit)
 	w.shard = int(r.workerSeq.Add(1))
-	if tr := r.opts.Tracer(); tr != nil {
-		w.lane = tr.Lane()
-		tr.LabelLane(w.lane, fmt.Sprintf("tile-worker-%d", w.shard))
-	} else {
-		w.lane = 0
-	}
 	return w
 }
 
@@ -438,9 +423,9 @@ func (r *run) tileOrder(w *scratch, t grid.Tile) []int {
 
 // speculate is the optimistic phase: every tile is colored concurrently
 // with the sequential greedy, halo neighbors read at whatever state they
-// happen to be in. When tracing, each tile's coloring is a span on its
-// worker's lane, parented under sp.
-func (r *run) speculate(sp *obsv.Span) error {
+// happen to be in. When tracing, each tile's coloring is a "tile" span
+// under tc with the tile id as its arg.
+func (r *run) speculate(tc *obsv.TraceContext) error {
 	start := r.c.Start
 	return r.forEach(len(r.tl.Tiles), func(w *scratch, i int) error {
 		if err := r.opts.Err(); err != nil {
@@ -453,10 +438,8 @@ func (r *run) speculate(sp *obsv.Span) error {
 			r.inj.Inject(SiteWorkerStall)
 			r.inj.Inject(SiteWorkerPanic)
 		}
-		var tsp *obsv.Span
-		if sp != nil {
-			tsp = sp.ChildLane(w.lane, fmt.Sprintf("tile:%d", tile.ID))
-		}
+		tsp := tc.Start("tile")
+		defer tsp.EndDetail("", int64(tile.ID))
 		mode := readAll
 		if r.cfg.SpeculateBlind {
 			mode = blindCross
@@ -464,7 +447,6 @@ func (r *run) speculate(sp *obsv.Span) error {
 		for k, v := range r.tileOrder(w, tile) {
 			if k%core.CtxCheckInterval == core.CtxCheckInterval-1 {
 				if err := r.opts.Err(); err != nil {
-					tsp.End()
 					return err
 				}
 			}
@@ -477,7 +459,6 @@ func (r *run) speculate(sp *obsv.Span) error {
 			}
 			atomic.StoreInt64(&start[v], r.place(w, v, tile.ID, m))
 		}
-		tsp.End()
 		return nil
 	})
 }
@@ -550,10 +531,10 @@ type tileGroup struct {
 // intra-tile conflict can appear; if the conflict set ever fails to
 // shrink strictly — or maxRounds is exhausted — one sequential pass over
 // the remaining losers finishes the job deterministically. When tracing,
-// every round records a span under sp with nested boundary-sweep and
-// recolor spans; the metrics bundle counts detected conflicts, repaired
-// losers, and completed rounds.
-func (r *run) fixpoint(sp *obsv.Span, maxRounds int) error {
+// every round records a "round" span under tc, with the round number as
+// its arg and nested "sweep" and "recolor" spans; the metrics bundle
+// counts detected conflicts, repaired losers, and completed rounds.
+func (r *run) fixpoint(tc *obsv.TraceContext, maxRounds int) error {
 	tl, start := r.tl, r.c.Start
 	meters := r.opts.Meters()
 	r.boundary = r.bufs.boundary
@@ -566,22 +547,20 @@ func (r *run) fixpoint(sp *obsv.Span, maxRounds int) error {
 	losersByTile := r.bufs.losers
 	prev := -1
 	for round := 0; ; round++ {
-		var rsp, ssp *obsv.Span
-		if sp != nil {
-			rsp = sp.Child(fmt.Sprintf("round:%d", round))
-			ssp = rsp.Child("sweep")
-		}
+		rsp := tc.Start("round")
+		rtc := rsp.Context()
+		ssp := rtc.Start("sweep")
 		nconf, err := r.detect(losersByTile)
 		ssp.End()
 		if err != nil {
-			rsp.End()
+			rsp.EndDetail("", int64(round))
 			return err
 		}
 		if meters != nil {
 			meters.Conflicts.Add(int64(nconf))
 		}
 		if nconf == 0 {
-			rsp.End()
+			rsp.EndDetail("", int64(round))
 			return r.complete()
 		}
 		sequential := round >= maxRounds || (prev >= 0 && nconf >= prev)
@@ -610,7 +589,7 @@ func (r *run) fixpoint(sp *obsv.Span, maxRounds int) error {
 			}
 		}
 		r.bufs.groups = groups
-		csp := rsp.Child("recolor")
+		csp := rtc.Start("recolor")
 		if sequential {
 			w := r.newScratch()
 			for _, g := range groups {
@@ -637,11 +616,11 @@ func (r *run) fixpoint(sp *obsv.Span, maxRounds int) error {
 			return nil
 		}); err != nil {
 			csp.End()
-			rsp.End()
+			rsp.EndDetail("", int64(round))
 			return err
 		}
 		csp.End()
-		rsp.End()
+		rsp.EndDetail("", int64(round))
 		if meters != nil {
 			meters.Repairs.Add(int64(nconf))
 			meters.RepairRounds.Add(1)

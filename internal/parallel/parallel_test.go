@@ -194,7 +194,7 @@ func TestCancellation(t *testing.T) {
 }
 
 // TestStats: the solver reports placements for every vertex (at least)
-// and its two phase timers.
+// and the probes behind them.
 func TestStats(t *testing.T) {
 	g := rand2D(t, 20, 20, 9, 21)
 	stats := &core.Stats{}
@@ -206,16 +206,8 @@ func TestStats(t *testing.T) {
 	if got := stats.Placements(); got < int64(g.Len()) {
 		t.Errorf("placements = %d, want >= %d", got, g.Len())
 	}
-	want := map[string]bool{"pgreedy/speculate": false, "pgreedy/repair": false}
-	for _, p := range stats.Phases() {
-		if _, ok := want[p.Name]; ok {
-			want[p.Name] = true
-		}
-	}
-	for name, found := range want {
-		if !found {
-			t.Errorf("missing phase %s", name)
-		}
+	if stats.Probes() <= 0 {
+		t.Error("no probes counted")
 	}
 }
 

@@ -146,9 +146,9 @@ func TestServiceTraceSpanTree(t *testing.T) {
 // tracing tier: chaos-stormed PGLL and BDP jobs run through the service
 // while concurrent scrapers hammer /debug/flight and /healthz. Every
 // job must still return a valid coloring, solver-internal phase spans
-// must nest under the request's solve span, and the traced
-// service/worker-panic fault must be recorded under the trace of the
-// job it hit.
+// must nest under the request's solve span — down to PGLL's tiles and
+// repair rounds — and the traced service/worker-panic fault must be
+// recorded under the trace of the job it hit.
 func TestServiceStormFlightScrape(t *testing.T) {
 	rec := obsv.NewFlightRecorder(8192, nil)
 	// A 128² grid is 2×2 default PGLL tiles, so a forced halo misread
@@ -221,6 +221,9 @@ func TestServiceStormFlightScrape(t *testing.T) {
 				}
 			}
 		}
+		if alg == "PGLL" {
+			checkPGLLSpans(t, i, dump.Records, inner)
+		}
 		fault := false
 		for _, r := range dump.Records {
 			if r.Kind == "event" && r.Name == "fault.injected" && r.Detail == string(SiteWorkerPanic) {
@@ -236,5 +239,47 @@ func TestServiceStormFlightScrape(t *testing.T) {
 
 	if inj.Fires(parallel.SiteHaloRead) == 0 {
 		t.Fatal("no halo misread fired; the storm exercised nothing")
+	}
+}
+
+// checkPGLLSpans asserts the tile-parallel solver's span tree under its
+// solve:PGLL span: speculate and repair directly beneath it, every tile
+// under speculate, and every repair round under repair with a sweep
+// span of its own.
+func checkPGLLSpans(t *testing.T, job int, recs []flightRec, solve flightRec) {
+	t.Helper()
+	spec := findSpan(t, recs, "pgreedy/speculate")
+	repair := findSpan(t, recs, "pgreedy/repair")
+	for _, sp := range []flightRec{spec, repair} {
+		if sp.Parent != solve.Span {
+			t.Errorf("PGLL job %d: %s parent %s, want the solve:PGLL span %s", job, sp.Name, sp.Parent, solve.Span)
+		}
+	}
+	tiles := 0
+	rounds, swept := map[string]bool{}, map[string]bool{}
+	for _, r := range recs {
+		switch {
+		case r.Kind != "span":
+		case r.Name == "tile":
+			tiles++
+			if r.Parent != spec.Span {
+				t.Errorf("PGLL job %d: tile %d parent %s, want speculate %s", job, r.Arg, r.Parent, spec.Span)
+			}
+		case r.Name == "round":
+			rounds[r.Span] = true
+			if r.Parent != repair.Span {
+				t.Errorf("PGLL job %d: round %d parent %s, want repair %s", job, r.Arg, r.Parent, repair.Span)
+			}
+		case r.Name == "sweep":
+			swept[r.Parent] = true
+		}
+	}
+	if tiles == 0 || len(rounds) == 0 {
+		t.Errorf("PGLL job %d: %d tile and %d round spans, want both", job, tiles, len(rounds))
+	}
+	for id := range rounds {
+		if !swept[id] {
+			t.Errorf("PGLL job %d: round span %s has no sweep span", job, id)
+		}
 	}
 }

@@ -10,16 +10,10 @@ import (
 )
 
 // Observability types (internal/obsv), re-exported for users of the
-// public API. Attach a Trace and/or SolveMetrics to SolveOptions to
-// observe a solve; both are nil-safe, so leaving them nil costs nothing.
+// public API. Attach a TraceContext and/or SolveMetrics to SolveOptions
+// to observe a solve; both are nil-safe, so leaving them nil costs
+// nothing.
 type (
-	// Trace records hierarchical per-phase spans of a solve (wall +
-	// process CPU time); export with WriteChrome for chrome://tracing.
-	Trace = obsv.Trace
-	// Span is one open phase of a Trace.
-	Span = obsv.Span
-	// SpanRecord is one completed span of a Trace.
-	SpanRecord = obsv.SpanRecord
 	// MetricsRegistry is a named collection of counters, gauges, and
 	// histograms with Prometheus and expvar exposition.
 	MetricsRegistry = obsv.Registry
@@ -41,12 +35,14 @@ type (
 	// the flat record the benchmark-trajectory pipeline embeds in
 	// BENCH_*.json.
 	RuntimeSummary = obsv.SamplerSummary
-	// FlightRecorder is the always-on bounded ring of recent trace
-	// records, dumped via FlightHandler at /debug/flight.
+	// FlightRecorder is the bounded ring of recent span and event
+	// records: dumped via FlightHandler at /debug/flight, rendered for
+	// chrome://tracing by WriteChromeTrace.
 	FlightRecorder = obsv.FlightRecorder
-	// TraceContext identifies one request's trace (trace id + parent
-	// span); attach to SolveOptions.TraceCtx to record flight spans for a
-	// solve. Nil costs one pointer compare.
+	// TraceContext identifies one trace (trace id + parent span); attach
+	// one from FlightRecorder.NewContext to SolveOptions.TraceCtx to
+	// record the solve and every phase inside it. Nil costs one pointer
+	// compare.
 	TraceContext = obsv.TraceContext
 	// FlightSpan is one open flight-recorder span; a value type so the
 	// disabled path allocates nothing.
@@ -54,10 +50,6 @@ type (
 	// FlightRecord is one retained flight-recorder entry.
 	FlightRecord = obsv.FlightRecord
 )
-
-// NewTrace returns an empty trace whose clock starts now; put it in
-// SolveOptions.Trace to record the solve's phase spans.
-func NewTrace() *Trace { return obsv.NewTrace() }
 
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obsv.NewRegistry() }
@@ -104,19 +96,9 @@ func NewFlightRecorder(entries int, r *MetricsRegistry) *FlightRecorder {
 // and job.
 func FlightHandler(f *FlightRecorder) http.Handler { return obsv.FlightHandler(f) }
 
-// SolveWithTrace runs Solve with a fresh trace attached and returns the
-// trace alongside the coloring: the one-liner for "where did this solve
-// spend its time?". If opts already carries a trace it is kept (and
-// returned), so the helper composes with a caller-managed tracer.
-func SolveWithTrace(alg Algorithm, s Stencil, opts *SolveOptions) (Coloring, *Trace, error) {
-	if opts == nil {
-		opts = &SolveOptions{}
-	}
-	if opts.Trace == nil {
-		o := *opts
-		o.Trace = NewTrace()
-		opts = &o
-	}
-	c, err := Solve(alg, s, opts)
-	return c, opts.Trace, err
-}
+// WriteChromeTrace renders flight records — typically
+// FlightRecorder.Snapshot — as Chrome trace-event JSON for
+// chrome://tracing and Perfetto: one complete event per span, on thread
+// rows derived from the parent links so concurrent tiles and portfolio
+// members get rows of their own.
+func WriteChromeTrace(w io.Writer, recs []FlightRecord) error { return obsv.WriteChrome(w, recs) }

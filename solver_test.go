@@ -87,15 +87,19 @@ func TestBestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestSolveStats: the public options thread the stats sink through the
-// whole pipeline.
+// TestSolveStats: the public options thread the stats sink and the
+// trace context through the whole pipeline: the counters fill, and the
+// solve's span holds BDP's two phases.
 func TestSolveStats(t *testing.T) {
 	g := stencilivc.MustGrid2D(10, 10)
 	for v := range g.W {
 		g.W[v] = int64(v % 5)
 	}
 	var stats stencilivc.Stats
-	c, err := stencilivc.Solve(stencilivc.BDP, g, &stencilivc.SolveOptions{Stats: &stats})
+	rec := stencilivc.NewFlightRecorder(64, nil)
+	c, err := stencilivc.Solve(stencilivc.BDP, g, &stencilivc.SolveOptions{
+		Stats: &stats, TraceCtx: rec.NewContext("", ""),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,19 +109,17 @@ func TestSolveStats(t *testing.T) {
 	if stats.Placements() == 0 || stats.Probes() == 0 {
 		t.Errorf("stats empty: placements=%d probes=%d", stats.Placements(), stats.Probes())
 	}
-	var names []string
-	for _, p := range stats.Phases() {
-		names = append(names, p.Name)
+	spans := map[string]stencilivc.FlightRecord{}
+	for _, r := range rec.Snapshot(0, "", "", 0) {
+		spans[r.Name] = r
 	}
-	want := map[string]bool{"solve:BDP": false, "BDP/decompose": false, "BDP/post": false}
-	for _, n := range names {
-		if _, ok := want[n]; ok {
-			want[n] = true
-		}
+	solve, ok := spans["solve:BDP"]
+	if !ok {
+		t.Fatalf("no solve:BDP span (have %v)", spans)
 	}
-	for n, seen := range want {
-		if !seen {
-			t.Errorf("missing phase %s (have %v)", n, names)
+	for _, phase := range []string{"BDP/decompose", "BDP/post"} {
+		if sp, ok := spans[phase]; !ok || sp.Parent != solve.Span {
+			t.Errorf("phase %s missing or not under solve:BDP (have %v)", phase, spans)
 		}
 	}
 }

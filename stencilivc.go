@@ -58,13 +58,12 @@ type (
 	Algorithm = heuristics.Algorithm
 	// SolveOptions carries a context.Context (cancellation, polled at
 	// line/block granularity), a Parallelism knob for portfolio solves,
-	// and an optional Stats sink. A nil *SolveOptions is always valid.
+	// and the optional observability sinks (Stats, Metrics, Events,
+	// Sampler, TraceCtx). A nil *SolveOptions is always valid.
 	SolveOptions = core.SolveOptions
-	// Stats accumulates placements, probes, and per-phase wall times of a
-	// solve; safe for concurrent use.
+	// Stats counts the placements and probes of a solve; safe for
+	// concurrent use. Per-phase wall times are flight-recorder spans.
 	Stats = core.Stats
-	// PhaseTime is one named phase's aggregated wall time inside Stats.
-	PhaseTime = core.PhaseTime
 	// AlgorithmInfo describes one registered algorithm.
 	AlgorithmInfo = heuristics.Descriptor
 	// DAG is the task dependency graph induced by a coloring.
