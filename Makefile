@@ -47,13 +47,13 @@ fuzz-short:
 
 # check is the CI gate: gofmt and static analysis, the full suite under
 # the race detector (so the portfolio's concurrency paths are
-# race-checked on every build; the slog nil-sink and injector nil-path
-# AllocsPerRun pins run here too), a short fuzz pass over every fuzz
-# target, the documentation lints, the benchdiff self-diff smoke, the
-# solve-daemon boot smoke, the quick kernel-benchmark tier
-# (bench-kernel), the result-cache tier (cache-check), and the
-# request-tracing tier (trace-check). It is part of the default `make`
-# flow via `all`.
+# race-checked on every build; the no-stream flight-recorder and
+# injector nil-path AllocsPerRun pins run here too), a short fuzz pass
+# over every fuzz target, the documentation lints, the benchdiff
+# self-diff smoke, the solve-daemon boot smoke, the quick
+# kernel-benchmark tier (bench-kernel), the result-cache tier
+# (cache-check), and the request-tracing tier (trace-check). It is part
+# of the default `make` flow via `all`.
 check: fmt-check vet race fuzz-short doclint linkcheck benchdiff-smoke serve-smoke trace-check bench-kernel cache-check
 
 # cache-check is the result-cache tier: the content-addressed cache and
@@ -87,15 +87,16 @@ serve-smoke:
 # daemon, submits one 9-pt job, and asserts the complete span tree —
 # admission → batch → schedule → solve — comes back from /debug/flight
 # by job id, plus a live /healthz p50 for the tenant. The in-process
-# half of the tier (flight span tree + chaos-stormed PGLL/BDP solves
-# scraped concurrently under -race, `ivc -trace`/`-stats` on a PGLL
-# solve, and the disabled-path 0-alloc pins) rides along.
+# half of the tier (flight span tree, a job's records streamed by
+# Export, chaos-stormed PGLL/BDP solves scraped concurrently under
+# -race, `ivc -trace`/`-stats`/`-log` on a PGLL solve, and the
+# disabled-path 0-alloc pins) rides along.
 trace-check:
 	$(GO) build -o .smoke-ivc ./cmd/ivc
 	$(GO) run ./cmd/servesmoke -bin ./.smoke-ivc -flight
 	rm -f .smoke-ivc
-	$(GO) test -race -run 'TestServiceTraceSpanTree|TestServiceStormFlightScrape' ./internal/service/
-	$(GO) test -race -run 'TestTraceAndStats' ./cmd/ivc
+	$(GO) test -race -run 'TestServiceTraceSpanTree|TestServiceFlightExport|TestServiceStormFlightScrape' ./internal/service/
+	$(GO) test -race -run 'TestTraceAndStats|TestLog' ./cmd/ivc
 	$(GO) test -run 'TestNilTraceCtxNoAllocs|TestFlightRecordNoAllocs' ./internal/heuristics ./internal/obsv
 
 # bench runs the committed performance suite (placement kernel, figure

@@ -18,6 +18,10 @@
 // else as `go test -bench` text. Benchmarks present in only one
 // snapshot are listed as added/removed but never gate.
 //
+// The header names each side's host (cpu_model or "unknown", num_cpu)
+// and notes a cross-host comparison when they differ; the gate is the
+// same either way.
+//
 // A ns/op regression is new > old*(1+threshold). An allocs/op
 // regression is any increase from zero (the 0 allocs/op pins are exact
 // contracts, not noisy measurements) or an increase beyond the
@@ -149,6 +153,10 @@ type Snapshot struct {
 	// Label identifies the snapshot in the table header (git commit for
 	// ivcbench reports, the path otherwise).
 	Label string
+	// CPUModel and NumCPU identify the measuring host (ivcbench reports
+	// only); "" and 0 when unknown.
+	CPUModel string
+	NumCPU   int
 	// Benches maps benchmark name to measurement.
 	Benches map[string]Bench
 	// Order preserves the input's benchmark order for stable output.
@@ -159,7 +167,9 @@ type Snapshot struct {
 // needs; unknown fields (sampler summaries, speedups) pass through
 // unharmed.
 type jsonReport struct {
-	Git *struct {
+	CPUModel string `json:"cpu_model"`
+	NumCPU   int    `json:"num_cpu"`
+	Git      *struct {
 		Commit string `json:"commit"`
 		Dirty  bool   `json:"dirty"`
 	} `json:"git"`
@@ -192,7 +202,8 @@ func parseJSON(path string, data []byte) (*Snapshot, error) {
 	if len(rep.Results) == 0 {
 		return nil, fmt.Errorf("%s: no benchmark results", path)
 	}
-	s := &Snapshot{Path: path, Label: path, Benches: map[string]Bench{}}
+	s := &Snapshot{Path: path, Label: path, Benches: map[string]Bench{},
+		CPUModel: rep.CPUModel, NumCPU: rep.NumCPU}
 	if rep.Git != nil && rep.Git.Commit != "" {
 		s.Label = shortCommit(rep.Git.Commit, rep.Git.Dirty)
 	}
@@ -334,6 +345,11 @@ func render(d *Diff, oldSnap, newSnap *Snapshot) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "benchdiff: %s (%s) -> %s (%s), threshold %.0f%%\n",
 		oldSnap.Path, oldSnap.Label, newSnap.Path, newSnap.Label, d.Threshold*100)
+	oldHost, newHost := oldSnap.host(), newSnap.host()
+	fmt.Fprintf(&b, "hosts: old %s; new %s\n", oldHost, newHost)
+	if oldHost != newHost {
+		b.WriteString("note: cross-host comparison: ns/op deltas mix the host change with the code change\n")
+	}
 	w := 0
 	for _, dl := range d.Deltas {
 		if len(dl.Name) > w {
@@ -367,6 +383,15 @@ func render(d *Diff, oldSnap, newSnap *Snapshot) string {
 	fmt.Fprintf(&b, "%d compared, %d regressed, %d added, %d removed\n",
 		len(d.Deltas), len(d.Regressions), len(d.Added), len(d.Removed))
 	return b.String()
+}
+
+// host renders the snapshot's host for the table header.
+func (s *Snapshot) host() string {
+	model := "unknown"
+	if s.CPUModel != "" {
+		model = strconv.Quote(s.CPUModel)
+	}
+	return fmt.Sprintf("cpu_model %s num_cpu %d", model, s.NumCPU)
 }
 
 // fmtAllocs renders an allocs/op cell; unknown counts render as "-".

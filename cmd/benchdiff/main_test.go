@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -281,5 +282,43 @@ func TestParseThreshold(t *testing.T) {
 		if c.ok && got != c.want {
 			t.Errorf("parseThreshold(%q) = %g, want %g", c.in, got, c.want)
 		}
+	}
+}
+
+// TestCrossHostNote: reports from different hosts print both hosts and
+// the cross-host note, and gate exactly as the same numbers measured on
+// one host do — the note informs, it never changes the exit status.
+func TestCrossHostNote(t *testing.T) {
+	report := func(model string, ncpu int, ns float64) *Snapshot {
+		t.Helper()
+		s, err := parseJSON("r.json", []byte(fmt.Sprintf(`{"cpu_model": %q, "num_cpu": %d,
+			"results": [{"name": "PlaceLowest", "ns_op": %g, "allocs_op": 0}]}`, model, ncpu, ns)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	oldSnap := report("Intel Xeon", 2, 100)
+	for _, ns := range []float64{104, 150} { // within the threshold, then regressed
+		cross, same := report("", 8, ns), report("Intel Xeon", 2, ns)
+		dCross, dSame := diff(oldSnap, cross, 0.10), diff(oldSnap, same, 0.10)
+		out := render(dCross, oldSnap, cross)
+		for _, want := range []string{
+			`hosts: old cpu_model "Intel Xeon" num_cpu 2; new cpu_model unknown num_cpu 8`,
+			"cross-host comparison",
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("ns %g: cross-host render missing %q:\n%s", ns, want, out)
+			}
+		}
+		if out := render(dSame, oldSnap, same); strings.Contains(out, "cross-host") {
+			t.Errorf("ns %g: same-host render carries the cross-host note:\n%s", ns, out)
+		}
+		if got, want := exitStatus(dCross), exitStatus(dSame); got != want {
+			t.Errorf("ns %g: cross-host exit status %d, same-host %d", ns, got, want)
+		}
+	}
+	if exitStatus(diff(oldSnap, report("", 8, 150), 0.10)) != 1 {
+		t.Error("a cross-host regression did not gate")
 	}
 }

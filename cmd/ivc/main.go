@@ -14,7 +14,7 @@
 //	ivc -alg BDP -in g.ivc -cpuprofile cpu.pprof -memprofile mem.pprof
 //	ivc -alg PGLL -par 8 -in g.ivc -trace out.json   solve, phase, tile and round spans for chrome://tracing
 //	ivc -alg BDP -in g.ivc -http :6060 -linger 30s   serve /metrics, /debug/vars, /debug/pprof
-//	ivc -alg best -in g.ivc -log events.jsonl        structured solve-event log (JSON lines)
+//	ivc -alg best -in g.ivc -log records.jsonl       stream every span and event as a JSON line
 //	ivc -serve :8080 -par 4                          solve daemon: POST /solve job API
 //	ivc -serve :8080 -cache-dir /var/cache/ivc       daemon with a restart-surviving result cache
 //	ivc -serve :8080 -flight-entries 16384           bigger flight-recorder ring at /debug/flight
@@ -64,7 +64,7 @@ func run() (err error) {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	tracePath := flag.String("trace", "", "write the solve's spans to this file in Chrome trace format")
-	logPath := flag.String("log", "", "write the structured solve-event log (JSON lines) to this file ('-' for stderr)")
+	logPath := flag.String("log", "", "stream every flight record (span or event) as it is written, one /debug/flight record per JSON line, to this file ('-' for stderr)")
 	httpAddr := flag.String("http", "", "serve /metrics (Prometheus), /debug/vars (expvar), and /debug/pprof on this address")
 	serveAddr := flag.String("serve", "", "run as a solve daemon: job API (POST /solve, GET /jobs/{id}, GET /healthz) plus /metrics and /debug/ on this address")
 	linger := flag.Duration("linger", 0, "with -http, keep serving this long after the solve finishes")
@@ -73,7 +73,7 @@ func run() (err error) {
 	cacheBytes := flag.Int64("cache-bytes", 0, "with -serve, byte budget for the in-memory result cache (0 = 64 MiB default, negative disables caching)")
 	cacheMaxEntries := flag.Int("cache-max-entries", 0, "with -serve and -cache-dir, cap persisted entries at open; oldest evicted first (0 = unbounded)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "with -serve and -cache-dir, expire persisted entries older than this at open (0 = never)")
-	flightEntries := flag.Int("flight-entries", 0, "size of the flight-recorder ring that -trace, -stats and -http read (served at /debug/flight) and that -serve keeps always on; the oldest records drop when it fills (0 = 4096)")
+	flightEntries := flag.Int("flight-entries", 0, "size of the flight-recorder ring that -trace, -stats, -log and -http read (served at /debug/flight) and that -serve keeps always on; the oldest records drop when it fills (0 = 4096)")
 	flag.Parse()
 
 	// SIGINT/SIGTERM cancel the solve (or stop the daemon) through the
@@ -220,28 +220,27 @@ type obsConfig struct {
 }
 
 // setupObs attaches the requested observability sinks to opts. -trace,
-// -stats and -http share one flight recorder, sized by -flight-entries,
-// under a "cli" trace context, so every solve and phase span lands in
-// it. -log attaches a structured solve-event log, and -http a metrics
-// registry — fed by both the solvers and a runtime sampler — served
-// over HTTP with expvar, pprof and /debug/flight riding on the default
-// mux. The returned finalizer writes the Chrome trace file, prints the
-// -stats report to out, closes the event log, keeps the HTTP endpoints
-// up for the -linger window (cut short by SIGINT/SIGTERM via ctx), and
-// then shuts the server down gracefully so an in-flight scrape finishes
-// instead of seeing a reset connection; run defers it so every exit
-// path flushes the trace.
+// -stats, -log and -http share one flight recorder, sized by
+// -flight-entries, under a "cli" trace context, so every solve and
+// phase span and every solve event lands in it; -log streams its
+// records as they are written (FlightRecorder.Export). -http adds a
+// metrics registry — fed by both the solvers and a runtime sampler —
+// served over HTTP with expvar, pprof and /debug/flight riding on the
+// default mux. The returned finalizer writes the Chrome trace file,
+// prints the -stats report to out, stops and closes the -log stream,
+// keeps the HTTP endpoints up for the -linger window (cut short by
+// SIGINT/SIGTERM via ctx), and then shuts the server down gracefully so
+// an in-flight scrape finishes instead of seeing a reset connection;
+// run defers it so every exit path flushes the trace.
 func setupObs(ctx context.Context, out io.Writer, cfg obsConfig, opts *stencilivc.SolveOptions) (func() error, error) {
-	var logFile *os.File
-	if cfg.logPath == "-" {
-		opts.Events = stencilivc.NewJSONEventSink(os.Stderr)
-	} else if cfg.logPath != "" {
-		f, err := os.Create(cfg.logPath)
+	var logW io.Writer
+	closeLog := func() error { return nil }
+	if cfg.logPath != "" {
+		w, c, err := openLog(cfg.logPath)
 		if err != nil {
 			return nil, err
 		}
-		logFile = f
-		opts.Events = stencilivc.NewJSONEventSink(f)
+		logW, closeLog = w, c
 	}
 	var reg *stencilivc.MetricsRegistry
 	if cfg.httpAddr != "" {
@@ -252,8 +251,9 @@ func setupObs(ctx context.Context, out io.Writer, cfg obsConfig, opts *stenciliv
 		http.Handle("/metrics", stencilivc.MetricsHandler(reg))
 	}
 	var rec *stencilivc.FlightRecorder
-	if cfg.tracePath != "" || cfg.stats || reg != nil {
+	if cfg.tracePath != "" || cfg.stats || logW != nil || reg != nil {
 		rec = stencilivc.NewFlightRecorder(cfg.flightEntries, reg)
+		rec.Export(logW)
 		opts.TraceCtx = rec.NewContext("cli", "cli")
 	}
 	var srv *http.Server
@@ -286,11 +286,12 @@ func setupObs(ctx context.Context, out io.Writer, cfg obsConfig, opts *stenciliv
 		if cfg.stats {
 			writeStats(out, opts.Stats, recs)
 		}
-		if logFile != nil {
-			if err := logFile.Close(); err != nil {
+		if logW != nil {
+			n := rec.Export(nil)
+			if err := closeLog(); err != nil {
 				return err
 			}
-			fmt.Fprintf(out, "events: %d -> %s\n", opts.Events.Emitted(), cfg.logPath)
+			fmt.Fprintf(out, "log: %d records -> %s\n", n, cfg.logPath)
 		}
 		if srv == nil {
 			return nil
@@ -307,6 +308,19 @@ func setupObs(ctx context.Context, out io.Writer, cfg obsConfig, opts *stenciliv
 		}
 		return nil
 	}, nil
+}
+
+// openLog opens a -log destination: stderr for "-", else a new file.
+// The returned close is a no-op for stderr.
+func openLog(path string) (io.Writer, func() error, error) {
+	if path == "-" {
+		return os.Stderr, func() error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	return f, f.Close, nil
 }
 
 // writeStats prints the -stats report: the work counters, then one row

@@ -12,13 +12,6 @@ import (
 	"stencilivc/internal/service"
 )
 
-// runServe runs ivc as a long-lived solve daemon: the internal/service
-// job API (POST /solve, GET /jobs/{id}, GET /healthz, GET /metrics)
-// with expvar and pprof riding at /debug/. It serves until SIGINT or
-// SIGTERM cancels ctx, then drains: in-flight requests finish within
-// service.ShutdownGrace, queued jobs run to completion under their
-// deadlines, and a second ^C terminates immediately (the signal
-// handler unregisters on the first).
 // cacheConfig carries the -cache-* flags into runServe: where the
 // persistent tier lives, the in-memory byte budget, and the open-time
 // sweep bounds (entry cap, age expiry) of the persistent tier.
@@ -29,35 +22,40 @@ type cacheConfig struct {
 	ttl        time.Duration
 }
 
+// runServe runs ivc as a long-lived solve daemon: the internal/service
+// job API (POST /solve, GET /jobs/{id}, GET /healthz, GET /metrics)
+// with expvar and pprof riding at /debug/. It builds the daemon's
+// flight recorder itself, so -log can stream every record it writes.
+// It serves until SIGINT or SIGTERM cancels ctx, then drains: in-flight
+// requests finish within service.ShutdownGrace, queued jobs run to
+// completion under their deadlines, and a second ^C terminates
+// immediately (the signal handler unregisters on the first).
 func runServe(ctx context.Context, addr, logPath string, workers int,
 	defaultTimeout time.Duration, cache cacheConfig, flightEntries int) error {
 
 	reg := obsv.NewRegistry()
 	reg.Publish("ivc")
-	var events *obsv.EventSink
-	var logFile *os.File
-	if logPath == "-" {
-		events = obsv.NewJSONEventSink(os.Stderr)
-	} else if logPath != "" {
-		f, err := os.Create(logPath)
+	rec := obsv.NewFlightRecorder(flightEntries, reg)
+	closeLog := func() error { return nil }
+	if logPath != "" {
+		w, c, err := openLog(logPath)
 		if err != nil {
 			return err
 		}
-		logFile = f
-		events = obsv.NewJSONEventSink(f)
+		rec.Export(w)
+		closeLog = c
 	}
 
 	srv, err := service.New(service.Config{
 		Workers:         workers,
 		DefaultTimeout:  defaultTimeout,
 		Registry:        reg,
-		Events:          events,
 		Sampler:         obsv.NewSampler(reg, 0),
 		CacheBytes:      cache.bytes,
 		CacheDir:        cache.dir,
 		CacheMaxEntries: cache.maxEntries,
 		CacheTTL:        cache.ttl,
-		FlightEntries:   flightEntries,
+		Flight:          rec,
 	})
 	if err != nil {
 		return err
@@ -94,11 +92,12 @@ func runServe(ctx context.Context, addr, logPath string, workers int,
 	if err := srv.Close(cctx); err != nil {
 		fmt.Fprintln(os.Stderr, "ivc:", err)
 	}
-	if logFile != nil {
-		if err := logFile.Close(); err != nil {
+	if logPath != "" {
+		n := rec.Export(nil)
+		if err := closeLog(); err != nil {
 			return err
 		}
-		fmt.Printf("events: %d -> %s\n", events.Emitted(), logPath)
+		fmt.Printf("log: %d records -> %s\n", n, logPath)
 	}
 	return nil
 }

@@ -11,7 +11,7 @@
 //	ivcbench -out BENCH_PR7.json           full suite (2048^2 2D, 128^3 3D)
 //	ivcbench -quick -out /dev/stdout       small grids, for smoke runs
 //	ivcbench -metrics BENCH.metrics.prom   also snapshot solver metrics
-//	ivcbench -log BENCH.events.jsonl       also write the solve-event log
+//	ivcbench -log BENCH.records.jsonl      also stream every solve's spans and events as JSON lines
 //	ivcbench -sample 5ms                   runtime sampler interval (0 = off)
 //
 // The suite covers:
@@ -35,6 +35,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -97,6 +98,7 @@ type Report struct {
 	GOARCH        string   `json:"goarch"`
 	NumCPU        int      `json:"num_cpu"`
 	GOMAXPROCS    int      `json:"gomaxprocs"`
+	CPUModel      string   `json:"cpu_model"` // see cpuModel; benchdiff flags cross-host pairs by it
 	Quick         bool     `json:"quick"`
 	Git           *GitInfo `json:"git,omitempty"`
 	// Runtime summarizes what the runtime sampler saw across the whole
@@ -135,6 +137,21 @@ func gitInfo() *GitInfo {
 	return g
 }
 
+// cpuModel returns the first "model name" in /proc/cpuinfo; empty when
+// the file is missing (non-Linux hosts) or has no such line.
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return ""
+}
+
 // errInterrupted aborts the remaining suite stages after a SIGINT or
 // SIGTERM; the report written so far is still valid, just partial.
 var errInterrupted = errors.New("interrupted")
@@ -151,7 +168,7 @@ func run() error {
 	quick := flag.Bool("quick", false, "use small grids (fast smoke run)")
 	seed := flag.Int64("seed", 1, "weight RNG seed for the scaling grids")
 	metricsOut := flag.String("metrics", "", "also write a Prometheus snapshot of the solver metrics to this file")
-	logPath := flag.String("log", "", "write the structured solve-event log (JSON lines) to this file ('-' for stderr)")
+	logPath := flag.String("log", "", "trace every solve and stream its flight records (spans and events, one /debug/flight record per JSON line) to this file ('-' for stderr)")
 	sample := flag.Duration("sample", 10*time.Millisecond, "runtime sampler interval (0 disables the sampler)")
 	flag.Parse()
 
@@ -177,18 +194,22 @@ func run() error {
 		sampler = stencilivc.NewRuntimeSampler(reg, *sample)
 		sampler.Start()
 	}
-	var events *stencilivc.EventSink
-	var logFile *os.File
-	if *logPath == "-" {
-		events = stencilivc.NewJSONEventSink(os.Stderr)
-	} else if *logPath != "" {
-		f, err := os.Create(*logPath)
-		if err != nil {
-			return err
+	// -log traces every solve into a small recorder that only streams.
+	var rec *stencilivc.FlightRecorder
+	var tc *stencilivc.TraceContext
+	if *logPath != "" {
+		w := io.Writer(os.Stderr)
+		if *logPath != "-" {
+			f, err := os.Create(*logPath)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			w = f
 		}
-		defer f.Close()
-		logFile = f
-		events = stencilivc.NewJSONEventSink(f)
+		rec = stencilivc.NewFlightRecorder(64, nil)
+		rec.Export(w)
+		tc = rec.NewContext("ivcbench", "")
 	}
 
 	start := time.Now()
@@ -200,6 +221,7 @@ func run() error {
 		GOARCH:        runtime.GOARCH,
 		NumCPU:        runtime.NumCPU(),
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
+		CPUModel:      cpuModel(),
 		Quick:         *quick,
 		Git:           gitInfo(),
 	}
@@ -214,16 +236,16 @@ func run() error {
 		if err := checkpoint(ctx); err != nil {
 			return err
 		}
-		if err := benchFigRuntimes(ctx, rep, sm, events); err != nil {
+		if err := benchFigRuntimes(ctx, rep, sm, tc); err != nil {
 			return err
 		}
-		if err := benchParallel(ctx, rep, size2, size3, *seed, sm, events); err != nil {
+		if err := benchParallel(ctx, rep, size2, size3, *seed, sm, tc); err != nil {
 			return err
 		}
 		// Last, after the figure and scaling suites: the steal-scheduler
 		// sweep churns the heap, and running it earlier would skew the
 		// Fig* numbers relative to how older snapshots measured them.
-		if err := benchSteal(ctx, rep, sm, events); err != nil {
+		if err := benchSteal(ctx, rep, sm, tc); err != nil {
 			return err
 		}
 		return benchCacheHit(ctx, rep, size2, sm)
@@ -256,8 +278,8 @@ func run() error {
 		}
 	}
 	rep.WallSeconds = time.Since(start).Seconds()
-	if logFile != nil {
-		note("events: %d -> %s", events.Emitted(), *logPath)
+	if rec != nil {
+		note("log: %d records -> %s", rec.Export(nil), *logPath)
 	}
 
 	data, err := json.MarshalIndent(rep, "", "  ")
@@ -411,7 +433,7 @@ func benchPlaceLowest(rep *Report, sm *stencilivc.SolveMetrics) {
 // workers stealing tile ranges. Blind speculation keeps the coloring
 // (and the repair work) identical across worker counts, so the sweep
 // measures scheduling, not workload drift.
-func benchSteal(ctx context.Context, rep *Report, sm *stencilivc.SolveMetrics, ev *stencilivc.EventSink) error {
+func benchSteal(ctx context.Context, rep *Report, sm *stencilivc.SolveMetrics, tc *stencilivc.TraceContext) error {
 	const dim = 256
 	g := grid.MustGrid2D(dim, dim)
 	rng := rand.New(rand.NewSource(3))
@@ -432,7 +454,7 @@ func benchSteal(ctx context.Context, rep *Report, sm *stencilivc.SolveMetrics, e
 		br := measure(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c, err := stencilivc.Solve(stencilivc.PGLL, g,
-					&stencilivc.SolveOptions{Parallelism: par, Metrics: sm, Events: ev})
+					&stencilivc.SolveOptions{Parallelism: par, Metrics: sm, TraceCtx: tc})
 				if err != nil {
 					solveErr = err
 					b.FailNow()
@@ -495,7 +517,7 @@ func benchCacheHit(ctx context.Context, rep *Report, size int, sm *stencilivc.So
 
 // benchFigRuntimes reruns the per-algorithm runtime comparisons of
 // Figures 5a (2D) and 7a (3D) on the largest Dengue suite instances.
-func benchFigRuntimes(ctx context.Context, rep *Report, sm *stencilivc.SolveMetrics, ev *stencilivc.EventSink) error {
+func benchFigRuntimes(ctx context.Context, rep *Report, sm *stencilivc.SolveMetrics, tc *stencilivc.TraceContext) error {
 	s2, err := datasets.Suite2D(datasets.SuiteOptions{Seed: 1, Stride: 2, MaxDim: 32})
 	if err != nil {
 		return err
@@ -542,7 +564,7 @@ func benchFigRuntimes(ctx context.Context, rep *Report, sm *stencilivc.SolveMetr
 		var mc int64
 		br := measure(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c, err := stencilivc.Solve(alg, g2, &stencilivc.SolveOptions{Metrics: sm, Events: ev})
+				c, err := stencilivc.Solve(alg, g2, &stencilivc.SolveOptions{Metrics: sm, TraceCtx: tc})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -559,7 +581,7 @@ func benchFigRuntimes(ctx context.Context, rep *Report, sm *stencilivc.SolveMetr
 		var mc int64
 		br := measure(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c, err := stencilivc.Solve(alg, g3, &stencilivc.SolveOptions{Metrics: sm, Events: ev})
+				c, err := stencilivc.Solve(alg, g3, &stencilivc.SolveOptions{Metrics: sm, TraceCtx: tc})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -575,7 +597,7 @@ func benchFigRuntimes(ctx context.Context, rep *Report, sm *stencilivc.SolveMetr
 // against sequential GLL on a size2^2 2D grid and a size3^3 3D grid, at
 // worker counts 1, 2, 4, ..., NumCPU. Speedup is sequential ns/op over
 // parallel ns/op; on a single-core runner it stays near 1.
-func benchParallel(ctx context.Context, rep *Report, size2, size3 int, seed int64, sm *stencilivc.SolveMetrics, ev *stencilivc.EventSink) error {
+func benchParallel(ctx context.Context, rep *Report, size2, size3 int, seed int64, sm *stencilivc.SolveMetrics, tc *stencilivc.TraceContext) error {
 	parSweep := []int{1}
 	for p := 2; p <= runtime.NumCPU(); p *= 2 {
 		parSweep = append(parSweep, p)
@@ -586,7 +608,7 @@ func benchParallel(ctx context.Context, rep *Report, size2, size3 int, seed int6
 		var solveErr error
 		br := measure(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c, err := stencilivc.Solve(alg, s, &stencilivc.SolveOptions{Parallelism: par, Metrics: sm, Events: ev})
+				c, err := stencilivc.Solve(alg, s, &stencilivc.SolveOptions{Parallelism: par, Metrics: sm, TraceCtx: tc})
 				if err != nil {
 					solveErr = err
 					b.FailNow()

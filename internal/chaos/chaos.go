@@ -26,14 +26,13 @@ import (
 type Injector struct {
 	seed uint64
 
-	mu     sync.Mutex // guards rules, events, flight, and sealed during construction
+	mu     sync.Mutex // guards rules, flight, and sealed during construction
 	sealed bool       // set under mu; late rule edits panic
 	rules  map[core.FaultSite]*rule
-	events *obsv.EventSink
 	flight *obsv.FlightRecorder
 
 	// frozen is an immutable snapshot of the configuration (rules and
-	// event sink), published exactly once by sealOnce on the first
+	// flight recorder), published exactly once by sealOnce on the first
 	// Inject. Inject reads it lock-free; the sync.Once gives every
 	// injecting goroutine a happens-before edge on the copy.
 	sealOnce sync.Once
@@ -43,7 +42,6 @@ type Injector struct {
 // frozenConfig is the immutable post-seal view of an Injector.
 type frozenConfig struct {
 	rules  map[core.FaultSite]*rule
-	events *obsv.EventSink
 	flight *obsv.FlightRecorder
 }
 
@@ -83,7 +81,7 @@ func (in *Injector) rule(site core.FaultSite) *rule {
 
 // seal publishes the immutable configuration snapshot on first call and
 // returns it. Safe for concurrent use; after it returns, rule() and
-// WithEvents refuse edits.
+// WithFlight refuse edits.
 func (in *Injector) seal() frozenConfig {
 	in.sealOnce.Do(func() {
 		in.mu.Lock()
@@ -92,7 +90,7 @@ func (in *Injector) seal() frozenConfig {
 		for s, r := range in.rules {
 			rules[s] = r
 		}
-		in.frozen = frozenConfig{rules: rules, events: in.events, flight: in.flight}
+		in.frozen = frozenConfig{rules: rules, flight: in.flight}
 		in.mu.Unlock()
 	})
 	return in.frozen
@@ -134,28 +132,11 @@ func (in *Injector) Stalling(site core.FaultSite, d time.Duration) *Injector {
 	return in
 }
 
-// WithEvents makes every fault firing emit a fault.injected record on
-// sink (site plus visit number, and the trace id when the faulted
-// operation carried one), so an event log shows injected faults
-// interleaved with the solve events they provoked. Like the rule
-// builders it must be called before the injector is handed to a solver;
-// a call after injection started panics.
-func (in *Injector) WithEvents(sink *obsv.EventSink) *Injector {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.sealed {
-		panic("chaos: event sink attached after injection started")
-	}
-	in.events = sink
-	return in
-}
-
-// WithFlight makes every fault firing additionally record a
-// fault.injected event in the flight recorder under the faulted
+// WithFlight makes every fault firing record a fault.injected event in
+// rec (detail the site, arg the 1-based visit) under the faulted
 // operation's trace id, so a storm's disruptions appear inline in the
-// /debug/flight dump of the request they hit. Untraced firings (trace
-// id 0) are not recorded — the flight recorder only retains
-// per-request records. Must be called before injection starts.
+// /debug/flight dump of the request they hit; untraced firings reach
+// only rec's Export stream. Must be called before injection starts.
 func (in *Injector) WithFlight(rec *obsv.FlightRecorder) *Injector {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -172,9 +153,9 @@ func (in *Injector) Inject(site core.FaultSite) bool {
 }
 
 // InjectTraced implements core.TracedInjector: Inject with the visiting
-// operation's flight-recorder trace id, attributed on the fault.injected
-// event and — when WithFlight configured a recorder — recorded into the
-// request's flight trace. A zero trace behaves exactly like Inject.
+// operation's flight-recorder trace id, under which — when WithFlight
+// configured a recorder — the fault.injected event is recorded. A zero
+// trace behaves exactly like Inject.
 func (in *Injector) InjectTraced(site core.FaultSite, trace uint64) bool {
 	cfg := in.seal() // frozen snapshot: lock-free after first call
 	r := cfg.rules[site]
@@ -202,7 +183,6 @@ func (in *Injector) InjectTraced(site core.FaultSite, trace uint64) bool {
 	} else {
 		r.fires.Add(1)
 	}
-	cfg.events.FaultInjected(string(site), v, trace)
 	cfg.flight.RecordEvent(trace, "fault.injected", string(site), v)
 	if r.stall > 0 {
 		time.Sleep(r.stall)

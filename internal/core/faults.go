@@ -40,8 +40,8 @@ func (f InjectorFunc) Inject(site FaultSite) bool { return f(site) }
 // TracedInjector is the optional extension an Injector implements when
 // it can attribute fired faults to the request that suffered them: the
 // trace id (a flight-recorder id, 0 when the operation is untraced)
-// rides along so fault.injected events and flight-recorder entries
-// correlate with the originating job. internal/chaos implements it;
+// rides along so fault.injected flight events correlate with the
+// originating job. internal/chaos implements it;
 // call through InjectTraced so plain Injectors keep working.
 type TracedInjector interface {
 	Injector

@@ -12,8 +12,9 @@ import (
 // SolveOptions carries the cross-cutting concerns of a solve: a
 // context.Context for cancellation, a parallelism knob for portfolio
 // runs, and the optional observability sinks — Stats counters, the
-// Metrics bundle, the Events log, the runtime Sampler, and TraceCtx,
-// under which every solver phase records its flight-recorder span. The
+// Metrics bundle, the runtime Sampler, and TraceCtx, under which every
+// solver phase records its flight-recorder span and every solve event
+// (a fallback, a partial return, a cache hit) its flight event. The
 // zero value — and a nil pointer — mean "background context,
 // sequential, nothing observed", so every solver accepts a nil
 // *SolveOptions and never has to guard itself.
@@ -43,13 +44,6 @@ type SolveOptions struct {
 	// lengths, maxcolor) with lock-free increments. A nil Metrics
 	// disables the counters at zero cost.
 	Metrics *obsv.SolveMetrics
-	// Events, when non-nil, receives the structured solve-event stream
-	// (solver start/finish, speculation, repair sweeps, fallbacks, fault
-	// injections, partial results) as slog records. A nil Events disables
-	// the stream at zero cost — every sink method is nil-receiver-safe
-	// and takes fixed scalar arguments, so a disabled call site is one
-	// pointer compare.
-	Events *obsv.EventSink
 	// Sampler, when non-nil, is started (reference-counted) for the
 	// duration of every registry-dispatched solve, bridging the Go
 	// runtime's own GC-pause and scheduler-latency histograms into the
@@ -76,10 +70,10 @@ type SolveOptions struct {
 	Cache SolveCache
 	// Tenant names the principal this solve is running on behalf of. The
 	// solvers never read it; the service layer's multi-tenant scheduler
-	// sets it so fairness accounting, shed decisions, and service.* events
-	// attribute work to the right tenant, and it rides along in the
-	// options so any layer below the scheduler can tag diagnostics.
-	// Empty means the anonymous default tenant.
+	// sets it so fairness accounting and shed decisions attribute work
+	// to the right tenant, and it rides along in the options so any
+	// layer below the scheduler can tag diagnostics. Empty means the
+	// anonymous default tenant.
 	Tenant string
 	// Deadline, when nonzero, is the absolute wall-clock bound of this
 	// solve. The registry dispatcher layers it onto Ctx (via
@@ -94,8 +88,9 @@ type SolveOptions struct {
 	// dispatcher opens solve:<alg> under it and hands the solver a child
 	// context, so every solver phase — BDP's decompose and post passes,
 	// the tile-parallel solver's speculate/repair phases, tiles, and
-	// repair rounds — records a span in the same trace. A nil TraceCtx —
-	// the default — costs one pointer compare per instrumented site.
+	// repair rounds — records a span in the same trace, as does every
+	// solve event (ivc -log streams them). A nil TraceCtx — the default —
+	// costs one pointer compare per instrumented site.
 	TraceCtx *obsv.TraceContext
 	// PartialOnCancel makes Portfolio/Best return the best coloring of
 	// the algorithms that completed before cancellation, tagged with the
@@ -149,15 +144,6 @@ func (o *SolveOptions) Meters() *obsv.SolveMetrics {
 		return nil
 	}
 	return o.Metrics
-}
-
-// EventLog returns the solve-event sink, or nil when no receiver or no
-// sink is configured; all *obsv.EventSink methods are nil-receiver-safe.
-func (o *SolveOptions) EventLog() *obsv.EventSink {
-	if o == nil {
-		return nil
-	}
-	return o.Events
 }
 
 // RuntimeSampler returns the runtime sampler, or nil when no receiver

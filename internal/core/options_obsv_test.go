@@ -7,23 +7,33 @@ import (
 	"stencilivc/internal/obsv"
 )
 
-// TestEventLogAccessor: nil receivers and empty options return a nil
-// sink whose methods are no-ops, and a configured sink round-trips.
+// TestEventLogAccessor: solve events ride the flight context. Nil
+// receivers and empty options return a nil context whose event and
+// span calls are no-ops that allocate nothing, and a configured context
+// round-trips and records its events.
 func TestEventLogAccessor(t *testing.T) {
 	var o *SolveOptions
-	if o.EventLog() != nil {
-		t.Error("nil options returned an event sink")
+	if o.FlightCtx() != nil {
+		t.Error("nil options returned a trace context")
 	}
 	o = &SolveOptions{}
-	if o.EventLog() != nil {
-		t.Error("empty options returned an event sink")
+	if o.FlightCtx() != nil {
+		t.Error("empty options returned a trace context")
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		o.EventLog().SolveStart("GLL", 2, 64)
-		o.EventLog().RepairSweep(0, 1, false)
-		o.EventLog().SolveFinish("GLL", 1, time.Millisecond, nil)
+		o.FlightCtx().Event("solve.fallback", "pgreedy: reason", 0)
+		o.FlightCtx().Start("round").EndDetail("", 1)
 	}); n != 0 {
-		t.Errorf("nil event-log path allocates %.1f per run, want 0", n)
+		t.Errorf("nil event path allocates %.1f per run, want 0", n)
+	}
+	rec := obsv.NewFlightRecorder(16, nil)
+	o.TraceCtx = rec.NewContext("job-1", "t")
+	if o.FlightCtx() != o.TraceCtx {
+		t.Fatal("trace context did not round-trip")
+	}
+	o.FlightCtx().Event("solve.partial", "GLL", 1)
+	if recs := rec.Snapshot(0, "", "", 0); len(recs) != 1 || recs[0].Name != "solve.partial" {
+		t.Errorf("recorded %+v, want one solve.partial event", recs)
 	}
 }
 

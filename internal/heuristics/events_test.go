@@ -12,101 +12,116 @@ import (
 	"stencilivc/internal/obsv"
 )
 
-// eventMsgs decodes the msg field of every JSON event line in buf.
-func eventMsgs(t *testing.T, buf *bytes.Buffer) []string {
+// streamLine is the subset of an exported flight record these tests
+// read; JSON field matching is case-insensitive.
+type streamLine struct {
+	Kind, Name, Detail string
+	Arg                int64
+}
+
+// streamed returns options traced into a fresh recorder whose records
+// stream to buf, plus the recorder.
+func streamed(buf *bytes.Buffer) (*core.SolveOptions, *obsv.FlightRecorder) {
+	rec := obsv.NewFlightRecorder(256, nil)
+	rec.Export(buf)
+	return &core.SolveOptions{TraceCtx: rec.NewContext("", "")}, rec
+}
+
+// streamLines decodes every JSON line of an Export stream.
+func streamLines(t *testing.T, buf *bytes.Buffer) []streamLine {
 	t.Helper()
-	var msgs []string
+	var out []streamLine
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
 		if line == "" {
 			continue
 		}
-		var obj map[string]any
-		if err := json.Unmarshal([]byte(line), &obj); err != nil {
-			t.Fatalf("event line %q: %v", line, err)
+		var l streamLine
+		if err := json.Unmarshal([]byte(line), &l); err != nil {
+			t.Fatalf("stream line %q: %v", line, err)
 		}
-		msgs = append(msgs, obj["msg"].(string))
+		out = append(out, l)
 	}
-	return msgs
+	return out
 }
 
-// TestRunEmitsSolveEvents: a dispatched solve brackets itself with
-// solve.start / solve.finish carrying the algorithm and maxcolor.
+// TestRunEmitsSolveEvents: a dispatched solve streams its solve:<alg>
+// span when it ends — the record that replaced solve.start and
+// solve.finish — with the maxcolor as its arg and no error detail.
 func TestRunEmitsSolveEvents(t *testing.T) {
 	g := grid.MustGrid2D(8, 8)
 	for v := range g.W {
 		g.W[v] = int64(v%5) + 1
 	}
 	var buf bytes.Buffer
-	ev := obsv.NewJSONEventSink(&buf)
-	c, err := Run(GLL, g, &core.SolveOptions{Events: ev})
+	opts, rec := streamed(&buf)
+	c, err := Run(GLL, g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	msgs := eventMsgs(t, &buf)
-	if len(msgs) != 2 || msgs[0] != "solve.start" || msgs[1] != "solve.finish" {
-		t.Fatalf("events = %v, want [solve.start solve.finish]", msgs)
+	lines := streamLines(t, &buf)
+	if len(lines) != 1 {
+		t.Fatalf("stream = %+v, want one solve:GLL span", lines)
 	}
-	if ev.Emitted() != 2 {
-		t.Errorf("Emitted = %d, want 2", ev.Emitted())
+	if l := lines[0]; l.Kind != obsv.FlightKindSpan || l.Name != "solve:GLL" ||
+		l.Arg != c.MaxColor(g) || l.Detail != "" {
+		t.Errorf("solve span = %+v, want solve:GLL with arg %d", l, c.MaxColor(g))
 	}
-	var fin map[string]any
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if err := json.Unmarshal([]byte(lines[1]), &fin); err != nil {
-		t.Fatal(err)
-	}
-	if fin["alg"] != "GLL" || fin["maxcolor"] != float64(c.MaxColor(g)) {
-		t.Errorf("solve.finish attrs = %v (maxcolor %d)", fin, c.MaxColor(g))
+	if n := rec.Export(nil); n != 1 {
+		t.Errorf("Export(nil) = %d, want 1", n)
 	}
 }
 
-// TestRunEmitsSolveError: a failing solve logs solve.error after
-// solve.start instead of solve.finish, and a dispatch that fails
-// validation (unknown algorithm) emits nothing at all.
+// TestRunEmitsSolveError: a failing solve still closes its solve:<alg>
+// span, with the error as its detail, and a dispatch that fails
+// validation (unknown algorithm) streams nothing at all.
 func TestRunEmitsSolveError(t *testing.T) {
 	registerChaosAlgs()
 	g := grid.MustGrid2D(8, 8)
 
 	var buf bytes.Buffer
-	if _, err := Run("no-such-alg", g,
-		&core.SolveOptions{Events: obsv.NewJSONEventSink(&buf)}); err == nil {
+	opts, _ := streamed(&buf)
+	if _, err := Run("no-such-alg", g, opts); err == nil {
 		t.Fatal("unknown algorithm did not error")
 	}
-	if got := eventMsgs(t, &buf); len(got) != 0 {
-		t.Fatalf("unknown-algorithm dispatch emitted %v before validation", got)
+	if got := streamLines(t, &buf); len(got) != 0 {
+		t.Fatalf("unknown-algorithm dispatch streamed %+v before validation", got)
 	}
 
-	buf.Reset()
-	_, err := Run(testCancelAlg, g, &core.SolveOptions{Events: obsv.NewJSONEventSink(&buf)})
+	_, err := Run(testCancelAlg, g, opts)
 	if err == nil {
 		t.Fatal("canceling algorithm did not error")
 	}
-	msgs := eventMsgs(t, &buf)
-	if len(msgs) != 2 || msgs[0] != "solve.start" || msgs[1] != "solve.error" {
-		t.Fatalf("events = %v, want [solve.start solve.error]", msgs)
+	lines := streamLines(t, &buf)
+	if len(lines) != 1 || lines[0].Name != "solve:"+string(testCancelAlg) ||
+		!strings.Contains(lines[0].Detail, "canceled") {
+		t.Fatalf("stream = %+v, want one solve:%s span with the cancellation as its detail",
+			lines, testCancelAlg)
 	}
 }
 
 // TestRunEmitsSolveErrorOnPanic: a recovered solver crash still closes
-// the event bracket with solve.error, so log consumers never see a
-// dangling solve.start.
+// the solve span, with the typed panic error as its detail, so stream
+// readers never see a solve vanish.
 func TestRunEmitsSolveErrorOnPanic(t *testing.T) {
 	registerChaosAlgs()
 	g := grid.MustGrid2D(8, 8)
 	var buf bytes.Buffer
-	_, err := Run(testPanicAlg, g, &core.SolveOptions{Events: obsv.NewJSONEventSink(&buf)})
+	opts, _ := streamed(&buf)
+	_, err := Run(testPanicAlg, g, opts)
 	var se *core.SolveError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v (%T), want *core.SolveError", err, err)
 	}
-	msgs := eventMsgs(t, &buf)
-	if len(msgs) != 2 || msgs[0] != "solve.start" || msgs[1] != "solve.error" {
-		t.Fatalf("events = %v, want [solve.start solve.error]", msgs)
+	lines := streamLines(t, &buf)
+	if len(lines) != 1 || lines[0].Name != "solve:"+string(testPanicAlg) || lines[0].Detail != se.Error() {
+		t.Fatalf("stream = %+v, want one solve:%s span with detail %q", lines, testPanicAlg, se.Error())
 	}
 }
 
-// TestPortfolioPartialEvent: a partial portfolio return logs
-// solve.partial with the completed count and winner, and a panicked
-// member logs portfolio.drop.
+// TestPortfolioPartialEvent: a partial portfolio return records a
+// solve.partial event with the winner as its detail and the completed
+// count as its arg, and a panicked member records portfolio.drop with
+// the member's error.
 func TestPortfolioPartialEvent(t *testing.T) {
 	registerChaosAlgs()
 	g := grid.MustGrid2D(10, 10)
@@ -114,34 +129,31 @@ func TestPortfolioPartialEvent(t *testing.T) {
 		g.W[v] = int64(v%7) + 1
 	}
 	var buf bytes.Buffer
-	ev := obsv.NewJSONEventSink(&buf)
-	_, winner, err := Portfolio(g, []Algorithm{GLL, testPanicAlg, testCancelAlg},
-		&core.SolveOptions{Events: ev, PartialOnCancel: true})
+	opts, _ := streamed(&buf)
+	opts.PartialOnCancel = true
+	_, winner, err := Portfolio(g, []Algorithm{GLL, testPanicAlg, testCancelAlg}, opts)
 	if !errors.Is(err, core.ErrPartial) {
 		t.Fatalf("err = %v, want core.ErrPartial (winner %q)", err, winner)
 	}
-	msgs := eventMsgs(t, &buf)
 	var sawDrop, sawPartial bool
-	for i, m := range msgs {
-		if m == "portfolio.drop" {
+	for _, l := range streamLines(t, &buf) {
+		switch l.Name {
+		case "portfolio.drop":
 			sawDrop = true
-		}
-		if m == "solve.partial" {
-			sawPartial = true
-			var obj map[string]any
-			lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-			if err := json.Unmarshal([]byte(lines[i]), &obj); err != nil {
-				t.Fatal(err)
+			if l.Kind != obsv.FlightKindEvent || !strings.Contains(l.Detail, string(testPanicAlg)) {
+				t.Errorf("portfolio.drop = %+v, want an event naming %s", l, testPanicAlg)
 			}
-			if obj["winner"] != string(winner) || obj["completed"] != float64(1) {
-				t.Errorf("solve.partial attrs = %v, want winner %q completed 1", obj, winner)
+		case "solve.partial":
+			sawPartial = true
+			if l.Kind != obsv.FlightKindEvent || l.Detail != string(winner) || l.Arg != 1 {
+				t.Errorf("solve.partial = %+v, want winner %q completed 1", l, winner)
 			}
 		}
 	}
 	if !sawDrop {
-		t.Errorf("events %v missing portfolio.drop for the panicked member", msgs)
+		t.Errorf("stream %q lacks portfolio.drop for the panicked member", buf.String())
 	}
 	if !sawPartial {
-		t.Errorf("events %v missing solve.partial", msgs)
+		t.Errorf("stream %q lacks solve.partial", buf.String())
 	}
 }

@@ -27,15 +27,16 @@ import (
 //     failing slice position is returned so concurrent failures stay
 //     deterministic.
 //   - An algorithm that panicked (recovered by Run into a
-//     *core.SolveError) is dropped and the remaining results still
-//     compete; the portfolio only errors — with the earliest such typed
-//     error — when every algorithm crashed.
+//     *core.SolveError) is dropped (a portfolio.drop event) and the
+//     remaining results still compete; the portfolio only errors — with
+//     the earliest such typed error — when every algorithm crashed.
 //   - Cancellation normally aborts, but with opts.PartialOnCancel the
 //     portfolio returns the best coloring among the algorithms that
 //     completed — re-validated, so a degraded result can never leak an
 //     invalid coloring — tagged with the core.ErrPartial sentinel, and
-//     counts it in solver_partial_results_total. With zero completed
-//     results the context's error propagates as before.
+//     counts it in solver_partial_results_total and a solve.partial
+//     event. With zero completed results the context's error propagates
+//     as before.
 func Portfolio(s grid.Stencil, algs []Algorithm, opts *core.SolveOptions) (core.Coloring, Algorithm, error) {
 	if len(algs) == 0 {
 		return core.Coloring{}, "", fmt.Errorf("heuristics: empty portfolio")
@@ -82,7 +83,7 @@ func Portfolio(s grid.Stencil, algs []Algorithm, opts *core.SolveOptions) (core.
 			var se *core.SolveError
 			switch {
 			case errors.As(r.err, &se) && se.Panicked:
-				opts.EventLog().Dropped(string(algs[i]), r.err)
+				opts.FlightCtx().Event("portfolio.drop", r.err.Error(), 0)
 				if firstPanic == nil {
 					firstPanic = r.err
 				}
@@ -115,7 +116,7 @@ func Portfolio(s grid.Stencil, algs []Algorithm, opts *core.SolveOptions) (core.
 			if m := opts.Meters(); m != nil {
 				m.PartialResults.Add(1)
 			}
-			opts.EventLog().PartialResult(completed, len(algs), string(bestAlg))
+			opts.FlightCtx().Event("solve.partial", string(bestAlg), int64(completed))
 			return best, bestAlg, fmt.Errorf(
 				"%w (%d/%d algorithms completed, best %s)",
 				core.ErrPartial, completed, len(algs), bestAlg)

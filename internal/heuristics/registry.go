@@ -161,19 +161,18 @@ func All() []Algorithm {
 // arg, or the error as its detail) and the solver runs under its child
 // context, so the solver's own phases nest beneath it; the metrics
 // bundle receives the solve count, wall time, allocations, and
-// resulting maxcolor, the event sink logs solve.start and
-// solve.finish/solve.error records, and the runtime sampler — when
-// configured — runs for the duration of the solve so GC pauses and
-// scheduler stalls during it land in the registry. The options are
+// resulting maxcolor, and the runtime sampler — when configured — runs
+// for the duration of the solve so GC pauses and scheduler stalls
+// during it land in the registry. The options are
 // copied only when the span is active, so untraced options cost no more
 // than nil options.
 //
 // When SolveOptions.Cache is set, Run first consults the
 // content-addressed result cache: a hit returns the memoized coloring
 // immediately — no solver span, no solve counters, no sampler session;
-// the cache's own resultcache_* families and cache.* events record the
-// hit — and every completed solve is stored back under its instance
-// fingerprint. A nil cache costs one pointer compare.
+// a cache.hit flight event and the cache's own resultcache_* families
+// record the hit — and every completed solve is stored back under its
+// instance fingerprint. A nil cache costs one pointer compare.
 //
 // Run is also the pipeline's panic boundary: a panic anywhere inside
 // the algorithm (a solver bug, or a fault injector's induced crash that
@@ -221,8 +220,6 @@ func Run(alg Algorithm, s grid.Stencil, opts *core.SolveOptions) (core.Coloring,
 		defer sampler.Stop()
 	}
 	fs := startFlight(opts, "solve:"+string(alg))
-	ev := opts.EventLog()
-	ev.SolveStart(string(alg), s.Dims(), s.Len())
 	t0 := time.Now()
 	runOpts := opts
 	if fs.Active() {
@@ -236,7 +233,6 @@ func Run(alg Algorithm, s grid.Stencil, opts *core.SolveOptions) (core.Coloring,
 	dt := time.Since(t0)
 	if err != nil {
 		fs.EndDetail(err.Error(), 0)
-		ev.SolveFinish(string(alg), 0, dt, err)
 		var se *core.SolveError
 		if errors.As(err, &se) {
 			// Already typed with the algorithm name; don't re-wrap.
@@ -244,10 +240,9 @@ func Run(alg Algorithm, s grid.Stencil, opts *core.SolveOptions) (core.Coloring,
 		}
 		return core.Coloring{}, fmt.Errorf("heuristics: %s: %w", alg, err)
 	}
-	if m != nil || ev != nil || fs.Active() {
+	if m != nil || fs.Active() {
 		mc := c.MaxColor(s)
 		fs.EndDetail("", mc)
-		ev.SolveFinish(string(alg), mc, dt, nil)
 		if m != nil {
 			m.Solves.Add(1)
 			m.SolveSeconds.Observe(dt.Seconds())

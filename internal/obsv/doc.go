@@ -1,8 +1,8 @@
 // Package obsv is the observability layer of the solver pipeline: a
-// flight recorder of hierarchical spans for per-phase timings, a
-// registry of counters/gauges/histograms for solver work metrics, a
-// structured solve-event log, a Go-runtime sampler, and exposition of
-// the metric state in Prometheus text format and expvar JSON. It
+// flight recorder of hierarchical spans and events for per-phase
+// timings and "what happened", a registry of counters/gauges/histograms
+// for solver work metrics, a Go-runtime sampler, and exposition of the
+// metric state in Prometheus text format and expvar JSON. It
 // depends only on the standard library and is imported by
 // internal/core, so every solver can be instrumented without new
 // dependencies.
@@ -35,15 +35,13 @@
 //
 // # Event log
 //
-// Where the spans answer "where did the time go" and the metrics
-// answer "how much work happened", EventSink is the append-only record
-// of *what happened*: solver start/finish, tile-speculation rounds,
-// repair sweeps, degraded-mode fallbacks, fault injections, and
-// partial-result returns, emitted as log/slog records (one JSON object
-// per line with NewJSONEventSink). Events fire at phase and round
-// granularity — never per placement — so an enabled sink costs a
-// handful of records per solve, and the fixed-signature methods build
-// no argument slices when the sink is nil.
+// Events are flight records too: TraceContext.Event writes a point-in-
+// time record (a fallback, a fault firing, a cache hit, a shed) under
+// the current span. FlightRecorder.Export streams each record as it is
+// written, one JSON line in the /debug/flight form (ivc -log); a
+// RecordEvent with a zero trace id reaches the stream only, never the
+// ring. Records fire at phase and round granularity, never per
+// placement.
 //
 // # Runtime sampler
 //
@@ -58,10 +56,12 @@
 // # Zero cost when disabled
 //
 // Every method on *TraceContext, *FlightRecorder, *Counter, *Gauge,
-// *Histogram, *SolveMetrics, *EventSink, and *Sampler accepts a nil
-// receiver as a no-op, and the zero FlightSpan is inert, so
-// instrumented code never branches on whether a sink is attached, and
-// the disabled path costs one nil check and allocates nothing. The placement kernel never touches a metric per placement:
+// *Histogram, *SolveMetrics, and *Sampler accepts a nil receiver as a
+// no-op, and the zero FlightSpan is inert, so instrumented code never
+// branches on whether a sink is attached, and the disabled path costs
+// one nil check and allocates nothing. A recorder with no Export stream
+// records allocation-free, and drops untraced events at once. The
+// placement kernel never touches a metric per placement:
 // it tallies plain integers and flushes them once per solve (Counter
 // adds, Histogram.ObserveN/ObserveSum). BenchmarkPlaceLowest pins its
 // 0 allocs/op contract bare and, in the Metrics rows, flushing into a

@@ -3,135 +3,179 @@ package obsv
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
-	"log/slog"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
 
-// decodeEvents parses the JSON-lines output of a sink into the msg
-// field of each record, plus the raw decoded objects.
-func decodeEvents(t *testing.T, buf *bytes.Buffer) ([]string, []map[string]any) {
+// decodeStream parses Export's JSON-lines output into wire records,
+// failing on any line that is not one.
+func decodeStream(t *testing.T, buf *bytes.Buffer) []flightRecordJSON {
 	t.Helper()
-	var msgs []string
-	var objs []map[string]any
+	var out []flightRecordJSON
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
 		if line == "" {
 			continue
 		}
-		var obj map[string]any
-		if err := json.Unmarshal([]byte(line), &obj); err != nil {
-			t.Fatalf("event line %q: %v", line, err)
+		dec := json.NewDecoder(strings.NewReader(line))
+		dec.DisallowUnknownFields()
+		var r flightRecordJSON
+		if err := dec.Decode(&r); err != nil {
+			t.Fatalf("stream line %q: %v", line, err)
 		}
-		msgs = append(msgs, obj["msg"].(string))
-		objs = append(objs, obj)
+		out = append(out, r)
 	}
-	return msgs, objs
+	return out
 }
 
-// TestEventSinkJSON: every fixed-taxonomy method emits one JSON object
-// per line with the expected msg and attributes, and Emitted counts
-// them.
+// TestEventSinkJSON: with a stream attached, every record the recorder
+// writes — a span when it ends, a traced event, a retroactive span —
+// is one JSON line in the /debug/flight record form, in write order;
+// an untraced event reaches the stream but not the ring; Export(nil)
+// returns the line count and stops the stream.
 func TestEventSinkJSON(t *testing.T) {
+	reg := NewRegistry()
+	f := NewFlightRecorder(64, reg)
 	var buf bytes.Buffer
-	e := NewJSONEventSink(&buf)
-	e.SolveStart("PGLL", 2, 4096)
-	e.SolveFinish("PGLL", 17, 3*time.Millisecond, nil)
-	e.SolveFinish("BDP", 0, time.Millisecond, errors.New("boom"))
-	e.Speculation(64, 4, true)
-	e.RepairSweep(2, 9, false)
-	e.Fallback("pgreedy", "worker panic")
-	e.FaultInjected("pgreedy/halo-read", 7, 0xabc)
-	e.PartialResult(3, 7, "GLL")
-	e.Dropped("SGK", errors.New("panicked"))
-	e.ServiceAdmit("team-a", "job-1", 3)
-	e.ServiceShed("team-b", "job-2", "queue full")
-	e.ServiceBatch("team-a|GLL|2", 4, 2*time.Millisecond)
-	e.ServiceDone("team-a", "job-1", 17, 5*time.Millisecond, true)
-	e.Event("custom", slog.Int("k", 1))
-
-	msgs, objs := decodeEvents(t, &buf)
-	want := []string{"solve.start", "solve.finish", "solve.error", "pgreedy.speculate",
-		"pgreedy.repair", "solve.fallback", "fault.injected", "solve.partial",
-		"portfolio.drop", "service.admit", "service.shed", "service.batch",
-		"service.done", "custom"}
-	if len(msgs) != len(want) {
-		t.Fatalf("got %d events %v, want %d", len(msgs), msgs, len(want))
+	if n := f.Export(&buf); n != 0 {
+		t.Fatalf("first Export returned %d, want 0", n)
 	}
-	for i := range want {
-		if msgs[i] != want[i] {
-			t.Errorf("event %d = %q, want %q", i, msgs[i], want[i])
+	if !f.Exporting() {
+		t.Fatal("Exporting is false with a stream attached")
+	}
+	tc := f.NewContext("job-1", "acme")
+	root := tc.Start("solve:GLL")
+	child := root.Context()
+	child.Event("cache.hit", "GLL", 0)
+	child.Observe("batch", time.Unix(0, 5), 2*time.Millisecond)
+	f.RecordEvent(0, "cache.evict", "deadbeef", 128)
+	root.EndDetail("", 17)
+
+	recs := decodeStream(t, &buf)
+	names := make([]string, len(recs))
+	for i, r := range recs {
+		names[i] = r.Name
+	}
+	if got := strings.Join(names, " "); got != "cache.hit batch cache.evict solve:GLL" {
+		t.Fatalf("stream = %q, want cache.hit batch cache.evict solve:GLL (write order)", got)
+	}
+	hit, batch, evict, solve := recs[0], recs[1], recs[2], recs[3]
+	if solve.Kind != FlightKindSpan || solve.Arg != 17 || solve.Job != "job-1" ||
+		solve.Tenant != "acme" || solve.Parent != "" || solve.Trace != FlightID(tc.TraceID()) {
+		t.Errorf("solve span = %+v", solve)
+	}
+	if hit.Kind != FlightKindEvent || hit.Detail != "GLL" || hit.Parent != solve.Span {
+		t.Errorf("cache.hit event = %+v, want an event under span %s", hit, solve.Span)
+	}
+	if batch.Kind != FlightKindSpan || batch.WallMS != 2 || batch.Parent != solve.Span {
+		t.Errorf("batch span = %+v, want 2ms under span %s", batch, solve.Span)
+	}
+	if evict.Kind != FlightKindEvent || evict.Detail != "deadbeef" || evict.Arg != 128 ||
+		evict.Trace != FlightID(0) || evict.Job != "" {
+		t.Errorf("untraced event = %+v", evict)
+	}
+	for _, r := range recs {
+		if _, err := time.Parse(time.RFC3339Nano, r.Start); err != nil {
+			t.Errorf("%s start %q: %v", r.Name, r.Start, err)
 		}
 	}
-	if e.Emitted() != int64(len(want)) {
-		t.Errorf("Emitted = %d, want %d", e.Emitted(), len(want))
+	if ring := f.Snapshot(0, "", "", 0); len(ring) != 3 {
+		t.Errorf("ring holds %d records, want 3 (the untraced event streams only)", len(ring))
 	}
-	if objs[0]["alg"] != "PGLL" || objs[0]["vertices"] != float64(4096) {
-		t.Errorf("solve.start attrs = %v", objs[0])
+	if got := reg.Counter("flight_records_total", "").Value(); got != 3 {
+		t.Errorf("flight_records_total = %d, want 3", got)
 	}
-	if objs[1]["maxcolor"] != float64(17) {
-		t.Errorf("solve.finish attrs = %v", objs[1])
+
+	if n := f.Export(nil); n != 4 {
+		t.Errorf("Export(nil) = %d, want the 4 lines written", n)
 	}
-	if objs[2]["error"] != "boom" {
-		t.Errorf("solve.error attrs = %v", objs[2])
+	if f.Exporting() {
+		t.Error("Exporting is true after Export(nil)")
 	}
-	if objs[6]["site"] != "pgreedy/halo-read" || objs[6]["visit"] != float64(7) {
-		t.Errorf("fault.injected attrs = %v", objs[6])
-	}
-	if objs[6]["trace_id"] != FlightID(0xabc) {
-		t.Errorf("fault.injected trace_id = %v, want %s", objs[6]["trace_id"], FlightID(0xabc))
-	}
-	if objs[9]["tenant"] != "team-a" || objs[9]["queued"] != float64(3) {
-		t.Errorf("service.admit attrs = %v", objs[9])
-	}
-	if objs[10]["reason"] != "queue full" {
-		t.Errorf("service.shed attrs = %v", objs[10])
-	}
-	if objs[11]["key"] != "team-a|GLL|2" || objs[11]["size"] != float64(4) {
-		t.Errorf("service.batch attrs = %v", objs[11])
-	}
-	if objs[12]["partial"] != true || objs[12]["maxcolor"] != float64(17) {
-		t.Errorf("service.done attrs = %v", objs[12])
+	tc.Start("after").End()
+	f.RecordEvent(0, "cache.evict", "x", 1)
+	if got := len(decodeStream(t, &buf)); got != 4 {
+		t.Errorf("stream grew to %d lines after Export(nil), want 4", got)
 	}
 }
 
-// TestEventSinkNilConstructors: nil writers and handlers yield nil
-// (disabled) sinks, so optional wiring passes through unconditionally.
+// TestEventSinkNilConstructors: a nil recorder streams nothing and
+// reports no stream, and a recorder that never streamed returns 0 from
+// Export(nil), so optional wiring passes through unconditionally.
 func TestEventSinkNilConstructors(t *testing.T) {
-	if NewJSONEventSink(nil) != nil {
-		t.Error("NewJSONEventSink(nil) != nil")
+	var f *FlightRecorder
+	var buf bytes.Buffer
+	if n := f.Export(&buf); n != 0 || f.Exporting() {
+		t.Errorf("nil recorder: Export = %d, Exporting = %v", n, f.Exporting())
 	}
-	if NewEventSink(nil) != nil {
-		t.Error("NewEventSink(nil) != nil")
+	f.RecordEvent(0, "cache.evict", "x", 1)
+	if buf.Len() != 0 {
+		t.Errorf("nil recorder wrote %q", buf.String())
+	}
+	if n := NewFlightRecorder(8, nil).Export(nil); n != 0 {
+		t.Errorf("Export(nil) on a fresh recorder = %d, want 0", n)
 	}
 }
 
-// TestEventSinkNilAllocs pins the disabled-path contract: every
-// fixed-taxonomy method on a nil sink is a no-op that allocates
-// nothing, so threading the event log through the solve pipeline cannot
-// cost the hot paths anything.
+// TestEventSinkNilAllocs pins the no-stream contract: an untraced
+// RecordEvent, the Exporting guard, and traced records on a recorder
+// with no stream attached allocate nothing, so wiring the stream
+// through the daemon costs nothing until -log asks for it.
 func TestEventSinkNilAllocs(t *testing.T) {
-	var e *EventSink
-	err := errors.New("static")
+	f := NewFlightRecorder(64, nil)
+	tc := f.NewContext("job-1", "acme")
+	var nilRec *FlightRecorder
 	if n := testing.AllocsPerRun(200, func() {
-		e.SolveStart("GLL", 2, 100)
-		e.SolveFinish("GLL", 10, time.Millisecond, nil)
-		e.SolveFinish("GLL", 0, time.Millisecond, err)
-		e.Speculation(8, 2, false)
-		e.RepairSweep(1, 3, true)
-		e.Fallback("pgreedy", "reason")
-		e.FaultInjected("site", 1, 0)
-		e.PartialResult(1, 2, "GLL")
-		e.Dropped("BD", err)
-		e.ServiceAdmit("t", "j", 1)
-		e.ServiceShed("t", "j", "r")
-		e.ServiceBatch("k", 1, time.Millisecond)
-		e.ServiceDone("t", "j", 1, time.Millisecond, false)
-		if e.Emitted() != 0 {
-			t.Fatal("nil sink emitted")
+		f.RecordEvent(0, "cache.evict", "key", 64)
+		if f.Exporting() || nilRec.Exporting() {
+			t.Fatal("no stream attached, yet Exporting is true")
 		}
+		nilRec.RecordEvent(0, "fault.injected", "site", 1)
+		tc.Event("solve.fallback", "pgreedy: reason", 0)
+		tc.Start("round").EndDetail("", 1)
 	}); n != 0 {
-		t.Errorf("nil EventSink methods allocate %.1f per run, want 0", n)
+		t.Errorf("no-stream record paths allocate %.1f per run, want 0", n)
+	}
+	if recs := f.Snapshot(0, "", "", 0); len(recs) == 0 {
+		t.Error("traced records did not reach the ring")
+	}
+	for _, r := range f.Snapshot(0, "", "", 0) {
+		if r.Trace == 0 {
+			t.Fatalf("untraced event %+v reached the ring", r)
+		}
+	}
+}
+
+// TestExportConcurrent: records written from several goroutines while
+// the stream moves from one writer to another each land whole on
+// exactly one of the writers, and each Export call returns the count of
+// lines its previous writer received.
+func TestExportConcurrent(t *testing.T) {
+	f := NewFlightRecorder(64, nil)
+	var first, second bytes.Buffer
+	f.Export(&first)
+	const workers, spans = 4, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tc := f.NewContext("job", "t")
+			for i := 0; i < spans; i++ {
+				tc.Start("tile").EndDetail("", int64(i))
+				f.RecordEvent(0, "cache.evict", "k", 1)
+			}
+		}()
+	}
+	n1 := f.Export(&second)
+	wg.Wait()
+	n2 := f.Export(nil)
+	l1, l2 := decodeStream(t, &first), decodeStream(t, &second)
+	if int64(len(l1)) != n1 || int64(len(l2)) != n2 {
+		t.Errorf("Export returned %d and %d, writers hold %d and %d lines", n1, n2, len(l1), len(l2))
+	}
+	if got := len(l1) + len(l2); got != 2*workers*spans {
+		t.Errorf("%d lines streamed for %d records", got, 2*workers*spans)
 	}
 }

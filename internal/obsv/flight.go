@@ -1,6 +1,8 @@
 package obsv
 
 import (
+	"encoding/json"
+	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,9 +15,10 @@ import (
 // span/event records, cheap enough to leave on in production.
 // GET /debug/flight (FlightHandler) dumps the retained window filtered
 // by trace id, tenant, or job; WriteChrome renders a snapshot for
-// chrome://tracing. SolveErrors and sheds additionally copy the failing
-// trace's records into a small incident buffer, so the evidence
-// survives ring overwrite. See DESIGN.md §10 and §16.
+// chrome://tracing; Export streams every record as it is written, one
+// JSON object per line (ivc -log). SolveErrors and sheds additionally
+// copy the failing trace's records into a small incident buffer, so the
+// evidence survives ring overwrite. See DESIGN.md §10 and §16.
 
 // DefaultFlightEntries is the ring capacity a FlightRecorder gets when
 // the caller does not size it (ivc -flight-entries overrides).
@@ -102,9 +105,9 @@ type FlightIncident struct {
 // FlightRecorder is the always-on ring. A nil *FlightRecorder is a
 // valid disabled recorder: every method is a no-op costing one nil
 // check, and contexts minted from it are nil (whose methods are no-ops
-// too) — the same contract as the rest of the package. A sized recorder
-// records with zero heap allocations on the hot path: one shard mutex,
-// one slot assignment.
+// too) — the same contract as the rest of the package. With no Export
+// stream attached, a sized recorder records with zero heap allocations
+// on the hot path: one shard mutex, one slot assignment.
 type FlightRecorder struct {
 	shards [flightShardCount]flightShard
 	ids    atomic.Uint64
@@ -116,6 +119,13 @@ type FlightRecorder struct {
 	incCount *Counter // flight_incidents_total
 	entryGa  *Gauge   // flight_entries
 	perShard int
+
+	// exporting mirrors exp != nil, so record checks for a stream with
+	// one atomic load; expMu guards exp and its line count.
+	exporting atomic.Bool
+	expMu     sync.Mutex
+	exp       *json.Encoder
+	exported  int64
 }
 
 // NewFlightRecorder builds a recorder retaining about entries records
@@ -159,8 +169,9 @@ func (f *FlightRecorder) Entries() int {
 // sequence).
 func (f *FlightRecorder) nextID() uint64 { return f.ids.Add(1) }
 
-// record writes rec into the ring. Zero allocations: the record is
-// copied into a preallocated slot under its shard's mutex.
+// record writes rec into the ring, and to the export stream when one is
+// attached. Without a stream, zero allocations: the record is copied
+// into a preallocated slot under its shard's mutex.
 func (f *FlightRecorder) record(rec FlightRecord) {
 	if f == nil {
 		return
@@ -175,21 +186,66 @@ func (f *FlightRecorder) record(rec FlightRecord) {
 	}
 	sh.mu.Unlock()
 	f.records.Add(1)
+	if f.exporting.Load() {
+		f.export(rec)
+	}
+}
+
+// Export streams every record written from now on — a span when it
+// ends, an event when it fires — to w as one JSON line in the
+// /debug/flight record form, start time included; writes are
+// serialized. Export(nil) stops the stream. It returns how many lines
+// went to the previous writer. A nil recorder streams nothing.
+func (f *FlightRecorder) Export(w io.Writer) int64 {
+	if f == nil {
+		return 0
+	}
+	f.expMu.Lock()
+	defer f.expMu.Unlock()
+	n := f.exported
+	f.exp, f.exported = nil, 0
+	if w != nil {
+		f.exp = json.NewEncoder(w)
+	}
+	f.exporting.Store(w != nil)
+	return n
+}
+
+// Exporting reports whether a stream is attached; false on nil. Callers
+// of RecordEvent(0, …) check it before building a detail string, so the
+// untraced path allocates nothing when no one is listening.
+func (f *FlightRecorder) Exporting() bool {
+	return f != nil && f.exporting.Load()
+}
+
+// export writes one record to the stream, if one is still attached.
+func (f *FlightRecorder) export(rec FlightRecord) {
+	f.expMu.Lock()
+	defer f.expMu.Unlock()
+	if f.exp != nil && f.exp.Encode(recordJSON(rec)) == nil {
+		f.exported++
+	}
 }
 
 // RecordEvent records a bare event under an already-minted trace id —
 // the entry point for subsystems that hold only the trace id (the chaos
-// injector) and not a full context. A zero trace id is a no-op: the
-// recorder retains per-request records, and an unattributable event
-// would only displace attributable ones.
+// injector) and not a full context. A zero trace id (a fault outside
+// any request, a cache eviction) goes to the Export stream only, never
+// the ring, which keeps per-request records; with no stream attached
+// it returns at once.
 func (f *FlightRecorder) RecordEvent(trace uint64, name, detail string, arg int64) {
-	if f == nil || trace == 0 {
+	if f == nil || (trace == 0 && !f.exporting.Load()) {
 		return
 	}
-	f.record(FlightRecord{
+	rec := FlightRecord{
 		Trace: trace, Span: f.nextID(), Kind: FlightKindEvent,
 		Name: name, Detail: detail, Arg: arg, Start: time.Now().UnixNano(),
-	})
+	}
+	if trace == 0 {
+		f.export(rec)
+		return
+	}
+	f.record(rec)
 }
 
 // NewContext mints a fresh trace rooted at this recorder: the returned

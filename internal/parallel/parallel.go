@@ -114,7 +114,8 @@ type Config struct {
 // injector or a genuine bug) is recovered into a typed *core.SolveError
 // and the solve falls back to the guaranteed sequential greedy over the
 // whole instance — the uninstrumented bedrock of the degradation
-// ladder — so a crashing worker degrades latency, never correctness.
+// ladder, traced as a pgreedy/seq-fallback span whose detail is the
+// panic — so a crashing worker degrades latency, never correctness.
 // Cancellation is never masked by the fallback: a canceled context
 // propagates as the context's error.
 func Greedy(s grid.Stencil, cfg Config, opts *core.SolveOptions) (core.Coloring, error) {
@@ -137,8 +138,7 @@ func Greedy(s grid.Stencil, cfg Config, opts *core.SolveOptions) (core.Coloring,
 	if m := opts.Meters(); m != nil {
 		m.Fallbacks.Add(1)
 	}
-	opts.EventLog().Fallback("pgreedy", "worker panic: "+se.Error())
-	defer opts.FlightCtx().Start("pgreedy/seq-fallback").End()
+	defer opts.FlightCtx().Start("pgreedy/seq-fallback").EndDetail("worker panic: "+se.Error(), 0)
 	return core.GreedyColorOpts(s, fallbackOrder(s, cfg), opts)
 }
 
@@ -154,7 +154,8 @@ func fallbackOrder(s grid.Stencil, cfg Config) []int {
 }
 
 // speculative runs the speculate/repair/complete pipeline, containing
-// worker panics as typed errors for Greedy to act on.
+// worker panics as typed errors for Greedy to act on. When tracing, the
+// pgreedy/speculate span's arg is the tile count.
 func speculative(fg core.FixedGraph, s grid.Stencil, cfg Config, opts *core.SolveOptions) (core.Coloring, error) {
 	size := cfg.TileSize
 	if size <= 0 {
@@ -178,7 +179,6 @@ func speculative(fg core.FixedGraph, s grid.Stencil, cfg Config, opts *core.Solv
 	r := &run{
 		g: fg, s: s, tl: tl, cfg: cfg, opts: opts,
 		inj:  opts.Faults(),
-		ev:   opts.EventLog(),
 		c:    core.NewColoring(s.Len()),
 		par:  par,
 		bufs: bufs,
@@ -188,10 +188,9 @@ func speculative(fg core.FixedGraph, s grid.Stencil, cfg Config, opts *core.Solv
 	// verdict (BindAs) instead of rescanning the weights.
 	r.fit.Bind(fg)
 
-	r.ev.Speculation(len(tl.Tiles), r.par, cfg.SpeculateBlind)
 	sp := opts.FlightCtx().Start("pgreedy/speculate")
 	err = r.speculate(sp.Context())
-	sp.End()
+	sp.EndDetail("", int64(len(tl.Tiles)))
 	if err != nil {
 		return core.Coloring{}, err
 	}
@@ -214,9 +213,6 @@ type run struct {
 	// inj caches opts.Faults() so the per-placement injection checks are
 	// a single pointer compare on the production (nil) path.
 	inj core.Injector
-	// ev caches opts.EventLog(); events fire at phase/round granularity,
-	// never per placement.
-	ev  *obsv.EventSink
 	c   core.Coloring
 	par int
 	// fit is bound to g once per solve; worker kernels copy its binding.
@@ -532,8 +528,10 @@ type tileGroup struct {
 // shrink strictly — or maxRounds is exhausted — one sequential pass over
 // the remaining losers finishes the job deterministically. When tracing,
 // every round records a "round" span under tc, with the round number as
-// its arg and nested "sweep" and "recolor" spans; the metrics bundle
-// counts detected conflicts, repaired losers, and completed rounds.
+// its arg and nested "sweep" (arg: conflicts found) and "recolor"
+// (detail "sequential" on the sequential pass) spans; the metrics
+// bundle counts detected conflicts, repaired losers, and completed
+// rounds.
 func (r *run) fixpoint(tc *obsv.TraceContext, maxRounds int) error {
 	tl, start := r.tl, r.c.Start
 	meters := r.opts.Meters()
@@ -551,7 +549,7 @@ func (r *run) fixpoint(tc *obsv.TraceContext, maxRounds int) error {
 		rtc := rsp.Context()
 		ssp := rtc.Start("sweep")
 		nconf, err := r.detect(losersByTile)
-		ssp.End()
+		ssp.EndDetail("", int64(nconf))
 		if err != nil {
 			rsp.EndDetail("", int64(round))
 			return err
@@ -561,17 +559,16 @@ func (r *run) fixpoint(tc *obsv.TraceContext, maxRounds int) error {
 		}
 		if nconf == 0 {
 			rsp.EndDetail("", int64(round))
-			return r.complete()
+			return r.complete(tc)
 		}
 		sequential := round >= maxRounds || (prev >= 0 && nconf >= prev)
 		prev = nconf
-		r.ev.RepairSweep(round, int64(nconf), sequential)
 		if sequential && !r.seqRepair {
 			r.seqRepair = true
 			if meters != nil {
 				meters.Fallbacks.Add(1)
 			}
-			r.ev.Fallback("pgreedy", "repair rounds stopped shrinking; sequential repair pass")
+			rtc.Event("solve.fallback", "pgreedy: repair rounds stopped shrinking; sequential repair pass", 0)
 		}
 		// Clear every loser before any recoloring starts, so a round's
 		// placements see losers as uncolored rather than as their stale
@@ -589,8 +586,9 @@ func (r *run) fixpoint(tc *obsv.TraceContext, maxRounds int) error {
 			}
 		}
 		r.bufs.groups = groups
-		csp := rtc.Start("recolor")
+		csp, detail := rtc.Start("recolor"), ""
 		if sequential {
+			detail = "sequential"
 			w := r.newScratch()
 			for _, g := range groups {
 				for _, v := range g.verts {
@@ -619,7 +617,7 @@ func (r *run) fixpoint(tc *obsv.TraceContext, maxRounds int) error {
 			rsp.EndDetail("", int64(round))
 			return err
 		}
-		csp.End()
+		csp.EndDetail(detail, 0)
 		rsp.EndDetail("", int64(round))
 		if meters != nil {
 			meters.Repairs.Add(int64(nconf))
@@ -636,8 +634,9 @@ func (r *run) fixpoint(tc *obsv.TraceContext, maxRounds int) error {
 // every degraded path. With nothing uncolored (every production run)
 // the sweep is a read-only scan. Placements run one at a time in vertex
 // order against fully-settled neighbors, so they are deterministic and
-// can never introduce a new conflict.
-func (r *run) complete() error {
+// can never introduce a new conflict. An engaged sweep records a
+// solve.fallback event under tc.
+func (r *run) complete(tc *obsv.TraceContext) error {
 	start := r.c.Start
 	var w *scratch
 	var n int64
@@ -665,7 +664,7 @@ func (r *run) complete() error {
 		if m := r.opts.Meters(); m != nil {
 			m.Fallbacks.Add(1)
 		}
-		r.ev.Fallback("pgreedy", "completion sweep re-placed dropped vertices")
+		tc.Event("solve.fallback", "pgreedy: completion sweep re-placed dropped vertices", 0)
 	}
 	return nil
 }

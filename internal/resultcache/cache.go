@@ -42,9 +42,10 @@ type Config struct {
 	Store Store
 	// Metrics, when non-nil, receives the resultcache_* families.
 	Metrics *obsv.CacheMetrics
-	// Events, when non-nil, receives cache.hit/miss/store/evict/corrupt
-	// events.
-	Events *obsv.EventSink
+	// Flight, when non-nil, streams the untraced cache.evict and
+	// cache.corrupt events (FlightRecorder.RecordEvent with trace 0);
+	// hits are recorded under the request's trace by heuristics.Run.
+	Flight *obsv.FlightRecorder
 	// Injector, when non-nil, arms the resultcache/get-corrupt site.
 	Injector core.Injector
 	// Commit overrides the VCS revision recorded in per-entry
@@ -67,7 +68,7 @@ type Cache struct {
 	perMax  int64
 	store   Store
 	metrics *obsv.CacheMetrics
-	events  *obsv.EventSink
+	flight  *obsv.FlightRecorder
 	inj     core.Injector
 	commit  string
 
@@ -131,7 +132,7 @@ func New(cfg Config) *Cache {
 		perMax:  max(cfg.MaxBytes/int64(cfg.Shards), 1),
 		store:   cfg.Store,
 		metrics: cfg.Metrics,
-		events:  cfg.Events,
+		flight:  cfg.Flight,
 		inj:     cfg.Injector,
 		commit:  commit,
 		tenants: map[string]*tenantCounts{},
@@ -179,7 +180,8 @@ func (c *Cache) Lookup(alg string, g core.Graph, tenant string) (core.Coloring, 
 		sh.lru.MoveToFront(el)
 		starts := append([]int64(nil), el.Value.(*node).entry.Starts...)
 		sh.mu.Unlock()
-		c.accountHit(alg, tenant, key, "memory")
+		c.metrics.Hits.Add(1)
+		c.tenantCounts(tenant).hits.Add(1)
 		return core.Coloring{Start: starts}, key, true
 	}
 	sh.mu.Unlock()
@@ -187,16 +189,14 @@ func (c *Cache) Lookup(alg string, g core.Graph, tenant string) (core.Coloring, 
 	if c.store != nil {
 		if e, ok := c.loadPersisted(key, g); ok {
 			c.insert(sh, key, e)
-			c.accountHit(alg, tenant, key, "store")
+			c.metrics.Hits.Add(1)
+			c.tenantCounts(tenant).hits.Add(1)
 			return core.Coloring{Start: append([]int64(nil), e.Starts...)}, key, true
 		}
 	}
 
 	c.metrics.Misses.Add(1)
 	c.tenantCounts(tenant).misses.Add(1)
-	if c.events != nil {
-		c.events.CacheMiss(alg, tenant, key.String())
-	}
 	return core.Coloring{}, key, false
 }
 
@@ -226,8 +226,8 @@ func (c *Cache) loadPersisted(key core.CacheKey, g core.Graph) (Entry, bool) {
 	if reason != "" {
 		c.corrupt.Add(1)
 		c.metrics.Corrupt.Add(1)
-		if c.events != nil {
-			c.events.CacheCorrupt(key.String(), reason)
+		if c.flight.Exporting() {
+			c.flight.RecordEvent(0, "cache.corrupt", key.String()+": "+reason, 0)
 		}
 		_ = c.store.Delete(key)
 		return Entry{}, false
@@ -254,9 +254,6 @@ func (c *Cache) Store(key core.CacheKey, alg, tenant string, g core.Graph, col c
 	c.insert(sh, key, e)
 	c.stores.Add(1)
 	c.metrics.Stores.Add(1)
-	if c.events != nil {
-		c.events.CacheStore(alg, key.String(), e.memBytes())
-	}
 	if c.store != nil {
 		// Write-through is best-effort: a failed persist leaves the
 		// memory tier serving and surfaces only as a corrupt/absent
@@ -306,21 +303,12 @@ func (c *Cache) insert(sh *shard, key core.CacheKey, e Entry) {
 		c.bytes.Add(-n.size)
 		c.evictions.Add(1)
 		c.metrics.Evictions.Add(1)
-		if c.events != nil {
-			c.events.CacheEvict(n.key.String(), n.size)
+		if c.flight.Exporting() {
+			c.flight.RecordEvent(0, "cache.evict", n.key.String(), n.size)
 		}
 	}
 	c.metrics.Entries.Set(c.entries.Load())
 	c.metrics.Bytes.Set(c.bytes.Load())
-}
-
-// accountHit bumps every hit-side sink.
-func (c *Cache) accountHit(alg, tenant string, key core.CacheKey, tier string) {
-	c.metrics.Hits.Add(1)
-	c.tenantCounts(tenant).hits.Add(1)
-	if c.events != nil {
-		c.events.CacheHit(alg, tenant, key.String(), tier)
-	}
 }
 
 // tenantCounts returns the per-tenant accounting cell, creating it on

@@ -1,7 +1,10 @@
 package resultcache
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -250,6 +253,59 @@ func TestCacheInjectedCorruption(t *testing.T) {
 	// a disarmed re-read re-solves rather than resurrecting it.
 	if ms.Len() != 0 {
 		t.Fatal("entry survived the corrupt-read deletion")
+	}
+}
+
+// TestCacheFlightEvents: with a streaming recorder attached, an
+// eviction streams an untraced cache.evict event (key hex as its
+// detail, entry bytes as its arg) and a corrupt persisted read a
+// cache.corrupt event (key hex and reason); neither enters the ring,
+// and hits, misses and stores stream nothing.
+func TestCacheFlightEvents(t *testing.T) {
+	g := testGrid(t, 8)
+	entrySize := (&Entry{Starts: make([]int64, g.Len()), Prov: Provenance{Solver: "GLL"}}).memBytes()
+	rec := obsv.NewFlightRecorder(64, nil)
+	var buf bytes.Buffer
+	rec.Export(&buf)
+	ms := newMapStore()
+	c := New(Config{MaxBytes: entrySize, Shards: 1, Store: ms, Flight: rec})
+	_, first, _ := c.Lookup("GLL", g, "")
+	c.Store(first, "GLL", "", g, serialColoring(g), time.Millisecond)
+	c.Lookup("GLL", g, "") // a hit
+	_, second, _ := c.Lookup("GLF", g, "")
+	c.Store(second, "GLF", "", g, serialColoring(g), time.Millisecond) // evicts GLL
+	// Rot the persisted copy, so a cold cache's read finds it corrupt.
+	if err := ms.Put(second, Entry{Starts: []int64{1}}); err != nil {
+		t.Fatal(err)
+	}
+	cold := New(Config{Store: ms, Flight: rec})
+	cold.Lookup("GLF", g, "")
+
+	var got []obsv.FlightRecord
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var r struct {
+			Trace, Kind, Name, Detail string
+			Arg                       int64
+		}
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatalf("stream line %q: %v", line, err)
+		}
+		if r.Trace != obsv.FlightID(0) || r.Kind != obsv.FlightKindEvent {
+			t.Errorf("streamed %+v, want an untraced event", r)
+		}
+		got = append(got, obsv.FlightRecord{Name: r.Name, Detail: r.Detail, Arg: r.Arg})
+	}
+	if len(got) != 2 {
+		t.Fatalf("streamed %+v, want one cache.evict and one cache.corrupt", got)
+	}
+	if e := got[0]; e.Name != "cache.evict" || e.Detail != first.String() || e.Arg != entrySize {
+		t.Errorf("evict event %+v, want key %s and %d bytes", e, first, entrySize)
+	}
+	if e := got[1]; e.Name != "cache.corrupt" || !strings.HasPrefix(e.Detail, second.String()+": ") {
+		t.Errorf("corrupt event %+v, want key %s plus a reason", e, second)
+	}
+	if n := len(rec.Snapshot(0, "", "", 0)); n != 0 {
+		t.Errorf("ring holds %d records, want 0 (untraced events stream only)", n)
 	}
 }
 

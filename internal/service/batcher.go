@@ -43,7 +43,6 @@ type batcher struct {
 	maxWait time.Duration
 
 	metrics  *obsv.ServiceMetrics
-	events   *obsv.EventSink
 	injector core.Injector
 
 	wg sync.WaitGroup
@@ -52,7 +51,7 @@ type batcher struct {
 // newBatcher builds a batcher delivering coalesced batches to flush;
 // call start to run its loop and stop to drain it.
 func newBatcher(maxSize int, maxWait time.Duration, buffer int, flush func(*batch),
-	m *obsv.ServiceMetrics, ev *obsv.EventSink, inj core.Injector) *batcher {
+	m *obsv.ServiceMetrics, inj core.Injector) *batcher {
 
 	if maxSize < 1 {
 		maxSize = 1
@@ -63,7 +62,7 @@ func newBatcher(maxSize int, maxWait time.Duration, buffer int, flush func(*batc
 	return &batcher{
 		in: make(chan *job, buffer), flush: flush,
 		maxSize: maxSize, maxWait: maxWait,
-		metrics: m, events: ev, injector: inj,
+		metrics: m, injector: inj,
 	}
 }
 
@@ -173,7 +172,7 @@ func (b *batcher) run() {
 	}
 }
 
-// doFlush records the batch's metrics and events, consults the
+// doFlush records the batch's metrics and batch spans, consults the
 // batch-stall fault site, and hands the batch downstream.
 func (b *batcher) doFlush(bt *batch) {
 	if b.injector != nil {
@@ -192,6 +191,5 @@ func (b *batcher) doFlush(bt *batch) {
 		j.flushed = now
 		j.tc.Observe("batch", j.enqueued, now.Sub(j.enqueued))
 	}
-	b.events.ServiceBatch(bt.key, len(bt.jobs), now.Sub(bt.oldest))
 	b.flush(bt)
 }

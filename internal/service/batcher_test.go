@@ -44,7 +44,7 @@ func collectBatch(t *testing.T, ch <-chan *batch) *batch {
 func TestBatcherSizeTrigger(t *testing.T) {
 	flushed := make(chan *batch, 8)
 	b := newBatcher(3, time.Hour, 16, func(bt *batch) { flushed <- bt },
-		obsv.NewServiceMetrics(nil), nil, nil)
+		obsv.NewServiceMetrics(nil), nil)
 	b.start()
 	defer b.stop()
 	g := testGrid(t, 2)
@@ -63,7 +63,7 @@ func TestBatcherSizeTrigger(t *testing.T) {
 func TestBatcherMaxWaitTrigger(t *testing.T) {
 	flushed := make(chan *batch, 8)
 	b := newBatcher(100, 10*time.Millisecond, 16, func(bt *batch) { flushed <- bt },
-		obsv.NewServiceMetrics(nil), nil, nil)
+		obsv.NewServiceMetrics(nil), nil)
 	b.start()
 	defer b.stop()
 	g := testGrid(t, 2)
@@ -78,7 +78,7 @@ func TestBatcherMaxWaitTrigger(t *testing.T) {
 func TestBatcherKeyPartition(t *testing.T) {
 	flushed := make(chan *batch, 8)
 	b := newBatcher(100, 10*time.Millisecond, 16, func(bt *batch) { flushed <- bt },
-		obsv.NewServiceMetrics(nil), nil, nil)
+		obsv.NewServiceMetrics(nil), nil)
 	b.start()
 	defer b.stop()
 	g := testGrid(t, 2)
@@ -96,7 +96,7 @@ func TestBatcherKeyPartition(t *testing.T) {
 func TestBatcherImmediateMode(t *testing.T) {
 	flushed := make(chan *batch, 8)
 	b := newBatcher(1, time.Hour, 16, func(bt *batch) { flushed <- bt },
-		obsv.NewServiceMetrics(nil), nil, nil)
+		obsv.NewServiceMetrics(nil), nil)
 	b.start()
 	defer b.stop()
 	g := testGrid(t, 2)
@@ -110,7 +110,7 @@ func TestBatcherImmediateMode(t *testing.T) {
 func TestBatcherStopFlushesPending(t *testing.T) {
 	flushed := make(chan *batch, 8)
 	b := newBatcher(100, time.Hour, 16, func(bt *batch) { flushed <- bt },
-		obsv.NewServiceMetrics(nil), nil, nil)
+		obsv.NewServiceMetrics(nil), nil)
 	b.start()
 	g := testGrid(t, 2)
 	b.enqueue(testJob(t, "j0", "t", g))
@@ -126,7 +126,7 @@ func TestBatcherBackpressure(t *testing.T) {
 	// Never start the loop: the intake buffer is the only capacity, so
 	// the second enqueue must be refused rather than block.
 	b := newBatcher(8, time.Millisecond, 1, func(*batch) {},
-		obsv.NewServiceMetrics(nil), nil, nil)
+		obsv.NewServiceMetrics(nil), nil)
 	g := testGrid(t, 2)
 	if !b.enqueue(testJob(t, "j0", "t", g)) {
 		t.Fatal("first enqueue refused with an empty buffer")

@@ -31,7 +31,8 @@
 // HTTP-server/signal scaffolding (NotifySignals, NewHTTPServer,
 // Shutdown) that cmd/ivc builds both its -http and -serve modes on.
 //
-// Observability rides on the PR 3/PR 5 stack for free: obsv
-// ServiceMetrics families (service_*), service.* events on the
-// EventSink, and the runtime sampler during solves. See DESIGN.md §13.
+// Observability rides on the obsv stack: ServiceMetrics (service_*),
+// the runtime sampler during solves, and the flight recorder, which
+// holds each job's spans and events under one trace id. See DESIGN.md
+// §13.
 package service

@@ -450,7 +450,8 @@ func TestServiceHTTPValidation(t *testing.T) {
 
 	for _, body := range []string{
 		"{nope",
-		`{"alg":"GLL","shards":4,"x":2,"y":2,"weights":[1,2,3,4]}`, // unknown field
+		`{"alg":"GLL","shards":4,"x":2,"y":2,"weights":[1,2,3,4]}`,  // unknown field
+		`{"alg":"GLL","x":2,"y":2,"weights":[1,2,3,4]}{"alg":"BD"}`, // trailing object
 	} {
 		resp, err := http.Post(ts.URL+"/solve", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -546,5 +547,52 @@ func TestServiceDrainingSheds(t *testing.T) {
 	}
 	if !strings.Contains(res.Error, "draining") {
 		t.Errorf("shed reason %q, want draining", res.Error)
+	}
+}
+
+// TestServiceShedJobsRetire: a job shed at admission — by a draining
+// server or an injected enqueue drop — leaves the job table like any
+// finished job, retired exactly once, so refused submissions cannot pin
+// their grids past JobRetention.
+func TestServiceShedJobsRetire(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		drain bool
+	}{
+		{"draining", Config{Workers: 1, JobRetention: 4}, true},
+		{"enqueue-drop", Config{Workers: 1, JobRetention: 4,
+			Injector: chaos.New(1).EveryNth(SiteEnqueueDrop, 1, 0)}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, _ := newTestService(t, tc.cfg)
+			if tc.drain {
+				if err := srv.Close(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 20; i++ {
+				j, err := srv.Submit(&Request{Alg: "GLL", X: 2, Y: 2, Weights: []int64{1, 2, 3, 4}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st := j.snapshot().Status; st != StatusShed {
+					t.Fatalf("submission %d: status %q, want shed", i, st)
+				}
+			}
+			srv.jobsMu.Lock()
+			defer srv.jobsMu.Unlock()
+			if len(srv.jobs) != 4 || len(srv.doneOrder) != 4 {
+				t.Errorf("job table holds %d jobs (%d retired), want the 4 JobRetention keeps",
+					len(srv.jobs), len(srv.doneOrder))
+			}
+			seen := map[string]bool{}
+			for _, id := range srv.doneOrder {
+				if seen[id] || srv.jobs[id] == nil {
+					t.Errorf("retired ids %v: %s retired twice or not retained", srv.doneOrder, id)
+				}
+				seen[id] = true
+			}
+		})
 	}
 }

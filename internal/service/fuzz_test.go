@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"stencilivc/internal/grid"
@@ -9,9 +10,10 @@ import (
 
 // FuzzParseRequest feeds arbitrary POST /solve bodies through the same
 // decode and admission path as handleSolve, minus the solve. It must
-// never panic, and an accepted request must yield a stencil whose
-// weight vector covers every vertex — for the structured form, exactly
-// the weights the request sent.
+// never panic, an accepted body must be exactly one JSON value, and an
+// accepted request must yield a stencil whose weight vector covers
+// every vertex — for the structured form, exactly the weights the
+// request sent.
 func FuzzParseRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"alg":"GLL","x":2,"y":2,"weights":[1,2,3,4]}`,
@@ -24,6 +26,7 @@ func FuzzParseRequest(f *testing.F) {
 		`{"instance":"ivc3d 512 512 512\n"}`,
 		`{"instance":"ivc2d 2 1\n9223372036854775807 9223372036854775807\n"}`,
 		`{"alg":"GLL","shards":4,"x":2,"y":2,"weights":[1,2,3,4]}`,
+		`{"alg":"GLL","x":2,"y":2,"weights":[1,2,3,4]}{"alg":"BD"}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -31,6 +34,9 @@ func FuzzParseRequest(f *testing.F) {
 		req, err := decodeRequest(bytes.NewReader(body))
 		if err != nil {
 			return
+		}
+		if !json.Valid(body) {
+			t.Fatalf("accepted body %q is not exactly one JSON value", body)
 		}
 		_, _, s, err := parseRequest(&req)
 		if err != nil {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"strings"
@@ -95,15 +96,20 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// decodeRequest parses a POST /solve body. Unknown fields are an error,
-// so a misspelled or unsupported option is refused instead of silently
-// ignored.
+// decodeRequest parses a POST /solve body. Unknown fields and anything
+// but whitespace after the request object are errors, so a misspelled
+// option or a second object is refused instead of silently ignored.
 func decodeRequest(body io.Reader) (Request, error) {
 	var req Request
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	err := dec.Decode(&req)
-	return req, err
+	if err := dec.Decode(&req); err != nil {
+		return req, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return req, errors.New("trailing data after the request object")
+	}
+	return req, nil
 }
 
 // handleJob is GET /jobs/{id}: report a job's current snapshot.

@@ -43,8 +43,6 @@ type Config struct {
 	// Registry, when non-nil, receives the service_* and solver metric
 	// families and is served at /metrics.
 	Registry *obsv.Registry
-	// Events, when non-nil, receives service.* and solver events.
-	Events *obsv.EventSink
 	// Sampler, when non-nil, runs for the duration of every dispatched
 	// solve (the PR 5 runtime sampler).
 	Sampler *obsv.Sampler
@@ -56,8 +54,8 @@ type Config struct {
 	// on the record path.
 	FlightEntries int
 	// Flight, when non-nil, is used instead of a recorder built from
-	// FlightEntries — tests inject a shared recorder here so chaos
-	// injectors and the server record into the same ring.
+	// FlightEntries — so chaos injectors and the server share one ring,
+	// and ivc -serve -log can attach an Export stream to it.
 	Flight *obsv.FlightRecorder
 	// JobRetention bounds how many finished jobs GET /jobs/{id} can
 	// still see; <= 0 picks 1024.
@@ -108,9 +106,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.JobRetention <= 0 {
 		cfg.JobRetention = 1024
-	}
-	if cfg.FlightEntries <= 0 {
-		cfg.FlightEntries = 4096
 	}
 	return cfg
 }
@@ -193,14 +188,14 @@ func New(cfg Config) (*Server, error) {
 			MaxBytes: cfg.CacheBytes, // 0 picks the cache's 64 MiB default
 			Store:    store,
 			Metrics:  obsv.NewCacheMetrics(cfg.Registry),
-			Events:   cfg.Events,
+			Flight:   s.flight,
 			Injector: cfg.Injector,
 		})
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.sched = newScheduler(cfg.MaxQueuedPerTenant, cfg.TenantWeights, s.metrics, s.runBatch)
 	s.batcher = newBatcher(cfg.BatchSize, cfg.BatchWait, cfg.QueueBuffer,
-		s.sched.enqueue, s.metrics, cfg.Events, cfg.Injector)
+		s.sched.enqueue, s.metrics, cfg.Injector)
 	s.batcher.start()
 	s.sched.start(cfg.Workers)
 	return s, nil
@@ -270,7 +265,6 @@ func (s *Server) Submit(req *Request) (*job, error) {
 		s.shed(j, fmt.Sprintf("queue full for tenant %q: shedding instead of queuing unboundedly", tenant), false)
 		return j, nil
 	}
-	s.cfg.Events.ServiceAdmit(tenant, id, s.metrics.QueueDepth.Value())
 	if s.cfg.Injector != nil && s.cfg.Injector.Inject(SiteEnqueueDrop) {
 		s.sched.unadmit(tenant)
 		s.shed(j, "injected enqueue drop", true)
@@ -284,18 +278,18 @@ func (s *Server) Submit(req *Request) (*job, error) {
 	return j, nil
 }
 
-// shed finishes j as refused by the overload policy. When counted is
-// false the scheduler has not accounted the shed yet (the job never
-// held a queue slot), so the tenant's lifetime shed counter is bumped
-// here.
+// shed finishes j as refused at admission by the overload policy and
+// retires it, since no worker will. When counted is false the scheduler
+// has not accounted the shed yet (the job never held a queue slot), so
+// the tenant's lifetime shed counter is bumped here.
 func (s *Server) shed(j *job, reason string, counted bool) {
 	if !counted {
 		s.sched.shedStats(j.tenant)
 	}
 	j.tc.Event("service.shed", reason, 0)
 	s.flight.Incident(j.tc.TraceID(), "shed: "+reason)
-	s.cfg.Events.ServiceShed(j.tenant, j.id, reason)
 	j.finish(Result{Status: StatusShed, Error: reason})
+	s.retire(j)
 }
 
 // remember registers j for GET /jobs/{id}, pruning the oldest finished
@@ -348,8 +342,8 @@ func (s *Server) runJob(j *job) {
 		if rec := recover(); rec != nil {
 			se := core.PanicToError(string(j.alg), rec)
 			s.solveM.PanicsRecovered.Add(1)
+			j.tc.Event("solve.fallback", "service/worker: "+se.Error(), 0)
 			s.flight.Incident(j.tc.TraceID(), "worker panic: "+se.Error())
-			s.cfg.Events.Fallback("service/worker", se.Error())
 			j.finish(Result{Status: StatusError, Error: se.Error()})
 		}
 	}()
@@ -377,7 +371,6 @@ func (s *Server) runJob(j *job) {
 		Tenant:          j.tenant,
 		Deadline:        j.deadline,
 		Metrics:         s.solveM,
-		Events:          s.cfg.Events,
 		Sampler:         s.cfg.Sampler,
 		Injector:        s.cfg.Injector,
 		TraceCtx:        fs.Context(),
@@ -433,7 +426,6 @@ func (s *Server) runJob(j *job) {
 	s.slo.Solve.ObserveExemplar(solveWall.Seconds(), trace)
 	s.slo.Total.ObserveExemplar(total.Seconds(), trace)
 	s.sched.observeSLO(j.tenant, queueWait, solveWall, total, res.Partial)
-	s.cfg.Events.ServiceDone(j.tenant, j.id, res.MaxColor, total, res.Partial)
 }
 
 // shedExpired finishes a job whose deadline passed while it waited in
@@ -444,7 +436,6 @@ func (s *Server) shedExpired(j *job, queueWait time.Duration) {
 		float64(queueWait.Microseconds())/1000)
 	j.tc.Event("service.shed", reason, 0)
 	s.flight.Incident(j.tc.TraceID(), "shed: "+reason)
-	s.cfg.Events.ServiceShed(j.tenant, j.id, reason)
 	j.finish(Result{Status: StatusShed, Error: reason,
 		QueueMS: float64(queueWait.Microseconds()) / 1000})
 }

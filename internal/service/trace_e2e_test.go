@@ -1,8 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 
@@ -139,6 +141,49 @@ func TestServiceTraceSpanTree(t *testing.T) {
 	}
 	if st.P50SolveMS <= 0 {
 		t.Errorf("p50 solve %v, want > 0 after a completed solve", st.P50SolveMS)
+	}
+}
+
+// TestServiceFlightExport: a recorder with an Export stream, passed as
+// Config.Flight (the ivc -serve -log wiring), streams one GLL job's
+// admission, batch, schedule, solve:GLL and solve records, each once and
+// carrying the job id, and the ring's dump for the job holds exactly
+// those five records: streaming adds nothing to the ring.
+func TestServiceFlightExport(t *testing.T) {
+	rec := obsv.NewFlightRecorder(256, nil)
+	var buf bytes.Buffer
+	rec.Export(&buf)
+	_, ts := newTestService(t, Config{Workers: 1, Flight: rec})
+	code, res := postSolve(t, ts.URL, Request{Alg: "GLL", X: 8, Y: 8, Weights: gridWeights(8)})
+	if code != http.StatusOK || res.Status != StatusDone {
+		t.Fatalf("solve: status %d/%q (%s)", code, res.Status, res.Error)
+	}
+	// Stopping the stream orders its writes before the reads below.
+	n := rec.Export(nil)
+
+	want := map[string]bool{"admission": true, "batch": true, "schedule": true, "solve:GLL": true, "solve": true}
+	streamed := map[string]string{} // span id -> name
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var r flightRec
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatalf("stream line %q: %v", line, err)
+		}
+		if !want[r.Name] || r.Kind != obsv.FlightKindSpan || r.Job != res.ID || r.Trace != res.TraceID {
+			t.Errorf("streamed %+v, want one of the job's five spans", r)
+		}
+		streamed[r.Span] = r.Name
+	}
+	if len(streamed) != len(want) || n != int64(len(want)) {
+		t.Errorf("streamed %v (Export reported %d lines), want the 5 spans once each", streamed, n)
+	}
+	dump := getFlight(t, ts.URL, "job="+res.ID)
+	if len(dump.Records) != len(want) {
+		t.Errorf("ring holds %d records for the job, want %d", len(dump.Records), len(want))
+	}
+	for _, r := range dump.Records {
+		if streamed[r.Span] != r.Name {
+			t.Errorf("ring record %s/%s was not streamed", r.Name, r.Span)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package stencilivc
 
 import (
 	"io"
-	"log/slog"
 	"net/http"
 	"time"
 
@@ -12,7 +11,8 @@ import (
 // Observability types (internal/obsv), re-exported for users of the
 // public API. Attach a TraceContext and/or SolveMetrics to SolveOptions
 // to observe a solve; both are nil-safe, so leaving them nil costs
-// nothing.
+// nothing. The TraceContext's FlightRecorder holds the solve's spans
+// and events; its Export method streams them as JSON lines.
 type (
 	// MetricsRegistry is a named collection of counters, gauges, and
 	// histograms with Prometheus and expvar exposition.
@@ -20,11 +20,6 @@ type (
 	// SolveMetrics bundles the solver metric taxonomy (vertices colored,
 	// probes, conflicts, repair rounds, occupancy lengths, maxcolor).
 	SolveMetrics = obsv.SolveMetrics
-	// EventSink is the structured solve-event log: solver start/finish,
-	// speculation, repair sweeps, fallbacks, fault injections, and
-	// partial-result returns as slog records. Attach one to
-	// SolveOptions.Events; nil costs nothing.
-	EventSink = obsv.EventSink
 	// RuntimeSampler bridges the Go runtime's own metrics (GC pause and
 	// scheduler-latency histograms, heap and goroutine gauges) into a
 	// MetricsRegistry while a solve runs. Attach one to
@@ -37,7 +32,8 @@ type (
 	RuntimeSummary = obsv.SamplerSummary
 	// FlightRecorder is the bounded ring of recent span and event
 	// records: dumped via FlightHandler at /debug/flight, rendered for
-	// chrome://tracing by WriteChromeTrace.
+	// chrome://tracing by WriteChromeTrace, and streamed as JSON lines
+	// by its Export method (the ivc -log format).
 	FlightRecorder = obsv.FlightRecorder
 	// TraceContext identifies one trace (trace id + parent span); attach
 	// one from FlightRecorder.NewContext to SolveOptions.TraceCtx to
@@ -57,17 +53,6 @@ func NewMetricsRegistry() *MetricsRegistry { return obsv.NewRegistry() }
 // NewSolveMetrics registers the solver metric taxonomy in r and returns
 // the bundle; put it in SolveOptions.Metrics to count solver work.
 func NewSolveMetrics(r *MetricsRegistry) *SolveMetrics { return obsv.NewSolveMetrics(r) }
-
-// NewJSONEventSink returns a solve-event sink writing one JSON event
-// object per line to w (the wire format of ivc -log); put it in
-// SolveOptions.Events to record the solve's event stream. A nil writer
-// yields a nil (disabled) sink.
-func NewJSONEventSink(w io.Writer) *EventSink { return obsv.NewJSONEventSink(w) }
-
-// NewEventSink wraps an arbitrary slog.Handler as a solve-event sink,
-// for callers that already route structured logs somewhere. A nil
-// handler yields a nil (disabled) sink.
-func NewEventSink(h slog.Handler) *EventSink { return obsv.NewEventSink(h) }
 
 // NewRuntimeSampler returns a runtime sampler publishing into r every
 // interval (non-positive picks obsv.DefaultSampleInterval, 10ms); put

@@ -12,31 +12,14 @@ import (
 	"stencilivc"
 )
 
-// lockedBuffer is a mutex-guarded bytes.Buffer, so the event sink can
-// be handed a writer that tolerates emission from any goroutine.
-type lockedBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (b *lockedBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *lockedBuffer) String() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.String()
-}
-
 // TestMetricsScrapeDuringSolve: the full observability stack at once —
 // a PGLL solve instrumented with solver metrics, the runtime sampler,
-// and the event log, while concurrent scrapers hit the Prometheus
-// endpoint the whole time. Under -race (the make check configuration)
-// this proves the sampler's publishing, the solver's sharded counters,
-// and the exposition's reads never conflict.
+// and a flight recorder streaming its records (the -log path), while
+// concurrent scrapers hit the Prometheus endpoint the whole time. Under
+// -race (the make check configuration) this proves the sampler's
+// publishing, the solver's sharded counters, the recorder's serialized
+// stream writes from tile workers, and the exposition's reads never
+// conflict.
 func TestMetricsScrapeDuringSolve(t *testing.T) {
 	g := stencilivc.MustGrid2D(256, 256)
 	for v := range g.W {
@@ -44,12 +27,14 @@ func TestMetricsScrapeDuringSolve(t *testing.T) {
 	}
 
 	reg := stencilivc.NewMetricsRegistry()
-	events := &lockedBuffer{}
+	rec := stencilivc.NewFlightRecorder(256, reg)
+	var stream bytes.Buffer
+	rec.Export(&stream)
 	opts := &stencilivc.SolveOptions{
 		Parallelism: 4,
 		Metrics:     stencilivc.NewSolveMetrics(reg),
 		Sampler:     stencilivc.NewRuntimeSampler(reg, time.Millisecond),
-		Events:      stencilivc.NewJSONEventSink(events),
+		TraceCtx:    rec.NewContext("", ""),
 	}
 
 	srv := httptest.NewServer(stencilivc.MetricsHandler(reg))
@@ -134,10 +119,14 @@ func TestMetricsScrapeDuringSolve(t *testing.T) {
 	if sum := opts.Sampler.Summary(); sum.Samples < 1 {
 		t.Errorf("sampler summary = %+v, want at least one sample across three solves", sum)
 	}
-	log := events.String()
-	for _, msg := range []string{"solve.start", "pgreedy.speculate", "solve.finish"} {
-		if !strings.Contains(log, msg) {
-			t.Errorf("event log missing %q:\n%s", msg, log)
+	n := rec.Export(nil)
+	log := stream.String()
+	if lines := int64(strings.Count(log, "\n")); n != lines {
+		t.Errorf("Export(nil) = %d, but the stream holds %d lines", n, lines)
+	}
+	for _, name := range []string{`"name":"solve:PGLL"`, `"name":"pgreedy/speculate"`, `"name":"tile"`} {
+		if got := strings.Count(log, name); got < 3 {
+			t.Errorf("stream has %d %s records across three solves, want >= 3", got, name)
 		}
 	}
 }
