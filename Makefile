@@ -33,9 +33,10 @@ linkcheck:
 # fuzz-short runs every Fuzz* target in the tree for FUZZTIME each
 # (Go allows one -fuzz pattern per invocation, hence the loop). The
 # targets discovered today: FuzzLowestFit and FuzzOrderByKey (core),
-# FuzzRead (grid), FuzzGreedyRepair (parallel), FuzzInjectionSchedule
-# (chaos), FuzzParseRequest (service), FuzzDecodeEntry (resultcache) —
-# but the loop finds new ones automatically.
+# FuzzRead and FuzzPlaceLattice (grid), FuzzGreedyRepair (parallel),
+# FuzzInjectionSchedule (chaos), FuzzParseRequest (service),
+# FuzzDecodeEntry (resultcache) — but the loop finds new ones
+# automatically.
 FUZZTIME ?= 10s
 fuzz-short:
 	@set -e; for pkg in $$($(GO) list ./...); do \
@@ -103,13 +104,14 @@ trace-check:
 # runtimes, sequential-vs-parallel scaling) and writes machine-readable
 # numbers — plus git/wall-clock/runtime-sampler trajectory metadata —
 # to $(BENCH_OUT), with a Prometheus snapshot of the solver metrics
-# next to it. Each PR that changes performance-relevant code runs
-# `make bench BENCH_OUT=BENCH_PR<n>.json`, commits the file, and gates
-# with `go run ./cmd/benchdiff BENCH_PR<m>.json BENCH_PR<n>.json`
-# against the previous snapshot (BENCH_PR2.json is the PR 2 baseline
-# and stays untouched). Use `make bench BENCH_FLAGS=-quick` for a fast
-# smoke run.
-BENCH_OUT ?= BENCH_PR7.json
+# next to it. The default, BENCH_LOCAL.json (and .metrics.prom), is a
+# git-ignored scratch name, so a run never overwrites a committed
+# snapshot. To commit one, run `make bench BENCH_OUT=BENCH_PR<n>.json`
+# and gate with `go run ./cmd/benchdiff BENCH_PR<m>.json
+# BENCH_PR<n>.json` against the previous snapshot (BENCH_PR2.json is
+# the PR 2 baseline and stays untouched). Use `make bench
+# BENCH_FLAGS=-quick` for a fast smoke run.
+BENCH_OUT ?= BENCH_LOCAL.json
 bench:
 	$(GO) run ./cmd/ivcbench $(BENCH_FLAGS) -out $(BENCH_OUT) -metrics $(BENCH_OUT:.json=.metrics.prom)
 

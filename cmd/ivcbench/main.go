@@ -8,7 +8,8 @@
 //
 // Usage:
 //
-//	ivcbench -out BENCH_PR7.json           full suite (2048^2 2D, 128^3 3D)
+//	ivcbench                               full suite (2048^2 2D, 128^3 3D) -> BENCH_LOCAL.json
+//	ivcbench -out BENCH_PR<n>.json         the same, as a snapshot to commit
 //	ivcbench -quick -out /dev/stdout       small grids, for smoke runs
 //	ivcbench -metrics BENCH.metrics.prom   also snapshot solver metrics
 //	ivcbench -log BENCH.records.jsonl      also stream every solve's spans and events as JSON lines
@@ -164,7 +165,7 @@ func main() {
 }
 
 func run() error {
-	out := flag.String("out", "BENCH_PR7.json", "output JSON file ('-' for stdout)")
+	out := flag.String("out", "BENCH_LOCAL.json", "output JSON file ('-' for stdout)")
 	quick := flag.Bool("quick", false, "use small grids (fast smoke run)")
 	seed := flag.Int64("seed", 1, "weight RNG seed for the scaling grids")
 	metricsOut := flag.String("metrics", "", "also write a Prometheus snapshot of the solver metrics to this file")

@@ -33,16 +33,29 @@ type UniformWeighter interface {
 
 // UniformWeight reports whether every vertex of g has the same positive
 // weight. Graphs implementing UniformWeighter (CSR, whose private
-// weight slice makes a cached verdict sound) answer in O(1); the
-// fallback scans all weights once. The grids deliberately do NOT cache:
-// their weight slices are exported and written directly all over the
-// codebase, so a construction-time verdict could silently survive a
-// mutation to mixed weights and corrupt placements. Callers that place
-// many vertices should compute this once per solve, not per placement —
-// FitScratch caches it when it binds.
+// weight slice makes a cached verdict sound) answer in O(1), and that
+// verdict takes precedence; a Lattice is scanned through its weight
+// slice, any other graph through Weight. The grids deliberately do NOT
+// cache: their weight slices are exported and written directly all
+// over the codebase, so a construction-time verdict could silently
+// survive a mutation to mixed weights and corrupt placements. Callers
+// that place many vertices should compute this once per solve, not per
+// placement — FitScratch caches it when it binds.
 func UniformWeight(g Graph) (int64, bool) {
 	if uw, ok := g.(UniformWeighter); ok {
 		return uw.UniformWeight()
+	}
+	if l, ok := g.(Lattice); ok {
+		w, _, _, _ := l.Lattice()
+		if len(w) == 0 || w[0] <= 0 {
+			return 0, false
+		}
+		for _, wv := range w {
+			if wv != w[0] {
+				return 0, false
+			}
+		}
+		return w[0], true
 	}
 	return ScanUniformWeight(g)
 }

@@ -23,19 +23,26 @@ type Graph interface {
 	Neighbors(v int, buf []int) []int
 }
 
-// MaxFixedDegree is the largest neighbor count a FixedGraph may report:
-// 26, the degree of an interior 27-pt stencil vertex (the 9-pt stencil's
-// 8 fits inside the same bound).
+// MaxFixedDegree is the largest degree of a Lattice vertex: 26, that of
+// an interior 27-pt stencil vertex (the 9-pt stencil's 8 fits inside
+// the same bound). It sizes the placement kernel's fixed neighbor,
+// offset and occupancy arrays.
 const MaxFixedDegree = 26
 
-// FixedGraph is implemented by graphs whose degree is bounded by
-// MaxFixedDegree — the implicit stencils. NeighborsFixed writes the
-// neighbors of v into buf and returns the count, letting hot placement
-// loops enumerate adjacency into a fixed-size array with no slice append
-// and no heap traffic. The reported neighbors must match Neighbors.
-type FixedGraph interface {
+// Lattice is implemented by the stencil grids: a Graph whose vertices
+// are the cells of an x×y×z box with x-fastest ids, (k*y+j)*x+i, two
+// cells adjacent iff every coordinate differs by at most one, and whose
+// weights live in one flat slice. A kernel bound to a Lattice reads
+// weights from that slice and takes an interior vertex's neighbors from
+// a fixed offset table, with no interface call per neighbor; boundary
+// vertices still go through Neighbors.
+type Lattice interface {
 	Graph
-	NeighborsFixed(v int, buf *[MaxFixedDegree]int) int
+	// Lattice returns the weight slice, indexed by vertex id, and the
+	// extents x, y, z, with z = 1 for a 9-pt grid. FitScratch only
+	// reads the slice, and binds it once per solve, as it binds the
+	// uniform-weight verdict.
+	Lattice() (w []int64, x, y, z int)
 }
 
 // DegreeGraph is an optional interface for graphs that can answer vertex

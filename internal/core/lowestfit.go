@@ -76,17 +76,16 @@ const occTallyLen = 33
 // work done, which Flush hands to the stats sink and metrics bundle
 // once per solve.
 //
-// A kernel is bound to one graph at a time and caches the
-// uniform-weight verdict when it binds. The zero value is ready to use:
+// A kernel is bound to one graph at a time and caches, when it binds,
+// the graph's weights as one slice, its uniform-weight verdict and, for
+// a Lattice, its interior offset table. The zero value is ready to use:
 // PlaceLowest binds on first use and rebinds whenever it is handed a
 // different graph. A FitScratch is not safe for concurrent use; each
 // tile worker embeds its own.
 type FitScratch struct {
-	g     Graph
-	fixed FixedGraph // g as a FixedGraph, nil when it is not one
-	uniW  int64      // the common weight of every vertex of g, 0 when mixed
+	binding
 	// fixN and fixI back placements with at most MaxFixedDegree
-	// neighbors (every stencil placement): ids and occupied intervals
+	// neighbors (every Lattice placement): ids and occupied intervals
 	// live in fixed-size arrays, so the gather allocates nothing.
 	fixN [MaxFixedDegree]int
 	fixI [MaxFixedDegree]Interval
@@ -102,22 +101,61 @@ type FitScratch struct {
 	bulk             int64
 }
 
-// Bind points the kernel at g and caches what every placement would
-// otherwise recompute: g's fixed-degree view and its uniform-weight
-// verdict (one O(n) weight scan for the grids). Solvers bind once per
-// solve; tallies are kept across a rebind.
-func (s *FitScratch) Bind(g Graph) {
-	s.g = g
-	s.fixed, _ = g.(FixedGraph)
-	s.uniW, _ = UniformWeight(g)
+// binding is what Bind caches about the bound graph; BindAs copies it
+// whole.
+type binding struct {
+	g    Graph
+	uniW int64   // the common weight of every vertex of g, 0 when mixed
+	w    []int64 // the weight of every vertex of g, by id
+	// x, y and z are a bound Lattice's extents, and off[:deg] the ids
+	// of an interior vertex's neighbors relative to its own, in
+	// Neighbors' (dk, dj, di) order: 8 in-plane offsets when z = 1,
+	// else 26. deg is 0 for any other graph.
+	x, y, z int
+	off     [MaxFixedDegree]int
+	deg     int
 }
 
-// BindAs binds s to the graph o is bound to, reusing o's
-// uniform-weight verdict instead of rescanning the weights, so the tile
-// workers of one solve share a single scan.
-func (s *FitScratch) BindAs(o *FitScratch) {
-	s.g, s.fixed, s.uniW = o.g, o.fixed, o.uniW
+// Bind points the kernel at g and caches what every placement would
+// otherwise recompute: g's weights as one slice, its uniform-weight
+// verdict and, when g is a Lattice, its extents and interior offset
+// table. A Lattice's or CSRGraph's own weight slice is bound as it is;
+// any other graph's weights are copied, so the gather reads a slice on
+// every graph. Solvers bind once per solve; tallies are kept across a
+// rebind.
+func (s *FitScratch) Bind(g Graph) {
+	b := binding{g: g}
+	switch l := g.(type) {
+	case Lattice:
+		b.w, b.x, b.y, b.z = l.Lattice()
+		// A lattice one layer deep has exactly its plane's neighbors.
+		dk := min(b.z-1, 1)
+		for k := -dk; k <= dk; k++ {
+			for j := -1; j <= 1; j++ {
+				for i := -1; i <= 1; i++ {
+					if i != 0 || j != 0 || k != 0 {
+						b.off[b.deg] = (k*b.y+j)*b.x + i
+						b.deg++
+					}
+				}
+			}
+		}
+	case *CSRGraph:
+		b.w = l.weights
+	default:
+		b.w = make([]int64, g.Len())
+		for v := range b.w {
+			b.w[v] = g.Weight(v)
+		}
+	}
+	b.uniW, _ = UniformWeight(g)
+	s.binding = b
 }
+
+// BindAs binds s to the graph o is bound to, copying o's binding
+// instead of rescanning the weights, so the tile workers of one solve
+// share a single bind.
+func (s *FitScratch) BindAs(o *FitScratch) { s.binding = o.binding }
 
 // PlaceLowest computes the lowest feasible start for vertex v given the
 // colored neighbors in c, ignoring vertex skip (pass -1 to ignore none;
@@ -138,12 +176,39 @@ func (s *FitScratch) PlaceLowest(g Graph, c Coloring, v int, skip int) int64 {
 // buffer (valid until the next call). Callers may drop entries before
 // passing the list to Place: that is how visibility rules, such as the
 // parallel solver's blind speculation, reach the kernel.
+//
+// On a Lattice an interior vertex's list comes from the offset table
+// and a boundary vertex's from the grid's Neighbors, both in the fixed
+// array.
 func (s *FitScratch) Neighbors(v int) []int {
-	if s.fixed != nil {
-		return s.fixN[:s.fixed.NeighborsFixed(v, &s.fixN)]
+	if s.deg == 0 {
+		s.nbuf = s.g.Neighbors(v, s.nbuf[:0])
+		return s.nbuf
 	}
-	s.nbuf = s.g.Neighbors(v, s.nbuf[:0])
-	return s.nbuf
+	if !s.interior(v) {
+		return s.g.Neighbors(v, s.fixN[:0])
+	}
+	nb := s.fixN[:s.deg]
+	for k, off := range s.off[:s.deg] {
+		nb[k] = v + off
+	}
+	return nb
+}
+
+// interior reports whether v lies off every face of the bound lattice,
+// so that all of off[:deg] are its neighbors: one divide when z = 1,
+// two otherwise.
+func (s *FitScratch) interior(v int) bool {
+	q := v / s.x
+	if i := v - q*s.x; i == 0 || i == s.x-1 {
+		return false
+	}
+	if s.z == 1 {
+		return q > 0 && q < s.y-1
+	}
+	k := q / s.y
+	j := q - k*s.y
+	return j > 0 && j < s.y-1 && k > 0 && k < s.z-1
 }
 
 // Place returns the lowest start for v whose interval avoids every
@@ -156,28 +221,44 @@ func (s *FitScratch) Place(c Coloring, v int, nb []int) int64 {
 			return start
 		}
 	}
-	g, start := s.g, c.Start
-	occ := s.fixI[:0]
 	if len(nb) > len(s.fixI) {
-		occ = s.occ[:0]
+		s.occ = s.Gather(s.occ[:0], c, nb)
+		return s.Fit(s.occ, v)
 	}
+	return s.Fit(s.Gather(s.fixI[:0], c, nb), v)
+}
+
+// Gather appends to occ the interval of every colored vertex of nb in c
+// (zero-weight vertices occupy none) and returns the extended list; it
+// is the first half of Place's interval rung, and the kernel's only
+// gather loop. A caller that places one vertex many times against a
+// partly fixed neighborhood, like SGK's permutation search, gathers the
+// fixed part once and appends the rest before each Fit. Starts are read
+// atomically, as in Place.
+func (s *FitScratch) Gather(occ []Interval, c Coloring, nb []int) []Interval {
+	w, start := s.w, c.Start
 	for _, u := range nb {
 		su := atomic.LoadInt64(&start[u])
 		if su == Unset {
 			continue
 		}
-		if w := g.Weight(u); w > 0 {
-			occ = append(occ, Interval{Start: su, End: su + w})
+		if wu := w[u]; wu > 0 {
+			occ = append(occ, Interval{Start: su, End: su + wu})
 		}
 	}
-	if len(nb) > len(s.fixI) {
-		s.occ = occ
-	}
+	return occ
+}
+
+// Fit is the second half of Place's interval rung: it tallies one
+// placement of v against occ and returns the lowest start whose
+// interval avoids all of occ, scanning short lists and sorting long
+// ones (which it may reorder).
+func (s *FitScratch) Fit(occ []Interval, v int) int64 {
 	s.tally(len(occ))
 	if len(occ) <= smallSortMax {
-		return LowestFitStream(occ, g.Weight(v))
+		return LowestFitStream(occ, s.w[v])
 	}
-	return LowestFit(occ, g.Weight(v))
+	return LowestFit(occ, s.w[v])
 }
 
 // placeSlots is the uniform-weight rung of Place: each colored

@@ -11,6 +11,9 @@
 // differ by at most 1 in every axis (likewise per-axis for the 27-pt
 // stencil) — so a grid stores only its weight array, ids are row-major
 // (id = j*X + i, layers stacked in 3D), and the degree never exceeds
-// core.MaxFixedDegree = 26. That fixed bound is what lets the placement
-// kernels run allocation-free.
+// core.MaxFixedDegree = 26. Both grids are core.Lattice views (weight
+// slice plus extents): the placement kernel binds the slice once per
+// solve, takes an interior vertex's neighbors from a fixed offset table
+// and a boundary vertex's from Neighbors, the grid's one neighbor
+// enumeration, and so runs allocation-free.
 package grid

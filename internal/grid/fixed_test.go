@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -13,28 +14,34 @@ import (
 // forcing PlaceLowest onto its generic (slice-based) path.
 type genericOnly struct{ core.Graph }
 
-// TestNeighborsFixedMatchesNeighbors: the fixed-array enumeration reports
-// exactly the same neighbor set as the slice-based one, for every vertex.
-func TestNeighborsFixedMatchesNeighbors(t *testing.T) {
-	graphs := []core.FixedGraph{
+// latticeShapes are the grids the kernel's lattice binding is checked
+// on: degenerate lines and columns, shapes with no interior vertex
+// (2×2) or exactly one (3×3, 3×3×3), and 3D grids one cell thick along
+// each axis in turn, where the interior offset table must not be
+// applied.
+func latticeShapes() []Stencil {
+	return []Stencil{
 		MustGrid2D(1, 1), MustGrid2D(7, 1), MustGrid2D(1, 9), MustGrid2D(6, 5),
+		MustGrid2D(2, 2), MustGrid2D(3, 3), MustGrid2D(7, 6),
 		MustGrid3D(1, 1, 3), MustGrid3D(4, 3, 5), MustGrid3D(3, 3, 3),
+		MustGrid3D(5, 4, 1), MustGrid3D(5, 1, 4), MustGrid3D(1, 5, 4), MustGrid3D(4, 4, 3),
 	}
-	for _, g := range graphs {
-		var fix [core.MaxFixedDegree]int
+}
+
+// TestNeighborsFixedMatchesNeighbors: a kernel bound to a grid lists
+// exactly the neighbor set of the grid's Neighbors for every vertex,
+// whether it takes the interior offset table or the boundary path.
+func TestNeighborsFixedMatchesNeighbors(t *testing.T) {
+	for _, g := range latticeShapes() {
+		var s core.FitScratch
+		s.Bind(g)
 		for v := 0; v < g.Len(); v++ {
 			want := g.Neighbors(v, nil)
-			n := g.NeighborsFixed(v, &fix)
-			got := append([]int{}, fix[:n]...)
+			got := append([]int{}, s.Neighbors(v)...)
 			sort.Ints(got)
 			sort.Ints(want)
-			if len(got) != len(want) {
-				t.Fatalf("%v vertex %d: NeighborsFixed=%v Neighbors=%v", g, v, got, want)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%v vertex %d: NeighborsFixed=%v Neighbors=%v", g, v, got, want)
-				}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%v vertex %d: kernel Neighbors=%v, grid Neighbors=%v", g, v, got, want)
 			}
 			if d := core.Degree(g, v); d != len(want) {
 				t.Fatalf("%v vertex %d: Degree=%d, want %d", g, v, d, len(want))
@@ -60,13 +67,13 @@ func TestRelaxedDegrees(t *testing.T) {
 	}
 }
 
-// TestPlaceFixedMatchesGeneric: the stencil fast path of PlaceLowest
-// returns the same start as the generic path, over random partial
-// colorings and all skip arguments.
+// TestPlaceFixedMatchesGeneric: a kernel bound to a grid (the lattice
+// path of PlaceLowest) and one sharing that binding through BindAs
+// return the same start as the generic path, over random partial
+// colorings, every vertex and every skip argument.
 func TestPlaceFixedMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	stencils := []Stencil{MustGrid2D(7, 6), MustGrid3D(4, 4, 3)}
-	for _, g := range stencils {
+	for _, g := range latticeShapes() {
 		for v := range weights(g) {
 			setWeight(g, v, rng.Int63n(7))
 		}
@@ -76,13 +83,18 @@ func TestPlaceFixedMatchesGeneric(t *testing.T) {
 				c.Start[v] = rng.Int63n(15)
 			}
 		}
-		var fast, slow core.FitScratch
+		var fast, owner, shared, slow core.FitScratch
+		owner.Bind(g)
+		shared.BindAs(&owner)
 		for v := 0; v < g.Len(); v++ {
-			for _, skip := range []int{-1, 0, v, (v + 1) % g.Len()} {
-				got := fast.PlaceLowest(g, c, v, skip)
+			skips := append([]int{-1, 0, v, (v + 1) % g.Len()}, g.Neighbors(v, nil)...)
+			for _, skip := range skips {
 				want := slow.PlaceLowest(genericOnly{g}, c, v, skip)
-				if got != want {
-					t.Fatalf("%v vertex %d skip %d: fixed=%d generic=%d", g, v, skip, got, want)
+				if got := fast.PlaceLowest(g, c, v, skip); got != want {
+					t.Fatalf("%v vertex %d skip %d: lattice=%d generic=%d", g, v, skip, got, want)
+				}
+				if got := shared.PlaceLowest(g, c, v, skip); got != want {
+					t.Fatalf("%v vertex %d skip %d: BindAs=%d generic=%d", g, v, skip, got, want)
 				}
 			}
 		}
@@ -101,7 +113,7 @@ func weights(s Stencil) []int64 {
 
 func setWeight(s Stencil, v int, w int64) { weights(s)[v] = w }
 
-// TestPlaceLowestNoAllocs: the FixedGraph fast path does zero heap work
+// TestPlaceLowestNoAllocs: the lattice path does zero heap work
 // per placement — the contract behind the tile-parallel solver's
 // allocation-free inner loop. The contract holds both bare and with a
 // stats sink and metrics bundle attached: flushing the kernel's tallies

@@ -2,8 +2,11 @@ package grid
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
+
+	"stencilivc/internal/core"
 )
 
 // FuzzRead hardens the instance parser: arbitrary input must never panic,
@@ -51,6 +54,56 @@ func FuzzRead(f *testing.F) {
 			}
 		default:
 			t.Fatal("Read returned neither grid without error")
+		}
+	})
+}
+
+// FuzzPlaceLattice cross-checks the kernel's lattice path against its
+// generic path: on a grid of fuzzed extents (1–6 per axis, 2D or 3D)
+// under a seeded partial coloring, a kernel bound to the grid and one
+// bound to genericOnly{g} return the same start for every vertex, with
+// no skip or with each of its neighbors skipped. Weights are mixed 0–9,
+// or one common weight with slot-aligned starts so the free-map rung
+// runs.
+func FuzzPlaceLattice(f *testing.F) {
+	// Extents are given minus one: (4, 3, 0) is a 5×4×1 grid.
+	f.Add(false, uint8(5), uint8(4), uint8(0), int64(1), uint8(0), uint8(2))
+	f.Add(false, uint8(2), uint8(2), uint8(0), int64(2), uint8(1), uint8(0))
+	f.Add(true, uint8(2), uint8(2), uint8(2), int64(3), uint8(0), uint8(1))
+	f.Add(true, uint8(4), uint8(3), uint8(0), int64(4), uint8(0), uint8(3))
+	f.Add(true, uint8(4), uint8(0), uint8(3), int64(5), uint8(0), uint8(2))
+	f.Add(true, uint8(0), uint8(4), uint8(3), int64(6), uint8(0), uint8(2))
+	f.Add(true, uint8(3), uint8(3), uint8(3), int64(7), uint8(5), uint8(2))
+	f.Add(true, uint8(5), uint8(5), uint8(5), int64(8), uint8(0), uint8(1))
+	f.Fuzz(func(t *testing.T, is3D bool, x, y, z uint8, seed int64, common, sparsity uint8) {
+		x, y, z = x%6+1, y%6+1, z%6+1
+		var g Stencil = MustGrid2D(int(x), int(y))
+		if is3D {
+			g = MustGrid3D(int(x), int(y), int(z))
+		}
+		rng := rand.New(rand.NewSource(seed))
+		uni := int64(common % 10) // the common weight; 0 means mixed
+		w := weights(g)
+		for v := range w {
+			w[v] = uni
+			if uni == 0 {
+				w[v] = rng.Int63n(10)
+			}
+		}
+		c := core.NewColoring(g.Len())
+		for v := range c.Start {
+			if rng.Intn(int(sparsity%4)+2) > 0 {
+				c.Start[v] = rng.Int63n(12) * max(uni, 1)
+			}
+		}
+		var lattice, generic core.FitScratch
+		for v := 0; v < g.Len(); v++ {
+			for _, skip := range append([]int{-1}, g.Neighbors(v, nil)...) {
+				got := lattice.PlaceLowest(g, c, v, skip)
+				if want := generic.PlaceLowest(genericOnly{g}, c, v, skip); got != want {
+					t.Fatalf("%v vertex %d skip %d: lattice=%d generic=%d", g, v, skip, got, want)
+				}
+			}
 		}
 	})
 }

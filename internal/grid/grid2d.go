@@ -173,28 +173,9 @@ func (g *Grid2D) Neighbors(v int, buf []int) []int {
 	return buf
 }
 
-// NeighborsFixed writes the 9-pt stencil neighbors of v (up to 8) into
-// buf and returns the count; it is the allocation-free enumeration the
-// placement kernels use (core.FixedGraph).
-func (g *Grid2D) NeighborsFixed(v int, buf *[core.MaxFixedDegree]int) int {
-	i, j := g.Coords(v)
-	m := 0
-	for dj := -1; dj <= 1; dj++ {
-		nj := j + dj
-		if nj < 0 || nj >= g.Y {
-			continue
-		}
-		for di := -1; di <= 1; di++ {
-			ni := i + di
-			if ni < 0 || ni >= g.X || (di == 0 && dj == 0) {
-				continue
-			}
-			buf[m] = nj*g.X + ni
-			m++
-		}
-	}
-	return m
-}
+// Lattice returns the weight slice and the extents X, Y, 1: a 9-pt grid
+// is a lattice one layer deep (core.Lattice).
+func (g *Grid2D) Lattice() ([]int64, int, int, int) { return g.W, g.X, g.Y, 1 }
 
 // Degree returns the 9-pt degree of v in O(1) from its coordinates.
 func (g *Grid2D) Degree(v int) int {
@@ -216,7 +197,7 @@ func span(c, n int) int {
 }
 
 var (
-	_ core.FixedGraph  = (*Grid2D)(nil)
+	_ core.Lattice     = (*Grid2D)(nil)
 	_ core.DegreeGraph = (*Grid2D)(nil)
 )
 

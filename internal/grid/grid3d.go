@@ -141,34 +141,9 @@ func (g *Grid3D) Neighbors(v int, buf []int) []int {
 	return buf
 }
 
-// NeighborsFixed writes the 27-pt stencil neighbors of v (up to 26) into
-// buf and returns the count; it is the allocation-free enumeration the
-// placement kernels use (core.FixedGraph).
-func (g *Grid3D) NeighborsFixed(v int, buf *[core.MaxFixedDegree]int) int {
-	i, j, k := g.Coords(v)
-	m := 0
-	for dk := -1; dk <= 1; dk++ {
-		nk := k + dk
-		if nk < 0 || nk >= g.Z {
-			continue
-		}
-		for dj := -1; dj <= 1; dj++ {
-			nj := j + dj
-			if nj < 0 || nj >= g.Y {
-				continue
-			}
-			for di := -1; di <= 1; di++ {
-				ni := i + di
-				if ni < 0 || ni >= g.X || (di == 0 && dj == 0 && dk == 0) {
-					continue
-				}
-				buf[m] = (nk*g.Y+nj)*g.X + ni
-				m++
-			}
-		}
-	}
-	return m
-}
+// Lattice returns the weight slice and the extents X, Y, Z
+// (core.Lattice).
+func (g *Grid3D) Lattice() ([]int64, int, int, int) { return g.W, g.X, g.Y, g.Z }
 
 // Degree returns the 27-pt degree of v in O(1) from its coordinates.
 func (g *Grid3D) Degree(v int) int {
@@ -177,7 +152,7 @@ func (g *Grid3D) Degree(v int) int {
 }
 
 var (
-	_ core.FixedGraph  = (*Grid3D)(nil)
+	_ core.Lattice     = (*Grid3D)(nil)
 	_ core.DegreeGraph = (*Grid3D)(nil)
 )
 

@@ -130,12 +130,22 @@ func SmartLargestCliqueFirst2D(g *grid.Grid2D) core.Coloring {
 // block: members holds the current block, uncolored its still-uncolored
 // members in stored order, perm the order under trial, and best the
 // starts (aligned with uncolored) of the best order found so far.
+//
+// Only the uncolored members change during a block's search, so each
+// one's occupancy from the rest of the coloring is gathered once, into
+// occ (aligned with perm, and permuted with it). A trial placement of
+// perm[k] copies occ[k] into trial, gathers the members placed before
+// it, perm[:k] (a block is a clique), and runs the kernel's fit; it
+// tallies one placement against as many intervals as a full re-gather
+// would.
 type permSearch struct {
 	g core.Graph
 	c core.Coloring
 	s *core.FitScratch
 
 	members, uncolored, perm []int
+	occ                      [][]core.Interval
+	trial                    []core.Interval
 	best                     []int64
 	bestLocal                int64
 }
@@ -157,6 +167,12 @@ func (ps *permSearch) commitBest(offsets []int, a int) {
 		return
 	}
 	ps.perm = append(ps.perm[:0], ps.uncolored...)
+	for len(ps.occ) < len(ps.uncolored) {
+		ps.occ = append(ps.occ, make([]core.Interval, 0, core.MaxFixedDegree))
+	}
+	for i, v := range ps.uncolored {
+		ps.occ[i] = ps.s.Gather(ps.occ[i][:0], ps.c, ps.s.Neighbors(v))
+	}
 	ps.best = append(ps.best[:0], make([]int64, len(ps.uncolored))...)
 	ps.bestLocal = math.MaxInt64
 	ps.try(0)
@@ -185,13 +201,16 @@ func (ps *permSearch) try(k int) {
 		}
 		return
 	}
-	perm := ps.perm
+	perm, occ := ps.perm, ps.occ
 	for i := k; i < len(perm); i++ {
 		perm[k], perm[i] = perm[i], perm[k]
+		occ[k], occ[i] = occ[i], occ[k]
 		v := perm[k]
-		c.Start[v] = ps.s.Place(c, v, ps.s.Neighbors(v))
+		ps.trial = ps.s.Gather(append(ps.trial[:0], occ[k]...), c, perm[:k])
+		c.Start[v] = ps.s.Fit(ps.trial, v)
 		ps.try(k + 1)
 		c.Start[v] = core.Unset
+		occ[k], occ[i] = occ[i], occ[k]
 		perm[k], perm[i] = perm[i], perm[k]
 	}
 }

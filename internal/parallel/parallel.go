@@ -119,13 +119,13 @@ type Config struct {
 // Cancellation is never masked by the fallback: a canceled context
 // propagates as the context's error.
 func Greedy(s grid.Stencil, cfg Config, opts *core.SolveOptions) (core.Coloring, error) {
-	fg, ok := s.(core.FixedGraph)
+	lg, ok := s.(core.Lattice)
 	if !ok {
-		// Future stencil types without a fixed-degree kernel still solve
+		// Future stencil types that are not lattices still solve
 		// correctly, just sequentially.
 		return core.GreedyColorOpts(s, s.LineOrder(), opts)
 	}
-	c, err := speculative(fg, s, cfg, opts)
+	c, err := speculative(lg, s, cfg, opts)
 	if err == nil {
 		return c, nil
 	}
@@ -156,7 +156,7 @@ func fallbackOrder(s grid.Stencil, cfg Config) []int {
 // speculative runs the speculate/repair/complete pipeline, containing
 // worker panics as typed errors for Greedy to act on. When tracing, the
 // pgreedy/speculate span's arg is the tile count.
-func speculative(fg core.FixedGraph, s grid.Stencil, cfg Config, opts *core.SolveOptions) (core.Coloring, error) {
+func speculative(lg core.Lattice, s grid.Stencil, cfg Config, opts *core.SolveOptions) (core.Coloring, error) {
 	size := cfg.TileSize
 	if size <= 0 {
 		if s.Dims() == 3 {
@@ -177,16 +177,16 @@ func speculative(fg core.FixedGraph, s grid.Stencil, cfg Config, opts *core.Solv
 	bufs := acquireBufs(len(tl.Tiles), s.Len(), max(par, 1))
 	defer releaseBufs(bufs)
 	r := &run{
-		g: fg, s: s, tl: tl, cfg: cfg, opts: opts,
+		g: lg, s: s, tl: tl, cfg: cfg, opts: opts,
 		inj:  opts.Faults(),
 		c:    core.NewColoring(s.Len()),
 		par:  par,
 		bufs: bufs,
 		mark: bufs.mark,
 	}
-	// One bind per solve: every worker kernel shares its uniform-weight
-	// verdict (BindAs) instead of rescanning the weights.
-	r.fit.Bind(fg)
+	// One bind per solve: every worker kernel shares its binding (BindAs)
+	// instead of rescanning the weights.
+	r.fit.Bind(lg)
 
 	sp := opts.FlightCtx().Start("pgreedy/speculate")
 	err = r.speculate(sp.Context())
@@ -205,7 +205,7 @@ func speculative(fg core.FixedGraph, s grid.Stencil, cfg Config, opts *core.Solv
 
 // run holds the shared state of one solve.
 type run struct {
-	g    core.FixedGraph
+	g    core.Lattice
 	s    grid.Stencil
 	tl   *grid.Tiling
 	cfg  Config
