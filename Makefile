@@ -59,11 +59,16 @@ check: fmt-check vet race fuzz-short doclint linkcheck benchdiff-smoke serve-smo
 
 # cache-check is the result-cache tier: the content-addressed cache and
 # its persistence stores under the race detector (the concurrent
-# get/put/evict storm runs here), plus the dispatch-layer guards — the
-# nil-cache path stays 0 allocs/op and a cache hit skips the solver.
+# get/put/evict storm and the shared view's tests run here), plus the
+# dispatch-layer guards — the nil-cache path stays 0 allocs/op and a
+# cache hit skips the solver — and the daemon's ownership rules, ten
+# times under the race detector: a finished job holds no grid, a hit's
+# starts are the cache entry's array, and concurrent clients polling
+# shared answers under evictions all get a direct solve's bytes.
 cache-check:
 	$(GO) test -race ./internal/resultcache/...
 	$(GO) test -run 'TestNilCacheLookupNoAllocs|TestRunCacheHitSkipsSolver' ./internal/heuristics
+	$(GO) test -race -count=10 -run 'TestFinishedJobHoldsNoGrid|TestServiceHitSharesCacheEntry|TestServiceSharedAnswersConcurrent|TestServiceCacheHitByteIdentical' ./internal/service
 
 # bench-kernel is the quick placement-kernel tier: the PlaceLowest
 # micro-benchmarks (interval, streaming, and packed free-map paths, and

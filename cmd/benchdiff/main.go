@@ -18,9 +18,11 @@
 // else as `go test -bench` text. Benchmarks present in only one
 // snapshot are listed as added/removed but never gate.
 //
-// The header names each side's host (cpu_model or "unknown", num_cpu)
-// and notes a cross-host comparison when they differ; the gate is the
-// same either way.
+// The header names each side's host (cpu_model or "unknown", num_cpu).
+// When they differ the comparison is cross-host: ns/op rows still print,
+// but they do not gate, since a ns/op delta then mixes the host change
+// with the code change; allocs/op rows gate either way, because an
+// allocation count does not depend on the host.
 //
 // A ns/op regression is new > old*(1+threshold). An allocs/op
 // regression is any increase from zero (the 0 allocs/op pins are exact
@@ -60,7 +62,9 @@ noise policy:
   allocs/op is treated as exact where it can be: any increase from 0
   gates regardless of the threshold (0 allocs/op pins are contracts),
   a nonzero count gets the relative threshold. Improvements never
-  gate. Benchmarks present in only one snapshot never gate.`)
+  gate. Benchmarks present in only one snapshot never gate. Between
+  snapshots whose cpu_model or num_cpu differ, ns/op does not gate
+  (allocs/op still does).`)
 	}
 	flag.Parse()
 	threshold, err := parseThreshold(*thresholdArg)
@@ -275,7 +279,8 @@ type Delta struct {
 	Old, New Bench
 	// NsRatio is New.NsPerOp / Old.NsPerOp (1.0 = unchanged).
 	NsRatio float64
-	// NsRegressed marks a ns/op increase beyond the threshold.
+	// NsRegressed marks a ns/op increase beyond the threshold; it gates
+	// only when both snapshots come from one host.
 	NsRegressed bool
 	// AllocsRegressed marks an allocs/op increase beyond the gate (any
 	// increase from zero; relative threshold otherwise).
@@ -292,11 +297,14 @@ type Diff struct {
 	Added, Removed []string
 	// Threshold is the relative noise threshold the gate used.
 	Threshold float64
+	// CrossHost marks snapshots from different hosts: their ns/op
+	// regressions are reported but do not gate.
+	CrossHost bool
 }
 
 // diff matches benchmarks by name and classifies every matched pair.
 func diff(oldSnap, newSnap *Snapshot, threshold float64) *Diff {
-	d := &Diff{Threshold: threshold}
+	d := &Diff{Threshold: threshold, CrossHost: oldSnap.host() != newSnap.host()}
 	for _, name := range oldSnap.Order {
 		ob := oldSnap.Benches[name]
 		nb, ok := newSnap.Benches[name]
@@ -311,7 +319,7 @@ func diff(oldSnap, newSnap *Snapshot, threshold float64) *Diff {
 		}
 		dl.AllocsRegressed = allocsRegressed(ob.AllocsOp, nb.AllocsOp, threshold)
 		d.Deltas = append(d.Deltas, dl)
-		if dl.NsRegressed || dl.AllocsRegressed {
+		if (dl.NsRegressed && !d.CrossHost) || dl.AllocsRegressed {
 			d.Regressions = append(d.Regressions, dl)
 		}
 	}
@@ -345,10 +353,9 @@ func render(d *Diff, oldSnap, newSnap *Snapshot) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "benchdiff: %s (%s) -> %s (%s), threshold %.0f%%\n",
 		oldSnap.Path, oldSnap.Label, newSnap.Path, newSnap.Label, d.Threshold*100)
-	oldHost, newHost := oldSnap.host(), newSnap.host()
-	fmt.Fprintf(&b, "hosts: old %s; new %s\n", oldHost, newHost)
-	if oldHost != newHost {
-		b.WriteString("note: cross-host comparison: ns/op deltas mix the host change with the code change\n")
+	fmt.Fprintf(&b, "hosts: old %s; new %s\n", oldSnap.host(), newSnap.host())
+	if d.CrossHost {
+		b.WriteString("note: cross-host comparison: ns/op deltas mix the host change with the code change, so only allocs/op gates\n")
 	}
 	w := 0
 	for _, dl := range d.Deltas {
@@ -360,13 +367,16 @@ func render(d *Diff, oldSnap, newSnap *Snapshot) string {
 		w, "benchmark", "old ns/op", "new ns/op", "delta", "old al", "new al", "verdict")
 	for _, dl := range d.Deltas {
 		verdict := "ok"
+		nsGated := dl.NsRegressed && !d.CrossHost
 		switch {
-		case dl.NsRegressed && dl.AllocsRegressed:
+		case nsGated && dl.AllocsRegressed:
 			verdict = "REGRESSION (ns/op, allocs/op)"
-		case dl.NsRegressed:
+		case nsGated:
 			verdict = "REGRESSION (ns/op)"
 		case dl.AllocsRegressed:
 			verdict = "REGRESSION (allocs/op)"
+		case dl.NsRegressed:
+			verdict = "slower (cross-host, not gated)"
 		case dl.NsRatio > 0 && dl.NsRatio < 1-d.Threshold:
 			verdict = "improved"
 		}

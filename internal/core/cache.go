@@ -28,18 +28,24 @@ func (k CacheKey) String() string { return hex.EncodeToString(k[:]) }
 // pointer compare per solve and allocates nothing.
 //
 // Lookup fingerprints (alg, g) and returns a cached coloring when one
-// exists. The returned coloring is a private copy: callers may mutate it
-// freely without corrupting the cache, and the cache guarantees a hit is
-// byte-identical to the coloring originally stored. The key is returned
-// on hit and miss alike so the caller can Store a fresh solve without
-// re-fingerprinting the instance. Implementations must be safe for
-// concurrent use — portfolio members and service workers call Lookup
-// concurrently.
+// exists; a hit is byte-identical to the coloring originally stored.
+// The key is returned on hit and miss alike so the caller can Store a
+// fresh solve without re-fingerprinting the instance. Implementations
+// must be safe for concurrent use — portfolio members and service
+// workers call Lookup concurrently.
 //
 // Store records a completed solve under the key Lookup returned, along
 // with the provenance the cache keeps per entry (solver name, wall
-// time). Implementations must deep-copy the coloring: the caller hands
-// back the live result it is about to return to its own caller.
+// time). The caller hands over the live result it is about to return
+// to its own caller.
+//
+// Whether a coloring is copied as it crosses the cache — out of Lookup,
+// into Store — is part of each implementation's documented contract,
+// since heuristics.Run passes colorings through unchanged. Copying in
+// both directions lets callers mutate freely (resultcache.Cache, the
+// facade's ResultCache); sharing holds an answer once, and binds every
+// caller never to write a coloring it got from or gave to the cache
+// (resultcache.Cache.Shared, the solve daemon's view).
 //
 // Implementations never return a coloring that fails Validate against
 // g — a corrupted persisted entry degrades to a miss (a re-solve),

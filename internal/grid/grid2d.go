@@ -89,6 +89,17 @@ func MustGrid2D(x, y int) *Grid2D {
 // runs before the grid is allocated, so a request naming huge
 // dimensions with too few weights costs nothing.
 func FromWeights2D(x, y int, weights []int64) (*Grid2D, error) {
+	g, err := wrap2D(x, y, weights)
+	if err != nil {
+		return nil, err
+	}
+	g.W = slices.Clone(weights)
+	return g, nil
+}
+
+// wrap2D is FromWeights2D without the copy: the grid keeps weights
+// itself, so it suits only a caller that holds the slice alone (Read).
+func wrap2D(x, y int, weights []int64) (*Grid2D, error) {
 	cells, err := cells2D(x, y)
 	if err != nil {
 		return nil, err
@@ -97,7 +108,7 @@ func FromWeights2D(x, y int, weights []int64) (*Grid2D, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Grid2D{X: x, Y: y, W: slices.Clone(weights), total: total}, nil
+	return &Grid2D{X: x, Y: y, W: weights, total: total}, nil
 }
 
 // checkWeights rejects a weight count other than cells, negative

@@ -67,6 +67,16 @@ func MustGrid3D(x, y, z int) *Grid3D {
 // FromWeights3D builds a grid from an x-fastest weight slice. The slice is
 // copied. It checks what FromWeights2D checks, also before allocating.
 func FromWeights3D(x, y, z int, weights []int64) (*Grid3D, error) {
+	g, err := wrap3D(x, y, z, weights)
+	if err != nil {
+		return nil, err
+	}
+	g.W = slices.Clone(weights)
+	return g, nil
+}
+
+// wrap3D is FromWeights3D without the copy; see wrap2D.
+func wrap3D(x, y, z int, weights []int64) (*Grid3D, error) {
 	cells, err := cells3D(x, y, z)
 	if err != nil {
 		return nil, err
@@ -75,7 +85,7 @@ func FromWeights3D(x, y, z int, weights []int64) (*Grid3D, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Grid3D{X: x, Y: y, Z: z, W: slices.Clone(weights), total: total}, nil
+	return &Grid3D{X: x, Y: y, Z: z, W: weights, total: total}, nil
 }
 
 // Len returns the number of vertices X*Y*Z.

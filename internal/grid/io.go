@@ -2,10 +2,13 @@ package grid
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // The instance text format is a small, line-oriented exchange format:
@@ -56,14 +59,18 @@ func Write3D(w io.Writer, g *Grid3D) error {
 }
 
 // Read parses an instance in the text format and returns exactly one of a
-// 2D or 3D grid, the other being nil.
+// 2D or 3D grid, the other being nil. Fields are separated as
+// strings.Fields separates them (any Unicode white space), and the
+// weights are parsed in place from the scanner's buffer into one slice
+// that the grid then keeps.
 func Read(r io.Reader) (*Grid2D, *Grid3D, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<24)
-	header, err := nextTokens(sc)
+	line, err := nextLine(sc)
 	if err != nil {
 		return nil, nil, fmt.Errorf("grid: missing header: %w", err)
 	}
+	header := strings.Fields(string(line))
 	switch header[0] {
 	case "ivc2d":
 		if len(header) != 3 {
@@ -82,7 +89,7 @@ func Read(r io.Reader) (*Grid2D, *Grid3D, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		g, err := FromWeights2D(x, y, weights)
+		g, err := wrap2D(x, y, weights)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -105,7 +112,7 @@ func Read(r io.Reader) (*Grid2D, *Grid3D, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		g, err := FromWeights3D(x, y, z, weights)
+		g, err := wrap3D(x, y, z, weights)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -115,21 +122,59 @@ func Read(r io.Reader) (*Grid2D, *Grid3D, error) {
 	}
 }
 
-func nextTokens(sc *bufio.Scanner) ([]string, error) {
+// nextLine returns the next line holding a field, with its comment cut
+// off. The line aliases the scanner's buffer: it is valid until the
+// next Scan.
+func nextLine(sc *bufio.Scanner) ([]byte, error) {
 	for sc.Scan() {
-		line := sc.Text()
-		if idx := strings.IndexByte(line, '#'); idx >= 0 {
+		line := sc.Bytes()
+		if idx := bytes.IndexByte(line, '#'); idx >= 0 {
 			line = line[:idx]
 		}
-		fields := strings.Fields(line)
-		if len(fields) > 0 {
-			return fields, nil
+		if f, _ := nextField(line); len(f) > 0 {
+			return line, nil
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	return nil, io.ErrUnexpectedEOF
+}
+
+// nextField splits the first field off b under strings.Fields' rule —
+// fields are maximal runs of bytes that do not decode to a
+// unicode.IsSpace rune — without allocating. field is empty when b
+// holds only white space.
+func nextField(b []byte) (field, rest []byte) {
+	start := spaceEnd(b, true)
+	end := start + spaceEnd(b[start:], false)
+	return b[start:end], b[end:]
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// spaceEnd returns the length of b's leading run of runes whose
+// unicode.IsSpace equals space. ASCII bytes are looked up in a table;
+// invalid UTF-8 decodes as RuneError, a non-space, as it does for
+// strings.Fields.
+func spaceEnd(b []byte, space bool) int {
+	i := 0
+	for i < len(b) {
+		if c := b[i]; c < utf8.RuneSelf {
+			if asciiSpace[c] != space {
+				break
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRune(b[i:])
+		if unicode.IsSpace(r) != space {
+			break
+		}
+		i += size
+	}
+	return i
 }
 
 // maxWeightPresize caps the weight buffer readWeights reserves up
@@ -143,12 +188,12 @@ const maxWeightPresize = 1 << 16
 func readWeights(sc *bufio.Scanner, n int) ([]int64, error) {
 	weights := make([]int64, 0, min(n, maxWeightPresize))
 	for len(weights) < n {
-		fields, err := nextTokens(sc)
+		line, err := nextLine(sc)
 		if err != nil {
 			return nil, fmt.Errorf("grid: want %d weights, got %d: %w", n, len(weights), err)
 		}
-		for _, f := range fields {
-			w, err := strconv.ParseInt(f, 10, 64)
+		for f, rest := nextField(line); len(f) > 0; f, rest = nextField(rest) {
+			w, err := strconv.ParseInt(string(f), 10, 64)
 			if err != nil {
 				return nil, fmt.Errorf("grid: bad weight %q: %w", f, err)
 			}

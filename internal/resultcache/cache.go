@@ -58,11 +58,12 @@ type Config struct {
 // a persistent Store. It implements core.SolveCache, so attaching one
 // to SolveOptions.Cache is all heuristics.Run needs to start memoizing.
 //
-// All methods are safe for concurrent use. Colorings cross the cache
-// boundary by deep copy in both directions: a caller mutating a
-// returned coloring, or the coloring it stored, can never corrupt the
-// cached bytes — which is what makes the byte-identical-hit guarantee
-// hold.
+// All methods are safe for concurrent use. Through Lookup and Store,
+// colorings cross the cache boundary by deep copy in both directions: a
+// caller mutating a returned coloring, or the coloring it stored, can
+// never corrupt the cached bytes — which is what makes the
+// byte-identical-hit guarantee hold. Shared is the one exception: a
+// view for callers that only read colorings, which shares them instead.
 type Cache struct {
 	shards  []shard
 	perMax  int64
@@ -166,19 +167,51 @@ func (c *Cache) shardFor(key core.CacheKey) *shard {
 	return &c.shards[idx]
 }
 
+// Shared returns a core.SolveCache view of c that shares colorings
+// instead of copying them: its Lookup returns the entry's own starts,
+// and its Store keeps the caller's. Everything else — fingerprints,
+// tiers, eviction, accounting, events — is c's own, so a hit through
+// either is the same hit.
+//
+// The view's rule: a caller never writes a coloring it gets from the
+// view or hands to it. In exchange, a hit's coloring, the solve that
+// stored it and the cache entry are one array, held once. The solve
+// daemon attaches the view, and meets the rule because it only encodes
+// starts.
+func (c *Cache) Shared() core.SolveCache { return sharedView{c} }
+
+// sharedView is the copy-free face of a Cache; see Cache.Shared.
+type sharedView struct{ c *Cache }
+
+// Lookup implements core.SolveCache without copying the hit.
+func (v sharedView) Lookup(alg string, g core.Graph, tenant string) (core.Coloring, core.CacheKey, bool) {
+	return v.c.lookup(alg, g, tenant, false)
+}
+
+// Store implements core.SolveCache, keeping col's starts as the entry's.
+func (v sharedView) Store(key core.CacheKey, alg, tenant string, g core.Graph, col core.Coloring, wall time.Duration) {
+	v.c.put(key, alg, tenant, g, col, wall, false)
+}
+
 // Lookup implements core.SolveCache: fingerprint the instance, consult
 // the in-memory tier, then the persistent store. Store-tier entries are
 // checksum-verified by the Store and re-validated against the instance
 // here before being served or promoted, so no corruption can surface as
 // a wrong answer. The returned coloring is a fresh copy on every hit.
 func (c *Cache) Lookup(alg string, g core.Graph, tenant string) (core.Coloring, core.CacheKey, bool) {
+	return c.lookup(alg, g, tenant, true)
+}
+
+// lookup is Lookup, returning a copy of the hit's starts when clone is
+// set and the entry's own otherwise.
+func (c *Cache) lookup(alg string, g core.Graph, tenant string, clone bool) (core.Coloring, core.CacheKey, bool) {
 	key := Fingerprint(alg, g)
 	sh := c.shardFor(key)
 
 	sh.mu.Lock()
 	if el, ok := sh.byKey[key]; ok {
 		sh.lru.MoveToFront(el)
-		starts := append([]int64(nil), el.Value.(*node).entry.Starts...)
+		starts := cloneIf(clone, el.Value.(*node).entry.Starts)
 		sh.mu.Unlock()
 		c.metrics.Hits.Add(1)
 		c.tenantCounts(tenant).hits.Add(1)
@@ -191,7 +224,7 @@ func (c *Cache) Lookup(alg string, g core.Graph, tenant string) (core.Coloring, 
 			c.insert(sh, key, e)
 			c.metrics.Hits.Add(1)
 			c.tenantCounts(tenant).hits.Add(1)
-			return core.Coloring{Start: append([]int64(nil), e.Starts...)}, key, true
+			return core.Coloring{Start: cloneIf(clone, e.Starts)}, key, true
 		}
 	}
 
@@ -240,8 +273,14 @@ func (c *Cache) loadPersisted(key core.CacheKey, g core.Graph) (Entry, bool) {
 // the shard budget), and write through to the persistence tier when one
 // is configured.
 func (c *Cache) Store(key core.CacheKey, alg, tenant string, g core.Graph, col core.Coloring, wall time.Duration) {
+	c.put(key, alg, tenant, g, col, wall, true)
+}
+
+// put is Store, keeping a copy of col's starts when clone is set and
+// col's own otherwise.
+func (c *Cache) put(key core.CacheKey, alg, tenant string, g core.Graph, col core.Coloring, wall time.Duration, clone bool) {
 	e := Entry{
-		Starts: append([]int64(nil), col.Start...),
+		Starts: cloneIf(clone, col.Start),
 		Prov: Provenance{
 			Solver:      alg,
 			Commit:      c.commit,
@@ -260,6 +299,14 @@ func (c *Cache) Store(key core.CacheKey, alg, tenant string, g core.Graph, col c
 		// entry on some later cold read.
 		_ = c.store.Put(key, e)
 	}
+}
+
+// cloneIf returns a copy of starts when clone is set, starts otherwise.
+func cloneIf(clone bool, starts []int64) []int64 {
+	if clone {
+		return append([]int64(nil), starts...)
+	}
+	return starts
 }
 
 // insert places e into sh under key (replacing any previous entry) and

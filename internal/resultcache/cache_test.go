@@ -167,6 +167,49 @@ func TestCacheOversizedEntryNotCached(t *testing.T) {
 	}
 }
 
+// TestSharedViewSharesStarts: the view returned by Shared stores and
+// serves colorings without copying — the stored coloring, every hit
+// through the view and a store-tier promotion are one array — while
+// the Cache's own Lookup still returns a private copy, and hits through
+// either face count once in the cache's accounting.
+func TestSharedViewSharesStarts(t *testing.T) {
+	ms := newMapStore()
+	c := New(Config{Store: ms})
+	view := c.Shared()
+	g := testGrid(t, 8)
+	col := serialColoring(g)
+
+	_, key, ok := view.Lookup("GLL", g, "acme")
+	if ok {
+		t.Fatal("hit on an empty cache")
+	}
+	view.Store(key, "GLL", "acme", g, col, time.Millisecond)
+	hit, _, ok := view.Lookup("GLL", g, "acme")
+	if !ok || &hit.Start[0] != &col.Start[0] {
+		t.Fatalf("view hit (ok=%v) does not share the stored coloring's array", ok)
+	}
+	private, _, ok := c.Lookup("GLL", g, "acme")
+	if !ok || &private.Start[0] == &col.Start[0] || fmt.Sprint(private.Start) != fmt.Sprint(col.Start) {
+		t.Fatalf("Cache.Lookup (ok=%v) did not return an equal private copy", ok)
+	}
+	if st := c.Snapshot(); st.Hits != 2 || st.Misses != 1 || st.Stores != 1 || ms.Len() != 1 {
+		t.Fatalf("accounting hits=%d misses=%d stores=%d persisted=%d, want 2/1/1/1",
+			st.Hits, st.Misses, st.Stores, ms.Len())
+	}
+
+	// A cold cache over the same store promotes the entry on a view hit;
+	// the promoted entry and the hit are one array.
+	cold := New(Config{Store: ms}).Shared()
+	first, _, ok := cold.Lookup("GLL", g, "acme")
+	if !ok || fmt.Sprint(first.Start) != fmt.Sprint(col.Start) {
+		t.Fatalf("promoted view hit (ok=%v) differs from the stored coloring", ok)
+	}
+	again, _, _ := cold.Lookup("GLL", g, "acme")
+	if &again.Start[0] != &first.Start[0] {
+		t.Fatal("the promoting hit is a copy of the promoted entry")
+	}
+}
+
 func TestCacheStoreTierPromotion(t *testing.T) {
 	ms := newMapStore()
 	g := testGrid(t, 6)

@@ -24,12 +24,19 @@
 //     with atomic write-temp-rename and an fsync'd directory index.
 //
 // Key invariant: a Lookup hit is byte-identical to the coloring
-// originally stored (deep copies cross the boundary in both
-// directions), and a corrupted persisted entry — torn write, bit rot,
-// or the resultcache/get-corrupt chaos site — degrades to a miss and a
-// re-solve, never to a wrong answer: persisted entries are
+// originally stored, and a corrupted persisted entry — torn write, bit
+// rot, or the resultcache/get-corrupt chaos site — degrades to a miss
+// and a re-solve, never to a wrong answer: persisted entries are
 // checksum-verified and then re-validated against the instance before
 // they are served. Per-entry Provenance (solver, VCS commit, wall time,
 // maxcolor) carries the benchmark-trajectory metadata of the original
 // solve into every cached result.
+//
+// Byte identity rests on who may write a coloring. Cache's own Lookup
+// and Store deep-copy in both directions, so callers — the facade's
+// ResultCache among them — may mutate what they get or gave. The view
+// from Cache.Shared copies in neither direction: a hit, the solve that
+// stored it and the entry are one read-only array, and its callers
+// never write a coloring. The solve daemon attaches that view, because
+// it only encodes starts and so holds each answer once.
 package resultcache

@@ -474,6 +474,7 @@ func TestServiceHTTPValidation(t *testing.T) {
 		{"bad-grid", Request{Alg: "GLL", X: 3, Y: 2, Weights: []int64{1}}},
 		{"oversized-dims", Request{Alg: "GLL", X: 16384, Y: 16384}},
 		{"overflow-text", Request{Alg: "GLL", Instance: "ivc2d 2 1\n9223372036854775807 9223372036854775807\n"}},
+		{"negative-z", Request{Alg: "GLL", X: 2, Y: 2, Z: -1, Weights: []int64{1, 2, 3, 4}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,10 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -42,6 +44,81 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
+}
+
+// writeResult writes a job's Result with the given status, byte for
+// byte as writeJSON would, but without reflecting over its starts: a
+// done job carries one start per stencil vertex, by far the largest
+// part of the body. Every Result response goes through it.
+func writeResult(w http.ResponseWriter, status int, res Result) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	if b, err := encodeResult(res); err == nil {
+		_, _ = w.Write(b)
+	}
+}
+
+// encodeResult encodes res exactly as json.Encoder with
+// SetIndent("", "  ") does, trailing newline included. encoding/json
+// renders every other field, one line each, so escaping and float
+// formatting stay its own; the starts array is spliced in after the
+// last of the fields declared before it, one element per line, with
+// strconv.AppendInt.
+func encodeResult(res Result) ([]byte, error) {
+	starts := res.Starts
+	res.Starts = nil
+	js, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	js = append(js, '\n')
+	if len(starts) == 0 {
+		return js, nil
+	}
+	// cut ends the last line of a field that precedes starts; id, tenant
+	// and status are never omitted, so there is one.
+	cut := 0
+	for at := bytes.IndexByte(js, '\n') + 1; bytes.HasPrefix(js[at:], []byte(`  "`)); {
+		key, _, _ := bytes.Cut(js[at+3:], []byte(`"`))
+		if !headField(string(key)) {
+			break
+		}
+		cut = at + bytes.IndexByte(js[at:], '\n')
+		at = cut + 1
+	}
+	more := js[cut-1] == ',' // a field follows starts
+	// A done job's starts have at most as many digits as its maxcolor,
+	// and each line adds an indent, a comma and a newline.
+	var digits [20]byte
+	b := make([]byte, 0, len(js)+len(starts)*(len(strconv.AppendInt(digits[:0], res.MaxColor, 10))+6))
+	b = append(b, js[:cut]...)
+	if !more {
+		b = append(b, ',')
+	}
+	b = append(b, "\n  \"starts\": [\n"...)
+	for i, v := range starts {
+		b = append(b, "    "...)
+		b = strconv.AppendInt(b, v, 10)
+		if i < len(starts)-1 {
+			b = append(b, ',')
+		}
+		b = append(b, '\n')
+	}
+	b = append(b, "  ]"...)
+	if more {
+		b = append(b, ',')
+	}
+	return append(b, js[cut:]...), nil
+}
+
+// headField reports whether key names a Result field declared before
+// Starts, and so encoded ahead of it.
+func headField(key string) bool {
+	switch key {
+	case "id", "tenant", "status", "alg", "maxcolor":
+		return true
+	}
+	return false
 }
 
 // httpError writes a JSON error body.
@@ -83,16 +160,16 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Async {
 		snap := j.snapshot()
-		writeJSON(w, statusCode(snap), snap)
+		writeResult(w, statusCode(snap), snap)
 		return
 	}
 	select {
 	case <-j.done:
 		snap := j.snapshot()
-		writeJSON(w, statusCode(snap), snap)
+		writeResult(w, statusCode(snap), snap)
 	case <-r.Context().Done():
 		// The client went away; the job keeps running and stays pollable.
-		writeJSON(w, http.StatusAccepted, j.snapshot())
+		writeResult(w, http.StatusAccepted, j.snapshot())
 	}
 }
 
@@ -121,7 +198,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := j.snapshot()
-	writeJSON(w, statusCode(snap), snap)
+	writeResult(w, statusCode(snap), snap)
 }
 
 // healthz is the GET /healthz body.

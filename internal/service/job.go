@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -28,10 +29,11 @@ type Request struct {
 	X int `json:"x,omitempty"`
 	// Y is the second dimension.
 	Y int `json:"y,omitempty"`
-	// Z is the third dimension (0 for 2D instances).
+	// Z is the third dimension (0 for 2D instances; negative is
+	// malformed).
 	Z int `json:"z,omitempty"`
 	// Weights are the vertex weights, row-major (x fastest).
-	Weights []int64 `json:"weights,omitempty"`
+	Weights Weights `json:"weights,omitempty"`
 	// Instance is the ivc2d/ivc3d text form, an alternative to the
 	// structured fields.
 	Instance string `json:"instance,omitempty"`
@@ -44,6 +46,79 @@ type Request struct {
 	// Async makes POST /solve return 202 with the job id immediately;
 	// poll GET /jobs/{id} for the result.
 	Async bool `json:"async,omitempty"`
+}
+
+// Weights is the weights array of a structured request. It decodes
+// straight into one slice, sized by the element count, with no
+// reflection, and otherwise reads every body exactly as encoding/json
+// reads a plain []int64: elements are JSON integers that fit in int64,
+// a null element reads as 0 (under a repeated "weights" key it keeps
+// what the earlier array left at that index), an empty array reads as
+// an empty slice and null as nil; floats, exponents, strings, nested
+// values and overflow are errors. FuzzParseRequest checks it against
+// the reflective decoder.
+type Weights []int64
+
+// UnmarshalJSON implements json.Unmarshaler. Like every Unmarshaler it
+// may assume data is one syntactically valid JSON value; the decoder
+// checks that before calling it.
+func (w *Weights) UnmarshalJSON(data []byte) error {
+	data = trimJSONSpace(data)
+	if string(data) == "null" {
+		*w = nil
+		return nil
+	}
+	if len(data) < 2 || data[0] != '[' || data[len(data)-1] != ']' {
+		return fmt.Errorf("weights: want an array of integers, got %.20q", data)
+	}
+	elems := trimJSONSpace(data[1 : len(data)-1])
+	n := 0
+	if len(elems) > 0 {
+		n = bytes.Count(elems, []byte{','}) + 1
+	}
+	// Fill the current backing array, as the reflective decoder does,
+	// so a null element keeps what a repeated "weights" key left there.
+	out := *w
+	switch {
+	case n == 0:
+		out = Weights{}
+	case n > cap(out):
+		out = append(make(Weights, 0, n), out[:cap(out)]...)
+	}
+	out = out[:n]
+	for i := range out {
+		tok := elems
+		if k := bytes.IndexByte(elems, ','); k >= 0 {
+			tok, elems = elems[:k], elems[k+1:]
+		}
+		tok = trimJSONSpace(tok)
+		if string(tok) == "null" {
+			continue
+		}
+		v, err := strconv.ParseInt(string(tok), 10, 64)
+		if err != nil {
+			// A string, array or object element starts with a quote or
+			// a bracket, so its first comma-cut piece fails here too.
+			return fmt.Errorf("weights[%d]: %.20q is not an int64", i, tok)
+		}
+		out[i] = v
+	}
+	*w = out
+	return nil
+}
+
+// trimJSONSpace cuts the white space JSON allows between tokens from
+// both ends of b. It is bytes.Trim with that cutset, minus the cost of
+// building the cutset on every element.
+func trimJSONSpace(b []byte) []byte {
+	isSpace := func(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+	for len(b) > 0 && isSpace(b[0]) {
+		b = b[1:]
+	}
+	for len(b) > 0 && isSpace(b[len(b)-1]) {
+		b = b[:len(b)-1]
+	}
+	return b
 }
 
 // Job statuses, as reported in Result.Status.
@@ -97,9 +172,12 @@ type Result struct {
 // worker. The immutable routing fields are set at admission; the
 // mutable result is guarded by mu and published by closing done.
 type job struct {
-	id       string
-	tenant   string
-	alg      heuristics.Algorithm // "best" runs the portfolio
+	id     string
+	tenant string
+	alg    heuristics.Algorithm // "best" runs the portfolio
+	// stencil is the instance to solve; finish drops it, so a retained
+	// job holds only its answer. The batcher, the scheduler and the
+	// solve all read it before the job finishes.
 	stencil  grid.Stencil
 	deadline time.Time // zero = unbounded
 	enqueued time.Time
@@ -136,8 +214,9 @@ func (j *job) snapshot() Result {
 	return j.res
 }
 
-// finish publishes the job's terminal result exactly once; later calls
-// are ignored so a racing shutdown path cannot overwrite a completion.
+// finish publishes the job's terminal result exactly once and drops the
+// instance; later calls are ignored so a racing shutdown path cannot
+// overwrite a completion.
 func (j *job) finish(res Result) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -145,6 +224,7 @@ func (j *job) finish(res Result) {
 		return
 	}
 	j.finished = true
+	j.stencil = nil
 	res.ID, res.Tenant = j.id, j.tenant
 	res.WallMS = float64(time.Since(j.enqueued).Microseconds()) / 1000
 	if t := j.tc.TraceID(); t != 0 {
@@ -210,6 +290,9 @@ func parseInstance(req *Request) (grid.Stencil, error) {
 			return g2, nil
 		}
 		return g3, nil
+	}
+	if req.Z < 0 {
+		return nil, fmt.Errorf("negative z dimension %d", req.Z)
 	}
 	if req.Z > 0 {
 		return grid.FromWeights3D(req.X, req.Y, req.Z, req.Weights)

@@ -124,8 +124,11 @@ type Server struct {
 	flight *obsv.FlightRecorder
 	slo    *obsv.SLOMetrics
 	// cache memoizes completed solves by instance fingerprint; nil when
-	// Config.CacheBytes < 0 disabled it.
-	cache *resultcache.Cache
+	// Config.CacheBytes < 0 disabled it. solveCache is its shared view,
+	// the one solves consult: a job's starts and the cache entry are one
+	// array, which holds because the daemon only encodes starts.
+	cache      *resultcache.Cache
+	solveCache core.SolveCache
 
 	// baseCtx parents every job's solve context; baseCancel aborts
 	// in-flight solves on a forced stop.
@@ -191,6 +194,7 @@ func New(cfg Config) (*Server, error) {
 			Flight:   s.flight,
 			Injector: cfg.Injector,
 		})
+		s.solveCache = s.cache.Shared()
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.sched = newScheduler(cfg.MaxQueuedPerTenant, cfg.TenantWeights, s.metrics, s.runBatch)
@@ -375,11 +379,7 @@ func (s *Server) runJob(j *job) {
 		Injector:        s.cfg.Injector,
 		TraceCtx:        fs.Context(),
 		PartialOnCancel: true,
-	}
-	if s.cache != nil {
-		// Assigned only when non-nil: a typed-nil *resultcache.Cache in
-		// the interface field would defeat Run's pointer check.
-		opts.Cache = s.cache
+		Cache:           s.solveCache,
 	}
 	var (
 		c      core.Coloring
