@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race check cache-check trace-check doclint linkcheck fuzz-short bench bench-kernel benchdiff-smoke serve-smoke microbench experiments experiments-full stkde cover clean
+.PHONY: all build vet fmt-check test race check cache-check serve-check trace-check doclint linkcheck fuzz-short bench bench-kernel benchdiff-smoke serve-smoke microbench experiments experiments-full stkde cover clean
 
 all: build check
 
@@ -53,9 +53,10 @@ fuzz-short:
 # over every fuzz target, the documentation lints, the benchdiff
 # self-diff smoke, the solve-daemon boot smoke, the quick
 # kernel-benchmark tier (bench-kernel), the result-cache tier
-# (cache-check), and the request-tracing tier (trace-check). It is part
-# of the default `make` flow via `all`.
-check: fmt-check vet race fuzz-short doclint linkcheck benchdiff-smoke serve-smoke trace-check bench-kernel cache-check
+# (cache-check), the daemon-timing tier (serve-check), and the
+# request-tracing tier (trace-check). It is part of the default `make`
+# flow via `all`.
+check: fmt-check vet race fuzz-short doclint linkcheck benchdiff-smoke serve-smoke trace-check bench-kernel cache-check serve-check
 
 # cache-check is the result-cache tier: the content-addressed cache and
 # its persistence stores under the race detector (the concurrent
@@ -69,6 +70,15 @@ cache-check:
 	$(GO) test -race ./internal/resultcache/...
 	$(GO) test -run 'TestNilCacheLookupNoAllocs|TestRunCacheHitSkipsSolver' ./internal/heuristics
 	$(GO) test -race -count=10 -run 'TestFinishedJobHoldsNoGrid|TestServiceHitSharesCacheEntry|TestServiceSharedAnswersConcurrent|TestServiceCacheHitByteIdentical' ./internal/service
+
+# serve-check is the daemon-timing tier: the solve daemon's tests that
+# depend on wall-clock timing, ten times under the race detector — two
+# idle workers take two jobs side by side (work conservation), stalled
+# dispatches shed the expired tail while the queue front completes, a
+# stalled worker fills the per-tenant queue bound, concurrent tenants
+# all finish, and the weighted fair scheduler's unit tests.
+serve-check:
+	$(GO) test -race -count=10 -run 'TestServiceWorkConserving|TestServiceBatchStallShedsExpired|TestServiceQueueBoundSheds|TestServiceConcurrentTenants|TestScheduler' ./internal/service
 
 # bench-kernel is the quick placement-kernel tier: the PlaceLowest
 # micro-benchmarks (interval, streaming, and packed free-map paths, and

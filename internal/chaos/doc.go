@@ -22,8 +22,8 @@
 //	pgreedy/worker-panic     tile-parallel solver; per tile task and repair batch: induced panic, contained to a sequential fallback
 //	pgreedy/halo-read        tile-parallel solver; per speculative placement: placement goes blind to cross-tile neighbors
 //	pgreedy/repair-drop      tile-parallel solver; per repaired loser: the recolor is dropped for the next fixpoint round to catch
-//	service/enqueue-drop     solve service; per admission: the job is shed between admission and the batcher
-//	service/batch-stall      solve service; per batch: the batcher stalls inside Inject
+//	service/enqueue-drop     solve service; per admission: the job is shed between admission and the fair queue
+//	service/batch-stall      solve service; per job dispatch, before the deadline check: the worker stalls inside Inject
 //	service/worker-panic     solve service; per job run: induced panic, contained to a typed job error
 //	resultcache/get-corrupt  result cache; per persistence-tier read: the payload is treated as checksum-failed
 //

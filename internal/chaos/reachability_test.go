@@ -71,8 +71,8 @@ func TestEveryRegisteredSiteIsReachable(t *testing.T) {
 		t.Fatal("persisted entry did not round-trip through the second cache")
 	}
 
-	// service/*: one solve request passes admission (enqueue-drop), the
-	// batcher (batch-stall), and a worker (worker-panic).
+	// service/*: one solve request passes admission (enqueue-drop), then
+	// the worker that takes it consults batch-stall and worker-panic.
 	srv, err := service.New(service.Config{Workers: 1, Injector: inj})
 	if err != nil {
 		t.Fatal(err)

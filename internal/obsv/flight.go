@@ -402,9 +402,9 @@ func (tc *TraceContext) Event(name, detail string, arg int64) {
 	})
 }
 
-// Observe records an already-completed span retroactively — the batcher
-// stamping a "batch" span over a job's coalescing wait after the fact,
-// without holding an open span across queue hops.
+// Observe records an already-completed span retroactively — the solve
+// service stamping a "schedule" span over a job's queue wait when a
+// worker takes it, without holding an open span across queue hops.
 func (tc *TraceContext) Observe(name string, start time.Time, wall time.Duration) {
 	if tc == nil {
 		return

@@ -1,19 +1,18 @@
 // Package service is the solve daemon: it turns the batch solver
 // pipeline into a long-running, multi-tenant HTTP service, layered
-// strictly as transport → queue/batcher → scheduler → solver.
+// strictly as transport → fair scheduler → solver.
 //
 //   - The transport is an HTTP/JSON job API: POST /solve admits a job
 //     (synchronous by default, async with {"async": true}), GET
 //     /jobs/{id} polls one, GET /healthz reports queue and per-tenant
 //     state, and /metrics serves the Prometheus registry next to it.
-//   - The queue/batcher coalesces compatible small requests — same
-//     tenant, algorithm, and dimensionality — into batches behind size
-//     and max-wait triggers, recording per-item enqueue/flush
-//     timestamps.
 //   - The scheduler is a bounded worker pool with per-tenant weighted
-//     fair queuing: workers always dispatch the batch of the active
-//     tenant with the least weight-normalized served work, so one noisy
-//     tenant cannot starve the rest.
+//     fair queuing: admission appends each job to its tenant's FIFO,
+//     and a free worker takes one job at a time — the front job of the
+//     active tenant with the least weight-normalized served work — so no
+//     job waits while a worker is idle and one noisy tenant cannot
+//     starve the rest. Jobs share no solve work, so nothing groups
+//     them.
 //   - The solver layer is the existing registry dispatch
 //     (heuristics.Run / heuristics.Best) with per-request
 //     SolveOptions.Tenant and SolveOptions.Deadline plumbed through.

@@ -107,7 +107,7 @@ func gridWeights(n int) []int64 {
 }
 
 // TestServiceEquivalence checks the acceptance contract that a solve
-// through the full transport → batcher → scheduler stack returns
+// through the full transport → fair scheduler → solver stack returns
 // exactly what a direct heuristics.Run/Best call returns, in 2D and 3D,
 // and that the returned starts form a valid coloring.
 func TestServiceEquivalence(t *testing.T) {
@@ -172,10 +172,8 @@ func TestServiceEquivalence(t *testing.T) {
 func TestServiceConcurrentTenants(t *testing.T) {
 	reg := obsv.NewRegistry()
 	_, ts := newTestService(t, Config{
-		Workers:   4,
-		BatchSize: 4,
-		BatchWait: 2 * time.Millisecond,
-		Registry:  reg,
+		Workers:  4,
+		Registry: reg,
 		TenantWeights: map[string]float64{
 			"beta": 2,
 		},
@@ -255,8 +253,8 @@ func mustGrid2D(t *testing.T, n int) grid.Stencil {
 	return g
 }
 
-// TestServiceBatchStallShedsExpired storms the batcher with an injected
-// stall on every flush: jobs pile up behind the stalled queue, their
+// TestServiceBatchStallShedsExpired storms the workers with an injected
+// stall on every dispatch: jobs pile up behind the stalled workers, their
 // deadlines pass, and the dispatch-time check sheds them instead of
 // burning workers on doomed solves. The front of the queue, stalled but
 // not yet expired, must still complete.
@@ -264,9 +262,8 @@ func TestServiceBatchStallShedsExpired(t *testing.T) {
 	inj := chaos.New(7)
 	inj.EveryNth(SiteBatchStall, 1, 0).Stalling(SiteBatchStall, 60*time.Millisecond)
 	_, ts := newTestService(t, Config{
-		Workers:   2,
-		BatchSize: 1, // immediate mode: one stalled flush per job
-		Injector:  inj,
+		Workers:  2,
+		Injector: inj,
 	})
 
 	const jobs = 8
@@ -296,12 +293,22 @@ func TestServiceBatchStallShedsExpired(t *testing.T) {
 			if !strings.Contains(res.Error, "deadline expired") {
 				t.Errorf("shed job %s reason %q, want a deadline-expired shed", id, res.Error)
 			}
+		case StatusError:
+			// A job dispatched right at its deadline passes the
+			// dispatch-time check, then the solver's first context poll
+			// fails it: a single-algorithm job has no partial to return,
+			// so it answers 504.
+			if code != http.StatusGatewayTimeout || !strings.Contains(res.Error, "deadline exceeded") {
+				t.Errorf("job %s ended %q/%d (%s), want done, shed, or a 504 deadline error", id, res.Status, code, res.Error)
+			}
 		default:
-			t.Errorf("job %s ended %q (%s), want done or shed", id, res.Status, res.Error)
+			t.Errorf("job %s ended %q (%s), want done, shed, or a 504 deadline error", id, res.Status, res.Error)
 		}
 	}
-	// Flush i completes ~60(i+1)ms after submission against a 120ms
-	// deadline: the first job must survive, the tail must shed.
+	// Each dispatch stalls its worker 60ms before the deadline check, so
+	// with two workers jobs 2k+1 and 2k+2 reach the check ~60(k+1)ms
+	// after submission against a 120ms deadline: the first pair must
+	// survive, the second lands on the deadline, and the tail must shed.
 	if done == 0 {
 		t.Error("every job shed; the front of the stalled queue should still complete")
 	}
@@ -393,8 +400,8 @@ func TestServiceWorkerPanicContained(t *testing.T) {
 	}
 }
 
-// TestServiceEnqueueDrop injects a drop between admission and the
-// batcher: the job is shed (503), accounting stays consistent, and the
+// TestServiceEnqueueDrop injects a drop between admission and the fair
+// queue: the job is shed (503), accounting stays consistent, and the
 // next job goes through.
 func TestServiceEnqueueDrop(t *testing.T) {
 	inj := chaos.New(5)
@@ -419,13 +426,13 @@ func TestServiceEnqueueDrop(t *testing.T) {
 }
 
 // TestServiceQueueBoundSheds fills a tenant's queue bound behind a
-// stalled batcher: admissions past the bound answer 503 immediately —
+// stalled worker: admissions past the bound answer 503 immediately —
 // the service sheds under overload instead of queuing unboundedly.
 func TestServiceQueueBoundSheds(t *testing.T) {
 	inj := chaos.New(11)
 	inj.EveryNth(SiteBatchStall, 1, 0).Stalling(SiteBatchStall, 200*time.Millisecond)
 	_, ts := newTestService(t, Config{
-		Workers: 1, BatchSize: 1, MaxQueuedPerTenant: 2, Injector: inj,
+		Workers: 1, MaxQueuedPerTenant: 2, Injector: inj,
 	})
 	full := 0
 	for i := 0; i < 4; i++ {
@@ -441,6 +448,40 @@ func TestServiceQueueBoundSheds(t *testing.T) {
 	}
 	if full == 0 {
 		t.Fatal("4 rapid submissions against a bound of 2 never shed")
+	}
+}
+
+// TestServiceWorkConserving: a free worker takes the next admitted job
+// at once. Two identical jobs submitted back to back to two idle workers
+// run side by side, so with every dispatch stalled 200ms both finish
+// after one stall, not two.
+func TestServiceWorkConserving(t *testing.T) {
+	inj := chaos.New(13)
+	inj.EveryNth(SiteWorkerPanic, 1, 0).Stalling(SiteWorkerPanic, 200*time.Millisecond)
+	srv, _ := newTestService(t, Config{Workers: 2, Injector: inj})
+
+	req := Request{Alg: "GLL", X: 4, Y: 4, Weights: gridWeights(4)}
+	start := time.Now()
+	var jobs []*job
+	for i := 0; i < 2; i++ {
+		j, err := srv.Submit(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	for _, j := range jobs {
+		select {
+		case <-j.done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("job %s did not finish", j.id)
+		}
+		if res := j.snapshot(); res.Status != StatusDone {
+			t.Fatalf("job %s ended %q (%s), want done", j.id, res.Status, res.Error)
+		}
+	}
+	if took := time.Since(start); took > 300*time.Millisecond {
+		t.Fatalf("two jobs on two idle workers took %v, want one 200ms stall (under 300ms)", took)
 	}
 }
 

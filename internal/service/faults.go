@@ -11,10 +11,11 @@ const (
 	// the queue were full, exercising the transport's shed path without
 	// real pressure.
 	SiteEnqueueDrop = core.FaultSite("service/enqueue-drop")
-	// SiteBatchStall fires once per batch flush. A Stalling rule sleeps
-	// the batcher loop, delaying every pending batch — the modeled
-	// stalled queue that drives queued jobs past their deadlines and
-	// into the shed/partial policy.
+	// SiteBatchStall fires once per job dispatch, when a scheduler
+	// worker takes the job and before its deadline check. A Stalling
+	// rule holds the job (and its worker) — the modeled stalled queue
+	// that drives jobs past their deadlines and into the shed policy,
+	// while the jobs behind it wait their turn.
 	SiteBatchStall = core.FaultSite("service/batch-stall")
 	// SiteWorkerPanic fires once per job dispatch inside a scheduler
 	// worker, before the solver runs. A Panicking rule crashes the
@@ -27,7 +28,7 @@ func init() {
 	core.RegisterFaultSite(SiteEnqueueDrop,
 		"service admission, once per attempt: firing sheds the job as if the tenant queue were full")
 	core.RegisterFaultSite(SiteBatchStall,
-		"service batcher, once per flush: a Stalling rule delays pending batches toward their deadlines")
+		"service scheduler worker, once per job dispatch before the deadline check: a Stalling rule holds the job toward its deadline")
 	core.RegisterFaultSite(SiteWorkerPanic,
 		"service scheduler worker, once per job dispatch: a Panicking rule crashes the job; contained, the worker keeps serving")
 }

@@ -210,7 +210,7 @@ type healthz struct {
 	UptimeS float64 `json:"uptime_s"`
 	// Workers is the configured worker-pool size.
 	Workers int `json:"workers"`
-	// Busy is the number of workers currently running a batch.
+	// Busy is the number of workers currently running a job.
 	Busy int64 `json:"busy"`
 	// Tenants is the per-tenant scheduler accounting.
 	Tenants []TenantStats `json:"tenants"`

@@ -168,16 +168,17 @@ type Result struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// job is the internal unit flowing transport → batcher → scheduler →
-// worker. The immutable routing fields are set at admission; the
-// mutable result is guarded by mu and published by closing done.
+// job is the internal unit flowing transport → fair scheduler → worker,
+// and the scheduler's unit of dispatch. The immutable routing fields are
+// set at admission; the mutable result is guarded by mu and published by
+// closing done.
 type job struct {
 	id     string
 	tenant string
 	alg    heuristics.Algorithm // "best" runs the portfolio
 	// stencil is the instance to solve; finish drops it, so a retained
-	// job holds only its answer. The batcher, the scheduler and the
-	// solve all read it before the job finishes.
+	// job holds only its answer. The scheduler and the solve read it
+	// before the job finishes.
 	stencil  grid.Stencil
 	deadline time.Time // zero = unbounded
 	enqueued time.Time
@@ -185,10 +186,6 @@ type job struct {
 	// admission span (nil when the server has no recorder); every later
 	// stage records its span against it.
 	tc *obsv.TraceContext
-	// flushed is when the batcher flushed the job to the scheduler,
-	// written by the batcher goroutine and read by the dispatching worker
-	// (the scheduler mutex orders the two).
-	flushed time.Time
 
 	mu       sync.Mutex
 	res      Result
@@ -239,12 +236,6 @@ func (j *job) expired(now time.Time) bool {
 	return !j.deadline.IsZero() && now.After(j.deadline)
 }
 
-// batchKey groups compatible jobs: same tenant (fairness accounting
-// stays per-tenant), same algorithm, same dimensionality.
-func (j *job) batchKey() string {
-	return j.tenant + "|" + string(j.alg) + "|" + strconv.Itoa(j.stencil.Dims())
-}
-
 // algBest is the portfolio pseudo-algorithm accepted by the job API.
 const algBest = heuristics.Algorithm("best")
 
@@ -255,6 +246,8 @@ func parseRequest(req *Request) (tenant string, alg heuristics.Algorithm, s grid
 	if tenant == "" {
 		tenant = "default"
 	}
+	// A tenant name is a one-line token without '|', so it can appear
+	// unescaped in line-oriented output and in '|'-joined keys.
 	if strings.ContainsAny(tenant, "|\n") {
 		return "", "", nil, fmt.Errorf("invalid tenant %q", tenant)
 	}

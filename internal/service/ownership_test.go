@@ -58,7 +58,7 @@ func TestFinishedJobHoldsNoGrid(t *testing.T) {
 	}{
 		{"done", Config{Workers: 1}, false, 0, StatusDone},
 		{"shed-at-admission", Config{Workers: 1}, true, 0, StatusShed},
-		{"shed-on-expiry", Config{Workers: 1, BatchSize: 1,
+		{"shed-on-expiry", Config{Workers: 1,
 			Injector: chaos.New(1).EveryNth(SiteBatchStall, 1, 0).Stalling(SiteBatchStall, 50*time.Millisecond)},
 			false, 5, StatusShed},
 		{"panicked", Config{Workers: 1,

@@ -4,17 +4,39 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
+	"stencilivc/internal/grid"
 	"stencilivc/internal/obsv"
 )
 
-// enqueueOne admits and enqueues one single-job batch for tenant.
+// testGrid builds an n×n 9-pt instance with small varied weights.
+func testGrid(t testing.TB, n int) grid.Stencil {
+	t.Helper()
+	w := make([]int64, n*n)
+	for i := range w {
+		w[i] = int64(i%7 + 1)
+	}
+	g, err := grid.FromWeights2D(n, n, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// testJob builds a job for scheduler unit tests.
+func testJob(t testing.TB, id, tenant string, g grid.Stencil) *job {
+	t.Helper()
+	return newJob(id, tenant, "GLL", g, time.Time{})
+}
+
+// enqueueOne admits and enqueues one job for tenant.
 func enqueueOne(t *testing.T, s *scheduler, tenant string, j *job) {
 	t.Helper()
 	if !s.admit(tenant) {
 		t.Fatalf("admit(%s) refused below the bound", tenant)
 	}
-	s.enqueue(&batch{key: j.batchKey(), jobs: []*job{j}, oldest: j.enqueued})
+	s.enqueue(j)
 }
 
 func TestSchedulerAdmitBound(t *testing.T) {
@@ -45,16 +67,16 @@ func TestSchedulerWeightedFairness(t *testing.T) {
 		enqueueOne(t, s, "a", testJob(t, fmt.Sprintf("a%d", i), "a", g))
 		enqueueOne(t, s, "b", testJob(t, fmt.Sprintf("b%d", i), "b", g))
 	}
-	// Draw 16 batches by hand (no workers): tenant b, at weight 3,
+	// Draw 16 jobs by hand (no workers): tenant b, at weight 3,
 	// should receive roughly three dispatches for each of a's, and a
 	// must not starve.
 	counts := map[string]int{}
 	for i := 0; i < 16; i++ {
-		bt := s.next()
-		if bt == nil {
-			t.Fatal("next returned nil with batches queued")
+		j := s.next()
+		if j == nil {
+			t.Fatal("next returned nil with jobs queued")
 		}
-		counts[bt.jobs[0].tenant]++
+		counts[j.tenant]++
 	}
 	if counts["a"] == 0 {
 		t.Fatal("tenant a starved under weighted fair queuing")
@@ -102,9 +124,9 @@ func TestSchedulerCloseDrains(t *testing.T) {
 	m := obsv.NewServiceMetrics(nil)
 	var mu sync.Mutex
 	ran := 0
-	s := newScheduler(100, nil, m, func(bt *batch) {
+	s := newScheduler(100, nil, m, func(*job) {
 		mu.Lock()
-		ran += len(bt.jobs)
+		ran++
 		mu.Unlock()
 	})
 	s.start(3)

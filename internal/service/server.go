@@ -16,22 +16,15 @@ import (
 )
 
 // Config parameterizes a Server. The zero value is serviceable: defaults
-// fill in a small worker pool, a short coalescing window, and a bounded
-// per-tenant queue, with every observability sink disabled.
+// fill in a small worker pool and a bounded per-tenant queue, with every
+// observability sink disabled.
 type Config struct {
 	// Workers bounds the scheduler's worker pool; <= 0 picks
 	// min(GOMAXPROCS, 4).
 	Workers int
-	// BatchSize is the batcher's size trigger; <= 0 picks 8, 1 disables
-	// coalescing.
-	BatchSize int
-	// BatchWait is the batcher's max-wait trigger; <= 0 picks 2ms.
-	BatchWait time.Duration
-	// QueueBuffer bounds the batcher intake channel; admission sheds
-	// when it is full. <= 0 picks 256.
-	QueueBuffer int
 	// MaxQueuedPerTenant bounds each tenant's admitted-but-undispatched
-	// jobs; past it, admission sheds. <= 0 picks 256.
+	// jobs; past it, admission sheds. It is the daemon's only queue
+	// bound. <= 0 picks 256.
 	MaxQueuedPerTenant int
 	// DefaultTimeout is the per-job deadline applied when a request
 	// carries none; 0 picks 30s. Deadlines are the shedding policy, so
@@ -89,15 +82,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Workers <= 0 {
 		cfg.Workers = min(runtime.GOMAXPROCS(0), 4)
 	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 8
-	}
-	if cfg.BatchWait <= 0 {
-		cfg.BatchWait = 2 * time.Millisecond
-	}
-	if cfg.QueueBuffer <= 0 {
-		cfg.QueueBuffer = 256
-	}
 	if cfg.MaxQueuedPerTenant <= 0 {
 		cfg.MaxQueuedPerTenant = 256
 	}
@@ -110,13 +94,12 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// Server is the assembled solve daemon: transport → batcher → scheduler
-// → solver. Build one with New, mount Handler, and Close it to drain.
+// Server is the assembled solve daemon: transport → fair scheduler →
+// solver. Build one with New, mount Handler, and Close it to drain.
 type Server struct {
 	cfg     Config
 	metrics *obsv.ServiceMetrics
 	solveM  *obsv.SolveMetrics
-	batcher *batcher
 	sched   *scheduler
 	// flight is the always-on per-request trace ring behind
 	// GET /debug/flight; slo holds the aggregate latency histograms
@@ -146,15 +129,15 @@ type Server struct {
 	doneOrder []string
 
 	// closing sheds new admissions during a drain; closeMu serializes
-	// admissions against closing the batcher intake.
+	// admissions against closing the scheduler.
 	closeMu sync.RWMutex
 	closing bool
 }
 
-// New assembles and starts a server: the batcher loop and the worker
-// pool run on return. Close stops them. The only constructor failure is
-// an unusable cache directory (Config.CacheDir); every other field has
-// a serviceable default.
+// New assembles and starts a server: the worker pool runs on return.
+// Close stops it. The only constructor failure is an unusable cache
+// directory (Config.CacheDir); every other field has a serviceable
+// default.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -197,18 +180,15 @@ func New(cfg Config) (*Server, error) {
 		s.solveCache = s.cache.Shared()
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	s.sched = newScheduler(cfg.MaxQueuedPerTenant, cfg.TenantWeights, s.metrics, s.runBatch)
-	s.batcher = newBatcher(cfg.BatchSize, cfg.BatchWait, cfg.QueueBuffer,
-		s.sched.enqueue, s.metrics, cfg.Injector)
-	s.batcher.start()
+	s.sched = newScheduler(cfg.MaxQueuedPerTenant, cfg.TenantWeights, s.metrics, s.runJob)
 	s.sched.start(cfg.Workers)
 	return s, nil
 }
 
-// Close drains the daemon: new admissions shed, the batcher flushes its
-// pending batches, and the workers finish every queued job. When ctx
-// expires first, the server cancels its base context so in-flight and
-// still-queued solves abort promptly, then finishes the drain.
+// Close drains the daemon: new admissions shed and the workers finish
+// every queued job. When ctx expires first, the server cancels its base
+// context so in-flight and still-queued solves abort promptly, then
+// finishes the drain.
 func (s *Server) Close(ctx context.Context) error {
 	s.closeMu.Lock()
 	if s.closing {
@@ -220,7 +200,6 @@ func (s *Server) Close(ctx context.Context) error {
 
 	drained := make(chan struct{})
 	go func() {
-		s.batcher.stop()
 		s.sched.close()
 		close(drained)
 	}()
@@ -274,11 +253,14 @@ func (s *Server) Submit(req *Request) (*job, error) {
 		s.shed(j, "injected enqueue drop", true)
 		return j, nil
 	}
-	if !s.batcher.enqueue(j) {
-		s.sched.unadmit(tenant)
-		s.shed(j, "batcher backlogged: shedding instead of queuing unboundedly", true)
-		return j, nil
-	}
+	// A job is its own batch, flushed at admission: the batch span is
+	// zero-length and the service_batch_* families see one job and no
+	// wait.
+	s.metrics.Batches.Add(1)
+	s.metrics.BatchSize.ObserveInt(1)
+	s.metrics.BatchWaitSeconds.Observe(0)
+	j.tc.Observe("batch", j.enqueued, 0)
+	s.sched.enqueue(j)
 	return j, nil
 }
 
@@ -324,23 +306,16 @@ func (s *Server) retire(j *job) {
 	}
 }
 
-// runBatch is the worker body: run the batch's jobs in order,
-// accounting the busy-worker gauge.
-func (s *Server) runBatch(bt *batch) {
+// runJob is the worker body: it executes one dispatched job end to end
+// — the batch-stall fault site, the deadline shed check, the
+// worker-panic fault site, registry dispatch with the per-request
+// tenant/deadline options, and result classification — and accounts the
+// busy-worker gauge. It is the worker's panic boundary: a panic (a
+// worker bug, or the injected worker-panic fault) fails this job alone
+// and the worker keeps serving.
+func (s *Server) runJob(j *job) {
 	s.metrics.WorkersBusy.Set(s.busy.Add(1))
 	defer func() { s.metrics.WorkersBusy.Set(s.busy.Add(-1)) }()
-	for _, j := range bt.jobs {
-		s.runJob(j)
-	}
-}
-
-// runJob executes one dispatched job end to end: the deadline shed
-// check, the worker-panic fault site, registry dispatch with the
-// per-request tenant/deadline options, and result classification. It is
-// the worker's panic boundary: a panic (a worker bug, or the injected
-// worker-panic fault) fails this job alone and the worker keeps
-// serving.
-func (s *Server) runJob(j *job) {
 	defer s.retire(j)
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -352,12 +327,15 @@ func (s *Server) runJob(j *job) {
 		}
 	}()
 
-	queueWait := time.Since(j.enqueued)
-	if !j.flushed.IsZero() {
-		// The scheduler wait, stamped retroactively: flush-to-dispatch
-		// (the batch span already covers admission-to-flush).
-		j.tc.Observe("schedule", j.flushed, time.Since(j.flushed))
+	if s.cfg.Injector != nil {
+		// A Stalling rule sleeps here, holding this job (and its worker)
+		// toward its deadline — the modeled stalled queue.
+		s.cfg.Injector.Inject(SiteBatchStall)
 	}
+	// The scheduler wait, stamped retroactively: admission-to-dispatch
+	// (the batch span is zero-length at admission).
+	queueWait := time.Since(j.enqueued)
+	j.tc.Observe("schedule", j.enqueued, queueWait)
 	if j.expired(time.Now()) {
 		s.sched.shedStats(j.tenant)
 		s.shedExpired(j, queueWait)
@@ -429,8 +407,8 @@ func (s *Server) runJob(j *job) {
 }
 
 // shedExpired finishes a job whose deadline passed while it waited in
-// the batcher or the fair queue — the in-queue face of the shedding
-// policy (the mid-solve face returns a partial result instead).
+// the fair queue — the in-queue face of the shedding policy (the
+// mid-solve face returns a partial result instead).
 func (s *Server) shedExpired(j *job, queueWait time.Duration) {
 	reason := fmt.Sprintf("deadline expired after %.1fms queued: shed instead of running a doomed solve (mid-solve expiry would return a partial result; see ErrPartial)",
 		float64(queueWait.Microseconds())/1000)
