@@ -3,7 +3,6 @@ package stencilivc
 import (
 	"stencilivc/internal/core"
 	"stencilivc/internal/resultcache"
-	"stencilivc/internal/resultcache/memstore"
 )
 
 // Result-cache types (internal/resultcache), re-exported for users of
@@ -12,9 +11,10 @@ import (
 // re-running the solver; leaving the field nil costs one pointer
 // compare.
 type (
-	// ResultCache is the content-addressed solve-result cache: a sharded
+	// ResultCache is the content-addressed solve-result cache: one
 	// byte-budget LRU keyed by instance fingerprint, optionally in front
-	// of a persistent CacheStore.
+	// of a persistent CacheStore. Any answer up to the budget is held in
+	// memory.
 	ResultCache = resultcache.Cache
 	// ResultCacheConfig parameterizes NewResultCache; the zero value is
 	// a memory-only cache with a 64 MiB budget.
@@ -61,7 +61,7 @@ func NewFileCacheStoreSwept(dir string, pol CacheSweepPolicy) (CacheStore, error
 
 // NewMemCacheStore returns the in-memory reference CacheStore — the
 // persistence-tier semantics without a disk.
-func NewMemCacheStore() CacheStore { return memstore.New() }
+func NewMemCacheStore() CacheStore { return resultcache.NewMemStore() }
 
 // CacheFingerprint computes the content address a ResultCache files an
 // instance under: SHA-256 over the algorithm descriptor and the

@@ -1,7 +1,8 @@
 // Command stkdebench reproduces Figure 10 (Section VII): it runs the
 // STKDE application on six instances, once per coloring algorithm, and
 // reports the relation between the coloring's maxcolor and the measured
-// parallel runtime (plus the deterministic simulated makespan).
+// parallel runtime on -workers goroutines (plus the deterministic
+// makespan simulated at the paper's 6 processors, whatever -workers is).
 //
 // Usage:
 //
@@ -52,7 +53,8 @@ func run() error {
 			m.Algorithm, m.Colors, m.MeanSeconds, m.SimMakespan)
 	}
 
-	fmt.Println("\nlinear regression colors -> runtime (measured):")
+	fmt.Printf("\nlinear regression colors -> runtime (measured: num_cpu=%d, %d workers; simulated: P=%d):\n",
+		runtime.NumCPU(), *workers, experiments.Fig10Processors)
 	regWall, err := experiments.Fig10Regression(ms, false)
 	if err != nil {
 		return err
@@ -64,8 +66,8 @@ func run() error {
 	for _, cfg := range cfgs {
 		w := regWall[cfg.Name]
 		s := regSim[cfg.Name]
-		fmt.Printf("  %-36s slope=%+.3e r=%+.3f   (simulated: r=%+.3f)\n",
-			cfg.Name, w[1], w[2], s[2])
+		fmt.Printf("  %-36s slope=%+.3e r=%+.3f   (simulated P=%d: r=%+.3f)\n",
+			cfg.Name, w[1], w[2], experiments.Fig10Processors, s[2])
 	}
 
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {

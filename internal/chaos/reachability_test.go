@@ -14,7 +14,6 @@ import (
 	"stencilivc/internal/grid"
 	"stencilivc/internal/parallel"
 	"stencilivc/internal/resultcache"
-	"stencilivc/internal/resultcache/memstore"
 	"stencilivc/internal/service"
 )
 
@@ -58,7 +57,7 @@ func TestEveryRegisteredSiteIsReachable(t *testing.T) {
 	// resultcache/get-corrupt: store an entry through one cache, then
 	// look it up through a second cache sharing the persistence tier —
 	// the store-hit path is where the corruption site sits.
-	ms := memstore.New()
+	ms := resultcache.NewMemStore()
 	warm := resultcache.New(resultcache.Config{Store: ms})
 	col, err := core.GreedyColorOpts(g, g.LineOrder(), nil)
 	if err != nil {

@@ -285,3 +285,24 @@ func TestProvenOptimalVertexGate(t *testing.T) {
 		t.Fatalf("unsolved = %d, want all %d mismatched", rep.Unsolved, mismatched)
 	}
 }
+
+// TestFig10SimulatedCorrelationPositive: on all six Figure 10 instances
+// the makespan simulated at the paper's 6 processors grows with the
+// coloring's maxcolor (r > 0), as §VII reports. The simulation ignores
+// the real worker count, so one worker is enough here.
+func TestFig10SimulatedCorrelationPositive(t *testing.T) {
+	cfgs := Fig10Instances()
+	ms, err := Fig10(cfgs, 1, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := Fig10Regression(ms, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range cfgs {
+		if r := reg[cfg.Name][2]; r <= 0 {
+			t.Errorf("%s: simulated colors->makespan r = %+.3f, want > 0", cfg.Name, r)
+		}
+	}
+}

@@ -25,11 +25,11 @@ type CacheMetrics struct {
 	// resultcache_corrupt_total. A nonzero value with a healthy disk
 	// usually means a chaos schedule armed resultcache/get-corrupt.
 	Corrupt *Counter
-	// Entries is the current in-memory entry count across all shards —
+	// Entries is the current in-memory entry count —
 	// resultcache_entries.
 	Entries *Gauge
 	// Bytes is the current in-memory footprint (coloring payloads plus
-	// per-entry overhead) across all shards — resultcache_bytes.
+	// per-entry overhead) — resultcache_bytes.
 	Bytes *Gauge
 }
 

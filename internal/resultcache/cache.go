@@ -5,7 +5,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"stencilivc/internal/core"
@@ -29,13 +28,10 @@ func init() {
 // observability sink disabled.
 type Config struct {
 	// MaxBytes bounds the in-memory tier (payload bytes plus a flat
-	// per-entry allowance); the LRU policy evicts past it. <= 0 picks
-	// 64 MiB. The budget is split evenly across the shards.
+	// per-entry allowance); the LRU policy evicts past it, and an entry
+	// larger than the whole budget is not memory-cached. <= 0 picks
+	// 64 MiB.
 	MaxBytes int64
-	// Shards is the number of independently locked cache shards;
-	// <= 0 picks 16. More shards means less lock contention between
-	// concurrent service workers at the cost of slightly coarser LRU.
-	Shards int
 	// Store, when non-nil, is the persistence tier: every stored entry
 	// is written through, and an in-memory miss falls back to it before
 	// being counted a real miss.
@@ -53,10 +49,10 @@ type Config struct {
 	Commit string
 }
 
-// Cache is the content-addressed solve-result cache: a sharded
-// byte-budget LRU keyed by instance fingerprint, optionally in front of
-// a persistent Store. It implements core.SolveCache, so attaching one
-// to SolveOptions.Cache is all heuristics.Run needs to start memoizing.
+// Cache is the content-addressed solve-result cache: one byte-budget
+// LRU keyed by instance fingerprint, optionally in front of a
+// persistent Store. It implements core.SolveCache, so attaching one to
+// SolveOptions.Cache is all heuristics.Run needs to start memoizing.
 //
 // All methods are safe for concurrent use. Through Lookup and Store,
 // colorings cross the cache boundary by deep copy in both directions: a
@@ -65,42 +61,28 @@ type Config struct {
 // byte-identical-hit guarantee hold. Shared is the one exception: a
 // view for callers that only read colorings, which shares them instead.
 type Cache struct {
-	shards  []shard
-	perMax  int64
-	store   Store
-	metrics *obsv.CacheMetrics
-	flight  *obsv.FlightRecorder
-	inj     core.Injector
-	commit  string
+	maxBytes int64
+	store    Store
+	metrics  *obsv.CacheMetrics
+	flight   *obsv.FlightRecorder
+	inj      core.Injector
+	commit   string
 
-	// entries/bytes describe the in-memory tier; stores, evictions, and
-	// corrupt are the cache's own lifetime counters — kept here, not just
-	// in the metrics bundle, so Snapshot is exact even when metrics are
-	// disabled (a nil-registry bundle's counters are no-ops).
-	entries   atomic.Int64
-	bytes     atomic.Int64
-	stores    atomic.Int64
-	evictions atomic.Int64
-	corrupt   atomic.Int64
-
-	// tenants maps tenant → hit/miss counters for the per-tenant
-	// accounting /healthz reports.
-	tenantMu sync.Mutex
-	tenants  map[string]*tenantCounts
-}
-
-type tenantCounts struct {
-	hits   atomic.Int64
-	misses atomic.Int64
-}
-
-// shard is one independently locked slice of the key space.
-type shard struct {
+	// mu guards the LRU and every counter below, so Snapshot is one
+	// consistent read. The counters are the cache's own — kept here, not
+	// just in the metrics bundle, so Snapshot is exact even when metrics
+	// are disabled (a nil-registry bundle's counters are no-ops).
 	mu    sync.Mutex
 	byKey map[core.CacheKey]*list.Element
 	lru   list.List // front = most recently used
 	bytes int64
+	// stores, evictions and corrupt count over the cache's lifetime.
+	stores, evictions, corrupt int64
+	// tenants maps tenant → the hit/miss split /healthz reports.
+	tenants map[string]*tenantCounts
 }
+
+type tenantCounts struct{ hits, misses int64 }
 
 // node is the LRU element payload.
 type node struct {
@@ -116,9 +98,6 @@ func New(cfg Config) *Cache {
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = 64 << 20
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 16
-	}
 	if cfg.Metrics == nil {
 		// Keep the bundle non-nil so instrumentation stays unconditional;
 		// a bundle of nil metrics makes every record a no-op.
@@ -128,20 +107,16 @@ func New(cfg Config) *Cache {
 	if commit == "" {
 		commit = buildCommit()
 	}
-	c := &Cache{
-		shards:  make([]shard, cfg.Shards),
-		perMax:  max(cfg.MaxBytes/int64(cfg.Shards), 1),
-		store:   cfg.Store,
-		metrics: cfg.Metrics,
-		flight:  cfg.Flight,
-		inj:     cfg.Injector,
-		commit:  commit,
-		tenants: map[string]*tenantCounts{},
+	return &Cache{
+		maxBytes: cfg.MaxBytes,
+		store:    cfg.Store,
+		metrics:  cfg.Metrics,
+		flight:   cfg.Flight,
+		inj:      cfg.Injector,
+		commit:   commit,
+		byKey:    map[core.CacheKey]*list.Element{},
+		tenants:  map[string]*tenantCounts{},
 	}
-	for i := range c.shards {
-		c.shards[i].byKey = map[core.CacheKey]*list.Element{}
-	}
-	return c
 }
 
 // buildCommit reads the VCS revision the binary was built from, so
@@ -158,13 +133,6 @@ func buildCommit() string {
 		}
 	}
 	return ""
-}
-
-// shardFor maps a key to its shard by the key's leading bytes — the key
-// is a SHA-256 digest, so any fixed slice of it is uniform.
-func (c *Cache) shardFor(key core.CacheKey) *shard {
-	idx := (int(key[0])<<8 | int(key[1])) % len(c.shards)
-	return &c.shards[idx]
 }
 
 // Shared returns a core.SolveCache view of c that shares colorings
@@ -206,30 +174,32 @@ func (c *Cache) Lookup(alg string, g core.Graph, tenant string) (core.Coloring, 
 // set and the entry's own otherwise.
 func (c *Cache) lookup(alg string, g core.Graph, tenant string, clone bool) (core.Coloring, core.CacheKey, bool) {
 	key := Fingerprint(alg, g)
-	sh := c.shardFor(key)
 
-	sh.mu.Lock()
-	if el, ok := sh.byKey[key]; ok {
-		sh.lru.MoveToFront(el)
-		starts := cloneIf(clone, el.Value.(*node).entry.Starts)
-		sh.mu.Unlock()
+	c.mu.Lock()
+	if el, ok := c.byKey[key]; ok {
+		c.lru.MoveToFront(el)
+		c.tenant(tenant).hits++
+		starts := el.Value.(*node).entry.Starts
+		c.mu.Unlock()
 		c.metrics.Hits.Add(1)
-		c.tenantCounts(tenant).hits.Add(1)
-		return core.Coloring{Start: starts}, key, true
+		// No one writes an entry's starts after insert, so the copy runs
+		// outside the lock and never serializes other lookups.
+		return core.Coloring{Start: cloneIf(clone, starts)}, key, true
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 
 	if c.store != nil {
 		if e, ok := c.loadPersisted(key, g); ok {
-			c.insert(sh, key, e)
+			c.insert(key, e, tenant, true)
 			c.metrics.Hits.Add(1)
-			c.tenantCounts(tenant).hits.Add(1)
 			return core.Coloring{Start: cloneIf(clone, e.Starts)}, key, true
 		}
 	}
 
+	c.mu.Lock()
+	c.tenant(tenant).misses++
+	c.mu.Unlock()
 	c.metrics.Misses.Add(1)
-	c.tenantCounts(tenant).misses.Add(1)
 	return core.Coloring{}, key, false
 }
 
@@ -257,7 +227,9 @@ func (c *Cache) loadPersisted(key core.CacheKey, g core.Graph) (Entry, bool) {
 		}
 	}
 	if reason != "" {
-		c.corrupt.Add(1)
+		c.mu.Lock()
+		c.corrupt++
+		c.mu.Unlock()
 		c.metrics.Corrupt.Add(1)
 		if c.flight.Exporting() {
 			c.flight.RecordEvent(0, "cache.corrupt", key.String()+": "+reason, 0)
@@ -270,7 +242,7 @@ func (c *Cache) loadPersisted(key core.CacheKey, g core.Graph) (Entry, bool) {
 
 // Store implements core.SolveCache: deep-copy the coloring, stamp
 // provenance, insert into the in-memory tier (evicting LRU entries past
-// the shard budget), and write through to the persistence tier when one
+// the byte budget), and write through to the persistence tier when one
 // is configured.
 func (c *Cache) Store(key core.CacheKey, alg, tenant string, g core.Graph, col core.Coloring, wall time.Duration) {
 	c.put(key, alg, tenant, g, col, wall, true)
@@ -289,9 +261,7 @@ func (c *Cache) put(key core.CacheKey, alg, tenant string, g core.Graph, col cor
 			CreatedUnix: time.Now().Unix(),
 		},
 	}
-	sh := c.shardFor(key)
-	c.insert(sh, key, e)
-	c.stores.Add(1)
+	c.insert(key, e, tenant, false)
 	c.metrics.Stores.Add(1)
 	if c.store != nil {
 		// Write-through is best-effort: a failed persist leaves the
@@ -309,64 +279,54 @@ func cloneIf(clone bool, starts []int64) []int64 {
 	return starts
 }
 
-// insert places e into sh under key (replacing any previous entry) and
-// evicts least-recently-used entries until the shard is back under its
-// byte budget. An entry larger than the whole shard budget is not
-// memory-cached at all — it would only evict everything else and then
-// evict itself.
-func (c *Cache) insert(sh *shard, key core.CacheKey, e Entry) {
+// insert files e under key (replacing any previous entry) and evicts
+// least-recently-used entries until the cache is back under its byte
+// budget. Under the same lock it counts the insert: as tenant's hit for
+// an entry promoted from the store tier, as a store otherwise. An entry
+// larger than the whole budget is not memory-cached at all — it would
+// only evict everything else and then evict itself.
+func (c *Cache) insert(key core.CacheKey, e Entry, tenant string, promoted bool) {
 	size := e.memBytes()
-	if size > c.perMax {
-		return
-	}
-	sh.mu.Lock()
-	if el, ok := sh.byKey[key]; ok {
-		old := el.Value.(*node)
-		sh.bytes -= old.size
-		c.bytes.Add(-old.size)
-		sh.lru.Remove(el)
-		delete(sh.byKey, key)
-		c.entries.Add(-1)
-	}
-	sh.byKey[key] = sh.lru.PushFront(&node{key: key, entry: e, size: size})
-	sh.bytes += size
-	c.entries.Add(1)
-	c.bytes.Add(size)
 	var evicted []*node
-	for sh.bytes > c.perMax {
-		back := sh.lru.Back()
-		if back == nil {
-			break
-		}
-		n := back.Value.(*node)
-		sh.lru.Remove(back)
-		delete(sh.byKey, n.key)
-		sh.bytes -= n.size
-		evicted = append(evicted, n)
+	c.mu.Lock()
+	if promoted {
+		c.tenant(tenant).hits++
+	} else {
+		c.stores++
 	}
-	sh.mu.Unlock()
+	if size <= c.maxBytes {
+		if el, ok := c.byKey[key]; ok {
+			c.bytes -= el.Value.(*node).size
+			c.lru.Remove(el)
+		}
+		c.byKey[key] = c.lru.PushFront(&node{key: key, entry: e, size: size})
+		c.bytes += size
+		for c.bytes > c.maxBytes {
+			n := c.lru.Remove(c.lru.Back()).(*node)
+			delete(c.byKey, n.key)
+			c.bytes -= n.size
+			evicted = append(evicted, n)
+		}
+		c.evictions += int64(len(evicted))
+		c.metrics.Entries.Set(int64(len(c.byKey)))
+		c.metrics.Bytes.Set(c.bytes)
+	}
+	c.mu.Unlock()
 	for _, n := range evicted {
-		c.entries.Add(-1)
-		c.bytes.Add(-n.size)
-		c.evictions.Add(1)
 		c.metrics.Evictions.Add(1)
 		if c.flight.Exporting() {
 			c.flight.RecordEvent(0, "cache.evict", n.key.String(), n.size)
 		}
 	}
-	c.metrics.Entries.Set(c.entries.Load())
-	c.metrics.Bytes.Set(c.bytes.Load())
 }
 
-// tenantCounts returns the per-tenant accounting cell, creating it on
-// first use.
-func (c *Cache) tenantCounts(tenant string) *tenantCounts {
-	c.tenantMu.Lock()
-	defer c.tenantMu.Unlock()
-	tc := c.tenants[tenant]
+// tenant returns tenant's accounting cell, creating it on first use.
+// The caller holds c.mu.
+func (c *Cache) tenant(name string) *tenantCounts {
+	tc := c.tenants[name]
 	if tc == nil {
 		tc = &tenantCounts{}
-		c.tenants[tenant] = tc
+		c.tenants[name] = tc
 	}
 	return tc
 }
@@ -401,28 +361,26 @@ type Stats struct {
 	Tenants []TenantCacheStats `json:"tenants,omitempty"`
 }
 
-// Snapshot returns the current cache accounting. The counters are read
-// individually, not under one lock, so a snapshot taken mid-traffic is
-// approximate — fine for /healthz, not a linearizable view.
+// Snapshot returns the current cache accounting, read under the
+// cache's lock as one consistent view.
 func (c *Cache) Snapshot() Stats {
+	c.mu.Lock()
 	st := Stats{
-		Entries: c.entries.Load(),
-		Bytes:   c.bytes.Load(),
+		Stores:    c.stores,
+		Evictions: c.evictions,
+		Corrupt:   c.corrupt,
+		Entries:   int64(len(c.byKey)),
+		Bytes:     c.bytes,
 	}
 	// The tenant cells are the ground truth for hits/misses; the metrics
 	// bundle may be disabled (nil registry), so nothing is read from it.
-	c.tenantMu.Lock()
 	for name, tc := range c.tenants {
-		ts := TenantCacheStats{Tenant: name, Hits: tc.hits.Load(), Misses: tc.misses.Load()}
-		st.Hits += ts.Hits
-		st.Misses += ts.Misses
-		st.Tenants = append(st.Tenants, ts)
+		st.Hits += tc.hits
+		st.Misses += tc.misses
+		st.Tenants = append(st.Tenants, TenantCacheStats{Tenant: name, Hits: tc.hits, Misses: tc.misses})
 	}
-	c.tenantMu.Unlock()
+	c.mu.Unlock()
 	sort.Slice(st.Tenants, func(i, j int) bool { return st.Tenants[i].Tenant < st.Tenants[j].Tenant })
-	st.Stores = c.stores.Load()
-	st.Evictions = c.evictions.Load()
-	st.Corrupt = c.corrupt.Load()
 	if c.store != nil {
 		st.Persisted = c.store.Len()
 	}

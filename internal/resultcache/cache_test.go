@@ -14,48 +14,6 @@ import (
 	"stencilivc/internal/obsv"
 )
 
-// mapStore is a minimal in-package Store double (the real reference
-// implementation lives in the memstore subpackage, which imports this
-// package and so cannot be used from its tests).
-type mapStore struct {
-	mu sync.Mutex
-	m  map[core.CacheKey]Entry
-}
-
-func newMapStore() *mapStore { return &mapStore{m: map[core.CacheKey]Entry{}} }
-
-func (s *mapStore) Get(key core.CacheKey) (Entry, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.m[key]
-	if !ok {
-		return Entry{}, false, nil
-	}
-	e.Starts = append([]int64(nil), e.Starts...)
-	return e, true, nil
-}
-
-func (s *mapStore) Put(key core.CacheKey, e Entry) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e.Starts = append([]int64(nil), e.Starts...)
-	s.m[key] = e
-	return nil
-}
-
-func (s *mapStore) Delete(key core.CacheKey) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.m, key)
-	return nil
-}
-
-func (s *mapStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.m)
-}
-
 // testGrid builds an n×n grid with small varied weights.
 func testGrid(t *testing.T, n int) *grid.Grid2D {
 	t.Helper()
@@ -130,9 +88,9 @@ func TestCacheByteBudgetEviction(t *testing.T) {
 	g := testGrid(t, 8) // 64 starts = 512 payload bytes + overhead
 	entrySize := (&Entry{Starts: make([]int64, g.Len()), Prov: Provenance{Solver: "GLL"}}).memBytes()
 
-	// One shard, budget for three entries: the fourth insert must evict
-	// the least recently used.
-	c := New(Config{MaxBytes: 3 * entrySize, Shards: 1})
+	// Budget for three entries: the fourth insert must evict the least
+	// recently used.
+	c := New(Config{MaxBytes: 3 * entrySize})
 	algs := []string{"GLL", "GLF", "GZO", "SGK"}
 	for _, alg := range algs {
 		_, key, _ := c.Lookup(alg, g, "")
@@ -157,13 +115,50 @@ func TestCacheByteBudgetEviction(t *testing.T) {
 	}
 }
 
+// TestCacheOversizedEntryNotCached: the one byte budget is the only
+// size limit. An entry of exactly MaxBytes is memory-cached and hit,
+// whether it arrives through Store or as a promotion from the store
+// tier; one byte less of budget refuses it, and so does a budget
+// smaller than any entry.
 func TestCacheOversizedEntryNotCached(t *testing.T) {
 	g := testGrid(t, 8)
-	c := New(Config{MaxBytes: 64, Shards: 1}) // smaller than any entry
-	_, key, _ := c.Lookup("GLL", g, "")
-	c.Store(key, "GLL", "", g, serialColoring(g), time.Millisecond)
-	if st := c.Snapshot(); st.Entries != 0 {
-		t.Fatalf("oversized entry was memory-cached (entries=%d)", st.Entries)
+	col := serialColoring(g)
+	entrySize := (&Entry{Starts: col.Start, Prov: Provenance{Solver: "GLL"}}).memBytes()
+	key := Fingerprint("GLL", g)
+
+	for _, tc := range []struct {
+		budget int64
+		cached bool
+	}{{64, false}, {entrySize - 1, false}, {entrySize, true}} {
+		stored := New(Config{MaxBytes: tc.budget})
+		stored.Store(key, "GLL", "", g, col, time.Millisecond)
+
+		ms := NewMemStore()
+		if err := ms.Put(key, Entry{Starts: col.Start, Prov: Provenance{Solver: "GLL"}}); err != nil {
+			t.Fatal(err)
+		}
+		promoted := New(Config{MaxBytes: tc.budget, Store: ms})
+		if _, _, ok := promoted.Lookup("GLL", g, ""); !ok {
+			t.Fatalf("budget %d: store-tier entry not served", tc.budget)
+		}
+		// With the persisted copy gone, only the memory tier can hit.
+		if err := ms.Delete(key); err != nil {
+			t.Fatal(err)
+		}
+
+		want := int64(0)
+		if tc.cached {
+			want = 1
+		}
+		for name, c := range map[string]*Cache{"stored": stored, "promoted": promoted} {
+			if st := c.Snapshot(); st.Entries != want || st.Bytes != want*entrySize || st.Evictions != 0 {
+				t.Errorf("budget %d, %s: entries=%d bytes=%d evictions=%d, want %d entries of %d bytes and no evictions",
+					tc.budget, name, st.Entries, st.Bytes, st.Evictions, want, entrySize)
+			}
+			if _, _, ok := c.Lookup("GLL", g, ""); ok != tc.cached {
+				t.Errorf("budget %d, %s: memory hit=%v, want %v", tc.budget, name, ok, tc.cached)
+			}
+		}
 	}
 }
 
@@ -173,7 +168,7 @@ func TestCacheOversizedEntryNotCached(t *testing.T) {
 // the Cache's own Lookup still returns a private copy, and hits through
 // either face count once in the cache's accounting.
 func TestSharedViewSharesStarts(t *testing.T) {
-	ms := newMapStore()
+	ms := NewMemStore()
 	c := New(Config{Store: ms})
 	view := c.Shared()
 	g := testGrid(t, 8)
@@ -211,7 +206,7 @@ func TestSharedViewSharesStarts(t *testing.T) {
 }
 
 func TestCacheStoreTierPromotion(t *testing.T) {
-	ms := newMapStore()
+	ms := NewMemStore()
 	g := testGrid(t, 6)
 
 	warm := New(Config{Store: ms})
@@ -240,7 +235,7 @@ func TestCacheStoreTierPromotion(t *testing.T) {
 }
 
 func TestCacheCorruptPersistedEntryDegradesToMiss(t *testing.T) {
-	ms := newMapStore()
+	ms := NewMemStore()
 	g := testGrid(t, 6)
 	c := New(Config{Store: ms})
 	key := Fingerprint("GLL", g)
@@ -270,7 +265,7 @@ func TestCacheCorruptPersistedEntryDegradesToMiss(t *testing.T) {
 }
 
 func TestCacheInjectedCorruption(t *testing.T) {
-	ms := newMapStore()
+	ms := NewMemStore()
 	g := testGrid(t, 6)
 
 	armed := false
@@ -310,8 +305,8 @@ func TestCacheFlightEvents(t *testing.T) {
 	rec := obsv.NewFlightRecorder(64, nil)
 	var buf bytes.Buffer
 	rec.Export(&buf)
-	ms := newMapStore()
-	c := New(Config{MaxBytes: entrySize, Shards: 1, Store: ms, Flight: rec})
+	ms := NewMemStore()
+	c := New(Config{MaxBytes: entrySize, Store: ms, Flight: rec})
 	_, first, _ := c.Lookup("GLL", g, "")
 	c.Store(first, "GLL", "", g, serialColoring(g), time.Millisecond)
 	c.Lookup("GLL", g, "") // a hit
@@ -355,14 +350,13 @@ func TestCacheFlightEvents(t *testing.T) {
 // TestCacheConcurrentStorm hammers one cache from many goroutines doing
 // lookups, stores, and byte-budget evictions at once; run under -race
 // (the Makefile cache tier does) it is the data-race gate for the
-// sharded LRU.
+// LRU and its counters.
 func TestCacheConcurrentStorm(t *testing.T) {
 	g := testGrid(t, 8)
 	entrySize := (&Entry{Starts: make([]int64, g.Len())}).memBytes()
 	c := New(Config{
 		MaxBytes: 8 * entrySize, // small enough that eviction churns
-		Shards:   4,
-		Store:    newMapStore(),
+		Store:    NewMemStore(),
 		Metrics:  obsv.NewCacheMetrics(obsv.NewRegistry()),
 	})
 	col := serialColoring(g)

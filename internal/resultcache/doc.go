@@ -6,20 +6,19 @@
 // target — a digest hit returns a provably identical coloring for
 // free.
 //
-// The architecture is a hash-keyed index in front of blob storage, in
-// two tiers:
+// The architecture is a hash-keyed index in front of blob storage:
 //
 //   - Fingerprint computes the content address: SHA-256 over the
 //     algorithm descriptor plus a canonical, domain-separated encoding
 //     of the instance (stencil kind + dims + a streaming weight digest
 //     for grids; the full sorted CSR walk for general graphs). No
 //     serialized copy of the instance is ever materialized.
-//   - Cache is a sharded, byte-budget LRU over decoded entries,
-//     implementing core.SolveCache so heuristics.Run can consult it
-//     through SolveOptions.Cache with a single pointer compare when
-//     disabled.
+//   - Cache is one byte-budget LRU over decoded entries under one lock,
+//     holding any entry up to its budget and implementing
+//     core.SolveCache so heuristics.Run can consult it through
+//     SolveOptions.Cache with a single pointer compare when disabled.
 //   - Store is the pluggable persistence tier behind the LRU
-//     (Get/Put/Delete/Len). memstore.Store is the map-backed reference
+//     (Get/Put/Delete/Len). MemStore is the map-backed reference
 //     implementation; FileStore persists one checksummed file per entry
 //     with atomic write-temp-rename and an fsync'd directory index.
 //

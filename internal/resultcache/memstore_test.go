@@ -1,18 +1,17 @@
-package memstore
+package resultcache
 
 import (
 	"testing"
 
 	"stencilivc/internal/core"
-	"stencilivc/internal/resultcache"
 )
 
 func TestMemstoreRoundtripAndIsolation(t *testing.T) {
-	s := New()
+	s := NewMemStore()
 	var key core.CacheKey
 	key[0] = 7
 
-	e := resultcache.Entry{Starts: []int64{1, 2, 3}}
+	e := Entry{Starts: []int64{1, 2, 3}}
 	if err := s.Put(key, e); err != nil {
 		t.Fatal(err)
 	}

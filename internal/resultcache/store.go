@@ -15,10 +15,9 @@ import "stencilivc/internal/core"
 // bit rot, a failed checksum) as an error wrapping ErrCorrupt; the
 // cache degrades any Get error to a miss.
 //
-// In-tree implementations: memstore.Store (map-backed, for tests and
+// In-tree implementations: MemStore (map-backed, for tests and
 // single-process daemons) and FileStore (one fsync'd file per entry,
-// atomic write-temp-rename). An S3-shaped remote store slots in behind
-// the same four methods — see ROADMAP.
+// atomic write-temp-rename).
 type Store interface {
 	// Get returns the entry stored under key; ok is false when the key
 	// is absent. An error means the entry existed but was unreadable.

@@ -1,19 +1,14 @@
 package service
 
-import (
-	"testing"
-
-	"stencilivc/internal/resultcache/memstore"
-)
+import "testing"
 
 // TestServiceCacheHitByteIdentical is the acceptance check for the
 // service-layer cache wiring: POSTing the same instance twice returns a
 // byte-identical coloring the second time, served from the cache (the
 // /healthz hit counter increments), with the entry written through to
-// the injected persistence tier.
+// the CacheDir file store.
 func TestServiceCacheHitByteIdentical(t *testing.T) {
-	ms := memstore.New()
-	srv, ts := newTestService(t, Config{Workers: 1, CacheStore: ms})
+	srv, ts := newTestService(t, Config{Workers: 1, CacheDir: t.TempDir()})
 
 	req := Request{Tenant: "acme", Alg: "GLL", X: 10, Y: 10, Weights: gridWeights(10)}
 	code1, res1 := postSolve(t, ts.URL, req)
@@ -47,8 +42,8 @@ func TestServiceCacheHitByteIdentical(t *testing.T) {
 	if len(h.Cache.Tenants) != 1 || h.Cache.Tenants[0].Tenant != "acme" || h.Cache.Tenants[0].Hits != 1 {
 		t.Fatalf("per-tenant cache accounting wrong: %+v", h.Cache.Tenants)
 	}
-	if ms.Len() != 1 {
-		t.Fatalf("write-through missed the injected store (len=%d)", ms.Len())
+	if h.Cache.Persisted != 1 {
+		t.Fatalf("write-through missed the file store (persisted=%d)", h.Cache.Persisted)
 	}
 	if srv.Cache() == nil {
 		t.Fatal("Server.Cache() is nil with caching enabled")

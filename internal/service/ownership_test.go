@@ -122,9 +122,10 @@ func TestServiceHitSharesCacheEntry(t *testing.T) {
 // clients POST the same instances (some async, then polled through
 // GET /jobs/{id}) while a small cache evicts entries under them. Every
 // response must equal a direct, uncached solve. Run it under -race
-// -count=10 (make cache-check).
+// -count=10 (make cache-check). The storm stores 18 entries of 12,924
+// bytes in all, so a 6000-byte budget keeps evicting.
 func TestServiceSharedAnswersConcurrent(t *testing.T) {
-	srv, ts := newTestService(t, Config{Workers: 2, CacheBytes: 16 * 1200})
+	srv, ts := newTestService(t, Config{Workers: 2, CacheBytes: 6000})
 	type instance struct {
 		req  Request
 		want []int64

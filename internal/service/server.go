@@ -63,10 +63,6 @@ type Config struct {
 	// resultcache.FileStore rooted at this directory, so cached
 	// colorings survive daemon restarts. Ignored when CacheBytes < 0.
 	CacheDir string
-	// CacheStore, when non-nil, is the cache's persistence tier; it
-	// takes precedence over CacheDir (tests inject memstore here).
-	// Ignored when CacheBytes < 0.
-	CacheStore resultcache.Store
 	// CacheMaxEntries, when > 0, caps how many entries the CacheDir
 	// store keeps at open: the oldest by file modification time are
 	// evicted first. Ignored when CacheDir is unset.
@@ -159,8 +155,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.slo = obsv.NewSLOMetrics(cfg.Registry)
 	if cfg.CacheBytes >= 0 {
-		store := cfg.CacheStore
-		if store == nil && cfg.CacheDir != "" {
+		var store resultcache.Store
+		if cfg.CacheDir != "" {
 			fstore, err := resultcache.OpenFileStoreSwept(cfg.CacheDir, resultcache.SweepPolicy{
 				MaxEntries: cfg.CacheMaxEntries,
 				TTL:        cfg.CacheTTL,
