@@ -76,9 +76,13 @@ cache-check:
 # idle workers take two jobs side by side (work conservation), stalled
 # dispatches shed the expired tail while the queue front completes, a
 # stalled worker fills the per-tenant queue bound, concurrent tenants
-# all finish, and the weighted fair scheduler's unit tests.
+# all finish, and the weighted fair scheduler's unit tests. It then runs
+# the request-decoder benchmark (JSON and text bodies of a 96² and a 20³
+# instance) at a short -benchtime, so the decode path stays exercised
+# and its allocs/op are printed.
 serve-check:
 	$(GO) test -race -count=10 -run 'TestServiceWorkConserving|TestServiceBatchStallShedsExpired|TestServiceQueueBoundSheds|TestServiceConcurrentTenants|TestScheduler' ./internal/service
+	$(GO) test -run '^$$' -bench 'DecodeRequest' -benchmem -benchtime 100x ./internal/service
 
 # bench-kernel is the quick placement-kernel tier: the PlaceLowest
 # micro-benchmarks (interval, streaming, and packed free-map paths, and

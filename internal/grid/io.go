@@ -62,10 +62,11 @@ func Write3D(w io.Writer, g *Grid3D) error {
 // 2D or 3D grid, the other being nil. Fields are separated as
 // strings.Fields separates them (any Unicode white space), and the
 // weights are parsed in place from the scanner's buffer into one slice
-// that the grid then keeps.
+// that the grid then keeps. The scanner's buffer starts at 4 KiB, which
+// holds a few rows, and doubles only for a longer line (up to 16 MiB).
 func Read(r io.Reader) (*Grid2D, *Grid3D, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<24)
+	sc.Buffer(make([]byte, 0, 4096), 1<<24)
 	line, err := nextLine(sc)
 	if err != nil {
 		return nil, nil, fmt.Errorf("grid: missing header: %w", err)
@@ -192,15 +193,37 @@ func readWeights(sc *bufio.Scanner, n int) ([]int64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("grid: want %d weights, got %d: %w", n, len(weights), err)
 		}
-		for f, rest := nextField(line); len(f) > 0; f, rest = nextField(rest) {
-			w, err := strconv.ParseInt(string(f), 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("grid: bad weight %q: %w", f, err)
+		for i := 0; i < len(line); {
+			if c := line[i]; c < utf8.RuneSelf && asciiSpace[c] {
+				i++
+				continue
+			}
+			// A field of 1–18 ASCII digits ended by an ASCII space or
+			// the line's end cannot overflow and is parsed inline. Any
+			// other field — a sign, a longer number, a non-ASCII byte,
+			// which may be Unicode white space — is split off by
+			// nextField and parsed by strconv.ParseInt, so its verdict
+			// and error text stand.
+			j, w := i, int64(0)
+			for j < len(line) && line[j]-'0' <= 9 && j-i < 18 {
+				w = w*10 + int64(line[j]-'0')
+				j++
+			}
+			if j == i || j < len(line) && (line[j] >= utf8.RuneSelf || !asciiSpace[line[j]]) {
+				f, rest := nextField(line[i:])
+				if len(f) == 0 {
+					break // only Unicode white space is left
+				}
+				if w, err = strconv.ParseInt(string(f), 10, 64); err != nil {
+					return nil, fmt.Errorf("grid: bad weight %q: %w", f, err)
+				}
+				j = len(line) - len(rest)
 			}
 			weights = append(weights, w)
 			if len(weights) > n {
 				return nil, fmt.Errorf("grid: more than %d weights", n)
 			}
+			i = j
 		}
 	}
 	return weights, nil

@@ -109,11 +109,22 @@ func (d *digester) str(s string) {
 	}
 }
 
-// weights appends a length-framed weight vector.
+// weights appends a length-framed weight vector, filling the buffer up
+// to 512 weights at a time: the bytes are exactly those of one i64 call
+// per weight, without its per-value room check.
 func (d *digester) weights(w []int64) {
 	d.i64(int64(len(w)))
-	for _, v := range w {
-		d.i64(v)
+	for len(w) > 0 {
+		if d.n+8 > len(d.buf) {
+			d.flush()
+		}
+		chunk := w[:min(len(w), (len(d.buf)-d.n)/8)]
+		buf := d.buf[d.n : d.n+8*len(chunk)]
+		for i, v := range chunk {
+			binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
+		}
+		d.n += len(buf)
+		w = w[len(chunk):]
 	}
 }
 

@@ -145,3 +145,41 @@ func TestFingerprintLargeGridStreams(t *testing.T) {
 		t.Fatal("last-cell perturbation not reflected in the digest")
 	}
 }
+
+// TestFingerprintGoldenKeys pins the key bytes themselves. FileStore
+// addresses persisted entries by these keys, so a change to the
+// canonical encoding — or to how it is streamed into the hash — that
+// moved them would silently orphan every entry on disk. The 2D grid's
+// weights span several digester buffers; the 3D grid ends mid-buffer.
+func TestFingerprintGoldenKeys(t *testing.T) {
+	weights := func(n int) []int64 {
+		w := make([]int64, n)
+		for i := range w {
+			w[i] = int64(i*7919%97) * 1_000_003 // zeros and multi-byte values
+		}
+		return w
+	}
+	g2, err := grid.FromWeights2D(40, 30, weights(40*30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g3, err := grid.FromWeights3D(9, 8, 7, weights(9*8*7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := grid2x3(t, []int64{1, 2, 3, 4, 5, 6})
+	csr := csrOfGrid(t, small, gridEdges(small))
+	for _, tc := range []struct {
+		name string
+		key  core.CacheKey
+		want string
+	}{
+		{"grid2d 40x30", Fingerprint("GLL", g2), "d505b4510a3b4e43c84f5d5d5f74cb99acb4070f98305364a2dbb8d05d279826"},
+		{"grid3d 9x8x7", Fingerprint("BDP", g3), "b2ae482cbf0d405901ae4686991923abf1fdbc8862ff662cd536c0a5ede010e2"},
+		{"csr 2x3", Fingerprint("GLF", csr), "5079ee69959bbbcecdb274007c6d17e5bbfc1bd46d95b25398bd36e73f3138d3"},
+	} {
+		if got := tc.key.String(); got != tc.want {
+			t.Errorf("%s: key %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}

@@ -15,7 +15,8 @@ import (
 // decode and admission path as handleSolve, minus the solve. It must
 // never panic, it must accept and reject exactly the bodies the
 // reflective decoder does, with the same values (see reflectRequest),
-// an accepted body must be exactly one JSON value, and an accepted
+// an accepted body must be exactly one JSON value that json.Decoder
+// reads into the same Request, and an accepted
 // request must yield a stencil whose weight vector covers every vertex
 // — for the structured form, exactly the weights the request sent, in
 // 3D exactly when z > 0 (a negative z is refused).
@@ -47,6 +48,54 @@ func FuzzParseRequest(f *testing.F) {
 		`{"x":2,"y":1,"Weights":[1,2]}`,
 		`{"x":2,"y":1,"weights":null}`,
 		`{"x":2,"y":1,"weights":[]}`,
+		// Keys in any case: encoding/json matches them under Unicode
+		// case folding (U+017F folds to s), exactly first.
+		`{"ALG":"GLL","X":1,"Y":1,"WEIGHTS":[7]}`,
+		`{"aſync":true,"x":1,"y":1,"weights":[7]}`,
+		`{"alg":"GLL","Alg":"BD","aLG":null,"x":1,"y":1,"weights":[7]}`,
+		`{"\u0061lg":"G\u004cL","\u0078":1,"y":1,"weights":[7]}`,
+		`{"tenant\u0000":"t","x":1,"y":1,"weights":[7]}`,
+		// Duplicate keys: the last value wins, a null keeps a scalar,
+		// and a repeated weights array fills the earlier one's backing.
+		`{"x":1,"x":2,"y":1,"x":null,"weights":[1,2]}`,
+		`{"x":2,"y":1,"weights":[1,2,3,4],"weights":[],"weights":[null,null]}`,
+		`{"x":2,"y":1,"weights":[8,9],"weights":null,"weights":[null,6]}`,
+		// Strings: escapes, lone surrogates and invalid UTF-8 all
+		// decode, the last two as U+FFFD.
+		`{"tenant":"a\"b\\c\/d\b\f\n\r\t\u00e9\ud83d\ude00","x":1,"y":1,"weights":[7]}`,
+		`{"tenant":"\ud800","x":1,"y":1,"weights":[7]}`,
+		`{"tenant":"\udc00\ud800\u0041\ud800\ud800\udc00","x":1,"y":1,"weights":[7]}`,
+		"{\"tenant\":\"\xff\xfe\xed\xa0\x80\xc3\",\"x\":1,\"y\":1,\"weights\":[7]}",
+		"{\"tenant\":\"na\u00efve\",\"x\":1,\"y\":1,\"weights\":[7]}",
+		`{"tenant":"\x","x":1,"y":1,"weights":[7]}`,
+		`{"tenant":"\u12","x":1,"y":1,"weights":[7]}`,
+		"{\"tenant\":\"a\tb\",\"x\":1,\"y\":1,\"weights\":[7]}",
+		// Top-level values other than one object.
+		`null`,
+		" null \n",
+		`[]`,
+		``,
+		" \t\r\n",
+		`{} x`,
+		`{}`,
+		`{"x":1,}`,
+		`{"x":1`,
+		`"x"`,
+		// Scalars encoding/json will not store in the field's type.
+		`{"x":1e2,"y":1,"weights":[7]}`,
+		`{"timeout_ms":1.0,"x":1,"y":1,"weights":[7]}`,
+		`{"x":9223372036854775808,"y":1,"weights":[7]}`,
+		`{"timeout_ms":-9223372036854775808,"x":1,"y":1,"weights":[7]}`,
+		`{"x":"2","y":1,"weights":[7]}`,
+		`{"x":01,"y":1,"weights":[7]}`,
+		`{"x":-0,"y":1,"weights":[7],"timeout_ms":-0}`,
+		`{"async":null,"x":1,"y":1,"weights":[7]}`,
+		`{"async":1,"x":1,"y":1,"weights":[7]}`,
+		`{"alg":7,"x":1,"y":1,"weights":[7]}`,
+		`{"x":1,"y":1,"weights":[7],"weights":{}}`,
+		`{"x":1,"y":1,"weights":[,7]}`,
+		`{"x":2,"y":1,"weights":[7,,]}`,
+		`{"x":2,"y":1,"weights":[7 8]}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -64,6 +113,14 @@ func FuzzParseRequest(f *testing.F) {
 		}
 		if !json.Valid(body) {
 			t.Fatalf("accepted body %q is not exactly one JSON value", body)
+		}
+		// An encoding/json reader of Request reads weights through
+		// Weights.UnmarshalJSON, decodeRequest's own array parser.
+		var viaJSON Request
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&viaJSON); err != nil || !reflect.DeepEqual(viaJSON, want) {
+			t.Fatalf("json.Decoder into Request read %+v, %v; reflective decoder %+v", viaJSON, err, want)
 		}
 		_, _, s, err := parseRequest(&req)
 		if err != nil {

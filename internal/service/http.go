@@ -3,8 +3,6 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -171,22 +169,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		// The client went away; the job keeps running and stays pollable.
 		writeResult(w, http.StatusAccepted, j.snapshot())
 	}
-}
-
-// decodeRequest parses a POST /solve body. Unknown fields and anything
-// but whitespace after the request object are errors, so a misspelled
-// option or a second object is refused instead of silently ignored.
-func decodeRequest(body io.Reader) (Request, error) {
-	var req Request
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return req, err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return req, errors.New("trailing data after the request object")
-	}
-	return req, nil
 }
 
 // handleJob is GET /jobs/{id}: report a job's current snapshot.

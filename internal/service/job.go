@@ -1,9 +1,7 @@
 package service
 
 import (
-	"bytes"
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -55,70 +53,23 @@ type Request struct {
 // a null element reads as 0 (under a repeated "weights" key it keeps
 // what the earlier array left at that index), an empty array reads as
 // an empty slice and null as nil; floats, exponents, strings, nested
-// values and overflow are errors. FuzzParseRequest checks it against
-// the reflective decoder.
+// values and overflow are errors. decodeRequest and UnmarshalJSON share
+// one array parser, and FuzzParseRequest checks it against the
+// reflective decoder.
 type Weights []int64
 
-// UnmarshalJSON implements json.Unmarshaler. Like every Unmarshaler it
-// may assume data is one syntactically valid JSON value; the decoder
-// checks that before calling it.
+// UnmarshalJSON implements json.Unmarshaler, so an encoding/json reader
+// of a Request gets the values decodeRequest gets.
 func (w *Weights) UnmarshalJSON(data []byte) error {
-	data = trimJSONSpace(data)
-	if string(data) == "null" {
-		*w = nil
-		return nil
+	d := decoder{b: data}
+	d.space()
+	if err := d.weights(w); err != nil {
+		return err
 	}
-	if len(data) < 2 || data[0] != '[' || data[len(data)-1] != ']' {
-		return fmt.Errorf("weights: want an array of integers, got %.20q", data)
+	if d.space(); d.i != len(data) {
+		return d.fail("weights: trailing data")
 	}
-	elems := trimJSONSpace(data[1 : len(data)-1])
-	n := 0
-	if len(elems) > 0 {
-		n = bytes.Count(elems, []byte{','}) + 1
-	}
-	// Fill the current backing array, as the reflective decoder does,
-	// so a null element keeps what a repeated "weights" key left there.
-	out := *w
-	switch {
-	case n == 0:
-		out = Weights{}
-	case n > cap(out):
-		out = append(make(Weights, 0, n), out[:cap(out)]...)
-	}
-	out = out[:n]
-	for i := range out {
-		tok := elems
-		if k := bytes.IndexByte(elems, ','); k >= 0 {
-			tok, elems = elems[:k], elems[k+1:]
-		}
-		tok = trimJSONSpace(tok)
-		if string(tok) == "null" {
-			continue
-		}
-		v, err := strconv.ParseInt(string(tok), 10, 64)
-		if err != nil {
-			// A string, array or object element starts with a quote or
-			// a bracket, so its first comma-cut piece fails here too.
-			return fmt.Errorf("weights[%d]: %.20q is not an int64", i, tok)
-		}
-		out[i] = v
-	}
-	*w = out
 	return nil
-}
-
-// trimJSONSpace cuts the white space JSON allows between tokens from
-// both ends of b. It is bytes.Trim with that cutset, minus the cost of
-// building the cutset on every element.
-func trimJSONSpace(b []byte) []byte {
-	isSpace := func(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
-	for len(b) > 0 && isSpace(b[0]) {
-		b = b[1:]
-	}
-	for len(b) > 0 && isSpace(b[len(b)-1]) {
-		b = b[:len(b)-1]
-	}
-	return b
 }
 
 // Job statuses, as reported in Result.Status.
