@@ -117,7 +117,7 @@ trace-check:
 	rm -f .smoke-ivc
 	$(GO) test -race -run 'TestServiceTraceSpanTree|TestServiceFlightExport|TestServiceStormFlightScrape' ./internal/service/
 	$(GO) test -race -run 'TestTraceAndStats|TestLog' ./cmd/ivc
-	$(GO) test -run 'TestNilTraceCtxNoAllocs|TestFlightRecordNoAllocs' ./internal/heuristics ./internal/obsv
+	$(GO) test -run 'TestNilTraceCtxNoAllocs|TestFlightRecordNoAllocs|TestBDFamilyPins' ./internal/heuristics ./internal/obsv
 
 # bench runs the committed performance suite (placement kernel, figure
 # runtimes, sequential-vs-parallel scaling) and writes machine-readable
