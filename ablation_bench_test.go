@@ -29,6 +29,16 @@ func ablationGrid2D(seed int64, n int) *Grid2D {
 	return g
 }
 
+// ablationSolve runs alg through the registry; the ablation instances
+// are valid and never canceled, so an error is a bug.
+func ablationSolve(alg heuristics.Algorithm, s Stencil) Coloring {
+	c, err := heuristics.Run(alg, s, nil)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 // BenchmarkAblationBDPOrder compares BDP's block-structured recoloring
 // order against naive alternatives applied to the same BD coloring.
 func BenchmarkAblationBDPOrder(b *testing.B) {
@@ -38,20 +48,18 @@ func BenchmarkAblationBDPOrder(b *testing.B) {
 		run  func() int64
 	}{
 		{"bd-only", func() int64 {
-			c, _ := heuristics.BipartiteDecomposition2D(g)
-			return c.MaxColor(g)
+			return ablationSolve(heuristics.BD, g).MaxColor(g)
 		}},
 		{"bdp-block-order", func() int64 {
-			c, _ := heuristics.BipartiteDecompositionPost2D(g)
-			return c.MaxColor(g)
+			return ablationSolve(heuristics.BDP, g).MaxColor(g)
 		}},
 		{"bd+random-recolor", func() int64 {
-			c, _ := heuristics.BipartiteDecomposition2D(g)
+			c := ablationSolve(heuristics.BD, g)
 			order.Recolor(g, c, order.Shuffled(g.Len(), 1))
 			return c.MaxColor(g)
 		}},
 		{"bd+iterated-greedy", func() int64 {
-			c, _ := heuristics.BipartiteDecomposition2D(g)
+			c := ablationSolve(heuristics.BD, g)
 			order.IteratedGreedy(g, c, 10)
 			return c.MaxColor(g)
 		}},
@@ -74,7 +82,7 @@ func BenchmarkAblationSGKPermutations(b *testing.B) {
 	b.Run("GKF", func(b *testing.B) {
 		var colors int64
 		for i := 0; i < b.N; i++ {
-			c := heuristics.LargestCliqueFirst2D(g)
+			c := ablationSolve(heuristics.GKF, g)
 			colors = c.MaxColor(g)
 		}
 		b.ReportMetric(float64(colors), "colors")
@@ -82,7 +90,7 @@ func BenchmarkAblationSGKPermutations(b *testing.B) {
 	b.Run("SGK", func(b *testing.B) {
 		var colors int64
 		for i := 0; i < b.N; i++ {
-			c := heuristics.SmartLargestCliqueFirst2D(g)
+			c := ablationSolve(heuristics.SGK, g)
 			colors = c.MaxColor(g)
 		}
 		b.ReportMetric(float64(colors), "colors")
@@ -94,7 +102,7 @@ func BenchmarkAblationSGKPermutations(b *testing.B) {
 // waves, by simulated makespan on 8 processors.
 func BenchmarkAblationDAGvsWaves(b *testing.B) {
 	g := ablationGrid2D(63, 24)
-	c, err := heuristics.Run2D(heuristics.BDP, g)
+	c, err := heuristics.Run(heuristics.BDP, g, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -263,7 +271,7 @@ func BenchmarkAblationSGK3DPermutations(b *testing.B) {
 	b.Run("sorted", func(b *testing.B) {
 		var colors int64
 		for i := 0; i < b.N; i++ {
-			c := heuristics.SmartLargestCliqueFirst3D(g)
+			c := ablationSolve(heuristics.SGK, g)
 			colors = c.MaxColor(g)
 		}
 		b.ReportMetric(float64(colors), "colors")

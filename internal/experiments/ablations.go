@@ -47,20 +47,21 @@ func RunAblations(seed int64, processors int) (*AblationReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	bd, _ := heuristics.BipartiteDecomposition2D(g2)
-	rep.BD = bd.MaxColor(g2)
-	bdp, _ := heuristics.BipartiteDecompositionPost2D(g2)
-	rep.BDP = bdp.MaxColor(g2)
-	ig := bd.Clone()
-	order.IteratedGreedy(g2, ig, 10)
-	rep.BDIterated = ig.MaxColor(g2)
-
-	// DAG vs waves.
-	c, err := heuristics.Run2D(heuristics.BDP, g2)
+	bd, err := heuristics.Run(heuristics.BD, g2, nil)
 	if err != nil {
 		return nil, err
 	}
-	dag, err := sched.Build(g2, c)
+	rep.BD = bd.MaxColor(g2)
+	bdp, err := heuristics.Run(heuristics.BDP, g2, nil)
+	if err != nil {
+		return nil, err
+	}
+	rep.BDP = bdp.MaxColor(g2)
+	order.IteratedGreedy(g2, bd, 10)
+	rep.BDIterated = bd.MaxColor(g2)
+
+	// DAG vs waves, on the BDP coloring.
+	dag, err := sched.Build(g2, bdp)
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +96,11 @@ func RunAblations(seed int64, processors int) (*AblationReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep.SGKSorted = heuristics.SmartLargestCliqueFirst3D(g3).MaxColor(g3)
+	sgk, err := heuristics.Run(heuristics.SGK, g3, nil)
+	if err != nil {
+		return nil, err
+	}
+	rep.SGKSorted = sgk.MaxColor(g3)
 	rep.SGKFull = heuristics.SmartLargestCliqueFirst3DFull(g3).MaxColor(g3)
 	return rep, nil
 }

@@ -83,7 +83,7 @@ func Fig10(cfgs []STKDEConfig, seed int64, workers, runs int) ([]STKDEMeasuremen
 		}
 		g := app.BoxGrid()
 		for _, alg := range heuristics.All() {
-			c, err := heuristics.Run3D(alg, g)
+			c, err := heuristics.Run(alg, g, nil)
 			if err != nil {
 				return nil, err
 			}

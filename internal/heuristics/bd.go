@@ -12,116 +12,91 @@ func init() {
 	MustRegister(Descriptor{
 		Name: BD, Dims: DimBoth, Paper: true, Order: 6,
 		Fn: func(s grid.Stencil, opts *core.SolveOptions) (core.Coloring, error) {
-			switch g := s.(type) {
-			case *grid.Grid2D:
-				c, _, err := BipartiteDecomposition2DOpts(g, opts)
-				return c, err
-			case *grid.Grid3D:
-				c, _, err := BipartiteDecomposition3DOpts(g, opts)
-				return c, err
-			}
-			return core.Coloring{}, fmt.Errorf("BD: unsupported stencil type %T", s)
+			c, _, err := decompose(s, opts)
+			return c, err
 		},
 	})
-	MustRegister(Descriptor{
-		Name: BDP, Dims: DimBoth, Paper: true, Order: 7,
-		Fn: func(s grid.Stencil, opts *core.SolveOptions) (core.Coloring, error) {
-			switch g := s.(type) {
-			case *grid.Grid2D:
-				c, _, err := BipartiteDecompositionPost2DOpts(g, opts)
-				return c, err
-			case *grid.Grid3D:
-				c, _, err := BipartiteDecompositionPost3DOpts(g, opts)
-				return c, err
-			}
-			return core.Coloring{}, fmt.Errorf("BDP: unsupported stencil type %T", s)
-		},
-	})
+	MustRegister(Descriptor{Name: BDP, Dims: DimBoth, Paper: true, Order: 7, Fn: decomposePost})
 }
 
-// BipartiteDecomposition2D is BD (Section V-B), a 2-approximation for
-// 2DS-IVC. Each row — a chain, hence bipartite — is colored optimally with
-// the chain algorithm; RC, the maximum color used by any row, is itself a
-// lower bound on the optimum (a row is a subgraph). Even rows keep their
-// colors in [0, RC) and odd rows are lifted by RC into [RC, 2RC), so rows
-// never conflict and maxcolor <= 2·RC <= 2·maxcolor*.
+// decompose is BD (Section V-B) on a lattice of either depth, built one
+// level at a time. Each row — a chain, hence bipartite — is colored
+// optimally with the chain algorithm; RC, the largest maxcolor of a
+// layer's rows, is itself a lower bound on the optimum (a row is a
+// subgraph). Even rows keep their colors in [0, RC) and odd rows are
+// lifted by RC into [RC, 2RC): rows two apart are not adjacent, so rows
+// never conflict and a 9-pt grid is colored within 2·RC, a
+// 2-approximation. A 27-pt grid repeats the step one level up: LC is the
+// largest maxcolor of a layer so colored (each within 2× its layer's
+// optimum, which bounds the global optimum) and odd layers are lifted by
+// LC, a 4-approximation.
 //
-// The second return value is RC, the proven lower bound.
-func BipartiteDecomposition2D(g *grid.Grid2D) (core.Coloring, int64) {
-	c, rc, _ := BipartiteDecomposition2DOpts(g, nil) // cannot fail without a context
-	return c, rc
-}
-
-// BipartiteDecomposition2DOpts is BipartiteDecomposition2D threaded with
-// SolveOptions: the pass polls for cancellation once per row and flushes
-// its chain placements through the placement kernel into opts' sinks,
-// returning the context's error (and no coloring) if the solve is
-// abandoned mid-decomposition.
-func BipartiteDecomposition2DOpts(g *grid.Grid2D, opts *core.SolveOptions) (core.Coloring, int64, error) {
-	c := core.NewColoring(g.Len())
-	var rc int64
-	for j := 0; j < g.Y; j++ {
-		if err := opts.Err(); err != nil {
-			return core.Coloring{}, 0, err
+// The second return value is the largest RC, a proven lower bound in
+// either dimension. Cancellation is polled once per row, and the chain
+// placements reach opts' sinks through the placement kernel's flush.
+func decompose(s grid.Stencil, opts *core.SolveOptions) (core.Coloring, int64, error) {
+	l, ok := s.(core.Lattice)
+	if !ok {
+		return core.Coloring{}, 0, fmt.Errorf("BD: unsupported stencil type %T", s)
+	}
+	w, x, y, _ := l.Lattice()
+	c := core.Coloring{Start: make([]int64, len(w))}
+	var bound, lc int64
+	for layer := 0; layer < len(w); layer += x * y {
+		var rc, oddMC int64
+		for j := 0; j < y; j++ {
+			if err := opts.Err(); err != nil {
+				return core.Coloring{}, 0, err
+			}
+			row := layer + j*x
+			starts, mc := special.ColorChain(w[row : row+x])
+			copy(c.Start[row:], starts)
+			rc = max(rc, mc)
+			if j%2 == 1 {
+				oddMC = max(oddMC, mc)
+			}
 		}
-		starts, rowMC := special.ColorChain(g.Row(j))
-		rc = max(rc, rowMC)
-		for i := 0; i < g.X; i++ {
-			c.Start[g.ID(i, j)] = starts[i]
-		}
+		liftOdd(c.Start[layer:layer+x*y], x, rc)
+		bound = max(bound, rc)
+		// A chain's coloring ends exactly at its maxcolor, so the lifted
+		// layer's ends at RC plus its largest odd row's.
+		lc = max(lc, rc+oddMC)
 	}
 	var chains core.FitScratch
-	chains.AddPlacements(int64(g.Len()))
+	chains.AddPlacements(int64(len(w)))
 	chains.Flush(opts, 0)
-	// Each row's colors live in [0, its own maxcolor) ⊆ [0, RC); lifting
-	// odd rows by RC separates every cross-row conflict (rows two apart
-	// are non-adjacent in the 9-pt stencil).
-	for j := 1; j < g.Y; j += 2 {
-		for i := 0; i < g.X; i++ {
-			c.Start[g.ID(i, j)] += rc
-		}
-	}
-	return c, rc, nil
+	liftOdd(c.Start, x*y, lc)
+	return c, bound, nil
 }
 
-// BipartiteDecomposition3D is BD for 3DS-IVC, a 4-approximation
-// (Section V-B): each z-layer is colored with the 2D decomposition (each
-// within a factor 2 of its layer optimum, which bounds the global
-// optimum), LC is the maximum maxcolor over the layers, and odd layers are
-// lifted by LC. The second return value is the best per-layer RC, a valid
-// lower bound on the 3D optimum.
-func BipartiteDecomposition3D(g *grid.Grid3D) (core.Coloring, int64) {
-	c, lb, _ := BipartiteDecomposition3DOpts(g, nil)
-	return c, lb
+// liftOdd adds lift to the starts of every odd run of n consecutive
+// vertices: BD's odd rows (n = X, lifted by RC) and its odd layers
+// (n = X·Y, lifted by LC) alike.
+func liftOdd(start []int64, n int, lift int64) {
+	for run := n; run < len(start); run += 2 * n {
+		for v := run; v < run+n; v++ {
+			start[v] += lift
+		}
+	}
 }
 
-// BipartiteDecomposition3DOpts is BipartiteDecomposition3D with options;
-// cancellation is polled per layer (and per row inside each layer).
-func BipartiteDecomposition3DOpts(g *grid.Grid3D, opts *core.SolveOptions) (core.Coloring, int64, error) {
-	c := core.NewColoring(g.Len())
-	var lc, lb int64
-	layerCol := make([]core.Coloring, g.Z)
-	for k := 0; k < g.Z; k++ {
-		layer := g.Layer(k)
-		lcol, rc, err := BipartiteDecomposition2DOpts(layer, opts)
-		if err != nil {
-			return core.Coloring{}, 0, err
-		}
-		layerCol[k] = lcol
-		lb = max(lb, rc)
-		lc = max(lc, lcol.MaxColor(layer))
+// decomposePost is BDP (Section V-B) on either stencil: BD followed by
+// the greedy recoloring pass in postOrder. The decompose and post
+// phases record separate flight spans.
+func decomposePost(s grid.Stencil, opts *core.SolveOptions) (core.Coloring, error) {
+	sp := opts.FlightCtx().Start("BDP/decompose")
+	c, _, err := decompose(s, opts)
+	sp.End()
+	if err != nil {
+		return core.Coloring{}, err
 	}
-	for k := 0; k < g.Z; k++ {
-		base := k * g.X * g.Y
-		var lift int64
-		if k%2 == 1 {
-			lift = lc
-		}
-		for v, s := range layerCol[k].Start {
-			c.Start[base+v] = s + lift
-		}
+	sp = opts.FlightCtx().Start("BDP/post")
+	err = recolor(s, c, postOrder(s, c, s.CliqueBlocks()), opts)
+	sp.End()
+	if err != nil {
+		return core.Coloring{}, err
 	}
-	return c, lb, nil
+	return c, nil
 }
 
 // postOrder builds BDP's recoloring order (Section V-B): vertices are
@@ -181,52 +156,4 @@ func recolor(g core.Graph, c core.Coloring, order []int, opts *core.SolveOptions
 		c.Start[v] = s.Place(c, v, s.Neighbors(v))
 	}
 	return nil
-}
-
-// BipartiteDecompositionPost2D is BDP in 2D: BD followed by the greedy
-// recoloring pass. The returned bound is BD's RC.
-func BipartiteDecompositionPost2D(g *grid.Grid2D) (core.Coloring, int64) {
-	c, rc, _ := BipartiteDecompositionPost2DOpts(g, nil)
-	return c, rc
-}
-
-// BipartiteDecompositionPost2DOpts is BDP in 2D with options; the
-// decompose and post phases record separate flight spans.
-func BipartiteDecompositionPost2DOpts(g *grid.Grid2D, opts *core.SolveOptions) (core.Coloring, int64, error) {
-	sp := opts.FlightCtx().Start("BDP/decompose")
-	c, rc, err := BipartiteDecomposition2DOpts(g, opts)
-	sp.End()
-	if err != nil {
-		return core.Coloring{}, 0, err
-	}
-	sp = opts.FlightCtx().Start("BDP/post")
-	err = recolor(g, c, postOrder(g, c, g.CliqueBlocks()), opts)
-	sp.End()
-	if err != nil {
-		return core.Coloring{}, 0, err
-	}
-	return c, rc, nil
-}
-
-// BipartiteDecompositionPost3D is BDP in 3D.
-func BipartiteDecompositionPost3D(g *grid.Grid3D) (core.Coloring, int64) {
-	c, lb, _ := BipartiteDecompositionPost3DOpts(g, nil)
-	return c, lb
-}
-
-// BipartiteDecompositionPost3DOpts is BDP in 3D with options.
-func BipartiteDecompositionPost3DOpts(g *grid.Grid3D, opts *core.SolveOptions) (core.Coloring, int64, error) {
-	sp := opts.FlightCtx().Start("BDP/decompose")
-	c, lb, err := BipartiteDecomposition3DOpts(g, opts)
-	sp.End()
-	if err != nil {
-		return core.Coloring{}, 0, err
-	}
-	sp = opts.FlightCtx().Start("BDP/post")
-	err = recolor(g, c, postOrder(g, c, g.CliqueBlocks()), opts)
-	sp.End()
-	if err != nil {
-		return core.Coloring{}, 0, err
-	}
-	return c, lb, nil
 }

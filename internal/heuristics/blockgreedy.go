@@ -88,16 +88,6 @@ func colorStragglers(g core.Graph, c core.Coloring, s *core.FitScratch, opts *co
 	return nil
 }
 
-// LargestCliqueFirst2D is GKF on a 9-pt stencil.
-func LargestCliqueFirst2D(g *grid.Grid2D) core.Coloring {
-	return mustBlocks(greedyBlocksFirst(g, g.CliqueBlocks(), nil))
-}
-
-// LargestCliqueFirst3D is GKF on a 27-pt stencil.
-func LargestCliqueFirst3D(g *grid.Grid3D) core.Coloring {
-	return mustBlocks(greedyBlocksFirst(g, g.CliqueBlocks(), nil))
-}
-
 // mustBlocks unwraps a block-engine result run without options; with no
 // context to cancel, an error is a programming error.
 func mustBlocks(c core.Coloring, err error) core.Coloring {
@@ -118,11 +108,6 @@ func smartBlocksPermuted(g core.Graph, cv grid.Cover, opts *core.SolveOptions) (
 		ps.c, ps.s = c, s
 		ps.commitBest(cv.Offsets, a)
 	})
-}
-
-// SmartLargestCliqueFirst2D is SGK in 2D.
-func SmartLargestCliqueFirst2D(g *grid.Grid2D) core.Coloring {
-	return mustBlocks(smartBlocksPermuted(g, g.CliqueBlocks(), nil))
 }
 
 // permSearch is SGK's block-internal permutation search. One value
@@ -242,9 +227,4 @@ func smartBlocksSorted(g core.Graph, cv grid.Cover, opts *core.SolveOptions) (co
 			c.Start[v] = s.Place(c, v, s.Neighbors(v))
 		}
 	})
-}
-
-// SmartLargestCliqueFirst3D is SGK in 3D (weight-sorted block order).
-func SmartLargestCliqueFirst3D(g *grid.Grid3D) core.Coloring {
-	return mustBlocks(smartBlocksSorted(g, g.CliqueBlocks(), nil))
 }

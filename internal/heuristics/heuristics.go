@@ -19,7 +19,7 @@ const (
 	BD  Algorithm = "BD"  // Bipartite Decomposition (2-approx 2D, 4-approx 3D)
 	BDP Algorithm = "BDP" // Bipartite Decomposition + Post optimization
 
-	// BDL is an extension beyond the paper (see LayeredBDP3D): per-layer
+	// BDL is an extension beyond the paper (see layeredPost): per-layer
 	// BDP with a global post pass. 3D only; registered with Paper=false so
 	// the All() evaluation matrix stays the paper's seven algorithms.
 	BDL Algorithm = "BDL"
@@ -44,21 +44,4 @@ func init() {
 			return core.GreedyColorOpts(s, order.ByWeightDesc(s), opts)
 		},
 	})
-}
-
-// mustGreedy runs the greedy engine with an order we constructed
-// ourselves; a permutation failure is a programming error, not an input
-// error.
-func mustGreedy(g core.Graph, visit []int) core.Coloring {
-	c, err := core.GreedyColor(g, visit)
-	if err != nil {
-		panic("heuristics: internal order invalid: " + err.Error())
-	}
-	return c
-}
-
-// LargestFirst is GLF: greedy over vertices sorted by non-increasing
-// weight (ties by vertex id for determinism). Works on any graph.
-func LargestFirst(g core.Graph) core.Coloring {
-	return mustGreedy(g, order.ByWeightDesc(g))
 }

@@ -30,6 +30,17 @@ func random3D(rng *rand.Rand, x, y, z int, maxW int64) *grid.Grid3D {
 	return g
 }
 
+// mustRun solves s with alg through the registry, failing the test on
+// an error.
+func mustRun(t testing.TB, alg Algorithm, s grid.Stencil) core.Coloring {
+	t.Helper()
+	c, err := Run(alg, s, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", alg, err)
+	}
+	return c
+}
+
 // TestAllAlgorithmsValid2D is the central property test: on random 2D
 // instances (including degenerate 1×N shapes and zero weights), every
 // algorithm returns a valid coloring at or above the combined lower bound.
@@ -41,7 +52,7 @@ func TestAllAlgorithmsValid2D(t *testing.T) {
 		g := random2D(rng, shape[0], shape[1], 9)
 		lb := bounds.Combined2D(g, 0)
 		for _, alg := range All() {
-			c, err := Run2D(alg, g)
+			c, err := Run(alg, g, nil)
 			if err != nil {
 				t.Fatalf("%s on %dx%d: %v", alg, g.X, g.Y, err)
 			}
@@ -64,7 +75,7 @@ func TestAllAlgorithmsValid3D(t *testing.T) {
 		g := random3D(rng, shape[0], shape[1], shape[2], 9)
 		lb := bounds.Combined3D(g, 0)
 		for _, alg := range All() {
-			c, err := Run3D(alg, g)
+			c, err := Run(alg, g, nil)
 			if err != nil {
 				t.Fatalf("%s on %v: %v", alg, shape, err)
 			}
@@ -80,11 +91,11 @@ func TestAllAlgorithmsValid3D(t *testing.T) {
 
 func TestUnknownAlgorithmRejected(t *testing.T) {
 	g2 := grid.MustGrid2D(2, 2)
-	if _, err := Run2D("NOPE", g2); err == nil {
+	if _, err := Run("NOPE", g2, nil); err == nil {
 		t.Error("unknown 2D algorithm accepted")
 	}
 	g3 := grid.MustGrid3D(2, 2, 2)
-	if _, err := Run3D("NOPE", g3); err == nil {
+	if _, err := Run("NOPE", g3, nil); err == nil {
 		t.Error("unknown 3D algorithm accepted")
 	}
 }
@@ -95,7 +106,10 @@ func TestBD2ApproxGuarantee(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 15; trial++ {
 		g := random2D(rng, 2+rng.Intn(2), 2+rng.Intn(2), 5)
-		c, rc := BipartiteDecomposition2D(g)
+		c, rc, err := decompose(g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := c.Validate(g); err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +137,10 @@ func TestBD4ApproxGuarantee3D(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for trial := 0; trial < 6; trial++ {
 		g := random3D(rng, 2, 2, 2, 4)
-		c, lb := BipartiteDecomposition3D(g)
+		c, lb, err := decompose(g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := c.Validate(g); err != nil {
 			t.Fatal(err)
 		}
@@ -148,14 +165,12 @@ func TestBDPNeverWorseThanBD(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for trial := 0; trial < 30; trial++ {
 		g2 := random2D(rng, 2+rng.Intn(7), 2+rng.Intn(7), 12)
-		bd, _ := BipartiteDecomposition2D(g2)
-		bdp, _ := BipartiteDecompositionPost2D(g2)
+		bd, bdp := mustRun(t, BD, g2), mustRun(t, BDP, g2)
 		if bdp.MaxColor(g2) > bd.MaxColor(g2) {
 			t.Fatalf("2D BDP %d > BD %d", bdp.MaxColor(g2), bd.MaxColor(g2))
 		}
 		g3 := random3D(rng, 2+rng.Intn(3), 2+rng.Intn(3), 2+rng.Intn(3), 12)
-		bd3, _ := BipartiteDecomposition3D(g3)
-		bdp3, _ := BipartiteDecompositionPost3D(g3)
+		bd3, bdp3 := mustRun(t, BD, g3), mustRun(t, BDP, g3)
 		if bdp3.MaxColor(g3) > bd3.MaxColor(g3) {
 			t.Fatalf("3D BDP %d > BD %d", bdp3.MaxColor(g3), bd3.MaxColor(g3))
 		}
@@ -170,8 +185,7 @@ func TestSGKSingleBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	for trial := 0; trial < 20; trial++ {
 		g := random2D(rng, 2, 2, 9)
-		gkf := LargestCliqueFirst2D(g)
-		sgk := SmartLargestCliqueFirst2D(g)
+		gkf, sgk := mustRun(t, GKF, g), mustRun(t, SGK, g)
 		if sgk.MaxColor(g) > gkf.MaxColor(g) {
 			t.Fatalf("SGK %d > GKF %d on a single K4", sgk.MaxColor(g), gkf.MaxColor(g))
 		}
@@ -192,7 +206,7 @@ func TestUniformGridsHitCliqueBound(t *testing.T) {
 	}
 	lb := bounds.MaxK4(g) // 20
 	for _, alg := range All() {
-		c, err := Run2D(alg, g)
+		c, err := Run(alg, g, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +220,7 @@ func TestUniformGridsHitCliqueBound(t *testing.T) {
 			t.Logf("%s on uniform grid: %d (bound %d)", alg, mc, lb)
 		}
 	}
-	gll, _ := Run2D(GLL, g)
+	gll, _ := Run(GLL, g, nil)
 	if gll.MaxColor(g) != lb {
 		t.Errorf("GLL on uniform grid = %d, want %d", gll.MaxColor(g), lb)
 	}
@@ -231,7 +245,7 @@ func TestHeuristicsVsExactSmall(t *testing.T) {
 		}
 		best := int64(1) << 62
 		for _, alg := range All() {
-			c, err := Run2D(alg, g)
+			c, err := Run(alg, g, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -250,11 +264,14 @@ func TestHeuristicsVsExactSmall(t *testing.T) {
 }
 
 // TestWeightDescOrder: GLF colors by non-increasing weight, ties by id.
-// On the chain 2-9-4 that visits 9, 4, 2: the 9 takes [0,9) and both
-// of its neighbors stack on top of it.
+// On the 3×1 grid, the chain 2-9-4, that visits 9, 4, 2: the 9 takes
+// [0,9) and both of its neighbors stack on top of it.
 func TestWeightDescOrder(t *testing.T) {
-	g := core.Chain([]int64{2, 9, 4})
-	if got, want := LargestFirst(g).Start, []int64{9, 0, 9}; !slices.Equal(got, want) {
+	g, err := grid.FromWeights2D(3, 1, []int64{2, 9, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := mustRun(t, GLF, g).Start, []int64{9, 0, 9}; !slices.Equal(got, want) {
 		t.Errorf("GLF starts = %v, want %v", got, want)
 	}
 }
@@ -263,7 +280,7 @@ func TestRunAlgorithmsOnSingleVertex(t *testing.T) {
 	g2 := grid.MustGrid2D(1, 1)
 	g2.W[0] = 7
 	for _, alg := range All() {
-		c, err := Run2D(alg, g2)
+		c, err := Run(alg, g2, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -274,7 +291,7 @@ func TestRunAlgorithmsOnSingleVertex(t *testing.T) {
 	g3 := grid.MustGrid3D(1, 1, 1)
 	g3.W[0] = 3
 	for _, alg := range All() {
-		c, err := Run3D(alg, g3)
+		c, err := Run(alg, g3, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}

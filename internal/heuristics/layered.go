@@ -11,58 +11,38 @@ func init() {
 		// set, so All() and the evaluation matrix never pick it up; the
 		// registry still dispatches it by name and rejects 2D instances
 		// through the dimension mask.
-		Name: BDL, Dims: Dim3D, Paper: false, Order: 8,
-		Fn: func(s grid.Stencil, opts *core.SolveOptions) (core.Coloring, error) {
-			return LayeredBDP3DOpts(s.(*grid.Grid3D), opts)
-		},
+		Name: BDL, Dims: Dim3D, Paper: false, Order: 8, Fn: layeredPost,
 	})
 }
 
-// LayeredBDP3D is an extension beyond the paper addressing its closing
-// question ("can we design approximation algorithms for coloring 27-pt
-// stencils with a ratio better than 4?") on the practical side: instead
-// of coloring each z-layer with plain BD (2-approx per layer), color it
-// with the post-optimized BDP, lift odd layers by the largest layer
-// maxcolor, and finish with a global recoloring pass.
+// layeredPost is BDL, an extension beyond the paper addressing its
+// closing question ("can we design approximation algorithms for coloring
+// 27-pt stencils with a ratio better than 4?") on the practical side:
+// instead of coloring each z-layer with plain BD (2-approx per layer),
+// color it with the post-optimized BDP, lift odd layers by the largest
+// layer maxcolor as BD does, and finish with a global recoloring pass.
 //
 // The worst-case ratio stays 4 (each layer's BDP is still only guaranteed
 // within 2 of its layer optimum, and the layer-chain doubling is tight in
 // the worst case), but the practical quality is consistently at or below
 // BD's — the recoloring passes never increase maxcolor — which is exactly
-// the gap the open question is about.
-func LayeredBDP3D(g *grid.Grid3D) core.Coloring {
-	c, err := LayeredBDP3DOpts(g, nil)
-	if err != nil {
-		panic("heuristics: BDL failed without a context: " + err.Error())
-	}
-	return c
-}
-
-// LayeredBDP3DOpts is LayeredBDP3D with options; cancellation is polled
-// per layer and inside every recoloring pass.
-func LayeredBDP3DOpts(g *grid.Grid3D, opts *core.SolveOptions) (core.Coloring, error) {
-	c := core.NewColoring(g.Len())
+// the gap the open question is about. Each layer's BDP records its own
+// decompose and post spans; cancellation is polled per row and inside
+// every recoloring pass.
+func layeredPost(s grid.Stencil, opts *core.SolveOptions) (core.Coloring, error) {
+	g := s.(*grid.Grid3D)
+	c := core.Coloring{Start: make([]int64, g.Len())}
 	var lc int64
-	layerCol := make([]core.Coloring, g.Z)
 	for k := 0; k < g.Z; k++ {
 		layer := g.Layer(k)
-		lcol, _, err := BipartiteDecompositionPost2DOpts(layer, opts)
+		lcol, err := decomposePost(layer, opts)
 		if err != nil {
 			return core.Coloring{}, err
 		}
-		layerCol[k] = lcol
+		copy(c.Start[k*layer.Len():], lcol.Start)
 		lc = max(lc, lcol.MaxColor(layer))
 	}
-	for k := 0; k < g.Z; k++ {
-		base := k * g.X * g.Y
-		var lift int64
-		if k%2 == 1 {
-			lift = lc
-		}
-		for v, s := range layerCol[k].Start {
-			c.Start[base+v] = s + lift
-		}
-	}
+	liftOdd(c.Start, g.X*g.Y, lc)
 	if err := recolor(g, c, postOrder(g, c, g.CliqueBlocks()), opts); err != nil {
 		return core.Coloring{}, err
 	}

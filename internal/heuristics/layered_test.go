@@ -11,7 +11,7 @@ func TestLayeredBDP3DValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	for trial := 0; trial < 15; trial++ {
 		g := random3D(rng, 2+rng.Intn(4), 2+rng.Intn(4), 2+rng.Intn(4), 12)
-		c := LayeredBDP3D(g)
+		c := mustRun(t, BDL, g)
 		if err := c.Validate(g); err != nil {
 			t.Fatal(err)
 		}
@@ -26,8 +26,7 @@ func TestLayeredBDP3DNeverWorseThanBD(t *testing.T) {
 	wins := 0
 	for trial := 0; trial < 20; trial++ {
 		g := random3D(rng, 3+rng.Intn(4), 3+rng.Intn(4), 3+rng.Intn(4), 15)
-		bd, _ := BipartiteDecomposition3D(g)
-		layered := LayeredBDP3D(g)
+		bd, layered := mustRun(t, BD, g), mustRun(t, BDL, g)
 		if layered.MaxColor(g) > bd.MaxColor(g) {
 			t.Fatalf("layered BDP %d worse than BD %d", layered.MaxColor(g), bd.MaxColor(g))
 		}
@@ -44,7 +43,7 @@ func TestLayeredBDP3DDegenerateShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	for _, shape := range [][3]int{{1, 1, 1}, {1, 4, 4}, {4, 1, 4}, {4, 4, 1}, {1, 1, 5}} {
 		g := random3D(rng, shape[0], shape[1], shape[2], 9)
-		c := LayeredBDP3D(g)
+		c := mustRun(t, BDL, g)
 		if err := c.Validate(g); err != nil {
 			t.Fatalf("shape %v: %v", shape, err)
 		}
@@ -54,7 +53,7 @@ func TestLayeredBDP3DDegenerateShapes(t *testing.T) {
 func TestBDLRunsViaRegistry(t *testing.T) {
 	rng := rand.New(rand.NewSource(84))
 	g := random3D(rng, 3, 3, 3, 9)
-	c, err := Run3D(BDL, g)
+	c, err := Run(BDL, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +62,7 @@ func TestBDLRunsViaRegistry(t *testing.T) {
 	}
 	// BDL is 3D-only: the 2D registry must reject it.
 	g2 := random2D(rng, 3, 3, 9)
-	if _, err := Run2D(BDL, g2); err == nil {
+	if _, err := Run(BDL, g2, nil); err == nil {
 		t.Error("BDL accepted in 2D")
 	}
 }

@@ -51,9 +51,9 @@ func (m DimMask) String() string {
 
 // SolveFunc is the uniform signature every registered algorithm exposes:
 // a dimension-generic stencil instance plus the solve options (context,
-// stats). Implementations type-switch to *grid.Grid2D / *grid.Grid3D when
-// they are structurally per-dimension (BD's rows, BDL's layers) and are
-// only ever called with an instance their DimMask accepts.
+// stats). Implementations are only ever called with an instance their
+// DimMask accepts; BD and BDP read either grid as a core.Lattice, and
+// the 3D-only BDL takes its layers from the *grid.Grid3D.
 type SolveFunc func(s grid.Stencil, opts *core.SolveOptions) (core.Coloring, error)
 
 // Descriptor is one registry entry: a named algorithm, the dimensions it
@@ -76,8 +76,8 @@ type Descriptor struct {
 
 // registry is the process-wide algorithm table. Algorithms self-register
 // from init() in the file that implements them, so the table — not a
-// switch statement — is the single source of dispatch truth for Run2D,
-// Run3D, All(), the portfolio runner, and the cmd tools.
+// switch statement — is the single source of dispatch truth for Run,
+// All(), the portfolio runner, and the cmd tools.
 var registry = struct {
 	mu     sync.RWMutex
 	byName map[Algorithm]Descriptor
@@ -303,14 +303,4 @@ func readMallocs() uint64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return ms.Mallocs
-}
-
-// Run2D executes the named algorithm on a 9-pt stencil instance.
-func Run2D(alg Algorithm, g *grid.Grid2D) (core.Coloring, error) {
-	return Run(alg, g, nil)
-}
-
-// Run3D executes the named algorithm on a 27-pt stencil instance.
-func Run3D(alg Algorithm, g *grid.Grid3D) (core.Coloring, error) {
-	return Run(alg, g, nil)
 }

@@ -114,11 +114,11 @@ func TestParallelGreedyRegistered(t *testing.T) {
 func TestUnknownAlgorithmDispatch(t *testing.T) {
 	g2 := grid.MustGrid2D(3, 3)
 	g3 := grid.MustGrid3D(2, 2, 2)
-	if _, err := Run2D("NOPE", g2); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
-		t.Errorf("Run2D with unknown algorithm: err = %v, want unknown-algorithm error", err)
+	if _, err := Run("NOPE", g2, nil); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
+		t.Errorf("Run with unknown algorithm on 2D: err = %v, want unknown-algorithm error", err)
 	}
-	if _, err := Run3D("NOPE", g3); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
-		t.Errorf("Run3D with unknown algorithm: err = %v, want unknown-algorithm error", err)
+	if _, err := Run("NOPE", g3, nil); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
+		t.Errorf("Run with unknown algorithm on 3D: err = %v, want unknown-algorithm error", err)
 	}
 	if _, err := Run("", g2, nil); err == nil {
 		t.Error("Run with empty algorithm name must error")
@@ -159,10 +159,10 @@ func TestRegisterRejects(t *testing.T) {
 	}
 }
 
-// TestFailingDecompositionSurfacesError is the regression test for the
-// old dispatch path's `c, _ := BipartiteDecomposition2D(g)` pattern: a
-// decomposition abandoned mid-solve (canceled context) must surface an
-// error instead of a zero coloring that would silently win any portfolio.
+// TestFailingDecompositionSurfacesError is the regression test for an
+// old dispatch path that dropped BD's error: a decomposition abandoned
+// mid-solve (canceled context) must surface an error instead of a zero
+// coloring that would silently win any portfolio.
 func TestFailingDecompositionSurfacesError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -182,12 +182,12 @@ func TestFailingDecompositionSurfacesError(t *testing.T) {
 			t.Errorf("%s 3D canceled: err = %v, want context.Canceled", alg, err)
 		}
 	}
-	// The exported Opts variants propagate too.
-	if _, _, err := BipartiteDecomposition2DOpts(g2, opts); !errors.Is(err, context.Canceled) {
-		t.Errorf("BipartiteDecomposition2DOpts: err = %v, want context.Canceled", err)
+	// The passes themselves propagate it too, without Run's pre-check.
+	if _, _, err := decompose(g2, opts); !errors.Is(err, context.Canceled) {
+		t.Errorf("decompose: err = %v, want context.Canceled", err)
 	}
-	if _, _, err := BipartiteDecompositionPost3DOpts(g3, opts); !errors.Is(err, context.Canceled) {
-		t.Errorf("BipartiteDecompositionPost3DOpts: err = %v, want context.Canceled", err)
+	if _, err := decomposePost(g3, opts); !errors.Is(err, context.Canceled) {
+		t.Errorf("decomposePost: err = %v, want context.Canceled", err)
 	}
 }
 

@@ -50,7 +50,7 @@ func TestSGK3DFullVsSorted(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		g := random3D(rng, 3, 3, 3, 9)
 		full := SmartLargestCliqueFirst3DFull(g)
-		sorted := SmartLargestCliqueFirst3D(g)
+		sorted := mustRun(t, SGK, g)
 		if err := full.Validate(g); err != nil {
 			t.Fatal(err)
 		}

@@ -20,7 +20,7 @@ func TestRecolorNeverWorsens(t *testing.T) {
 		for v := range g.W {
 			g.W[v] = rng.Int63n(9)
 		}
-		c, err := heuristics.Run2D(heuristics.GLL, g)
+		c, err := heuristics.Run(heuristics.GLL, g, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func TestIteratedGreedyImprovesBD(t *testing.T) {
 		for v := range g.W {
 			g.W[v] = rng.Int63n(20)
 		}
-		c, err := heuristics.Run2D(heuristics.BD, g)
+		c, err := heuristics.Run(heuristics.BD, g, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,7 +22,7 @@ func TestRepairFixesPerturbedWeights(t *testing.T) {
 		for v := range g.W {
 			g.W[v] = rng.Int63n(12)
 		}
-		c, err := heuristics.Run2D(heuristics.BDP, g)
+		c, err := heuristics.Run(heuristics.BDP, g, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func TestRepairOnValidColoringIsNoOp(t *testing.T) {
 	for v := range g.W {
 		g.W[v] = rng.Int63n(9)
 	}
-	c, err := heuristics.Run2D(heuristics.GLF, g)
+	c, err := heuristics.Run(heuristics.GLF, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestRepairStability(t *testing.T) {
 	for v := range g.W {
 		g.W[v] = 3 + rng.Int63n(3)
 	}
-	c, err := heuristics.Run2D(heuristics.BDP, g)
+	c, err := heuristics.Run(heuristics.BDP, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestRepairAllocsSizeIndependent(t *testing.T) {
 		for v := range g.W {
 			g.W[v] = 1 + rng.Int63n(9)
 		}
-		c, err := heuristics.Run2D(heuristics.GLL, g)
+		c, err := heuristics.Run(heuristics.GLL, g, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,7 +34,7 @@ func TestWeights2D(t *testing.T) {
 func TestIntervals2D(t *testing.T) {
 	g := grid.MustGrid2D(2, 1)
 	copy(g.W, []int64{3, 4})
-	c, err := heuristics.Run2D(heuristics.GLL, g)
+	c, err := heuristics.Run(heuristics.GLL, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestIntervals2D(t *testing.T) {
 func TestGantt(t *testing.T) {
 	g := grid.MustGrid2D(4, 1)
 	copy(g.W, []int64{5, 5, 5, 5})
-	c, err := heuristics.Run2D(heuristics.GLL, g)
+	c, err := heuristics.Run(heuristics.GLL, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ func coloredGrid(t *testing.T, rng *rand.Rand, x, y int) (*grid.Grid2D, core.Col
 	for v := range g.W {
 		g.W[v] = rng.Int63n(9)
 	}
-	c, err := heuristics.Run2D(heuristics.BDP, g)
+	c, err := heuristics.Run(heuristics.BDP, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestSimulateRejectsBadWorkerCount(t *testing.T) {
 func TestSimulateZeroWeightTasks(t *testing.T) {
 	g := grid.MustGrid2D(3, 1)
 	g.W[1] = 5 // others zero
-	c, err := heuristics.Run2D(heuristics.GLL, g)
+	c, err := heuristics.Run(heuristics.GLL, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

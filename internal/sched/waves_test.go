@@ -68,7 +68,7 @@ func TestWavesRarelyBeatDAG(t *testing.T) {
 		for v := range g.W {
 			g.W[v] = rng.Int63n(12)
 		}
-		c, err := heuristics.Run2D(heuristics.BDP, g)
+		c, err := heuristics.Run(heuristics.BDP, g, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

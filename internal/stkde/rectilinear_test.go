@@ -68,7 +68,7 @@ func TestRectilinearParallelMatchesSequential(t *testing.T) {
 	}
 	want := app.Sequential()
 	g := app.BoxGrid()
-	c, err := heuristics.Run3D(heuristics.BDP, g)
+	c, err := heuristics.Run(heuristics.BDP, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,7 +104,7 @@ func TestSequentialMatchesParallel(t *testing.T) {
 	want := app.Sequential()
 	g := app.BoxGrid()
 	for _, alg := range heuristics.All() {
-		c, err := heuristics.Run3D(alg, g)
+		c, err := heuristics.Run(alg, g, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestParallelRejectsBadInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := app.BoxGrid()
-	c, err := heuristics.Run3D(heuristics.GLL, g)
+	c, err := heuristics.Run(heuristics.GLL, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

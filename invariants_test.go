@@ -9,6 +9,7 @@ import (
 	"stencilivc/internal/exact"
 	"stencilivc/internal/heuristics"
 	"stencilivc/internal/sched"
+	"stencilivc/internal/special"
 )
 
 // This file holds the cross-package invariants of the whole system,
@@ -73,10 +74,19 @@ func TestQuickAllAlgorithmsRespectBounds3D(t *testing.T) {
 func TestQuickApproximationContracts(t *testing.T) {
 	f := func(seed int64, xs, ys, ws uint8) bool {
 		g := quickGrid2D(seed, xs, ys, ws)
-		bd, rc := heuristics.BipartiteDecomposition2D(g)
-		bdp, _ := heuristics.BipartiteDecompositionPost2D(g)
-		if bd.Validate(g) != nil || bdp.Validate(g) != nil {
+		bd, err := heuristics.Run(heuristics.BD, g, nil)
+		if err != nil || bd.Validate(g) != nil {
 			return false
+		}
+		bdp, err := heuristics.Run(heuristics.BDP, g, nil)
+		if err != nil || bdp.Validate(g) != nil {
+			return false
+		}
+		// RC, BD's certified lower bound: the largest optimal row maxcolor.
+		var rc int64
+		for j := 0; j < g.Y; j++ {
+			_, mc := special.ColorChain(g.Row(j))
+			rc = max(rc, mc)
 		}
 		return bd.MaxColor(g) <= 2*rc && bdp.MaxColor(g) <= bd.MaxColor(g)
 	}
