@@ -393,10 +393,10 @@ func benchPlaceLowest(rep *Report, sm *stencilivc.SolveMetrics) {
 				v++
 				if v == g.Len() {
 					v = 0
-					s.Flush(opts, 0)
+					s.Flush(opts)
 				}
 			}
-			s.Flush(opts, 0)
+			s.Flush(opts)
 		})
 		record(rep, name, br)
 	}

@@ -307,11 +307,11 @@ func (s *FitScratch) tally(m int) {
 func (s *FitScratch) AddPlacements(n int64) { s.bulk += n }
 
 // Flush adds the tallies since the last flush to the stats sink and the
-// metrics bundle of opts, the counters on the given shard (tile workers
-// flush concurrently on distinct shards), and zeroes them. It is the
-// only writer of the placement, probe and occupancy-length metrics;
-// solvers call it once per solve. With no sinks it only zeroes.
-func (s *FitScratch) Flush(opts *SolveOptions, shard int) {
+// metrics bundle of opts, and zeroes them. It is the only writer of the
+// placement, probe and occupancy-length metrics; solvers call it once
+// per solve, and each tile worker once per solve. With no sinks it only
+// zeroes.
+func (s *FitScratch) Flush(opts *SolveOptions) {
 	sm := opts.Meters()
 	placements, probes := s.bulk+s.long, s.longProbes
 	for m, n := range s.occLen {
@@ -330,8 +330,8 @@ func (s *FitScratch) Flush(opts *SolveOptions, shard int) {
 		if s.long > 0 {
 			sm.OccLen.ObserveSum(occTallyLen, s.long, float64(s.longProbes))
 		}
-		sm.Vertices.AddShard(shard, placements)
-		sm.Probes.AddShard(shard, probes)
+		sm.Vertices.Add(placements)
+		sm.Probes.Add(probes)
 	}
 	st := opts.Sink()
 	st.AddPlacements(placements)
@@ -362,7 +362,7 @@ func GreedyColorOpts(g Graph, order []int, opts *SolveOptions) (Coloring, error)
 	c := NewColoring(g.Len())
 	var s FitScratch
 	s.Bind(g)
-	defer s.Flush(opts, 0)
+	defer s.Flush(opts)
 	for i, v := range order {
 		if i%CtxCheckInterval == 0 {
 			if err := opts.Err(); err != nil {

@@ -211,8 +211,8 @@ func TestFlushTallies(t *testing.T) {
 	s.AddPlacements(5)
 	var st Stats
 	opts := &SolveOptions{Stats: &st, Metrics: sm}
-	s.Flush(opts, 3)
-	s.Flush(opts, 3)
+	s.Flush(opts)
+	s.Flush(opts)
 	if st.Placements() != 9 || sm.Vertices.Value() != 9 {
 		t.Errorf("placements: stats %d, metrics %d, want 9", st.Placements(), sm.Vertices.Value())
 	}

@@ -139,7 +139,7 @@ func TestPlaceLowestNoAllocs(t *testing.T) {
 			v := 0
 			allocs := testing.AllocsPerRun(500, func() {
 				s.PlaceLowest(g, c, v, -1)
-				s.Flush(opts, 0)
+				s.Flush(opts)
 				v = (v + 1) % g.Len()
 			})
 			if allocs != 0 {
@@ -166,10 +166,10 @@ func BenchmarkPlaceLowest(b *testing.B) {
 			v++
 			if v == g.Len() {
 				v = 0
-				s.Flush(opts, 0)
+				s.Flush(opts)
 			}
 		}
-		s.Flush(opts, 0)
+		s.Flush(opts)
 	}
 	run := func(b *testing.B, g Stencil, opts *core.SolveOptions) {
 		rng := rand.New(rand.NewSource(1))

@@ -64,7 +64,7 @@ func decompose(s grid.Stencil, opts *core.SolveOptions) (core.Coloring, int64, e
 	}
 	var chains core.FitScratch
 	chains.AddPlacements(int64(len(w)))
-	chains.Flush(opts, 0)
+	chains.Flush(opts)
 	liftOdd(c.Start, x*y, lc)
 	return c, bound, nil
 }
@@ -145,7 +145,7 @@ func postOrder(g core.Graph, c core.Coloring, cv grid.Cover) []int {
 func recolor(g core.Graph, c core.Coloring, order []int, opts *core.SolveOptions) error {
 	var s core.FitScratch
 	s.Bind(g)
-	defer s.Flush(opts, 0)
+	defer s.Flush(opts)
 	for i, v := range order {
 		if i%core.CtxCheckInterval == 0 {
 			if err := opts.Err(); err != nil {

@@ -42,7 +42,7 @@ func sweepBlocks(g core.Graph, cv grid.Cover, opts *core.SolveOptions,
 	c := core.NewColoring(g.Len())
 	var s core.FitScratch
 	s.Bind(g)
-	defer s.Flush(opts, 0)
+	defer s.Flush(opts)
 	for bi, b := range cv.ByWeightDesc() {
 		if bi%ctxEveryBlocks == 0 {
 			if err := opts.Err(); err != nil {

@@ -18,7 +18,7 @@ import (
 // ivc_probe_intervals_total and the occupancy-length histogram's sum —
 // because one flush function writes all of them. Every vertex is
 // placed at least once. The tile-parallel solvers also run at 1 and 4
-// workers, whose counts flush from distinct counter shards.
+// workers, each of which flushes its own counts.
 func TestPlacementCountersAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	instances := []grid.Stencil{random2D(rng, 24, 20, 9), random3D(rng, 8, 7, 6, 9)}

@@ -66,7 +66,7 @@
 // adds, Histogram.ObserveN/ObserveSum). BenchmarkPlaceLowest pins its
 // 0 allocs/op contract bare and, in the Metrics rows, flushing into a
 // SolveMetrics bundle after every pass. Increments on enabled counters
-// are lock-free: counters are sharded across padded cache lines so
-// concurrent tile-worker flushes never contend on one word
-// (Counter.AddShard).
+// are lock-free: a Counter is one atomic word, which the once-per-solve
+// flushes of the kernel and the tile workers leave nothing to contend
+// over.
 package obsv

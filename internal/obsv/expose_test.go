@@ -21,7 +21,7 @@ func fixtureRegistry() *Registry {
 	r := NewRegistry()
 	c := r.Counter("ivc_vertices_colored_total", "Vertex placements performed.")
 	c.Add(40)
-	c.AddShard(3, 2)
+	c.Add(2)
 	g := r.Gauge("ivc_last_maxcolor", "Maxcolor of the most recent solve.")
 	g.Set(17)
 	h := r.Histogram("ivc_occupancy_list_length", "Occupancy-list length per placement.",

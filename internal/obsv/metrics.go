@@ -8,55 +8,30 @@ import (
 	"sync/atomic"
 )
 
-// CounterShards is the number of independent cache-line-padded cells a
-// Counter stripes its total across. Hot loops that own a worker id add
-// into their own shard (AddShard) and never contend with other workers;
-// reading sums the shards.
-const CounterShards = 8
-
-// counterCell is one shard, padded to its own cache line so concurrent
-// shard increments never false-share.
-type counterCell struct {
-	n atomic.Int64
-	_ [56]byte
-}
-
-// Counter is a monotone, lock-free, sharded counter. All methods accept
-// a nil receiver as a no-op so disabled instrumentation costs one nil
-// check.
+// Counter is a monotone, lock-free counter: one atomic word. Hot loops
+// tally in plain integers and add their totals once per solve, so the
+// word sees a handful of adds per solve and nothing to contend over.
+// All methods accept a nil receiver as a no-op so disabled
+// instrumentation costs one nil check.
 type Counter struct {
 	name, help string
-	cells      [CounterShards]counterCell
+	n          atomic.Int64
 }
 
-// Add increments the counter by n on the default shard.
+// Add increments the counter by n.
 func (c *Counter) Add(n int64) {
 	if c == nil {
 		return
 	}
-	c.cells[0].n.Add(n)
+	c.n.Add(n)
 }
 
-// AddShard increments the counter by n on shard s&(CounterShards-1);
-// workers pass their worker id so concurrent increments land on
-// distinct cache lines.
-func (c *Counter) AddShard(s int, n int64) {
-	if c == nil {
-		return
-	}
-	c.cells[s&(CounterShards-1)].n.Add(n)
-}
-
-// Value returns the counter total (the sum over shards); 0 on nil.
+// Value returns the counter total; 0 on nil.
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	var sum int64
-	for i := range c.cells {
-		sum += c.cells[i].n.Load()
-	}
-	return sum
+	return c.n.Load()
 }
 
 // Gauge is a last-value metric (e.g. the maxcolor of the most recent

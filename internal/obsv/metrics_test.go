@@ -6,29 +6,28 @@ import (
 	"testing"
 )
 
-// TestCounterShards: increments on every shard sum into one total, and
-// concurrent sharded increments lose nothing (run under -race).
+// TestCounterShards: increments sum into one total, and concurrent
+// increments from eight goroutines, as tile workers flush them, lose
+// nothing (run under -race).
 func TestCounterShards(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_total", "help")
-	for s := 0; s < CounterShards; s++ {
-		c.AddShard(s, 1)
-	}
+	c.Add(8)
 	c.Add(2)
-	if got := c.Value(); got != int64(CounterShards)+2 {
-		t.Fatalf("Value = %d, want %d", got, CounterShards+2)
+	if got := c.Value(); got != 10 {
+		t.Fatalf("Value = %d, want 10", got)
 	}
 
 	c2 := r.Counter("test2_total", "help")
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				c2.AddShard(w, 1)
+				c2.Add(1)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if got := c2.Value(); got != 8000 {
@@ -160,7 +159,7 @@ func TestEnabledIncrementsDoNotAllocate(t *testing.T) {
 	sm := NewSolveMetrics(r)
 	allocs := testing.AllocsPerRun(200, func() {
 		sm.Vertices.Add(1)
-		sm.Probes.AddShard(3, 8)
+		sm.Probes.Add(8)
 		sm.OccLen.ObserveInt(8)
 		sm.MaxColor.SetMax(7)
 	})

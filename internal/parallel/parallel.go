@@ -233,44 +233,35 @@ type run struct {
 	// the same round (skipMarked).
 	mark  []int32
 	round int32
-
-	// workerSeq hands each worker scratch a distinct counter shard.
-	workerSeq atomic.Int64
 }
 
 // scratch is the per-worker state: the placement kernel with its
 // fixed-size neighbor and occupancy arrays and its tallies (kept in one
 // heap object per worker so a placement allocates nothing) plus
-// reusable buffers, counters, and the worker's counter shard.
+// reusable buffers and counters.
 type scratch struct {
 	fit   core.FitScratch
 	verts []int
 	// steals counts tile-range steals this worker performed; flushed
 	// into the Steals metric alongside the placement tallies.
 	steals int64
-	// shard is the worker's counter shard, so concurrent flushes land on
-	// distinct cache lines.
-	shard int
 }
 
 // newScratch acquires a worker scratch from the arena, binding its
-// kernel to the run's graph and giving it a fresh counter shard.
-// Counterpart of release.
+// kernel to the run's graph. Counterpart of release.
 func (r *run) newScratch() *scratch {
 	w := scratchPool.Get().(*scratch)
 	w.fit.BindAs(&r.fit)
-	w.shard = int(r.workerSeq.Add(1))
 	return w
 }
 
-// release flushes a worker scratch's tallies and steal count — on the
-// worker's own counter shard, so concurrent flushes do not contend —
-// and returns it to the arena; the grown verts buffer stays warm for
-// the next worker.
+// release flushes a worker scratch's tallies and steal count and
+// returns it to the arena; the grown verts buffer stays warm for the
+// next worker.
 func (r *run) release(w *scratch) {
-	w.fit.Flush(r.opts, w.shard)
+	w.fit.Flush(r.opts)
 	if m := r.opts.Meters(); m != nil {
-		m.Steals.AddShard(w.shard, w.steals)
+		m.Steals.Add(w.steals)
 	}
 	w.steals = 0
 	scratchPool.Put(w)

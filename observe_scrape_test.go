@@ -17,7 +17,7 @@ import (
 // and a flight recorder streaming its records (the -log path), while
 // concurrent scrapers hit the Prometheus endpoint the whole time. Under
 // -race (the make check configuration) this proves the sampler's
-// publishing, the solver's sharded counters, the recorder's serialized
+// publishing, the solver's atomic counters, the recorder's serialized
 // stream writes from tile workers, and the exposition's reads never
 // conflict.
 func TestMetricsScrapeDuringSolve(t *testing.T) {
@@ -41,7 +41,7 @@ func TestMetricsScrapeDuringSolve(t *testing.T) {
 	defer srv.Close()
 
 	// Scrapers race the solve: each GET walks every registry family while
-	// the sampler publishes and tile workers bump sharded counters.
+	// the sampler publishes and tile workers bump the counters.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var lastBody []byte
