@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"time"
@@ -24,8 +25,9 @@ type cacheConfig struct {
 
 // runServe runs ivc as a long-lived solve daemon: the internal/service
 // job API (POST /solve, GET /jobs/{id}, GET /healthz, GET /metrics)
-// with expvar and pprof riding at /debug/. It builds the daemon's
-// flight recorder itself, so -log can stream every record it writes.
+// with expvar and pprof riding at /debug/. -log attaches its stream to
+// the daemon's flight recorder before the first request, so it sees
+// every record the daemon writes.
 // It serves until SIGINT or SIGTERM cancels ctx, then drains: in-flight
 // requests finish within service.ShutdownGrace, queued jobs run to
 // completion under their deadlines, and a second ^C terminates
@@ -35,15 +37,14 @@ func runServe(ctx context.Context, addr, logPath string, workers int,
 
 	reg := obsv.NewRegistry()
 	reg.Publish("ivc")
-	rec := obsv.NewFlightRecorder(flightEntries, reg)
+	var logW io.Writer
 	closeLog := func() error { return nil }
 	if logPath != "" {
 		w, c, err := openLog(logPath)
 		if err != nil {
 			return err
 		}
-		rec.Export(w)
-		closeLog = c
+		logW, closeLog = w, c
 	}
 
 	srv, err := service.New(service.Config{
@@ -55,16 +56,20 @@ func runServe(ctx context.Context, addr, logPath string, workers int,
 		CacheDir:        cache.dir,
 		CacheMaxEntries: cache.maxEntries,
 		CacheTTL:        cache.ttl,
-		Flight:          rec,
+		FlightEntries:   flightEntries,
 	})
 	if err != nil {
 		return err
+	}
+	rec := srv.Flight()
+	if logW != nil {
+		rec.Export(logW)
 	}
 	top := http.NewServeMux()
 	top.Handle("/debug/", http.DefaultServeMux) // expvar + pprof
 	// More specific than the /debug/ catch-all: the flight recorder must
 	// win over the default mux, which knows nothing about it.
-	top.Handle("GET /debug/flight", obsv.FlightHandler(srv.Flight()))
+	top.Handle("GET /debug/flight", obsv.FlightHandler(rec))
 	top.Handle("/", srv.Handler())
 
 	ln, err := service.Listen(addr)

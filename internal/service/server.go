@@ -44,12 +44,10 @@ type Config struct {
 	// FlightEntries sizes the always-on flight recorder (per-request
 	// trace ring behind GET /debug/flight); <= 0 picks 4096 entries. The
 	// recorder cannot be disabled: it is fixed-cost and allocation-free
-	// on the record path.
+	// on the record path. Server.Flight returns it, so a chaos injector
+	// can share the ring and ivc -serve -log can attach an Export stream
+	// before the first request.
 	FlightEntries int
-	// Flight, when non-nil, is used instead of a recorder built from
-	// FlightEntries — so chaos injectors and the server share one ring,
-	// and ivc -serve -log can attach an Export stream to it.
-	Flight *obsv.FlightRecorder
 	// JobRetention bounds how many finished jobs GET /jobs/{id} can
 	// still see; <= 0 picks 1024.
 	JobRetention int
@@ -149,10 +147,7 @@ func New(cfg Config) (*Server, error) {
 		s.metrics = obsv.NewServiceMetrics(nil)
 		s.solveM = obsv.NewSolveMetrics(nil)
 	}
-	s.flight = cfg.Flight
-	if s.flight == nil {
-		s.flight = obsv.NewFlightRecorder(cfg.FlightEntries, cfg.Registry)
-	}
+	s.flight = obsv.NewFlightRecorder(cfg.FlightEntries, cfg.Registry)
 	s.slo = obsv.NewSLOMetrics(cfg.Registry)
 	if cfg.CacheBytes >= 0 {
 		var store resultcache.Store

@@ -144,16 +144,17 @@ func TestServiceTraceSpanTree(t *testing.T) {
 	}
 }
 
-// TestServiceFlightExport: a recorder with an Export stream, passed as
-// Config.Flight (the ivc -serve -log wiring), streams one GLL job's
+// TestServiceFlightExport: the server's recorder with an Export stream
+// attached before the first request (the ivc -serve -log wiring)
+// streams one GLL job's
 // admission, batch, schedule, solve:GLL and solve records, each once and
 // carrying the job id, and the ring's dump for the job holds exactly
 // those five records: streaming adds nothing to the ring.
 func TestServiceFlightExport(t *testing.T) {
-	rec := obsv.NewFlightRecorder(256, nil)
+	srv, ts := newTestService(t, Config{Workers: 1, FlightEntries: 256})
+	rec := srv.Flight()
 	var buf bytes.Buffer
 	rec.Export(&buf)
-	_, ts := newTestService(t, Config{Workers: 1, Flight: rec})
 	code, res := postSolve(t, ts.URL, Request{Alg: "GLL", X: 8, Y: 8, Weights: gridWeights(8)})
 	if code != http.StatusOK || res.Status != StatusDone {
 		t.Fatalf("solve: status %d/%q (%s)", code, res.Status, res.Error)
@@ -195,7 +196,6 @@ func TestServiceFlightExport(t *testing.T) {
 // repair rounds — and the traced service/worker-panic fault must be
 // recorded under the trace of the job it hit.
 func TestServiceStormFlightScrape(t *testing.T) {
-	rec := obsv.NewFlightRecorder(8192, nil)
 	// A 128² grid is 2×2 default PGLL tiles, so a forced halo misread
 	// plants real cross-tile conflicts for the repair rounds — and their
 	// dropped updates — to resolve. The worker-panic rule fires on every
@@ -204,9 +204,9 @@ func TestServiceStormFlightScrape(t *testing.T) {
 	inj := chaos.New(20260808).
 		WithProb(parallel.SiteHaloRead, 0.05).
 		WithProb(parallel.SiteRepairDrop, 0.2).
-		EveryNth(SiteWorkerPanic, 1, 0).
-		WithFlight(rec)
-	_, ts := newTestService(t, Config{Workers: 2, Flight: rec, Injector: inj})
+		EveryNth(SiteWorkerPanic, 1, 0)
+	srv, ts := newTestService(t, Config{Workers: 2, FlightEntries: 8192, Injector: inj})
+	inj.WithFlight(srv.Flight())
 
 	stop := make(chan struct{})
 	var scrapers sync.WaitGroup
