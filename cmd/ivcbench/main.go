@@ -431,9 +431,12 @@ func benchPlaceLowest(rep *Report, sm *stencilivc.SolveMetrics) {
 // benchSteal measures the work-stealing tile scheduler on a
 // weight-skewed grid — one heavy corner makes the static contiguous
 // partition unbalanced, so scaling beyond par=1 depends on idle
-// workers stealing tile ranges. Blind speculation keeps the coloring
-// (and the repair work) identical across worker counts, so the sweep
-// measures scheduling, not workload drift.
+// workers stealing tile ranges. The solve is PGLL, which speculates
+// optimistically: above par=1 its halo reads depend on tile timing, so
+// the coloring and the repair work may drift a little between worker
+// counts (each row records its maxcolor). The configuration is kept as
+// it is so StealSched2D rows stay comparable across BENCH_PR*.json
+// snapshots.
 func benchSteal(ctx context.Context, rep *Report, sm *stencilivc.SolveMetrics, tc *stencilivc.TraceContext) error {
 	const dim = 256
 	g := grid.MustGrid2D(dim, dim)

@@ -12,11 +12,15 @@
 // colored neighbors) and is re-verified by property tests.
 //
 // Dispatch is registry-based: each algorithm self-registers a Descriptor
-// from init() in the file that implements it, and Run / Run2D / Run3D,
-// All(), and the Portfolio runner all consult that one table. Solvers
-// accept a *core.SolveOptions carrying a context (polled at line/block
-// granularity, so huge grids are cancellable), a parallelism knob for
-// portfolio runs and the parallel solvers, a stats sink, and the obsv
-// trace/metrics handles; Run is the single place where a solve's span,
-// wall time, allocations, and maxcolor are recorded.
+// from init() in the file that implements it, and Run — the only way to
+// run an algorithm — All(), and the Portfolio runner consult that one
+// table. No solver switches on the grid type: BD is one pass over a
+// core.Lattice of either depth (rows colored as chains, odd rows lifted
+// by RC, odd layers by LC), BDP adds a recoloring pass, and BDL applies
+// BDP to each layer of a 27-pt grid. Solvers accept a *core.SolveOptions
+// carrying a context (polled at line/block granularity, so huge grids
+// are cancellable), a parallelism knob for portfolio runs and the
+// parallel solvers, a stats sink, and the obsv trace/metrics handles;
+// Run is the single place where a solve's span, wall time, allocations,
+// and maxcolor are recorded.
 package heuristics

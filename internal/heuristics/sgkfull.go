@@ -10,7 +10,7 @@ import (
 // permutation of its still-uncolored vertices (up to 8! = 40320 per
 // block) and commit the one minimizing the block's local maxcolor.
 // Exposed for the ablation benchmarks that quantify how much quality the
-// paper's weight-sorted shortcut (SmartLargestCliqueFirst3D) gives up —
+// paper's weight-sorted shortcut (SGK's registered 3D engine) gives up —
 // on real instances most blocks have few uncolored vertices, so the
 // factorial blowup concentrates on the first blocks visited.
 func SmartLargestCliqueFirst3DFull(g *grid.Grid3D) core.Coloring {

@@ -3,8 +3,8 @@ package obsv
 // SLOBuckets returns the latency bucket ladder shared by the service's
 // per-tenant SLO histograms and the registered service_latency_*
 // families: 16 geometric steps from 0.5ms to ~16s, wide enough to
-// bracket both a cache hit and a storm-delayed multi-shard solve so the
-// p99 interpolation always has a finite bucket to land in.
+// bracket both a cache hit and a storm-delayed solve of a large grid,
+// so the p99 interpolation always has a finite bucket to land in.
 func SLOBuckets() []float64 {
 	return ExponentialBuckets(0.0005, 2, 16)
 }

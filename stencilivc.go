@@ -58,8 +58,8 @@ type (
 	Algorithm = heuristics.Algorithm
 	// SolveOptions carries a context.Context (cancellation, polled at
 	// line/block granularity), a Parallelism knob for portfolio solves,
-	// and the optional observability sinks (Stats, Metrics, Events,
-	// Sampler, TraceCtx). A nil *SolveOptions is always valid.
+	// and the optional observability sinks (Stats, Metrics, Sampler,
+	// TraceCtx). A nil *SolveOptions is always valid.
 	SolveOptions = core.SolveOptions
 	// Stats counts the placements and probes of a solve; safe for
 	// concurrent use. Per-phase wall times are flight-recorder spans.
