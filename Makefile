@@ -109,8 +109,9 @@ serve-smoke:
 # by job id, plus a live /healthz p50 for the tenant. The in-process
 # half of the tier (flight span tree, a job's records streamed by
 # Export, chaos-stormed PGLL/BDP solves scraped concurrently under
-# -race, `ivc -trace`/`-stats`/`-log` on a PGLL solve, and the
-# disabled-path 0-alloc pins) rides along.
+# -race, `ivc -trace`/`-stats`/`-log` on a PGLL solve, BD/BDP/BDL's
+# span trees and placement counts, and the disabled-path 0-alloc pins)
+# rides along.
 trace-check:
 	$(GO) build -o .smoke-ivc ./cmd/ivc
 	$(GO) run ./cmd/servesmoke -bin ./.smoke-ivc -flight

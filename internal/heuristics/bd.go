@@ -59,7 +59,8 @@ func decompose(s grid.Stencil, opts *core.SolveOptions) (core.Coloring, int64, e
 		liftOdd(c.Start[layer:layer+x*y], x, rc)
 		bound = max(bound, rc)
 		// A chain's coloring ends exactly at its maxcolor, so the lifted
-		// layer's ends at RC plus its largest odd row's.
+		// layer's ends at RC plus its largest odd row's (at RC when it
+		// has one row).
 		lc = max(lc, rc+oddMC)
 	}
 	var chains core.FitScratch
