@@ -418,5 +418,6 @@ func (s *Server) Stats() []TenantStats { return s.sched.stats() }
 func (s *Server) Cache() *resultcache.Cache { return s.cache }
 
 // Flight returns the server's flight recorder (never nil) so embedders
-// can mount obsv.FlightHandler or dump incidents on shutdown.
+// can mount obsv.FlightHandler, attach an Export stream or a chaos
+// injector before the first request, or dump incidents on shutdown.
 func (s *Server) Flight() *obsv.FlightRecorder { return s.flight }
