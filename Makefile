@@ -111,14 +111,18 @@ serve-smoke:
 # Export, chaos-stormed PGLL/BDP solves scraped concurrently under
 # -race, `ivc -trace`/`-stats`/`-log` on a PGLL solve, BD/BDP/BDL's
 # span trees and placement counts, and the disabled-path 0-alloc pins)
-# rides along.
+# rides along. Its last line runs without the race detector, under
+# which TestOrderedHeuristicsAllocsSizeIndependent skips itself, so that
+# pin (the ordered heuristics, BD and BDP allocate the same count on a
+# grid 4× or 8× larger) runs there, with TestFlightRingOverwrite (a full
+# flight ring keeps exactly its newest records).
 trace-check:
 	$(GO) build -o .smoke-ivc ./cmd/ivc
 	$(GO) run ./cmd/servesmoke -bin ./.smoke-ivc -flight
 	rm -f .smoke-ivc
 	$(GO) test -race -run 'TestServiceTraceSpanTree|TestServiceFlightExport|TestServiceStormFlightScrape' ./internal/service/
 	$(GO) test -race -run 'TestTraceAndStats|TestLog' ./cmd/ivc
-	$(GO) test -run 'TestNilTraceCtxNoAllocs|TestFlightRecordNoAllocs|TestBDFamilyPins' ./internal/heuristics ./internal/obsv
+	$(GO) test -run 'TestNilTraceCtxNoAllocs|TestFlightRecordNoAllocs|TestBDFamilyPins|TestOrderedHeuristicsAllocsSizeIndependent|TestFlightRingOverwrite' ./internal/heuristics ./internal/obsv
 
 # bench runs the committed performance suite (placement kernel, figure
 # runtimes, sequential-vs-parallel scaling) and writes machine-readable

@@ -23,8 +23,9 @@ import (
 func ablationGrid2D(seed int64, n int) *Grid2D {
 	rng := rand.New(rand.NewSource(seed))
 	g := MustGrid2D(n, n)
-	for v := range g.W {
-		g.W[v] = rng.Int63n(50)
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, rng.Int63n(50))
 	}
 	return g
 }
@@ -201,8 +202,9 @@ func BenchmarkAblationOddCycleBudget(b *testing.B) {
 func BenchmarkAblationExactSolvers(b *testing.B) {
 	rng := rand.New(rand.NewSource(64))
 	g := MustGrid2D(3, 3)
-	for v := range g.W {
-		g.W[v] = rng.Int63n(5)
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, rng.Int63n(5))
 	}
 	lb := bounds.MaxK4(g)
 	b.Run("cp-optimize", func(b *testing.B) {
@@ -265,8 +267,9 @@ func BenchmarkAblationOrderings(b *testing.B) {
 func BenchmarkAblationSGK3DPermutations(b *testing.B) {
 	rng := rand.New(rand.NewSource(66))
 	g := MustGrid3D(6, 6, 6)
-	for v := range g.W {
-		g.W[v] = rng.Int63n(40)
+	for v := range g.Len() {
+		i, j, k := g.Coords(v)
+		g.Set(i, j, k, rng.Int63n(40))
 	}
 	b.Run("sorted", func(b *testing.B) {
 		var colors int64

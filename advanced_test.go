@@ -10,8 +10,9 @@ import (
 func TestIteratedGreedyOnFacade(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	g := MustGrid2D(6, 6)
-	for v := range g.W {
-		g.W[v] = rng.Int63n(20)
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, rng.Int63n(20))
 	}
 	c, err := Solve2D(BD, g)
 	if err != nil {
@@ -29,8 +30,9 @@ func TestIteratedGreedyOnFacade(t *testing.T) {
 
 func TestOrderStrategiesOnFacade(t *testing.T) {
 	g := MustGrid2D(4, 4)
-	for v := range g.W {
-		g.W[v] = int64(v % 7)
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, int64(v%7))
 	}
 	for name, ord := range map[string][]int{
 		"smallest-last": SmallestLastOrder(g),
@@ -50,8 +52,10 @@ func TestOrderStrategiesOnFacade(t *testing.T) {
 }
 
 func TestWriteMILPOnFacade(t *testing.T) {
-	g := MustGrid2D(2, 2)
-	copy(g.W, []int64{1, 2, 3, 4})
+	g, err := FromWeights2D(2, 2, []int64{1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := WriteMILP(&buf, g, 0); err != nil {
 		t.Fatal(err)
@@ -85,8 +89,9 @@ func TestPartitionersOnFacade(t *testing.T) {
 func TestWavesOnFacade(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	g := MustGrid2D(5, 5)
-	for v := range g.W {
-		g.W[v] = rng.Int63n(9)
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, rng.Int63n(9))
 	}
 	classes := ColorClasses(g)
 	waves, err := SimulateWaves(g, classes, 4)
@@ -145,16 +150,18 @@ func TestNewBalancedSTKDEOnFacade(t *testing.T) {
 
 func TestBoundsReportOnFacade(t *testing.T) {
 	g := MustGrid2D(3, 3)
-	for v := range g.W {
-		g.W[v] = 2
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, 2)
 	}
 	rep := BoundsReport2D(g, 10000)
 	if rep.Best() != 8 || rep.Binding() != "clique" {
 		t.Fatalf("report = %+v", rep)
 	}
 	g3 := MustGrid3D(2, 2, 2)
-	for v := range g3.W {
-		g3.W[v] = 1
+	for v := range g3.Len() {
+		i, j, k := g3.Coords(v)
+		g3.Set(i, j, k, 1)
 	}
 	if rep := BoundsReport3D(g3, 0); rep.Best() != 8 {
 		t.Fatalf("3D report = %+v", rep)

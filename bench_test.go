@@ -402,8 +402,9 @@ func BenchmarkGreedyColor(b *testing.B) {
 		b.Run(fmt.Sprintf("grid%dx%d", n, n), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(2))
 			g := MustGrid2D(n, n)
-			for v := range g.W {
-				g.W[v] = rng.Int63n(100)
+			for v := range g.Len() {
+				i, j := g.Coords(v)
+				g.Set(i, j, rng.Int63n(100))
 			}
 			order := make([]int, g.Len())
 			for i := range order {
@@ -422,8 +423,9 @@ func BenchmarkGreedyColor(b *testing.B) {
 func BenchmarkDecide(b *testing.B) {
 	g := MustGrid2D(4, 4)
 	rng := rand.New(rand.NewSource(3))
-	for v := range g.W {
-		g.W[v] = rng.Int63n(6)
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, rng.Int63n(6))
 	}
 	lb := bounds.MaxK4(g)
 	b.ResetTimer()
@@ -435,8 +437,9 @@ func BenchmarkDecide(b *testing.B) {
 func BenchmarkSimulate(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	g := MustGrid2D(32, 32)
-	for v := range g.W {
-		g.W[v] = rng.Int63n(50)
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, rng.Int63n(50))
 	}
 	c, err := Solve2D(BDP, g)
 	if err != nil {

@@ -44,9 +44,10 @@ func main() {
 			}
 		} else {
 			g = grid.MustGrid2D(*x, *y)
-			for v := range g.W {
+			for v := range g.Len() {
 				if rng.Intn(100) < *density {
-					g.W[v] = 1 + rng.Int63n(*maxw)
+					i, j := g.Coords(v)
+					g.Set(i, j, 1+rng.Int63n(*maxw))
 				}
 			}
 		}

@@ -23,8 +23,9 @@ import (
 func TestTraceAndStats(t *testing.T) {
 	n := 3 * parallel.DefaultTileSize2D
 	g := stencilivc.MustGrid2D(n, n)
-	for v := range g.W {
-		g.W[v] = int64(v*7%9 + 1)
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, int64(v*7%9+1))
 	}
 	path := filepath.Join(t.TempDir(), "trace.json")
 	opts := &stencilivc.SolveOptions{Parallelism: 2, Stats: &stencilivc.Stats{}}
@@ -104,8 +105,9 @@ func TestTraceAndStats(t *testing.T) {
 func TestLog(t *testing.T) {
 	n := 3 * parallel.DefaultTileSize2D
 	g := stencilivc.MustGrid2D(n, n)
-	for v := range g.W {
-		g.W[v] = int64(v*7%9 + 1)
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, int64(v*7%9+1))
 	}
 	path := filepath.Join(t.TempDir(), "log.jsonl")
 	opts := &stencilivc.SolveOptions{Parallelism: 2}

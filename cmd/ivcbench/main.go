@@ -375,10 +375,18 @@ func record(rep *Report, name string, br testing.BenchmarkResult) *Result {
 // metered solve flushes once per solve.
 func benchPlaceLowest(rep *Report, sm *stencilivc.SolveMetrics) {
 	opts := &stencilivc.SolveOptions{Metrics: sm}
-	run := func(name string, g grid.Stencil, w []int64, weight, start func(*rand.Rand) int64) {
+	// Every row runs on a 64² 9-pt or a 16³ 27-pt grid: 4096 vertices.
+	run := func(name string, dims int, weight, start func(*rand.Rand) int64) {
 		rng := rand.New(rand.NewSource(1))
+		w := make([]int64, 1<<12)
 		for v := range w {
 			w[v] = weight(rng)
+		}
+		var g grid.Stencil
+		if dims == 2 {
+			g = must(grid.FromWeights2D(64, 64, w))
+		} else {
+			g = must(grid.FromWeights3D(16, 16, 16, w))
 		}
 		c := core.NewColoring(g.Len())
 		for v := range c.Start {
@@ -402,10 +410,8 @@ func benchPlaceLowest(rep *Report, sm *stencilivc.SolveMetrics) {
 	}
 	mixed := func(rng *rand.Rand) int64 { return rng.Int63n(9) + 1 }
 	mixedStart := func(rng *rand.Rand) int64 { return rng.Int63n(60) }
-	g2 := grid.MustGrid2D(64, 64)
-	run("PlaceLowest/9pt", g2, g2.W, mixed, mixedStart)
-	g3 := grid.MustGrid3D(16, 16, 16)
-	run("PlaceLowest/27pt", g3, g3.W, mixed, mixedStart)
+	run("PlaceLowest/9pt", 2, mixed, mixedStart)
+	run("PlaceLowest/27pt", 3, mixed, mixedStart)
 
 	// The uniform-weight kernels: PlaceLowestUnit is the unit-weight
 	// degenerate case (classic vertex coloring; the STKDE warm-up tier),
@@ -417,15 +423,20 @@ func benchPlaceLowest(rep *Report, sm *stencilivc.SolveMetrics) {
 			func(rng *rand.Rand) int64 { return rng.Int63n(12) * wv }
 	}
 	unitW, unitStart := uniform(1)
-	u2 := grid.MustGrid2D(64, 64)
-	run("PlaceLowestUnit/9pt", u2, u2.W, unitW, unitStart)
-	u3 := grid.MustGrid3D(16, 16, 16)
-	run("PlaceLowestUnit/27pt", u3, u3.W, unitW, unitStart)
+	run("PlaceLowestUnit/9pt", 2, unitW, unitStart)
+	run("PlaceLowestUnit/27pt", 3, unitW, unitStart)
 	bitW, bitStart := uniform(5)
-	b2 := grid.MustGrid2D(64, 64)
-	run("PlaceLowestBitset/9pt", b2, b2.W, bitW, bitStart)
-	b3 := grid.MustGrid3D(16, 16, 16)
-	run("PlaceLowestBitset/27pt", b3, b3.W, bitW, bitStart)
+	run("PlaceLowestBitset/9pt", 2, bitW, bitStart)
+	run("PlaceLowestBitset/27pt", 3, bitW, bitStart)
+}
+
+// must returns g, panicking on err: for grids built from weights that
+// are valid by construction.
+func must[G any](g G, err error) G {
+	if err != nil {
+		panic(err)
+	}
+	return g
 }
 
 // benchSteal measures the work-stealing tile scheduler on a
@@ -439,11 +450,8 @@ func benchPlaceLowest(rep *Report, sm *stencilivc.SolveMetrics) {
 // snapshots.
 func benchSteal(ctx context.Context, rep *Report, sm *stencilivc.SolveMetrics, tc *stencilivc.TraceContext) error {
 	const dim = 256
-	g := grid.MustGrid2D(dim, dim)
 	rng := rand.New(rand.NewSource(3))
-	for v := range g.W {
-		g.W[v] = rng.Int63n(9) + 1
-	}
+	g := must(grid.FromWeights2D(dim, dim, randomWeights(rng, dim*dim, 9, 1)))
 	for j := 0; j < dim/4; j++ {
 		for i := 0; i < dim/4; i++ {
 			g.Set(i, j, 60+rng.Int63n(40))
@@ -486,11 +494,8 @@ func benchCacheHit(ctx context.Context, rep *Report, size int, sm *stencilivc.So
 	if err := checkpoint(ctx); err != nil {
 		return err
 	}
-	g := grid.MustGrid2D(size, size)
 	rng := rand.New(rand.NewSource(5))
-	for v := range g.W {
-		g.W[v] = rng.Int63n(9) + 1
-	}
+	g := must(grid.FromWeights2D(size, size, randomWeights(rng, size*size, 9, 1)))
 	cache := stencilivc.NewResultCache(stencilivc.ResultCacheConfig{})
 	opts := &stencilivc.SolveOptions{Metrics: sm, Cache: cache}
 	// Warm the cache: the first solve runs for real and is memoized.
@@ -664,19 +669,22 @@ func benchParallel(ctx context.Context, rep *Report, size2, size3 int, seed int6
 	}
 
 	rng := rand.New(rand.NewSource(seed))
-	g2 := grid.MustGrid2D(size2, size2)
-	for v := range g2.W {
-		g2.W[v] = rng.Int63n(100)
-	}
+	g2 := must(grid.FromWeights2D(size2, size2, randomWeights(rng, size2*size2, 100, 0)))
 	note("scaling 2D: %dx%d (%d vertices)", size2, size2, g2.Len())
 	if err := bench(fmt.Sprintf("Parallel2D/%dx%d", size2, size2), g2); err != nil {
 		return err
 	}
 
-	g3 := grid.MustGrid3D(size3, size3, size3)
-	for v := range g3.W {
-		g3.W[v] = rng.Int63n(100)
-	}
+	g3 := must(grid.FromWeights3D(size3, size3, size3, randomWeights(rng, size3*size3*size3, 100, 0)))
 	note("scaling 3D: %dx%dx%d (%d vertices)", size3, size3, size3, g3.Len())
 	return bench(fmt.Sprintf("Parallel3D/%dx%dx%d", size3, size3, size3), g3)
+}
+
+// randomWeights draws n weights rng.Int63n(span)+lo, in vertex order.
+func randomWeights(rng *rand.Rand, n int, span, lo int64) []int64 {
+	w := make([]int64, n)
+	for v := range w {
+		w[v] = rng.Int63n(span) + lo
+	}
+	return w
 }

@@ -11,12 +11,14 @@ import (
 // The smallest possible session: build a weighted stencil, run the
 // paper's best general-purpose heuristic, and inspect the result.
 func Example() {
-	g := stencilivc.MustGrid2D(3, 3)
-	copy(g.W, []int64{
+	g, err := stencilivc.FromWeights2D(3, 3, []int64{
 		1, 2, 1,
 		2, 4, 2,
 		1, 2, 1,
 	})
+	if err != nil {
+		panic(err)
+	}
 	c, alg, err := stencilivc.Best2D(g) // run all seven heuristics, keep the best
 	if err != nil {
 		panic(err)
@@ -37,8 +39,9 @@ func Example() {
 // placements and probes.
 func ExampleBest() {
 	g := stencilivc.MustGrid2D(8, 8)
-	for v := range g.W {
-		g.W[v] = int64(v%7) + 1
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, int64(v%7)+1)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -60,8 +63,11 @@ func ExampleBest() {
 
 // Exact solving proves optimality on small instances.
 func ExampleOptimal2D() {
-	g := stencilivc.MustGrid2D(2, 2) // a K4: the optimum is the total weight
-	copy(g.W, []int64{3, 1, 4, 1})
+	// A K4: the optimum is the total weight.
+	g, err := stencilivc.FromWeights2D(2, 2, []int64{3, 1, 4, 1})
+	if err != nil {
+		panic(err)
+	}
 	res := stencilivc.Optimal2D(g, 100000)
 	fmt.Println("optimal:", res.Optimal, "maxcolor:", res.MaxColor)
 	// Output:
@@ -70,8 +76,10 @@ func ExampleOptimal2D() {
 
 // A coloring is a schedule: orient the conflicts and simulate.
 func ExampleSimulate() {
-	g := stencilivc.MustGrid2D(4, 1)
-	copy(g.W, []int64{5, 5, 5, 5})
+	g, err := stencilivc.FromWeights2D(4, 1, []int64{5, 5, 5, 5})
+	if err != nil {
+		panic(err)
+	}
 	c, _ := stencilivc.Solve2D(stencilivc.GLL, g)
 	dag, _ := stencilivc.TaskDAG(g, c)
 	s, _ := stencilivc.Simulate(dag, 2)
@@ -83,8 +91,10 @@ func ExampleSimulate() {
 // The decision procedure answers "colorable with K colors?" — here on
 // two adjacent weight-7 tasks, which need exactly 14.
 func ExampleDecide() {
-	g := stencilivc.MustGrid2D(2, 1)
-	copy(g.W, []int64{7, 7})
+	g, err := stencilivc.FromWeights2D(2, 1, []int64{7, 7})
+	if err != nil {
+		panic(err)
+	}
 	v13, _ := stencilivc.Decide(g, 13, 0)
 	v14, _ := stencilivc.Decide(g, 14, 0)
 	fmt.Println("K=13:", v13)

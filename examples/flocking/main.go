@@ -61,7 +61,8 @@ func main() {
 		for i, b := range boids {
 			c := cellOf(b.x, b.y)
 			cellBoids[c] = append(cellBoids[c], i)
-			g.W[c]++
+			ci, cj := g.Coords(c)
+			g.Set(ci, cj, g.At(ci, cj)+1)
 		}
 
 		// First step: color from scratch. Later steps: the weights only

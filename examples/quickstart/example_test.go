@@ -28,8 +28,9 @@ func SolveWithTrace(alg stencilivc.Algorithm, s stencilivc.Stencil,
 // section).
 func ExampleSolveWithTrace() {
 	g := stencilivc.MustGrid2D(64, 64)
-	for v := range g.W {
-		g.W[v] = int64(v%7) + 1
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, int64(v%7)+1)
 	}
 
 	_, spans, err := SolveWithTrace(stencilivc.BDP, g, nil)

@@ -15,14 +15,16 @@ import (
 func main() {
 	// The introduction's motivating example: a 5x4 grid of spatial regions
 	// whose weights are the number of objects each region holds (Figure 1).
-	g := stencilivc.MustGrid2D(5, 4)
 	weights := []int64{
 		1, 2, 1, 0, 0,
 		3, 5, 2, 1, 0,
 		2, 4, 3, 2, 1,
 		0, 1, 1, 2, 1,
 	}
-	copy(g.W, weights)
+	g, err := stencilivc.FromWeights2D(5, 4, weights)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	lb := stencilivc.LowerBound2D(g)
 	fmt.Printf("instance: %d regions, total work %d, lower bound %d colors\n\n",
@@ -50,7 +52,7 @@ func main() {
 	for j := 0; j < g.Y; j++ {
 		for i := 0; i < g.X; i++ {
 			v := g.ID(i, j)
-			fmt.Printf("[%2d,%2d) ", c.Start[v], c.Start[v]+g.W[v])
+			fmt.Printf("[%2d,%2d) ", c.Start[v], c.Start[v]+g.Weight(v))
 		}
 		fmt.Println()
 	}

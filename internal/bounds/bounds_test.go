@@ -25,15 +25,19 @@ func TestMaxPair(t *testing.T) {
 }
 
 func TestMaxK4(t *testing.T) {
-	g := grid.MustGrid2D(3, 2)
-	copy(g.W, []int64{1, 2, 3, 4, 5, 6})
+	g, err := grid.FromWeights2D(3, 2, []int64{1, 2, 3, 4, 5, 6})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Blocks: {1,2,4,5}=12 and {2,3,5,6}=16.
 	if b := MaxK4(g); b != 16 {
 		t.Errorf("MaxK4 = %d, want 16", b)
 	}
 	// Degenerate 1xN grid falls back to the pair bound.
-	chainGrid := grid.MustGrid2D(1, 3)
-	copy(chainGrid.W, []int64{4, 9, 1})
+	chainGrid, err := grid.FromWeights2D(1, 3, []int64{4, 9, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if b := MaxK4(chainGrid); b != 13 {
 		t.Errorf("MaxK4 degenerate = %d, want 13", b)
 	}
@@ -41,15 +45,18 @@ func TestMaxK4(t *testing.T) {
 
 func TestMaxK8(t *testing.T) {
 	g := grid.MustGrid3D(2, 2, 2)
-	for v := range g.W {
-		g.W[v] = 1
+	for v := range g.Len() {
+		i, j, k := g.Coords(v)
+		g.Set(i, j, k, 1)
 	}
 	if b := MaxK8(g); b != 8 {
 		t.Errorf("MaxK8 = %d, want 8", b)
 	}
 	// Unit depth: falls back to K4 of the single layer.
-	flat := grid.MustGrid3D(2, 2, 1)
-	copy(flat.W, []int64{1, 2, 3, 4})
+	flat, err := grid.FromWeights3D(2, 2, 1, []int64{1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if b := MaxK8(flat); b != 10 {
 		t.Errorf("MaxK8 flat = %d, want 10", b)
 	}
@@ -62,8 +69,9 @@ func TestMaxK8(t *testing.T) {
 func TestMaxK8Orientations(t *testing.T) {
 	for _, sh := range [][3]int{{4, 4, 1}, {4, 1, 4}, {1, 4, 4}} {
 		g := grid.MustGrid3D(sh[0], sh[1], sh[2])
-		for v := range g.W {
-			g.W[v] = 5
+		for v := range g.Len() {
+			i, j, k := g.Coords(v)
+			g.Set(i, j, k, 5)
 		}
 		if b := MaxK8(g); b != 20 {
 			t.Errorf("MaxK8 on %v = %d, want 20", sh, b)
@@ -129,8 +137,9 @@ func TestOddCycleBudgetNeverOverstates(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
 		g := grid.MustGrid2D(3, 3)
-		for v := range g.W {
-			g.W[v] = rng.Int63n(6)
+		for v := range g.Len() {
+			i, j := g.Coords(v)
+			g.Set(i, j, rng.Int63n(6))
 		}
 		full := OddCycle(g, 9, 1_000_000)
 		tiny := OddCycle(g, 9, 5)
@@ -169,8 +178,9 @@ func TestMaxPairOfCycleAndMinChain3(t *testing.T) {
 
 func TestCombinedBounds(t *testing.T) {
 	g2 := grid.MustGrid2D(3, 3)
-	for v := range g2.W {
-		g2.W[v] = 2
+	for v := range g2.Len() {
+		i, j := g2.Coords(v)
+		g2.Set(i, j, 2)
 	}
 	if b := Combined2D(g2, 0); b != 8 {
 		t.Errorf("Combined2D = %d, want 8 (K4)", b)
@@ -179,8 +189,9 @@ func TestCombinedBounds(t *testing.T) {
 		t.Errorf("Combined2D with cycles = %d < 8", b)
 	}
 	g3 := grid.MustGrid3D(2, 2, 2)
-	for v := range g3.W {
-		g3.W[v] = 3
+	for v := range g3.Len() {
+		i, j, k := g3.Coords(v)
+		g3.Set(i, j, k, 3)
 	}
 	if b := Combined3D(g3, 0); b != 24 {
 		t.Errorf("Combined3D = %d, want 24 (K8)", b)

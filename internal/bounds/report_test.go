@@ -8,8 +8,10 @@ import (
 )
 
 func TestReport2D(t *testing.T) {
-	g := grid.MustGrid2D(3, 3)
-	copy(g.W, []int64{2, 1, 3, 0, 4, 1, 2, 2, 1})
+	g, err := grid.FromWeights2D(3, 3, []int64{2, 1, 3, 0, 4, 1, 2, 2, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := Report2D(g, 100_000)
 	if r.Pair != MaxPair(g) || r.Clique != MaxK4(g) {
 		t.Fatal("report components disagree with direct calls")
@@ -43,8 +45,9 @@ func TestReportBindingPreference(t *testing.T) {
 
 func TestReport3D(t *testing.T) {
 	g := grid.MustGrid3D(2, 2, 2)
-	for v := range g.W {
-		g.W[v] = 2
+	for v := range g.Len() {
+		i, j, k := g.Coords(v)
+		g.Set(i, j, k, 2)
 	}
 	r := Report3D(g, 10_000)
 	if r.Clique != 16 {

@@ -25,8 +25,9 @@ func e2eGrid2D(t *testing.T) *grid.Grid2D {
 		x = 256
 	}
 	g := grid.MustGrid2D(x, x)
-	for v := range g.W {
-		g.W[v] = int64(v%9) + 1
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, int64(v%9)+1)
 	}
 	return g
 }
@@ -38,8 +39,9 @@ func e2eGrid3D(t *testing.T) *grid.Grid3D {
 		x = 32
 	}
 	g := grid.MustGrid3D(x, x, x)
-	for v := range g.W {
-		g.W[v] = int64(v%9) + 1
+	for v := range g.Len() {
+		i, j, k := g.Coords(v)
+		g.Set(i, j, k, int64(v%9)+1)
 	}
 	return g
 }

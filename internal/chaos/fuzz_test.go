@@ -58,8 +58,9 @@ func FuzzInjectionSchedule(f *testing.F) {
 			}
 		}
 		g := grid.MustGrid2D(48, 48)
-		for v := range g.W {
-			g.W[v] = int64(v)%7 + 1
+		for v := range g.Len() {
+			i, j := g.Coords(v)
+			g.Set(i, j, int64(v)%7+1)
 		}
 		cfg := parallel.Config{TileSize: 16, Order: parallel.Order(seed % 2)}
 		c, err := parallel.Greedy(g, cfg, &core.SolveOptions{Parallelism: 4, Injector: in})

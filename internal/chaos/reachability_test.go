@@ -42,8 +42,9 @@ func TestEveryRegisteredSiteIsReachable(t *testing.T) {
 	}
 
 	g := grid.MustGrid2D(16, 16)
-	for v := range g.W {
-		g.W[v] = int64(v%5) + 1
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, int64(v%5)+1)
 	}
 
 	// pgreedy/*: a blind tile-parallel solve visits the worker sites per

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"stencilivc/internal/obsv"
 )
@@ -75,13 +74,6 @@ type SolveOptions struct {
 	// layer below the scheduler can tag diagnostics. Empty means the
 	// anonymous default tenant.
 	Tenant string
-	// Deadline, when nonzero, is the absolute wall-clock bound of this
-	// solve. The registry dispatcher layers it onto Ctx (via
-	// WithDeadlineContext) before running the algorithm, so a caller —
-	// the service scheduler handing per-request deadlines down, or a CLI
-	// — can bound a solve without building the derived context itself.
-	// It composes with Ctx: whichever expires first cancels the solve.
-	Deadline time.Time
 	// TraceCtx, when non-nil, is the flight-recorder trace context: the
 	// trace id (minted at service admission, or by a CLI's private
 	// recorder) plus the span to parent new spans under. The registry
@@ -216,31 +208,6 @@ func (o *SolveOptions) TenantID() string {
 		return "default"
 	}
 	return o.Tenant
-}
-
-// noopCancel is the shared do-nothing CancelFunc WithDeadlineContext
-// returns when no deadline is configured, so the no-deadline path
-// allocates nothing.
-func noopCancel() {}
-
-// WithDeadlineContext returns options whose context is additionally
-// bounded by o.Deadline, plus the cancel releasing the derived context's
-// timer. With no deadline set (or a nil receiver) it returns o unchanged
-// and a no-op cancel, so callers always release unconditionally:
-//
-//	opts, stop := opts.WithDeadlineContext()
-//	defer stop()
-//
-// The deadline composes with an already-bounded Ctx: context.WithDeadline
-// keeps the earlier of the two expiries.
-func (o *SolveOptions) WithDeadlineContext() (*SolveOptions, context.CancelFunc) {
-	if o == nil || o.Deadline.IsZero() {
-		return o, noopCancel
-	}
-	ctx, cancel := context.WithDeadline(o.Context(), o.Deadline)
-	c := *o
-	c.Ctx = ctx
-	return &c, cancel
 }
 
 // CtxCheckInterval is the granularity at which per-vertex solver loops

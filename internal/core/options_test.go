@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestSolveOptionsNilSafety: every accessor tolerates a nil receiver and
@@ -32,47 +31,15 @@ func TestSolveOptionsNilSafety(t *testing.T) {
 	if o.TenantID() != "default" || zero.TenantID() != "default" {
 		t.Error("nil/zero options: TenantID() != \"default\"")
 	}
-	if got, stop := o.WithDeadlineContext(); got != nil {
-		stop()
-		t.Error("nil options: WithDeadlineContext() != nil")
-	}
 }
 
-// TestTenantAndDeadline: the service-layer plumbing — TenantID defaults,
-// and WithDeadlineContext bounds the context by the absolute deadline
-// while keeping an earlier Ctx expiry.
+// TestTenantAndDeadline: the service-layer plumbing — TenantID reports
+// the tenant a solve runs for. A deadline is the caller's context
+// deadline (TestRunHonorsDeadline).
 func TestTenantAndDeadline(t *testing.T) {
 	o := &SolveOptions{Tenant: "team-a"}
 	if o.TenantID() != "team-a" {
 		t.Errorf("TenantID = %q, want team-a", o.TenantID())
-	}
-
-	// No deadline: same options back, no derived context.
-	same, stop := o.WithDeadlineContext()
-	stop()
-	if same != o {
-		t.Error("WithDeadlineContext without a deadline must return the receiver")
-	}
-
-	// Expired deadline: the derived context reports DeadlineExceeded.
-	o = &SolveOptions{Deadline: time.Now().Add(-time.Second)}
-	bounded, stop := o.WithDeadlineContext()
-	defer stop()
-	if !errors.Is(bounded.Err(), context.DeadlineExceeded) {
-		t.Errorf("expired deadline: Err() = %v, want DeadlineExceeded", bounded.Err())
-	}
-
-	// An already-canceled Ctx wins over a far-future deadline.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	o = &SolveOptions{Ctx: ctx, Deadline: time.Now().Add(time.Hour)}
-	bounded, stop = o.WithDeadlineContext()
-	defer stop()
-	if !errors.Is(bounded.Err(), context.Canceled) {
-		t.Errorf("canceled parent: Err() = %v, want Canceled", bounded.Err())
-	}
-	if bounded.Tenant != o.Tenant || bounded.Deadline != o.Deadline {
-		t.Error("WithDeadlineContext must preserve the other fields")
 	}
 }
 

@@ -85,8 +85,8 @@ func TestDatasetCharacters(t *testing.T) {
 		t.Fatal(err)
 	}
 	empty := 0
-	for _, w := range g.W {
-		if w == 0 {
+	for v := range g.Len() {
+		if g.Weight(v) == 0 {
 			empty++
 		}
 	}

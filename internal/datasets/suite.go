@@ -95,13 +95,16 @@ func Suite2D(opts SuiteOptions) ([]Instance2D, error) {
 						if err != nil {
 							return nil, err
 						}
+						// The instance takes over the weights of a
+						// grid nothing else holds.
+						w, x, y, _ := g.Lattice()
 						out = append(out, Instance2D{
 							Dataset:    name,
 							Projection: proj,
 							Bandwidth:  bw,
-							X:          g.X,
-							Y:          g.Y,
-							Weights:    g.W,
+							X:          x,
+							Y:          y,
+							Weights:    w,
 						})
 					}
 				}
@@ -130,13 +133,14 @@ func Suite3D(opts SuiteOptions) ([]Instance3D, error) {
 						if err != nil {
 							return nil, err
 						}
+						w, x, y, z := g.Lattice()
 						out = append(out, Instance3D{
 							Dataset:   name,
 							Bandwidth: bw,
-							X:         g.X,
-							Y:         g.Y,
-							Z:         g.Z,
-							Weights:   g.W,
+							X:         x,
+							Y:         y,
+							Z:         z,
+							Weights:   w,
 						})
 					}
 				}

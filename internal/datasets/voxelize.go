@@ -56,7 +56,7 @@ func Voxelize2D(points []Point, bounds Bounds, proj Projection, x, y int) (*grid
 		if i < 0 || j < 0 {
 			continue // outside the declared bounds; skip silently like the app does
 		}
-		g.W[g.ID(i, j)]++
+		g.Set(i, j, g.At(i, j)+1)
 	}
 	return g, nil
 }
@@ -77,7 +77,7 @@ func Voxelize3D(points []Point, bounds Bounds, x, y, z int) (*grid.Grid3D, error
 		if i < 0 || j < 0 || k < 0 {
 			continue
 		}
-		g.W[g.ID(i, j, k)]++
+		g.Set(i, j, k, g.At(i, j, k)+1)
 	}
 	return g, nil
 }

@@ -43,8 +43,9 @@ var shardedHashes = map[string]uint64{
 // weighted2D returns an x by y grid with varied weights.
 func weighted2D(x, y int) *grid.Grid2D {
 	g := grid.MustGrid2D(x, y)
-	for v := range g.W {
-		g.W[v] = int64(v%7) + 1
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, int64(v%7)+1)
 	}
 	return g
 }
@@ -52,8 +53,9 @@ func weighted2D(x, y int) *grid.Grid2D {
 // weighted3D returns an x by y by z grid with varied weights.
 func weighted3D(x, y, z int) *grid.Grid3D {
 	g := grid.MustGrid3D(x, y, z)
-	for v := range g.W {
-		g.W[v] = int64(v%5) + 1
+	for v := range g.Len() {
+		i, j, k := g.Coords(v)
+		g.Set(i, j, k, int64(v%5)+1)
 	}
 	return g
 }
@@ -76,10 +78,8 @@ func startsHash(c core.Coloring) uint64 {
 // coloring byte-identical to the one the sharded solve returned.
 func TestEquivalenceNoFault(t *testing.T) {
 	zw := grid.MustGrid2D(16, 16) // top half zero-weight
-	for v := range zw.W {
-		if v/16 < 8 {
-			zw.W[v] = int64(v%3) + 1
-		}
+	for v := range 8 * 16 {
+		zw.Set(v%16, v/16, int64(v%3)+1)
 	}
 	allZero := grid.MustGrid2D(9, 9)
 	instances := []struct {

@@ -135,9 +135,11 @@ func TestSolveByOrderMatchesBruteForce(t *testing.T) {
 func TestExactSolversOnSmallStencil(t *testing.T) {
 	// 3x3 stencil with deterministic weights; all three exact methods must
 	// agree, and the result must be >= the K4 bound.
-	g := grid.MustGrid2D(3, 3)
 	weights := []int64{2, 1, 3, 0, 4, 1, 2, 2, 1}
-	copy(g.W, weights)
+	g, err := grid.FromWeights2D(3, 3, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
 	lb := bounds.MaxK4(g)
 
 	brute, err := BruteForce(g, 0)

@@ -29,8 +29,8 @@ func Fig4(seed int64) (map[datasets.Name]string, error) {
 			return nil, err
 		}
 		var maxW int64 = 1
-		for _, w := range g.W {
-			maxW = max(maxW, w)
+		for v := range g.Len() {
+			maxW = max(maxW, g.Weight(v))
 		}
 		var b strings.Builder
 		fmt.Fprintf(&b, "%s (%d events, %dx%d)\n", name, len(ds.Points), g.X, g.Y)

@@ -55,9 +55,9 @@ func checkMutualAdjacency(t *testing.T, g Stencil) {
 }
 
 func TestBlocks2DEnumeration(t *testing.T) {
-	g := MustGrid2D(3, 3)
-	for v := 0; v < g.Len(); v++ {
-		g.W[v] = int64(v + 1)
+	g, err := FromWeights2D(3, 3, []int64{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	if err != nil {
+		t.Fatal(err)
 	}
 	cv := g.CliqueBlocks()
 	if !slices.Equal(cv.Offsets, []int{0, 1, 3, 4}) {
@@ -71,7 +71,7 @@ func TestBlocks2DEnumeration(t *testing.T) {
 	if cv.Weight[0] != 12 {
 		t.Errorf("block(0,0) weight = %d, want 12", cv.Weight[0])
 	}
-	checkBlockWeights(t, cv, g.W)
+	checkBlockWeights(t, cv, g.w)
 }
 
 func TestBlocks2DMutualAdjacency(t *testing.T) {
@@ -88,7 +88,7 @@ func TestBlocks2DDegenerate(t *testing.T) {
 		}
 	}
 	one := MustGrid2D(1, 1)
-	one.W[0] = 7
+	one.Set(0, 0, 7)
 	cv := one.CliqueBlocks()
 	if !slices.Equal(cv.Offsets, []int{0}) || !slices.Equal(cv.Anchor, []int{0}) || cv.Weight[0] != 7 {
 		t.Errorf("1x1: %+v, want one block {0} of weight 7", cv)
@@ -97,8 +97,9 @@ func TestBlocks2DDegenerate(t *testing.T) {
 
 func TestBlocks3DEnumeration(t *testing.T) {
 	g := MustGrid3D(3, 2, 2)
-	for v := 0; v < g.Len(); v++ {
-		g.W[v] = 1
+	for v := range g.Len() {
+		i, j, k := g.Coords(v)
+		g.Set(i, j, k, 1)
 	}
 	cv := g.CliqueBlocks()
 	if cv.Len() != 2 {
@@ -113,7 +114,7 @@ func TestBlocks3DEnumeration(t *testing.T) {
 			t.Errorf("K8 block %v weight %d", members(cv, b), w)
 		}
 	}
-	checkBlockWeights(t, cv, g.W)
+	checkBlockWeights(t, cv, g.w)
 }
 
 func TestBlocks3DMutualAdjacency(t *testing.T) {
@@ -126,10 +127,14 @@ func TestCoverOrientations(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, sh := range [][3]int{{4, 3, 1}, {4, 1, 3}, {1, 4, 3}} {
 		g := MustGrid3D(sh[0], sh[1], sh[2])
-		for v := range g.W {
-			g.W[v] = rng.Int63n(10)
+		for v := range g.Len() {
+			i, j, k := g.Coords(v)
+			g.Set(i, j, k, rng.Int63n(10))
 		}
-		flat := &Grid2D{X: 4, Y: 3, W: g.W}
+		flat, err := FromWeights2D(4, 3, g.w)
+		if err != nil {
+			t.Fatal(err)
+		}
 		got, want := g.CliqueBlocks(), flat.CliqueBlocks()
 		if !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Anchor, want.Anchor) ||
 			!slices.Equal(got.Weight, want.Weight) {
@@ -169,8 +174,10 @@ func TestSortBlocksByWeightDesc(t *testing.T) {
 }
 
 func TestPairBlocksAndMaxWeight(t *testing.T) {
-	g := MustGrid2D(1, 3)
-	copy(g.W, []int64{4, 1, 3})
+	g, err := FromWeights2D(1, 3, []int64{4, 1, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cv := g.CliqueBlocks()
 	if cv.Len() != 2 {
 		t.Fatalf("pair blocks = %d", cv.Len())

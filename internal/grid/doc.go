@@ -16,4 +16,11 @@
 // solve, takes an interior vertex's neighbors from a fixed offset table
 // and a boundary vertex's from Neighbors, the grid's one neighbor
 // enumeration, and so runs allocation-free.
+//
+// A grid owns its weights. One unexported store holds the slice and its
+// running total for both grid types; Set and the constructors are the
+// only writers, each keeping the total exact and refusing any weight set
+// whose total overflows int64, so every interval end a solver computes
+// fits. Weight and At read one weight, Lattice returns the slice for
+// reading, and Clone and Layer return independent copies.
 package grid

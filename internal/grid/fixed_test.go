@@ -74,7 +74,7 @@ func TestRelaxedDegrees(t *testing.T) {
 func TestPlaceFixedMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, g := range latticeShapes() {
-		for v := range weights(g) {
+		for v := range g.Len() {
 			setWeight(g, v, rng.Int63n(7))
 		}
 		c := core.NewColoring(g.Len())
@@ -101,17 +101,8 @@ func TestPlaceFixedMatchesGeneric(t *testing.T) {
 	}
 }
 
-func weights(s Stencil) []int64 {
-	switch g := s.(type) {
-	case *Grid2D:
-		return g.W
-	case *Grid3D:
-		return g.W
-	}
-	panic("unknown stencil")
-}
-
-func setWeight(s Stencil, v int, w int64) { weights(s)[v] = w }
+// setWeight assigns vertex v's weight through either grid's store.
+func setWeight(s Stencil, v int, w int64) { s.(interface{ set(int, int64) }).set(v, w) }
 
 // TestPlaceLowestNoAllocs: the lattice path does zero heap work
 // per placement — the contract behind the tile-parallel solver's
@@ -122,8 +113,9 @@ func setWeight(s Stencil, v int, w int64) { weights(s)[v] = w }
 func TestPlaceLowestNoAllocs(t *testing.T) {
 	g := MustGrid3D(6, 6, 6)
 	rng := rand.New(rand.NewSource(2))
-	for v := range g.W {
-		g.W[v] = rng.Int63n(9) + 1
+	for v := range g.Len() {
+		i, j, k := g.Coords(v)
+		g.Set(i, j, k, rng.Int63n(9)+1)
 	}
 	c := core.NewColoring(g.Len())
 	for v := range c.Start {
@@ -173,9 +165,8 @@ func BenchmarkPlaceLowest(b *testing.B) {
 	}
 	run := func(b *testing.B, g Stencil, opts *core.SolveOptions) {
 		rng := rand.New(rand.NewSource(1))
-		w := weights(g)
-		for v := range w {
-			w[v] = rng.Int63n(9) + 1
+		for v := range g.Len() {
+			setWeight(g, v, rng.Int63n(9)+1)
 		}
 		c := core.NewColoring(g.Len())
 		for v := range c.Start {
@@ -188,9 +179,8 @@ func BenchmarkPlaceLowest(b *testing.B) {
 	// common slot width); starts are slot-aligned, as greedy produces.
 	runUniform := func(b *testing.B, g Stencil, wv int64) {
 		rng := rand.New(rand.NewSource(1))
-		w := weights(g)
-		for v := range w {
-			w[v] = wv
+		for v := range g.Len() {
+			setWeight(g, v, wv)
 		}
 		c := core.NewColoring(g.Len())
 		for v := range c.Start {

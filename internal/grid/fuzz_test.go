@@ -38,10 +38,10 @@ func FuzzRead(f *testing.F) {
 			return
 		}
 		switch {
-		case g2 != nil && (r2 == nil || !slices.Equal(g2.W, r2.W) || g2.X != r2.X || g2.Y != r2.Y):
-			t.Fatalf("Read built %v %v, reference tokenizer %v", g2, g2.W, r2)
-		case g3 != nil && (r3 == nil || !slices.Equal(g3.W, r3.W) || g3.X != r3.X || g3.Y != r3.Y || g3.Z != r3.Z):
-			t.Fatalf("Read built %v %v, reference tokenizer %v", g3, g3.W, r3)
+		case g2 != nil && (r2 == nil || !slices.Equal(g2.w, r2.w) || g2.X != r2.X || g2.Y != r2.Y):
+			t.Fatalf("Read built %v %v, reference tokenizer %v", g2, g2.w, r2)
+		case g3 != nil && (r3 == nil || !slices.Equal(g3.w, r3.w) || g3.X != r3.X || g3.Y != r3.Y || g3.Z != r3.Z):
+			t.Fatalf("Read built %v %v, reference tokenizer %v", g3, g3.w, r3)
 		}
 		var buf bytes.Buffer
 		switch {
@@ -56,8 +56,8 @@ func FuzzRead(f *testing.F) {
 			if b2.X != g2.X || b2.Y != g2.Y {
 				t.Fatalf("round trip changed dims")
 			}
-			for v := range g2.W {
-				if b2.W[v] != g2.W[v] {
+			for v := range g2.Len() {
+				if b2.Weight(v) != g2.Weight(v) {
 					t.Fatalf("round trip changed weight %d", v)
 				}
 			}
@@ -72,8 +72,8 @@ func FuzzRead(f *testing.F) {
 			if b3.X != g3.X || b3.Y != g3.Y || b3.Z != g3.Z {
 				t.Fatalf("round trip changed dims")
 			}
-			for v := range g3.W {
-				if b3.W[v] != g3.W[v] {
+			for v := range g3.Len() {
+				if b3.Weight(v) != g3.Weight(v) {
 					t.Fatalf("round trip changed weight %d", v)
 				}
 			}
@@ -203,12 +203,12 @@ func FuzzPlaceLattice(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		uni := int64(common % 10) // the common weight; 0 means mixed
-		w := weights(g)
-		for v := range w {
-			w[v] = uni
+		for v := range g.Len() {
+			w := uni
 			if uni == 0 {
-				w[v] = rng.Int63n(10)
+				w = rng.Int63n(10)
 			}
+			setWeight(g, v, w)
 		}
 		c := core.NewColoring(g.Len())
 		for v := range c.Start {

@@ -3,23 +3,18 @@ package grid
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"stencilivc/internal/core"
 )
 
 // Grid2D is an X×Y grid whose conflict graph is the 9-pt 2D stencil:
 // vertices (i,j) and (i',j') are adjacent iff |i−i'| ≤ 1 and |j−j'| ≤ 1
-// (and they differ). Vertex ids are row-major: id = j*X + i.
+// (and they differ). Vertex ids are row-major: id = j*X + i. The grid
+// owns its weights: Set and the constructors write them, Weight and At
+// read one, and Lattice returns the slice for reading.
 type Grid2D struct {
 	X, Y int
-	// W holds the vertex weights in row-major order; len(W) == X*Y.
-	W []int64
-	// total caches the weight sum, maintained by Set and the
-	// constructors, so the no-overflow guarantee (Σw fits in int64,
-	// hence every interval end start+w a solver can produce does too)
-	// survives mutation. Direct writes to W leave it stale.
-	total int64
+	weightStore
 }
 
 var _ core.Graph = (*Grid2D)(nil)
@@ -34,7 +29,7 @@ func NewGrid2D(x, y int) (*Grid2D, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Grid2D{X: x, Y: y, W: make([]int64, cells)}, nil
+	return &Grid2D{X: x, Y: y, weightStore: weightStore{w: make([]int64, cells)}}, nil
 }
 
 // cells2D validates 2D dimensions and returns the cell count X*Y
@@ -89,53 +84,22 @@ func MustGrid2D(x, y int) *Grid2D {
 // runs before the grid is allocated, so a request naming huge
 // dimensions with too few weights costs nothing.
 func FromWeights2D(x, y int, weights []int64) (*Grid2D, error) {
-	g, err := wrap2D(x, y, weights)
-	if err != nil {
-		return nil, err
-	}
-	g.W = slices.Clone(weights)
-	return g, nil
-}
-
-// wrap2D is FromWeights2D without the copy: the grid keeps weights
-// itself, so it suits only a caller that holds the slice alone (Read).
-func wrap2D(x, y int, weights []int64) (*Grid2D, error) {
 	cells, err := cells2D(x, y)
 	if err != nil {
 		return nil, err
 	}
-	total, err := checkWeights(cells, weights)
+	ws, err := copyWeights(cells, weights)
 	if err != nil {
 		return nil, err
 	}
-	return &Grid2D{X: x, Y: y, W: weights, total: total}, nil
-}
-
-// checkWeights rejects a weight count other than cells, negative
-// weights, and totals that overflow int64, returning the total for the
-// grid's running-sum cache.
-func checkWeights(cells int, weights []int64) (int64, error) {
-	if len(weights) != cells {
-		return 0, fmt.Errorf("grid: want %d weights, got %d", cells, len(weights))
-	}
-	var total int64
-	for _, w := range weights {
-		if w < 0 {
-			return 0, fmt.Errorf("grid: negative weight %d", w)
-		}
-		if total > math.MaxInt64-w {
-			return 0, fmt.Errorf("grid: total weight overflows int64 (interval ends would wrap)")
-		}
-		total += w
-	}
-	return total, nil
+	return &Grid2D{X: x, Y: y, weightStore: ws}, nil
 }
 
 // Len returns the number of vertices X*Y.
 func (g *Grid2D) Len() int { return g.X * g.Y }
 
 // Weight returns the weight of vertex v.
-func (g *Grid2D) Weight(v int) int64 { return g.W[v] }
+func (g *Grid2D) Weight(v int) int64 { return g.w[v] }
 
 // ID returns the vertex id of cell (i,j).
 func (g *Grid2D) ID(i, j int) int { return j*g.X + i }
@@ -144,26 +108,14 @@ func (g *Grid2D) ID(i, j int) int { return j*g.X + i }
 func (g *Grid2D) Coords(v int) (i, j int) { return v % g.X, v / g.X }
 
 // At returns the weight of cell (i,j).
-func (g *Grid2D) At(i, j int) int64 { return g.W[g.ID(i, j)] }
+func (g *Grid2D) At(i, j int) int64 { return g.w[g.ID(i, j)] }
 
 // Set assigns the weight of cell (i,j). Negative weights, and updates
-// that would push the grid's running total weight past int64 (wrapping
-// solver interval arithmetic), panic — exactly the assignments the
+// that would push the grid's total weight past int64 (wrapping solver
+// interval arithmetic), panic — exactly the assignments the
 // constructors reject, so any grid buildable via FromWeights2D is
-// buildable via Set. Direct writes to W bypass the guard and leave the
-// cached total stale.
-func (g *Grid2D) Set(i, j int, w int64) {
-	if w < 0 {
-		panic(fmt.Sprintf("grid: negative weight %d", w))
-	}
-	id := g.ID(i, j)
-	rest := g.total - g.W[id]
-	if rest > math.MaxInt64-w {
-		panic(fmt.Sprintf("grid: weight %d overflows the grid's total weight", w))
-	}
-	g.total = rest + w
-	g.W[id] = w
-}
+// buildable via Set.
+func (g *Grid2D) Set(i, j int, w int64) { g.set(g.ID(i, j), w) }
 
 // Neighbors appends the 9-pt stencil neighbors of v (up to 8) to buf.
 func (g *Grid2D) Neighbors(v int, buf []int) []int {
@@ -185,8 +137,9 @@ func (g *Grid2D) Neighbors(v int, buf []int) []int {
 }
 
 // Lattice returns the weight slice and the extents X, Y, 1: a 9-pt grid
-// is a lattice one layer deep (core.Lattice).
-func (g *Grid2D) Lattice() ([]int64, int, int, int) { return g.W, g.X, g.Y, 1 }
+// is a lattice one layer deep (core.Lattice). The slice is the grid's
+// own storage and is read-only; Set is the one way to change a weight.
+func (g *Grid2D) Lattice() ([]int64, int, int, int) { return g.w, g.X, g.Y, 1 }
 
 // Degree returns the 9-pt degree of v in O(1) from its coordinates.
 func (g *Grid2D) Degree(v int) int {
@@ -226,7 +179,7 @@ var _ core.Graph = FivePt{}
 func (f FivePt) Len() int { return f.G.Len() }
 
 // Weight returns the weight of vertex v.
-func (f FivePt) Weight(v int) int64 { return f.G.W[v] }
+func (f FivePt) Weight(v int) int64 { return f.G.w[v] }
 
 // Neighbors appends the 5-pt (axis-only) neighbors of v to buf.
 func (f FivePt) Neighbors(v int, buf []int) []int {
@@ -263,20 +216,12 @@ func (f FivePt) Degree(v int) int {
 
 var _ core.DegreeGraph = FivePt{}
 
-// Row returns the weights of row j as a chain, in increasing i.
-func (g *Grid2D) Row(j int) []int64 {
-	return g.W[j*g.X : (j+1)*g.X]
-}
-
 // Clone returns a deep copy of the grid.
 func (g *Grid2D) Clone() *Grid2D {
-	c := MustGrid2D(g.X, g.Y)
-	copy(c.W, g.W)
-	c.total = g.total
-	return c
+	return &Grid2D{X: g.X, Y: g.Y, weightStore: g.clone()}
 }
 
 // String summarizes the grid's shape and total weight.
 func (g *Grid2D) String() string {
-	return fmt.Sprintf("Grid2D(%dx%d, total=%d)", g.X, g.Y, core.TotalWeight(g))
+	return fmt.Sprintf("Grid2D(%dx%d, total=%d)", g.X, g.Y, g.total)
 }

@@ -140,19 +140,6 @@ func TestFivePtNeighbors(t *testing.T) {
 	}
 }
 
-func TestGrid2DRowAliases(t *testing.T) {
-	g := MustGrid2D(3, 2)
-	g.Set(1, 1, 9)
-	row := g.Row(1)
-	if row[1] != 9 {
-		t.Errorf("Row(1)[1] = %d", row[1])
-	}
-	row[0] = 5 // aliasing is intentional
-	if g.At(0, 1) != 5 {
-		t.Error("Row does not alias grid storage")
-	}
-}
-
 func TestGrid2DClone(t *testing.T) {
 	g := MustGrid2D(2, 2)
 	g.Set(0, 0, 3)

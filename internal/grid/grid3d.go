@@ -2,8 +2,6 @@ package grid
 
 import (
 	"fmt"
-	"math"
-	"slices"
 
 	"stencilivc/internal/core"
 )
@@ -11,14 +9,10 @@ import (
 // Grid3D is an X×Y×Z grid whose conflict graph is the 27-pt 3D stencil:
 // vertices (i,j,k) and (i',j',k') are adjacent iff each coordinate differs
 // by at most 1 (and they differ). Vertex ids are x-fastest:
-// id = (k*Y + j)*X + i.
+// id = (k*Y + j)*X + i. The grid owns its weights as Grid2D does.
 type Grid3D struct {
 	X, Y, Z int
-	// W holds the vertex weights, x-fastest; len(W) == X*Y*Z.
-	W []int64
-	// total caches the weight sum, as in Grid2D. Direct writes to W —
-	// including Set through a Layer view — leave it stale.
-	total int64
+	weightStore
 }
 
 var _ core.Graph = (*Grid3D)(nil)
@@ -33,7 +27,7 @@ func NewGrid3D(x, y, z int) (*Grid3D, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Grid3D{X: x, Y: y, Z: z, W: make([]int64, cells)}, nil
+	return &Grid3D{X: x, Y: y, Z: z, weightStore: weightStore{w: make([]int64, cells)}}, nil
 }
 
 // cells3D validates 3D dimensions and returns the cell count X*Y*Z
@@ -67,32 +61,22 @@ func MustGrid3D(x, y, z int) *Grid3D {
 // FromWeights3D builds a grid from an x-fastest weight slice. The slice is
 // copied. It checks what FromWeights2D checks, also before allocating.
 func FromWeights3D(x, y, z int, weights []int64) (*Grid3D, error) {
-	g, err := wrap3D(x, y, z, weights)
-	if err != nil {
-		return nil, err
-	}
-	g.W = slices.Clone(weights)
-	return g, nil
-}
-
-// wrap3D is FromWeights3D without the copy; see wrap2D.
-func wrap3D(x, y, z int, weights []int64) (*Grid3D, error) {
 	cells, err := cells3D(x, y, z)
 	if err != nil {
 		return nil, err
 	}
-	total, err := checkWeights(cells, weights)
+	ws, err := copyWeights(cells, weights)
 	if err != nil {
 		return nil, err
 	}
-	return &Grid3D{X: x, Y: y, Z: z, W: weights, total: total}, nil
+	return &Grid3D{X: x, Y: y, Z: z, weightStore: ws}, nil
 }
 
 // Len returns the number of vertices X*Y*Z.
 func (g *Grid3D) Len() int { return g.X * g.Y * g.Z }
 
 // Weight returns the weight of vertex v.
-func (g *Grid3D) Weight(v int) int64 { return g.W[v] }
+func (g *Grid3D) Weight(v int) int64 { return g.w[v] }
 
 // ID returns the vertex id of cell (i,j,k).
 func (g *Grid3D) ID(i, j, k int) int { return (k*g.Y+j)*g.X + i }
@@ -107,24 +91,12 @@ func (g *Grid3D) Coords(v int) (i, j, k int) {
 }
 
 // At returns the weight of cell (i,j,k).
-func (g *Grid3D) At(i, j, k int) int64 { return g.W[g.ID(i, j, k)] }
+func (g *Grid3D) At(i, j, k int) int64 { return g.w[g.ID(i, j, k)] }
 
 // Set assigns the weight of cell (i,j,k). Negative weights, and updates
-// that would push the grid's running total weight past int64, panic —
-// the same assignments FromWeights3D rejects; direct writes to W bypass
-// the guard and leave the cached total stale.
-func (g *Grid3D) Set(i, j, k int, w int64) {
-	if w < 0 {
-		panic(fmt.Sprintf("grid: negative weight %d", w))
-	}
-	id := g.ID(i, j, k)
-	rest := g.total - g.W[id]
-	if rest > math.MaxInt64-w {
-		panic(fmt.Sprintf("grid: weight %d overflows the grid's total weight", w))
-	}
-	g.total = rest + w
-	g.W[id] = w
-}
+// that would push the grid's total weight past int64, panic — the same
+// assignments FromWeights3D rejects.
+func (g *Grid3D) Set(i, j, k int, w int64) { g.set(g.ID(i, j, k), w) }
 
 // Neighbors appends the 27-pt stencil neighbors of v (up to 26) to buf.
 func (g *Grid3D) Neighbors(v int, buf []int) []int {
@@ -152,8 +124,9 @@ func (g *Grid3D) Neighbors(v int, buf []int) []int {
 }
 
 // Lattice returns the weight slice and the extents X, Y, Z
-// (core.Lattice).
-func (g *Grid3D) Lattice() ([]int64, int, int, int) { return g.W, g.X, g.Y, g.Z }
+// (core.Lattice). The slice is the grid's own storage and is read-only;
+// Set is the one way to change a weight.
+func (g *Grid3D) Lattice() ([]int64, int, int, int) { return g.w, g.X, g.Y, g.Z }
 
 // Degree returns the 27-pt degree of v in O(1) from its coordinates.
 func (g *Grid3D) Degree(v int) int {
@@ -179,7 +152,7 @@ var _ core.Graph = SevenPt{}
 func (s SevenPt) Len() int { return s.G.Len() }
 
 // Weight returns the weight of vertex v.
-func (s SevenPt) Weight(v int) int64 { return s.G.W[v] }
+func (s SevenPt) Weight(v int) int64 { return s.G.w[v] }
 
 // Neighbors appends the 7-pt (axis-only) neighbors of v to buf.
 func (s SevenPt) Neighbors(v int, buf []int) []int {
@@ -222,31 +195,22 @@ func (s SevenPt) Degree(v int) int {
 
 var _ core.DegreeGraph = SevenPt{}
 
-// Layer returns layer k of the 3D grid as a 2D grid sharing the same
-// weight storage (mutations are visible in both). The view carries its
-// own running total (the layer's slice sum, a subtotal of the parent's,
-// so its Set guard can only be stricter); Set through the view updates
-// the view's total but leaves the parent's cached total stale, like any
-// direct write to W.
+// Layer returns layer k of the 3D grid as an independent 2D grid: it
+// holds a copy of the layer's weights, so a Set on either grid leaves
+// the other, and its total, unchanged.
 func (g *Grid3D) Layer(k int) *Grid2D {
-	base := k * g.X * g.Y
-	w := g.W[base : base+g.X*g.Y]
-	var total int64
-	for _, wv := range w {
-		total += wv
-	}
-	return &Grid2D{X: g.X, Y: g.Y, W: w, total: total}
+	n := g.X * g.Y
+	// A layer of a checked store passes the same checks.
+	ws, _ := copyWeights(n, g.w[k*n:(k+1)*n])
+	return &Grid2D{X: g.X, Y: g.Y, weightStore: ws}
 }
 
 // Clone returns a deep copy of the grid.
 func (g *Grid3D) Clone() *Grid3D {
-	c := MustGrid3D(g.X, g.Y, g.Z)
-	copy(c.W, g.W)
-	c.total = g.total
-	return c
+	return &Grid3D{X: g.X, Y: g.Y, Z: g.Z, weightStore: g.clone()}
 }
 
 // String summarizes the grid's shape and total weight.
 func (g *Grid3D) String() string {
-	return fmt.Sprintf("Grid3D(%dx%dx%d, total=%d)", g.X, g.Y, g.Z, core.TotalWeight(g))
+	return fmt.Sprintf("Grid3D(%dx%dx%d, total=%d)", g.X, g.Y, g.Z, g.total)
 }

@@ -82,16 +82,28 @@ func TestSevenPtBipartite(t *testing.T) {
 	}
 }
 
-func TestGrid3DLayerAliases(t *testing.T) {
+// TestGrid3DLayerIsCopy: Layer(k) is an independent grid holding a copy
+// of layer k's weights and their total, so a Set on the layer leaves
+// the parent's weights and total unchanged, and the other way round.
+func TestGrid3DLayerIsCopy(t *testing.T) {
 	g := MustGrid3D(2, 2, 3)
 	g.Set(1, 1, 2, 9)
+	g.Set(1, 1, 0, 4)
 	layer := g.Layer(2)
-	if layer.At(1, 1) != 9 {
-		t.Errorf("Layer(2).At(1,1) = %d", layer.At(1, 1))
+	if layer.At(1, 1) != 9 || layer.total != 9 {
+		t.Errorf("Layer(2): At(1,1) = %d, total %d; want 9 and 9", layer.At(1, 1), layer.total)
 	}
 	layer.Set(0, 0, 5)
-	if g.At(0, 0, 2) != 5 {
-		t.Error("Layer does not alias grid storage")
+	if g.At(0, 0, 2) != 0 || g.total != 13 {
+		t.Errorf("Set on Layer(2) reached the parent: At(0,0,2) = %d, total %d; want 0 and 13",
+			g.At(0, 0, 2), g.total)
+	}
+	if layer.total != 14 {
+		t.Errorf("layer total = %d after Set, want 14", layer.total)
+	}
+	g.Set(1, 0, 2, 6)
+	if layer.At(1, 0) != 0 || layer.total != 14 {
+		t.Errorf("Set on the parent reached Layer(2): At(1,0) = %d, total %d", layer.At(1, 0), layer.total)
 	}
 }
 

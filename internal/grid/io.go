@@ -90,11 +90,11 @@ func Read(r io.Reader) (*Grid2D, *Grid3D, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		g, err := wrap2D(x, y, weights)
+		ws, err := adoptWeights(n, weights)
 		if err != nil {
 			return nil, nil, err
 		}
-		return g, nil, nil
+		return &Grid2D{X: x, Y: y, weightStore: ws}, nil, nil
 	case "ivc3d":
 		if len(header) != 4 {
 			return nil, nil, fmt.Errorf("grid: ivc3d header wants 3 dims, got %d", len(header)-1)
@@ -113,11 +113,11 @@ func Read(r io.Reader) (*Grid2D, *Grid3D, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		g, err := wrap3D(x, y, z, weights)
+		ws, err := adoptWeights(n, weights)
 		if err != nil {
 			return nil, nil, err
 		}
-		return nil, g, nil
+		return nil, &Grid3D{X: x, Y: y, Z: z, weightStore: ws}, nil
 	default:
 		return nil, nil, fmt.Errorf("grid: unknown header %q", header[0])
 	}

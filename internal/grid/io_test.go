@@ -7,9 +7,9 @@ import (
 )
 
 func TestWriteRead2DRoundTrip(t *testing.T) {
-	g := MustGrid2D(3, 2)
-	for v := 0; v < g.Len(); v++ {
-		g.W[v] = int64(v * 10)
+	g, err := FromWeights2D(3, 2, []int64{0, 10, 20, 30, 40, 50})
+	if err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := Write2D(&buf, g); err != nil {
@@ -26,16 +26,16 @@ func TestWriteRead2DRoundTrip(t *testing.T) {
 		t.Fatalf("dims %dx%d", g2.X, g2.Y)
 	}
 	for v := 0; v < g.Len(); v++ {
-		if g2.W[v] != g.W[v] {
-			t.Fatalf("weight[%d] = %d, want %d", v, g2.W[v], g.W[v])
+		if g2.Weight(v) != g.Weight(v) {
+			t.Fatalf("weight[%d] = %d, want %d", v, g2.Weight(v), g.Weight(v))
 		}
 	}
 }
 
 func TestWriteRead3DRoundTrip(t *testing.T) {
-	g := MustGrid3D(2, 3, 2)
-	for v := 0; v < g.Len(); v++ {
-		g.W[v] = int64(v)
+	g, err := FromWeights3D(2, 3, 2, []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
+	if err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := Write3D(&buf, g); err != nil {
@@ -52,8 +52,8 @@ func TestWriteRead3DRoundTrip(t *testing.T) {
 		t.Fatalf("dims %dx%dx%d", g3.X, g3.Y, g3.Z)
 	}
 	for v := 0; v < g.Len(); v++ {
-		if g3.W[v] != g.W[v] {
-			t.Fatalf("weight[%d] = %d, want %d", v, g3.W[v], g.W[v])
+		if g3.Weight(v) != g.Weight(v) {
+			t.Fatalf("weight[%d] = %d, want %d", v, g3.Weight(v), g.Weight(v))
 		}
 	}
 }
@@ -71,7 +71,7 @@ ivc2d 2 2
 		t.Fatal(err)
 	}
 	if g2.At(1, 1) != 4 || g2.At(0, 1) != 3 {
-		t.Errorf("weights parsed wrong: %v", g2.W)
+		t.Errorf("weights parsed wrong: %v", g2.w)
 	}
 }
 

@@ -21,7 +21,7 @@ func TestNewGrid2DOverflowEdges(t *testing.T) {
 	} {
 		g, err := NewGrid2D(tc[0], tc[1])
 		if err == nil {
-			t.Errorf("NewGrid2D(%d, %d) accepted; len(W)=%d", tc[0], tc[1], len(g.W))
+			t.Errorf("NewGrid2D(%d, %d) accepted; len(w)=%d", tc[0], tc[1], len(g.w))
 		}
 	}
 	// The largest accepted shape still works.
@@ -29,8 +29,8 @@ func TestNewGrid2DOverflowEdges(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewGrid2D(2^14, 2^14): %v", err)
 	}
-	if len(g.W) != 1<<28 {
-		t.Errorf("len(W) = %d, want 2^28", len(g.W))
+	if len(g.w) != 1<<28 {
+		t.Errorf("len(w) = %d, want 2^28", len(g.w))
 	}
 }
 
@@ -46,7 +46,7 @@ func TestNewGrid3DOverflowEdges(t *testing.T) {
 	} {
 		g, err := NewGrid3D(tc[0], tc[1], tc[2])
 		if err == nil {
-			t.Errorf("NewGrid3D(%d, %d, %d) accepted; len(W)=%d", tc[0], tc[1], tc[2], len(g.W))
+			t.Errorf("NewGrid3D(%d, %d, %d) accepted; len(w)=%d", tc[0], tc[1], tc[2], len(g.w))
 		}
 	}
 	if _, err := NewGrid3D(512, 512, 512); err != nil {
@@ -90,7 +90,7 @@ func TestFromWeightsTotalOverflow(t *testing.T) {
 func TestSetWeightTotalOverflow(t *testing.T) {
 	g := MustGrid2D(2, 2)
 	// One huge cell among zeros is legal via FromWeights2D, so Set must
-	// accept it too (the old per-cell cap of MaxInt64/len(W) did not).
+	// accept it too (the old per-cell cap of MaxInt64/len(w) did not).
 	g.Set(0, 0, math.MaxInt64-1)
 	g.Set(0, 1, 1) // total exactly MaxInt64: boundary accepted
 	mustPanic(t, "2D Set past total", func() { g.Set(1, 0, 1) })

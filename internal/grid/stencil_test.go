@@ -10,8 +10,9 @@ import (
 // standalone traversal and block functions they wrap.
 func TestStencilHooks2D(t *testing.T) {
 	g := MustGrid2D(5, 4)
-	for v := range g.W {
-		g.W[v] = int64(v % 3)
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, int64(v%3))
 	}
 	var s Stencil = g
 	if s.Dims() != 2 {

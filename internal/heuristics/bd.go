@@ -49,8 +49,7 @@ func decompose(s grid.Stencil, opts *core.SolveOptions) (core.Coloring, int64, e
 				return core.Coloring{}, 0, err
 			}
 			row := layer + j*x
-			starts, mc := special.ColorChain(w[row : row+x])
-			copy(c.Start[row:], starts)
+			mc := special.ColorChain(c.Start[row:row+x], w[row:row+x])
 			rc = max(rc, mc)
 			if j%2 == 1 {
 				oddMC = max(oddMC, mc)

@@ -68,7 +68,7 @@ func TestRunCacheHitSkipsSolver(t *testing.T) {
 	}
 
 	// Mutating the instance invalidates the fingerprint: no stale hit.
-	g.W[0] += 3
+	g.Set(0, 0, g.At(0, 0)+3)
 	if _, err := Run("GLL", g, opts); err != nil {
 		t.Fatal(err)
 	}

@@ -38,8 +38,9 @@ func testCancelLatency(t *testing.T, alg Algorithm) {
 		t.Skip("latency bound is meaningless under the race detector")
 	}
 	g := grid.MustGrid2D(2048, 2048)
-	for v := range g.W {
-		g.W[v] = int64(v%9) + 1
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, int64(v%9)+1)
 	}
 	const attempts = 3
 	var latencies []time.Duration

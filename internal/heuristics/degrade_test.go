@@ -84,8 +84,9 @@ func TestRunRecoversInjectedPanic(t *testing.T) {
 func TestPortfolioDegradesOnPanic(t *testing.T) {
 	registerChaosAlgs()
 	g := grid.MustGrid2D(10, 10)
-	for v := range g.W {
-		g.W[v] = int64(v%5) + 1
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, int64(v%5)+1)
 	}
 	wantC, wantAlg, err := Portfolio(g, []Algorithm{GLL, GLF}, nil)
 	if err != nil {
@@ -138,8 +139,9 @@ func TestPortfolioUnknownStillFatal(t *testing.T) {
 func TestPortfolioPartialOnCancel(t *testing.T) {
 	registerChaosAlgs()
 	g := grid.MustGrid2D(10, 10)
-	for v := range g.W {
-		g.W[v] = int64(v%5) + 1
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, int64(v%5)+1)
 	}
 	algs := []Algorithm{GLL, testCancelAlg, GLF}
 

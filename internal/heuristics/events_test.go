@@ -49,8 +49,9 @@ func streamLines(t *testing.T, buf *bytes.Buffer) []streamLine {
 // solve.finish — with the maxcolor as its arg and no error detail.
 func TestRunEmitsSolveEvents(t *testing.T) {
 	g := grid.MustGrid2D(8, 8)
-	for v := range g.W {
-		g.W[v] = int64(v%5) + 1
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, int64(v%5)+1)
 	}
 	var buf bytes.Buffer
 	opts, rec := streamed(&buf)
@@ -125,8 +126,9 @@ func TestRunEmitsSolveErrorOnPanic(t *testing.T) {
 func TestPortfolioPartialEvent(t *testing.T) {
 	registerChaosAlgs()
 	g := grid.MustGrid2D(10, 10)
-	for v := range g.W {
-		g.W[v] = int64(v%7) + 1
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, int64(v%7)+1)
 	}
 	var buf bytes.Buffer
 	opts, _ := streamed(&buf)

@@ -16,16 +16,18 @@ import (
 
 func random2D(rng *rand.Rand, x, y int, maxW int64) *grid.Grid2D {
 	g := grid.MustGrid2D(x, y)
-	for v := range g.W {
-		g.W[v] = rng.Int63n(maxW + 1)
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, rng.Int63n(maxW+1))
 	}
 	return g
 }
 
 func random3D(rng *rand.Rand, x, y, z int, maxW int64) *grid.Grid3D {
 	g := grid.MustGrid3D(x, y, z)
-	for v := range g.W {
-		g.W[v] = rng.Int63n(maxW + 1)
+	for v := range g.Len() {
+		i, j, k := g.Coords(v)
+		g.Set(i, j, k, rng.Int63n(maxW+1))
 	}
 	return g
 }
@@ -190,7 +192,8 @@ func TestSGKSingleBlock(t *testing.T) {
 			t.Fatalf("SGK %d > GKF %d on a single K4", sgk.MaxColor(g), gkf.MaxColor(g))
 		}
 		// A single K4 is a clique: both must hit the clique optimum.
-		want := bounds.CliqueSum(g.W)
+		w, _, _, _ := g.Lattice()
+		want := bounds.CliqueSum(w)
 		if gkf.MaxColor(g) != want || sgk.MaxColor(g) != want {
 			t.Fatalf("K4 coloring: gkf=%d sgk=%d want=%d", gkf.MaxColor(g), sgk.MaxColor(g), want)
 		}
@@ -201,8 +204,9 @@ func TestSGKSingleBlock(t *testing.T) {
 // optimally by every clique-aware heuristic (the K4/K8 bound is achieved).
 func TestUniformGridsHitCliqueBound(t *testing.T) {
 	g := grid.MustGrid2D(6, 6)
-	for v := range g.W {
-		g.W[v] = 5
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, 5)
 	}
 	lb := bounds.MaxK4(g) // 20
 	for _, alg := range All() {
@@ -278,7 +282,7 @@ func TestWeightDescOrder(t *testing.T) {
 
 func TestRunAlgorithmsOnSingleVertex(t *testing.T) {
 	g2 := grid.MustGrid2D(1, 1)
-	g2.W[0] = 7
+	g2.Set(0, 0, 7)
 	for _, alg := range All() {
 		c, err := Run(alg, g2, nil)
 		if err != nil {
@@ -289,7 +293,7 @@ func TestRunAlgorithmsOnSingleVertex(t *testing.T) {
 		}
 	}
 	g3 := grid.MustGrid3D(1, 1, 1)
-	g3.W[0] = 3
+	g3.Set(0, 0, 0, 3)
 	for _, alg := range All() {
 		c, err := Run(alg, g3, nil)
 		if err != nil {
@@ -301,18 +305,22 @@ func TestRunAlgorithmsOnSingleVertex(t *testing.T) {
 	}
 }
 
-// TestRunHonorsDeadline: SolveOptions.Deadline bounds the solve without
-// the caller deriving a context — an already-expired deadline aborts
-// before the algorithm runs, and a generous one changes nothing.
+// TestRunHonorsDeadline: a context deadline bounds the solve — an
+// already-expired one aborts before the algorithm runs, and a generous
+// one changes nothing.
 func TestRunHonorsDeadline(t *testing.T) {
 	g := random2D(rand.New(rand.NewSource(11)), 32, 32, 9)
 
-	opts := &core.SolveOptions{Deadline: time.Now().Add(-time.Millisecond)}
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
+	defer cancel()
+	opts := &core.SolveOptions{Ctx: expired}
 	if _, err := Run(GLL, g, opts); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired deadline: err = %v, want DeadlineExceeded", err)
 	}
 
-	opts = &core.SolveOptions{Deadline: time.Now().Add(time.Hour), Tenant: "t"}
+	generous, cancel := context.WithDeadline(context.Background(), time.Now().Add(time.Hour))
+	defer cancel()
+	opts = &core.SolveOptions{Ctx: generous, Tenant: "t"}
 	c, err := Run(GLL, g, opts)
 	if err != nil {
 		t.Fatal(err)

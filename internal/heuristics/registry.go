@@ -189,12 +189,6 @@ func Run(alg Algorithm, s grid.Stencil, opts *core.SolveOptions) (core.Coloring,
 		return core.Coloring{}, fmt.Errorf("heuristics: %s is %s-only, got a %dD instance",
 			alg, d.Dims, s.Dims())
 	}
-	// A per-request absolute deadline (the service scheduler's shedding
-	// policy, or any caller that set SolveOptions.Deadline) bounds the
-	// context here, so every solver below polls the bounded context
-	// without knowing deadlines exist. No deadline costs one IsZero check.
-	opts, stopDeadline := opts.WithDeadlineContext()
-	defer stopDeadline()
 	if err := opts.Err(); err != nil {
 		return core.Coloring{}, err
 	}

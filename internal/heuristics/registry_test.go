@@ -79,11 +79,13 @@ func TestParallelGreedyRegistered(t *testing.T) {
 	}
 	g2 := grid.MustGrid2D(9, 7)
 	g3 := grid.MustGrid3D(5, 4, 3)
-	for v := range g2.W {
-		g2.W[v] = int64(v%5 + 1)
+	for v := range g2.Len() {
+		i, j := g2.Coords(v)
+		g2.Set(i, j, int64(v%5+1))
 	}
-	for v := range g3.W {
-		g3.W[v] = int64(v%4 + 1)
+	for v := range g3.Len() {
+		i, j, k := g3.Coords(v)
+		g3.Set(i, j, k, int64(v%4+1))
 	}
 	for _, alg := range []Algorithm{PGLL, PGLF} {
 		d, ok := Lookup(alg)

@@ -29,9 +29,10 @@ func TestSGK3DFullSingleBlockIsOptimal(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		g := grid.MustGrid3D(2, 2, 2)
 		var total int64
-		for v := range g.W {
-			g.W[v] = rng.Int63n(9)
-			total += g.W[v]
+		for v := range g.Len() {
+			i, j, k := g.Coords(v)
+			g.Set(i, j, k, rng.Int63n(9))
+			total += g.Weight(v)
 		}
 		c := SmartLargestCliqueFirst3DFull(g)
 		if c.MaxColor(g) != total {

@@ -34,7 +34,8 @@ func TestBuildRejectsTightHorizon(t *testing.T) {
 
 func TestZeroWeightVerticesExcludedFromPairs(t *testing.T) {
 	g := grid.MustGrid2D(2, 2)
-	g.W[0], g.W[3] = 5, 7 // diagonal positives; 0-weight cells in between
+	g.Set(0, 0, 5) // diagonal positives; 0-weight cells in between
+	g.Set(1, 1, 7)
 	m, err := Build(g, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -77,8 +78,9 @@ func TestFormulationMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 25; trial++ {
 		g := grid.MustGrid2D(1+rng.Intn(3), 1+rng.Intn(2))
-		for v := range g.W {
-			g.W[v] = rng.Int63n(4)
+		for v := range g.Len() {
+			i, j := g.Coords(v)
+			g.Set(i, j, rng.Int63n(4))
 		}
 		m, err := Build(g, 0)
 		if err != nil {
@@ -117,12 +119,12 @@ func bruteMin(m *Model, g *grid.Grid2D) int64 {
 			}
 			return
 		}
-		if g.W[v] == 0 {
+		if g.Weight(v) == 0 {
 			c.Start[v] = 0
 			rec(v + 1)
 			return
 		}
-		for s := int64(0); s+g.W[v] <= m.Horizon; s++ {
+		for s := int64(0); s+g.Weight(v) <= m.Horizon; s++ {
 			c.Start[v] = s
 			rec(v + 1)
 		}

@@ -83,12 +83,11 @@ func Build(inst Instance) (*Layout, error) {
 		if x < 0 || x >= X || y < 0 || y >= Y || z < 0 || z >= Z {
 			return 0, fmt.Errorf("nae: cell (%d,%d,%d) outside %dx%dx%d", x, y, z, X, Y, Z)
 		}
-		id := g.ID(x, y, z)
-		if g.W[id] != 0 {
+		if g.At(x, y, z) != 0 {
 			return 0, fmt.Errorf("nae: gadget collision at (%d,%d,%d)", x, y, z)
 		}
-		g.W[id] = w
-		return id, nil
+		g.Set(x, y, z, w)
+		return g.ID(x, y, z), nil
 	}
 
 	// Tubes.

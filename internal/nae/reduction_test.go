@@ -49,8 +49,8 @@ func TestTubesAreInducedAlternatingChains(t *testing.T) {
 	l := mustBuild(t, in)
 	for i, tube := range l.TubeCells {
 		for z, id := range tube {
-			if l.Grid.W[id] != 7 {
-				t.Fatalf("tube %d layer %d weight %d", i, z, l.Grid.W[id])
+			if l.Grid.Weight(id) != 7 {
+				t.Fatalf("tube %d layer %d weight %d", i, z, l.Grid.Weight(id))
 			}
 			if z > 0 && !adjacent(l, tube[z-1], id) {
 				t.Fatalf("tube %d break between layers %d and %d", i, z-1, z)
@@ -96,8 +96,8 @@ func TestWiresAreInducedChains(t *testing.T) {
 				}
 			}
 			for a := 0; a < len(chain); a++ {
-				if l.Grid.W[chain[a]] != 7 {
-					t.Fatalf("clause %d wire %d cell %d weight %d", j, w, a, l.Grid.W[chain[a]])
+				if l.Grid.Weight(chain[a]) != 7 {
+					t.Fatalf("clause %d wire %d cell %d weight %d", j, w, a, l.Grid.Weight(chain[a]))
 				}
 				for b := a + 2; b < len(chain); b++ {
 					if adjacent(l, chain[a], chain[b]) {
@@ -167,8 +167,8 @@ func TestClauseGadgetAdjacency(t *testing.T) {
 	for j := range in.Clauses {
 		threes := l.Threes[j]
 		for w := 0; w < 3; w++ {
-			if l.Grid.W[threes[w]] != 3 {
-				t.Fatalf("clause %d three %d has weight %d", j, w, l.Grid.W[threes[w]])
+			if l.Grid.Weight(threes[w]) != 3 {
+				t.Fatalf("clause %d three %d has weight %d", j, w, l.Grid.Weight(threes[w]))
 			}
 			for w2 := w + 1; w2 < 3; w2++ {
 				if !adjacent(l, threes[w], threes[w2]) {
@@ -185,7 +185,7 @@ func TestClauseGadgetAdjacency(t *testing.T) {
 			// Enumerate every nonzero neighbor; only the terminal and the
 			// two sibling 3s are allowed.
 			for _, u := range l.Grid.Neighbors(three, nil) {
-				if l.Grid.W[u] == 0 {
+				if l.Grid.Weight(u) == 0 {
 					continue
 				}
 				if u == term || u == threes[(w+1)%3] || u == threes[(w+2)%3] {
@@ -193,7 +193,7 @@ func TestClauseGadgetAdjacency(t *testing.T) {
 				}
 				x, y, z := l.Grid.Coords(u)
 				t.Fatalf("clause %d three %d touches unexpected cell (%d,%d,%d) w=%d",
-					j, w, x, y, z, l.Grid.W[u])
+					j, w, x, y, z, l.Grid.Weight(u))
 			}
 		}
 	}

@@ -17,9 +17,10 @@
 // trace and the span new work nests under; TraceContext.Start opens a
 // FlightSpan (a value, so the disabled path allocates nothing) and
 // FlightSpan.Context derives the context for work inside it. Completed
-// spans land in a bounded, lock-sharded ring as FlightRecords carrying
-// trace, span and parent ids, a name, an integer Arg (a tile id, a
-// round number, a maxcolor), the start time and the wall time.
+// spans land in one bounded ring under one mutex, evicted oldest-first,
+// as FlightRecords carrying trace, span and parent ids, a name, an
+// integer Arg (a tile id, a round number, a maxcolor), the start time
+// and the wall time.
 // Snapshot reads the ring back; FlightHandler serves it as
 // /debug/flight, and WriteChrome renders it for chrome://tracing,
 // deriving thread rows from the parent links.

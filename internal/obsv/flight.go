@@ -11,8 +11,8 @@ import (
 
 // This file is the flight recorder, the package's one span model:
 // bounded per-request tracing in the Dapper mold. Every request (or CLI
-// solve) records into a fixed-size lock-sharded ring of recent
-// span/event records, cheap enough to leave on in production.
+// solve) records into one fixed-size ring of recent span/event records
+// under one mutex, cheap enough to leave on in production.
 // GET /debug/flight (FlightHandler) dumps the retained window filtered
 // by trace id, tenant, or job; WriteChrome renders a snapshot for
 // chrome://tracing; Export streams every record as it is written, one
@@ -23,12 +23,6 @@ import (
 // DefaultFlightEntries is the ring capacity a FlightRecorder gets when
 // the caller does not size it (ivc -flight-entries overrides).
 const DefaultFlightEntries = 4096
-
-// flightShardCount is how many independently locked ring segments a
-// recorder stripes its capacity across: records hash to a shard by span
-// id, so one hot trace does not serialize every recording goroutine on
-// a single mutex.
-const flightShardCount = 8
 
 // maxIncidents bounds the incident buffer: the most recent dumps win.
 const maxIncidents = 8
@@ -76,17 +70,6 @@ type FlightRecord struct {
 	WallNS int64
 }
 
-// flightShard is one locked segment of the ring.
-type flightShard struct {
-	mu   sync.Mutex
-	buf  []FlightRecord
-	next int
-	// wrapped reports whether the segment has overwritten at least once,
-	// so snapshots skip the zero-value tail of a young ring.
-	wrapped bool
-	_       [24]byte // keep neighboring shard headers off one cache line
-}
-
 // FlightIncident is one preserved dump: the records of a failing trace
 // copied out of the ring at the moment the failure was observed.
 type FlightIncident struct {
@@ -107,10 +90,17 @@ type FlightIncident struct {
 // check, and contexts minted from it are nil (whose methods are no-ops
 // too) — the same contract as the rest of the package. With no Export
 // stream attached, a sized recorder records with zero heap allocations
-// on the hot path: one shard mutex, one slot assignment.
+// on the hot path: one mutex, one slot assignment. The ring evicts
+// oldest-first, so it always holds the newest Entries() records.
 type FlightRecorder struct {
-	shards [flightShardCount]flightShard
-	ids    atomic.Uint64
+	// mu guards the ring: buf, the next slot to write, and wrapped,
+	// which reports whether the ring has overwritten at least once, so
+	// snapshots skip the zero-value tail of a young ring.
+	mu      sync.Mutex
+	buf     []FlightRecord
+	next    int
+	wrapped bool
+	ids     atomic.Uint64
 
 	incMu     sync.Mutex
 	incidents []FlightIncident
@@ -118,7 +108,6 @@ type FlightRecorder struct {
 	records  *Counter // flight_records_total
 	incCount *Counter // flight_incidents_total
 	entryGa  *Gauge   // flight_entries
-	perShard int
 
 	// exporting mirrors exp != nil, so record checks for a stream with
 	// one atomic load; expMu guards exp and its line count.
@@ -128,23 +117,16 @@ type FlightRecorder struct {
 	exported  int64
 }
 
-// NewFlightRecorder builds a recorder retaining about entries records
-// (entries <= 0 picks DefaultFlightEntries; the capacity rounds up to a
-// multiple of the shard count). When r is non-nil the recorder registers
-// its flight_* families there: flight_records_total,
-// flight_incidents_total, and the flight_entries capacity gauge.
+// NewFlightRecorder builds a recorder retaining the newest entries
+// records (entries <= 0 picks DefaultFlightEntries). When r is non-nil
+// the recorder registers its flight_* families there:
+// flight_records_total, flight_incidents_total, and the flight_entries
+// capacity gauge.
 func NewFlightRecorder(entries int, r *Registry) *FlightRecorder {
 	if entries <= 0 {
 		entries = DefaultFlightEntries
 	}
-	per := (entries + flightShardCount - 1) / flightShardCount
-	if per < 8 {
-		per = 8
-	}
-	f := &FlightRecorder{perShard: per}
-	for i := range f.shards {
-		f.shards[i].buf = make([]FlightRecord, per)
-	}
+	f := &FlightRecorder{buf: make([]FlightRecord, entries)}
 	if r != nil {
 		f.records = r.Counter("flight_records_total",
 			"Span/event records written into the flight-recorder ring.")
@@ -152,7 +134,7 @@ func NewFlightRecorder(entries int, r *Registry) *FlightRecorder {
 			"Incident dumps preserved by the flight recorder (solve errors, sheds).")
 		f.entryGa = r.Gauge("flight_entries",
 			"Capacity of the flight-recorder ring in records.")
-		f.entryGa.Set(int64(per * flightShardCount))
+		f.entryGa.Set(int64(entries))
 	}
 	return f
 }
@@ -162,29 +144,29 @@ func (f *FlightRecorder) Entries() int {
 	if f == nil {
 		return 0
 	}
-	return f.perShard * flightShardCount
+	return len(f.buf)
 }
 
 // nextID mints a fresh nonzero id (trace and span ids share the
 // sequence).
 func (f *FlightRecorder) nextID() uint64 { return f.ids.Add(1) }
 
-// record writes rec into the ring, and to the export stream when one is
-// attached. Without a stream, zero allocations: the record is copied
-// into a preallocated slot under its shard's mutex.
+// record writes rec into the ring, over the oldest record once the ring
+// is full, and to the export stream when one is attached. Without a
+// stream, zero allocations: the record is copied into a preallocated
+// slot under the ring's mutex.
 func (f *FlightRecorder) record(rec FlightRecord) {
 	if f == nil {
 		return
 	}
-	sh := &f.shards[rec.Span%flightShardCount]
-	sh.mu.Lock()
-	sh.buf[sh.next] = rec
-	sh.next++
-	if sh.next == len(sh.buf) {
-		sh.next = 0
-		sh.wrapped = true
+	f.mu.Lock()
+	f.buf[f.next] = rec
+	f.next++
+	if f.next == len(f.buf) {
+		f.next = 0
+		f.wrapped = true
 	}
-	sh.mu.Unlock()
+	f.mu.Unlock()
 	f.records.Add(1)
 	if f.exporting.Load() {
 		f.export(rec)
@@ -268,28 +250,24 @@ func (f *FlightRecorder) Snapshot(trace uint64, tenant, job string, limit int) [
 		return nil
 	}
 	var out []FlightRecord
-	for i := range f.shards {
-		sh := &f.shards[i]
-		sh.mu.Lock()
-		n := sh.next
-		if sh.wrapped {
-			n = len(sh.buf)
-		}
-		for k := 0; k < n; k++ {
-			rec := sh.buf[k]
-			if trace != 0 && rec.Trace != trace {
-				continue
-			}
-			if tenant != "" && rec.Tenant != tenant {
-				continue
-			}
-			if job != "" && rec.Job != job {
-				continue
-			}
-			out = append(out, rec)
-		}
-		sh.mu.Unlock()
+	f.mu.Lock()
+	n := f.next
+	if f.wrapped {
+		n = len(f.buf)
 	}
+	for _, rec := range f.buf[:n] {
+		if trace != 0 && rec.Trace != trace {
+			continue
+		}
+		if tenant != "" && rec.Tenant != tenant {
+			continue
+		}
+		if job != "" && rec.Job != job {
+			continue
+		}
+		out = append(out, rec)
+	}
+	f.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Start != out[j].Start {
 			return out[i].Start < out[j].Start

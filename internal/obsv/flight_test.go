@@ -3,6 +3,7 @@ package obsv
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -80,21 +81,35 @@ func TestFlightSnapshotFilters(t *testing.T) {
 	}
 }
 
-// TestFlightRingOverwrite: a small ring retains only recent records but
-// never errors or grows.
+// TestFlightRingOverwrite: a full ring evicts oldest-first, so Snapshot
+// returns exactly the newest Entries() records — never more, and never
+// fewer however many spans each trace records (trace and span ids come
+// from one counter, so a ring split by span id would fill unevenly).
 func TestFlightRingOverwrite(t *testing.T) {
-	f := NewFlightRecorder(1, nil) // rounds up to the shard minimum
-	cap := f.Entries()
-	tc := f.NewContext("", "")
-	for i := 0; i < 10*cap; i++ {
-		tc.Event("e", "", int64(i))
-	}
-	recs := f.Snapshot(0, "", "", 0)
-	if len(recs) > cap {
-		t.Fatalf("ring grew past capacity: %d > %d", len(recs), cap)
-	}
-	if len(recs) == 0 {
-		t.Fatal("ring retained nothing")
+	for _, spans := range []int{1, 3, 7} {
+		f := NewFlightRecorder(64, nil)
+		if f.Entries() != 64 {
+			t.Fatalf("Entries() = %d, want the 64 asked for", f.Entries())
+		}
+		var ids []uint64
+		for i := 0; i < 1000; i++ {
+			tc := f.NewContext("", "")
+			for s := 0; s < spans; s++ {
+				sp := tc.Start("s")
+				sp.End()
+				ids = append(ids, sp.ID())
+			}
+		}
+		want := ids[len(ids)-f.Entries():]
+		var got []uint64
+		for _, rec := range f.Snapshot(0, "", "", 0) {
+			got = append(got, rec.Span)
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("%d spans per trace: kept %d records %v, want the newest %d %v",
+				spans, len(got), got, len(want), want)
+		}
 	}
 }
 

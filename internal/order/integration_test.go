@@ -17,8 +17,9 @@ func TestRecolorNeverWorsens(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 30; trial++ {
 		g := grid.MustGrid2D(2+rng.Intn(6), 2+rng.Intn(6))
-		for v := range g.W {
-			g.W[v] = rng.Int63n(9)
+		for v := range g.Len() {
+			i, j := g.Coords(v)
+			g.Set(i, j, rng.Int63n(9))
 		}
 		c, err := heuristics.Run(heuristics.GLL, g, nil)
 		if err != nil {
@@ -45,8 +46,9 @@ func TestIteratedGreedyImprovesBD(t *testing.T) {
 	improvedSomewhere := false
 	for trial := 0; trial < 20; trial++ {
 		g := grid.MustGrid2D(6, 6)
-		for v := range g.W {
-			g.W[v] = rng.Int63n(20)
+		for v := range g.Len() {
+			i, j := g.Coords(v)
+			g.Set(i, j, rng.Int63n(20))
 		}
 		c, err := heuristics.Run(heuristics.BD, g, nil)
 		if err != nil {

@@ -55,8 +55,9 @@ func TestSmallestLastIsPermutationQuick(t *testing.T) {
 		x, y := 1+int(xs%6), 1+int(ys%6)
 		g := grid.MustGrid2D(x, y)
 		rng := rand.New(rand.NewSource(seed))
-		for v := range g.W {
-			g.W[v] = rng.Int63n(5)
+		for v := range g.Len() {
+			i, j := g.Coords(v)
+			g.Set(i, j, rng.Int63n(5))
 		}
 		return core.CheckPermutation(SmallestLast(g), g.Len()) == nil
 	}

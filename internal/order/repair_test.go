@@ -19,8 +19,9 @@ func TestRepairFixesPerturbedWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for trial := 0; trial < 25; trial++ {
 		g := grid.MustGrid2D(4+rng.Intn(8), 4+rng.Intn(8))
-		for v := range g.W {
-			g.W[v] = rng.Int63n(12)
+		for v := range g.Len() {
+			i, j := g.Coords(v)
+			g.Set(i, j, rng.Int63n(12))
 		}
 		c, err := heuristics.Run(heuristics.BDP, g, nil)
 		if err != nil {
@@ -28,7 +29,8 @@ func TestRepairFixesPerturbedWeights(t *testing.T) {
 		}
 		// Perturb a minority of weights, invalidating the coloring.
 		for i := 0; i < g.Len()/5+1; i++ {
-			g.W[rng.Intn(g.Len())] = rng.Int63n(20)
+			ci, cj := g.Coords(rng.Intn(g.Len()))
+			g.Set(ci, cj, rng.Int63n(20))
 		}
 		changed := Repair(g, c)
 		if err := c.Validate(g); err != nil {
@@ -45,8 +47,9 @@ func TestRepairFixesPerturbedWeights(t *testing.T) {
 func TestRepairOnValidColoringIsNoOp(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	g := grid.MustGrid2D(6, 6)
-	for v := range g.W {
-		g.W[v] = rng.Int63n(9)
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, rng.Int63n(9))
 	}
 	c, err := heuristics.Run(heuristics.GLF, g, nil)
 	if err != nil {
@@ -65,8 +68,9 @@ func TestRepairOnValidColoringIsNoOp(t *testing.T) {
 
 func TestRepairCompletesPartialColoring(t *testing.T) {
 	g := grid.MustGrid2D(3, 3)
-	for v := range g.W {
-		g.W[v] = 2
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, 2)
 	}
 	c := core.NewColoring(g.Len()) // everything unset
 	c.Start[4] = 0                 // center pre-colored
@@ -83,14 +87,15 @@ func TestRepairStability(t *testing.T) {
 	// A single weight bump should disturb only a local neighborhood.
 	rng := rand.New(rand.NewSource(93))
 	g := grid.MustGrid2D(12, 12)
-	for v := range g.W {
-		g.W[v] = 3 + rng.Int63n(3)
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, 3+rng.Int63n(3))
 	}
 	c, err := heuristics.Run(heuristics.BDP, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.W[g.ID(6, 6)] += 4
+	g.Set(6, 6, g.At(6, 6)+4)
 	changed := Repair(g, c)
 	if err := c.Validate(g); err != nil {
 		t.Fatal(err)
@@ -110,15 +115,17 @@ func TestRepairAllocsSizeIndependent(t *testing.T) {
 	allocs := func(n int) float64 {
 		rng := rand.New(rand.NewSource(94))
 		g := grid.MustGrid2D(n, n)
-		for v := range g.W {
-			g.W[v] = 1 + rng.Int63n(9)
+		for v := range g.Len() {
+			i, j := g.Coords(v)
+			g.Set(i, j, 1+rng.Int63n(9))
 		}
 		c, err := heuristics.Run(heuristics.GLL, g, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < g.Len()/10; i++ {
-			g.W[rng.Intn(g.Len())] = 1 + rng.Int63n(20)
+			ci, cj := g.Coords(rng.Intn(g.Len()))
+			g.Set(ci, cj, 1+rng.Int63n(20))
 		}
 		colored := slices.Clone(c.Start)
 		if changed := Repair(g, c); changed == 0 {

@@ -16,8 +16,9 @@ import (
 func testGrid2D(t *testing.T) *grid.Grid2D {
 	t.Helper()
 	g := grid.MustGrid2D(96, 96)
-	for v := range g.W {
-		g.W[v] = int64(v%7) + 1
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, int64(v%7)+1)
 	}
 	return g
 }

@@ -28,14 +28,16 @@ func FuzzGreedyRepair(f *testing.F) {
 		var s grid.Stencil
 		if z == 0 {
 			g := grid.MustGrid2D(x, y)
-			for v := range g.W {
-				g.W[v] = rng.Int63n(12)
+			for v := range g.Len() {
+				i, j := g.Coords(v)
+				g.Set(i, j, rng.Int63n(12))
 			}
 			s = g
 		} else {
 			g := grid.MustGrid3D(x, y, z)
-			for v := range g.W {
-				g.W[v] = rng.Int63n(12)
+			for v := range g.Len() {
+				i, j, k := g.Coords(v)
+				g.Set(i, j, k, rng.Int63n(12))
 			}
 			s = g
 		}

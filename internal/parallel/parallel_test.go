@@ -15,8 +15,9 @@ func rand2D(t testing.TB, x, y int, maxW int64, seed int64) *grid.Grid2D {
 	t.Helper()
 	g := grid.MustGrid2D(x, y)
 	rng := rand.New(rand.NewSource(seed))
-	for v := range g.W {
-		g.W[v] = rng.Int63n(maxW + 1)
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, rng.Int63n(maxW+1))
 	}
 	return g
 }
@@ -25,8 +26,9 @@ func rand3D(t testing.TB, x, y, z int, maxW int64, seed int64) *grid.Grid3D {
 	t.Helper()
 	g := grid.MustGrid3D(x, y, z)
 	rng := rand.New(rand.NewSource(seed))
-	for v := range g.W {
-		g.W[v] = rng.Int63n(maxW + 1)
+	for v := range g.Len() {
+		i, j, k := g.Coords(v)
+		g.Set(i, j, k, rng.Int63n(maxW+1))
 	}
 	return g
 }

@@ -189,12 +189,14 @@ func (noUni3D) UniformWeight() (int64, bool) { return 0, false }
 // general interval kernel, across dimensions, orders, and parallelism.
 func TestUniformKernelEquivalencePGLL(t *testing.T) {
 	g2 := grid.MustGrid2D(37, 23)
-	for v := range g2.W {
-		g2.W[v] = 4
+	for v := range g2.Len() {
+		i, j := g2.Coords(v)
+		g2.Set(i, j, 4)
 	}
 	g3 := grid.MustGrid3D(9, 7, 5)
-	for v := range g3.W {
-		g3.W[v] = 2
+	for v := range g3.Len() {
+		i, j, k := g3.Coords(v)
+		g3.Set(i, j, k, 2)
 	}
 	pairs := []struct {
 		name     string
@@ -230,12 +232,14 @@ func TestUniformKernelEquivalencePGLL(t *testing.T) {
 // greedy (GLL and GLF orders) on 9-pt and 27-pt uniform instances.
 func TestUniformKernelEquivalenceGLL(t *testing.T) {
 	g2 := grid.MustGrid2D(29, 31)
-	for v := range g2.W {
-		g2.W[v] = 3
+	for v := range g2.Len() {
+		i, j := g2.Coords(v)
+		g2.Set(i, j, 3)
 	}
 	g3 := grid.MustGrid3D(8, 6, 7)
-	for v := range g3.W {
-		g3.W[v] = 5
+	for v := range g3.Len() {
+		i, j, k := g3.Coords(v)
+		g3.Set(i, j, k, 5)
 	}
 	pairs := []struct {
 		name     string
@@ -270,8 +274,9 @@ func BenchmarkStealScheduler(b *testing.B) {
 	const dim = 128
 	g := grid.MustGrid2D(dim, dim)
 	rng := rand.New(rand.NewSource(3))
-	for v := range g.W {
-		g.W[v] = rng.Int63n(9) + 1
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, rng.Int63n(9)+1)
 	}
 	for j := 0; j < dim/4; j++ {
 		for i := 0; i < dim/4; i++ {

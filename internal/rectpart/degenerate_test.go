@@ -83,8 +83,9 @@ func TestPartition2DStrips(t *testing.T) {
 	// admits exactly one part, and asking for more must error rather
 	// than emit unusable cuts.
 	g := grid.MustGrid2D(1, 12)
-	for v := range g.W {
-		g.W[v] = int64(v + 1)
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, int64(v+1))
 	}
 	cutsX, cutsY, b, err := Partition2D(g, 1, 4, 0)
 	if err != nil {
@@ -100,8 +101,11 @@ func TestPartition2DStrips(t *testing.T) {
 	}
 
 	// The transposed strip behaves symmetrically.
-	gt := grid.MustGrid2D(12, 1)
-	copy(gt.W, g.W)
+	w, _, _, _ := g.Lattice()
+	gt, err := grid.FromWeights2D(12, 1, w)
+	if err != nil {
+		t.Fatal(err)
+	}
 	_, _, bt, err := Partition2D(gt, 4, 1, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -114,8 +118,9 @@ func TestPartition2DStrips(t *testing.T) {
 func TestPartition2DAxisSaturated(t *testing.T) {
 	// k equal to the axis size on both axes: every cell its own block.
 	g := grid.MustGrid2D(3, 4)
-	for v := range g.W {
-		g.W[v] = int64(v%7) + 1
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, int64(v%7)+1)
 	}
 	cutsX, cutsY, b, err := Partition2D(g, 3, 4, 0)
 	if err != nil {
@@ -124,8 +129,8 @@ func TestPartition2DAxisSaturated(t *testing.T) {
 	checkCuts(t, "sat-x", cutsX, 3, 3)
 	checkCuts(t, "sat-y", cutsY, 4, 4)
 	var heaviest int64
-	for _, w := range g.W {
-		heaviest = max(heaviest, w)
+	for v := range g.Len() {
+		heaviest = max(heaviest, g.Weight(v))
 	}
 	if b != heaviest {
 		t.Fatalf("saturated bottleneck = %d, want heaviest cell %d", b, heaviest)
@@ -145,7 +150,7 @@ func TestPartition2DZeroWeightRows(t *testing.T) {
 	g := grid.MustGrid2D(8, 8)
 	for j := 4; j < 8; j++ {
 		for i := 0; i < 8; i++ {
-			g.W[j*8+i] = int64(i + j)
+			g.Set(i, j, int64(i+j))
 		}
 	}
 	cutsX, cutsY, b, err := Partition2D(g, 3, 3, 0)
@@ -175,7 +180,7 @@ func TestPartition3DDegenerate(t *testing.T) {
 	for k := 0; k < 3; k += 2 {
 		for j := 0; j < 4; j++ {
 			for i := 0; i < 4; i++ {
-				g.W[(k*4+j)*4+i] = int64(i + j + 1)
+				g.Set(i, j, k, int64(i+j+1))
 			}
 		}
 	}
@@ -192,8 +197,9 @@ func TestPartition3DDegenerate(t *testing.T) {
 
 	// Degenerate 1×1×N tube: only the z axis may shard.
 	tube := grid.MustGrid3D(1, 1, 9)
-	for v := range tube.W {
-		tube.W[v] = 1
+	for v := range tube.Len() {
+		i, j, k := tube.Coords(v)
+		tube.Set(i, j, k, 1)
 	}
 	_, _, cutsZ, b, err = Partition3D(tube, 1, 1, 3, 0)
 	if err != nil {

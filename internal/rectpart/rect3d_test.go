@@ -11,8 +11,9 @@ func TestPartition3DNeverWorseThanUniform(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 10; trial++ {
 		g := grid.MustGrid3D(3+rng.Intn(5), 3+rng.Intn(5), 3+rng.Intn(5))
-		for v := range g.W {
-			g.W[v] = rng.Int63n(15)
+		for v := range g.Len() {
+			i, j, k := g.Coords(v)
+			g.Set(i, j, k, rng.Int63n(15))
 		}
 		kx, ky, kz := 2, 2, 2
 		uniform := Bottleneck3D(g,
@@ -61,8 +62,9 @@ func TestPartition3DErrors(t *testing.T) {
 
 func TestBottleneck3DWholeGrid(t *testing.T) {
 	g := grid.MustGrid3D(2, 2, 2)
-	for v := range g.W {
-		g.W[v] = 1
+	for v := range g.Len() {
+		i, j, k := g.Coords(v)
+		g.Set(i, j, k, 1)
 	}
 	if b := Bottleneck3D(g, nil, nil, nil); b != 8 {
 		t.Fatalf("bottleneck = %d, want 8", b)

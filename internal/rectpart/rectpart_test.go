@@ -97,8 +97,9 @@ func TestPartition2DNeverWorseThanUniform(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 20; trial++ {
 		g := grid.MustGrid2D(4+rng.Intn(8), 4+rng.Intn(8))
-		for v := range g.W {
-			g.W[v] = rng.Int63n(20)
+		for v := range g.Len() {
+			i, j := g.Coords(v)
+			g.Set(i, j, rng.Int63n(20))
 		}
 		kx, ky := 2+rng.Intn(3), 2+rng.Intn(3)
 		uniform := Bottleneck2D(g, uniformCuts(g.X, kx), uniformCuts(g.Y, ky))
@@ -145,8 +146,10 @@ func TestPartition2DErrors(t *testing.T) {
 }
 
 func TestBottleneck2DFullGridSinglePart(t *testing.T) {
-	g := grid.MustGrid2D(2, 2)
-	copy(g.W, []int64{1, 2, 3, 4})
+	g, err := grid.FromWeights2D(2, 2, []int64{1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if b := Bottleneck2D(g, nil, nil); b != 10 {
 		t.Fatalf("single block bottleneck = %d, want 10", b)
 	}

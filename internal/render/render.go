@@ -19,8 +19,8 @@ import (
 func Weights2D(g *grid.Grid2D) string {
 	glyphs := []byte(" .:-=+*#%@")
 	var maxW int64 = 1
-	for _, w := range g.W {
-		maxW = max(maxW, w)
+	for v := range g.Len() {
+		maxW = max(maxW, g.Weight(v))
 	}
 	var b strings.Builder
 	for j := g.Y - 1; j >= 0; j-- {
@@ -45,7 +45,7 @@ func Intervals2D(g *grid.Grid2D, c core.Coloring) string {
 	for j := 0; j < g.Y; j++ {
 		for i := 0; i < g.X; i++ {
 			v := g.ID(i, j)
-			fmt.Fprintf(&b, "[%*d,%*d) ", width, c.Start[v], width, c.Start[v]+g.W[v])
+			fmt.Fprintf(&b, "[%*d,%*d) ", width, c.Start[v], width, c.Start[v]+g.Weight(v))
 		}
 		b.WriteByte('\n')
 	}

@@ -10,8 +10,10 @@ import (
 )
 
 func TestWeights2D(t *testing.T) {
-	g := grid.MustGrid2D(3, 2)
-	copy(g.W, []int64{0, 5, 10, 10, 0, 5})
+	g, err := grid.FromWeights2D(3, 2, []int64{0, 5, 10, 10, 0, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := Weights2D(g)
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 2 {
@@ -32,8 +34,10 @@ func TestWeights2D(t *testing.T) {
 }
 
 func TestIntervals2D(t *testing.T) {
-	g := grid.MustGrid2D(2, 1)
-	copy(g.W, []int64{3, 4})
+	g, err := grid.FromWeights2D(2, 1, []int64{3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	c, err := heuristics.Run(heuristics.GLL, g, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -45,8 +49,10 @@ func TestIntervals2D(t *testing.T) {
 }
 
 func TestGantt(t *testing.T) {
-	g := grid.MustGrid2D(4, 1)
-	copy(g.W, []int64{5, 5, 5, 5})
+	g, err := grid.FromWeights2D(4, 1, []int64{5, 5, 5, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
 	c, err := heuristics.Run(heuristics.GLL, g, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -44,9 +44,6 @@ type Config struct {
 	Flight *obsv.FlightRecorder
 	// Injector, when non-nil, arms the resultcache/get-corrupt site.
 	Injector core.Injector
-	// Commit overrides the VCS revision recorded in per-entry
-	// provenance; empty reads it from the build info.
-	Commit string
 }
 
 // Cache is the content-addressed solve-result cache: one byte-budget
@@ -103,17 +100,13 @@ func New(cfg Config) *Cache {
 		// a bundle of nil metrics makes every record a no-op.
 		cfg.Metrics = obsv.NewCacheMetrics(nil)
 	}
-	commit := cfg.Commit
-	if commit == "" {
-		commit = buildCommit()
-	}
 	return &Cache{
 		maxBytes: cfg.MaxBytes,
 		store:    cfg.Store,
 		metrics:  cfg.Metrics,
 		flight:   cfg.Flight,
 		inj:      cfg.Injector,
-		commit:   commit,
+		commit:   buildCommit(),
 		byKey:    map[core.CacheKey]*list.Element{},
 		tenants:  map[string]*tenantCounts{},
 	}

@@ -28,11 +28,10 @@ import (
 //     would be sound for the grid/CSR pair but not provable cheaply,
 //     and the tag keeps the encoding injective by construction.
 //   - Grids encode (X, Y[, Z]) plus the weight vector, streamed through
-//     the hash in fixed-size chunks — the digest is computed on every
-//     lookup rather than cached on the grid, because W is an exported,
-//     publicly mutated slice (the same reasoning that keeps grids off
-//     the cached uniform-weight verdict, DESIGN.md §14). No copy of W
-//     is ever materialized.
+//     the hash in fixed-size chunks. The digest is computed on every
+//     lookup: a grid keeps no digest (one that Set clears would be
+//     sound, Set being the grid's one write path, but none is built
+//     yet; DESIGN.md §15). No copy of the weights is ever materialized.
 //   - CSR graphs encode, per vertex, the weight, the degree, and the
 //     sorted adjacency run. NewCSRGraph sorts each run at construction,
 //     so two graphs built from the same edge set in different orders
@@ -46,16 +45,18 @@ func Fingerprint(alg string, g core.Graph) core.CacheKey {
 	d.str(alg)
 	switch t := g.(type) {
 	case *grid.Grid2D:
+		w, x, y, _ := t.Lattice()
 		d.str("grid2d")
-		d.i64(int64(t.X))
-		d.i64(int64(t.Y))
-		d.weights(t.W)
+		d.i64(int64(x))
+		d.i64(int64(y))
+		d.weights(w)
 	case *grid.Grid3D:
+		w, x, y, z := t.Lattice()
 		d.str("grid3d")
-		d.i64(int64(t.X))
-		d.i64(int64(t.Y))
-		d.i64(int64(t.Z))
-		d.weights(t.W)
+		d.i64(int64(x))
+		d.i64(int64(y))
+		d.i64(int64(z))
+		d.weights(w)
 	case *core.CSRGraph:
 		d.str("csr")
 		d.graph(t)

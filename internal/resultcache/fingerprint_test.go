@@ -22,7 +22,8 @@ func grid2x3(t *testing.T, w []int64) *grid.Grid2D {
 // them.
 func csrOfGrid(t *testing.T, g *grid.Grid2D, edges []core.Edge) *core.CSRGraph {
 	t.Helper()
-	c, err := core.NewCSRGraph(append([]int64(nil), g.W...), edges)
+	w, _, _, _ := g.Lattice()
+	c, err := core.NewCSRGraph(w, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +76,10 @@ func TestFingerprintCanonicalization(t *testing.T) {
 		}
 	}
 
-	g3, err := grid.NewGrid3D(2, 3, 1)
+	g3, err := grid.FromWeights3D(2, 3, 1, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(g3.W, w)
 
 	gT, err := grid.FromWeights2D(3, 2, w)
 	if err != nil {
@@ -108,13 +108,13 @@ func TestFingerprintCanonicalization(t *testing.T) {
 	}
 }
 
-// TestFingerprintTracksMutation pins the digest-on-read rule: W is a
-// public slice, so mutating a grid in place must change its fingerprint
-// (nothing stale is cached on the instance).
+// TestFingerprintTracksMutation pins the digest-on-read rule: a grid
+// changed in place through Set must change its fingerprint (nothing
+// stale is cached on the instance).
 func TestFingerprintTracksMutation(t *testing.T) {
 	g := grid2x3(t, []int64{1, 2, 3, 4, 5, 6})
 	before := Fingerprint("GLL", g)
-	g.W[0] = 9
+	g.Set(0, 0, 9)
 	if after := Fingerprint("GLL", g); after == before {
 		t.Fatalf("fingerprint did not track the in-place weight mutation: %s", after)
 	}
@@ -140,7 +140,7 @@ func TestFingerprintLargeGridStreams(t *testing.T) {
 	if Fingerprint("SGK", a) != Fingerprint("SGK", b) {
 		t.Fatal("equal large grids digest differently")
 	}
-	b.W[n*n-1]++
+	b.Set(n-1, n-1, b.At(n-1, n-1)+1)
 	if Fingerprint("SGK", a) == Fingerprint("SGK", b) {
 		t.Fatal("last-cell perturbation not reflected in the digest")
 	}

@@ -12,8 +12,9 @@ import (
 func coloredGrid(t *testing.T, rng *rand.Rand, x, y int) (*grid.Grid2D, core.Coloring) {
 	t.Helper()
 	g := grid.MustGrid2D(x, y)
-	for v := range g.W {
-		g.W[v] = rng.Int63n(9)
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, rng.Int63n(9))
 	}
 	c, err := heuristics.Run(heuristics.BDP, g, nil)
 	if err != nil {
@@ -24,8 +25,9 @@ func coloredGrid(t *testing.T, rng *rand.Rand, x, y int) (*grid.Grid2D, core.Col
 
 func TestBuildRejectsInvalidColoring(t *testing.T) {
 	g := grid.MustGrid2D(2, 2)
-	for v := range g.W {
-		g.W[v] = 1
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, 1)
 	}
 	c := core.NewColoring(4) // all unset
 	if _, err := Build(g, c); err == nil {
@@ -49,7 +51,7 @@ func TestBuildOrientsAllConflicts(t *testing.T) {
 			if c.Start[int(u)] < c.Start[v] {
 				t.Fatalf("edge %d->%d against color order", v, u)
 			}
-			if g.W[v] == 0 || g.W[u] == 0 {
+			if g.Weight(v) == 0 || g.Weight(int(u)) == 0 {
 				t.Fatalf("zero-weight task in edge %d->%d", v, u)
 			}
 		}
@@ -57,12 +59,12 @@ func TestBuildOrientsAllConflicts(t *testing.T) {
 	want := 0
 	var buf []int
 	for v := 0; v < g.Len(); v++ {
-		if g.W[v] == 0 {
+		if g.Weight(v) == 0 {
 			continue
 		}
 		buf = g.Neighbors(v, buf[:0])
 		for _, u := range buf {
-			if u > v && g.W[u] > 0 {
+			if u > v && g.Weight(u) > 0 {
 				want++
 			}
 		}
@@ -175,16 +177,16 @@ func TestSimulateNoConflictOverlap(t *testing.T) {
 	}
 	var buf []int
 	for v := 0; v < g.Len(); v++ {
-		if g.W[v] == 0 {
+		if g.Weight(v) == 0 {
 			continue
 		}
-		iv := core.NewInterval(s.Start[v], g.W[v])
+		iv := core.NewInterval(s.Start[v], g.Weight(v))
 		buf = g.Neighbors(v, buf[:0])
 		for _, u := range buf {
-			if u <= v || g.W[u] == 0 {
+			if u <= v || g.Weight(u) == 0 {
 				continue
 			}
-			if iv.Overlaps(core.NewInterval(s.Start[u], g.W[u])) {
+			if iv.Overlaps(core.NewInterval(s.Start[u], g.Weight(u))) {
 				t.Fatalf("conflicting tasks %d and %d overlap in time", v, u)
 			}
 		}
@@ -223,7 +225,7 @@ func TestSimulateRejectsBadWorkerCount(t *testing.T) {
 
 func TestSimulateZeroWeightTasks(t *testing.T) {
 	g := grid.MustGrid2D(3, 1)
-	g.W[1] = 5 // others zero
+	g.Set(1, 0, 5) // others zero
 	c, err := heuristics.Run(heuristics.GLL, g, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -11,8 +11,9 @@ import (
 func TestColorClassesAreConflictFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	g := grid.MustGrid2D(6, 5)
-	for v := range g.W {
-		g.W[v] = rng.Int63n(5)
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, rng.Int63n(5))
 	}
 	classes := ColorClasses(g)
 	var buf []int
@@ -21,7 +22,7 @@ func TestColorClassesAreConflictFree(t *testing.T) {
 	for _, class := range classes {
 		inClass := map[int]bool{}
 		for _, v := range class {
-			if g.W[v] == 0 {
+			if g.Weight(v) == 0 {
 				t.Fatalf("zero-weight vertex %d in a class", v)
 			}
 			if seen[v] {
@@ -40,7 +41,7 @@ func TestColorClassesAreConflictFree(t *testing.T) {
 		}
 	}
 	for v := 0; v < g.Len(); v++ {
-		if g.W[v] > 0 {
+		if g.Weight(v) > 0 {
 			positives++
 			if !seen[v] {
 				t.Fatalf("positive vertex %d unclassed", v)
@@ -65,8 +66,9 @@ func TestWavesRarelyBeatDAG(t *testing.T) {
 	var totalDAG, totalWaves int64
 	for trial := 0; trial < 15; trial++ {
 		g := grid.MustGrid2D(3+rng.Intn(8), 3+rng.Intn(8))
-		for v := range g.W {
-			g.W[v] = rng.Int63n(12)
+		for v := range g.Len() {
+			i, j := g.Coords(v)
+			g.Set(i, j, rng.Int63n(12))
 		}
 		c, err := heuristics.Run(heuristics.BDP, g, nil)
 		if err != nil {
@@ -110,8 +112,9 @@ func TestWavesRarelyBeatDAG(t *testing.T) {
 
 func TestSimulateWavesErrors(t *testing.T) {
 	g := grid.MustGrid2D(2, 2)
-	for v := range g.W {
-		g.W[v] = 1
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, 1)
 	}
 	if _, err := SimulateWaves(g, [][]int{{0}}, 0); err == nil {
 		t.Error("0 processors accepted")
@@ -127,8 +130,10 @@ func TestSimulateWavesErrors(t *testing.T) {
 func TestSimulateWavesManyProcessors(t *testing.T) {
 	// With unlimited processors, each wave costs its heaviest task; the
 	// total is the sum of per-class maxima.
-	g := grid.MustGrid2D(2, 2)
-	copy(g.W, []int64{5, 3, 2, 7})
+	g, err := grid.FromWeights2D(2, 2, []int64{5, 3, 2, 7})
+	if err != nil {
+		t.Fatal(err)
+	}
 	classes := ColorClasses(g) // K4: four singleton classes
 	if len(classes) != 4 {
 		t.Fatalf("classes = %d, want 4 on K4", len(classes))

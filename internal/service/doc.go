@@ -14,8 +14,8 @@
 //     starve the rest. Jobs share no solve work, so nothing groups
 //     them.
 //   - The solver layer is the existing registry dispatch
-//     (heuristics.Run / heuristics.Best) with per-request
-//     SolveOptions.Tenant and SolveOptions.Deadline plumbed through.
+//     (heuristics.Run / heuristics.Best) under one context per job,
+//     bounded by the job's deadline, with SolveOptions.Tenant set.
 //
 // Overload is shed, never queued unboundedly: admission refuses jobs
 // past a per-tenant queue bound, jobs whose deadline expires while

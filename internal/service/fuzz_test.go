@@ -8,7 +8,7 @@ import (
 	"reflect"
 	"testing"
 
-	"stencilivc/internal/grid"
+	"stencilivc/internal/core"
 )
 
 // FuzzParseRequest feeds arbitrary POST /solve bodies through the same
@@ -126,15 +126,11 @@ func FuzzParseRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var w []int64
-		switch g := s.(type) {
-		case *grid.Grid2D:
-			w = g.W
-		case *grid.Grid3D:
-			w = g.W
-		default:
+		l, ok := s.(core.Lattice)
+		if !ok {
 			t.Fatalf("accepted request built a %T", s)
 		}
+		w, _, _, _ := l.Lattice()
 		if len(w) != s.Len() {
 			t.Fatalf("stencil has %d vertices but %d weights", s.Len(), len(w))
 		}

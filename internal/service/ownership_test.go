@@ -89,13 +89,14 @@ func TestFinishedJobHoldsNoGrid(t *testing.T) {
 // returned; for a "best" job, the array is the winner's entry.
 func TestServiceHitSharesCacheEntry(t *testing.T) {
 	srv, _ := newTestService(t, Config{Workers: 1})
-	g, err := grid.FromWeights2D(6, 5, gridWeights(6)[:30])
+	w := gridWeights(6)[:30]
+	g, err := grid.FromWeights2D(6, 5, w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, alg := range []string{"GLL", "best"} {
 		t.Run(alg, func(t *testing.T) {
-			req := Request{Alg: alg, X: 6, Y: 5, Weights: g.W}
+			req := Request{Alg: alg, X: 6, Y: 5, Weights: w}
 			first := submitAndWait(t, srv, &req).snapshot()
 			second := submitAndWait(t, srv, &req).snapshot()
 			if first.Status != StatusDone || second.Status != StatusDone {

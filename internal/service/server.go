@@ -299,9 +299,9 @@ func (s *Server) retire(j *job) {
 
 // runJob is the worker body: it executes one dispatched job end to end
 // — the batch-stall fault site, the deadline shed check, the
-// worker-panic fault site, registry dispatch with the per-request
-// tenant/deadline options, and result classification — and accounts the
-// busy-worker gauge. It is the worker's panic boundary: a panic (a
+// worker-panic fault site, registry dispatch under the job's context
+// and tenant, and result classification — and accounts the busy-worker
+// gauge. It is the worker's panic boundary: a panic (a
 // worker bug, or the injected worker-panic fault) fails this job alone
 // and the worker keeps serving.
 func (s *Server) runJob(j *job) {
@@ -337,12 +337,20 @@ func (s *Server) runJob(j *job) {
 		core.InjectTraced(s.cfg.Injector, SiteWorkerPanic, j.tc.TraceID())
 	}
 
+	// The job's context is derived once: the server's base context,
+	// bounded by the job's deadline when it has one, so a portfolio's
+	// members all poll the same timer.
+	ctx := s.baseCtx
+	if !j.deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, j.deadline)
+		defer cancel()
+	}
 	fs := j.tc.Start("solve")
 	solveStart := time.Now()
 	opts := &core.SolveOptions{
-		Ctx:             s.baseCtx,
+		Ctx:             ctx,
 		Tenant:          j.tenant,
-		Deadline:        j.deadline,
 		Metrics:         s.solveM,
 		Sampler:         s.cfg.Sampler,
 		Injector:        s.cfg.Injector,

@@ -82,13 +82,14 @@ func ColorBipartite(g core.Graph) (core.Coloring, int64, error) {
 	return c, maxcolor, nil
 }
 
-// ColorChain colors a path graph v0-v1-...-v(n-1) optimally: even indices
-// start at 0, odd indices end at maxcolor* = max adjacent pair sum.
-// This is the row/chain subroutine of the Bipartite Decomposition
-// approximation (Section V-B). Θ(n).
-func ColorChain(weights []int64) (starts []int64, maxcolor int64) {
+// ColorChain colors a path graph v0-v1-...-v(n-1) optimally into starts,
+// which must be at least as long as weights: even indices start at 0,
+// odd indices end at maxcolor* = max adjacent pair sum. This is the
+// row/chain subroutine of the Bipartite Decomposition approximation
+// (Section V-B), which hands it a row of its coloring. Θ(n), no
+// allocation.
+func ColorChain(starts, weights []int64) (maxcolor int64) {
 	n := len(weights)
-	starts = make([]int64, n)
 	for i, w := range weights {
 		maxcolor = max(maxcolor, w)
 		if i+1 < n {
@@ -102,7 +103,7 @@ func ColorChain(weights []int64) (starts []int64, maxcolor int64) {
 			starts[i] = maxcolor - w
 		}
 	}
-	return starts, maxcolor
+	return maxcolor
 }
 
 // OddCycleOptimum returns maxcolor* of the cycle with the given weights

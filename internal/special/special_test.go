@@ -106,7 +106,8 @@ func TestColorChainOptimal(t *testing.T) {
 		for i := range weights {
 			weights[i] = rng.Int63n(7)
 		}
-		starts, mc := ColorChain(weights)
+		starts := make([]int64, n)
+		mc := ColorChain(starts, weights)
 		g := core.Chain(weights)
 		c := core.Coloring{Start: starts}
 		if err := c.Validate(g); err != nil {
@@ -215,8 +216,9 @@ func TestFigure2(t *testing.T) {
 func TestColorFivePtOptimalForRelaxation(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := grid.MustGrid2D(3, 3)
-	for v := range g.W {
-		g.W[v] = rng.Int63n(6)
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, rng.Int63n(6))
 	}
 	c, mc := ColorFivePt(g)
 	f := grid.FivePt{G: g}
@@ -234,8 +236,9 @@ func TestColorFivePtOptimalForRelaxation(t *testing.T) {
 func TestColorSevenPtOptimalForRelaxation(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := grid.MustGrid3D(2, 3, 2)
-	for v := range g.W {
-		g.W[v] = rng.Int63n(6)
+	for v := range g.Len() {
+		i, j, k := g.Coords(v)
+		g.Set(i, j, k, rng.Int63n(6))
 	}
 	c, mc := ColorSevenPt(g)
 	s := grid.SevenPt{G: g}

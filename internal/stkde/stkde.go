@@ -117,7 +117,8 @@ func binEdges(v float64, edges []float64) int {
 func (a *App) BoxGrid() *grid.Grid3D {
 	g := grid.MustGrid3D(a.BX, a.BY, a.BT)
 	for b, pts := range a.boxPoints {
-		g.W[b] = int64(len(pts))
+		i, j, k := g.Coords(b)
+		g.Set(i, j, k, int64(len(pts)))
 	}
 	return g
 }

@@ -18,8 +18,9 @@ import (
 func quickGrid2D(seed int64, xs, ys, ws uint8) *Grid2D {
 	rng := rand.New(rand.NewSource(seed))
 	g := MustGrid2D(1+int(xs%8), 1+int(ys%8))
-	for v := range g.W {
-		g.W[v] = rng.Int63n(int64(ws%30) + 1)
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, rng.Int63n(int64(ws%30)+1))
 	}
 	return g
 }
@@ -27,8 +28,9 @@ func quickGrid2D(seed int64, xs, ys, ws uint8) *Grid2D {
 func quickGrid3D(seed int64, xs, ys, zs, ws uint8) *Grid3D {
 	rng := rand.New(rand.NewSource(seed))
 	g := MustGrid3D(1+int(xs%4), 1+int(ys%4), 1+int(zs%4))
-	for v := range g.W {
-		g.W[v] = rng.Int63n(int64(ws%30) + 1)
+	for v := range g.Len() {
+		i, j, k := g.Coords(v)
+		g.Set(i, j, k, rng.Int63n(int64(ws%30)+1))
 	}
 	return g
 }
@@ -84,9 +86,10 @@ func TestQuickApproximationContracts(t *testing.T) {
 		}
 		// RC, BD's certified lower bound: the largest optimal row maxcolor.
 		var rc int64
-		for j := 0; j < g.Y; j++ {
-			_, mc := special.ColorChain(g.Row(j))
-			rc = max(rc, mc)
+		w, x, _, _ := g.Lattice()
+		starts := make([]int64, x)
+		for row := 0; row < len(w); row += x {
+			rc = max(rc, special.ColorChain(starts, w[row:row+x]))
 		}
 		return bd.MaxColor(g) <= 2*rc && bdp.MaxColor(g) <= bd.MaxColor(g)
 	}
@@ -137,8 +140,9 @@ func TestQuickExactSandwich(t *testing.T) {
 	f := func(seed int64, ws uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := MustGrid2D(1+rng.Intn(3), 1+rng.Intn(3))
-		for v := range g.W {
-			g.W[v] = rng.Int63n(int64(ws%6) + 1)
+		for v := range g.Len() {
+			i, j := g.Coords(v)
+			g.Set(i, j, rng.Int63n(int64(ws%6)+1))
 		}
 		lb := bounds.Combined2D(g, 10_000)
 		cp := exact.Optimize(g, exact.OptimizeOptions{LowerBound: lb, NodeBudget: 500_000})

@@ -22,8 +22,9 @@ import (
 // conflict.
 func TestMetricsScrapeDuringSolve(t *testing.T) {
 	g := stencilivc.MustGrid2D(256, 256)
-	for v := range g.W {
-		g.W[v] = int64(v%13) + 1
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, int64(v%13)+1)
 	}
 
 	reg := stencilivc.NewMetricsRegistry()

@@ -16,8 +16,9 @@ import (
 // finished — the engine polls at line/block granularity.
 func TestSolveCanceledPromptly(t *testing.T) {
 	g := stencilivc.MustGrid2D(1024, 1024)
-	for v := range g.W {
-		g.W[v] = int64(v%17) + 1
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, int64(v%17)+1)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -37,8 +38,9 @@ func TestSolveCanceledPromptly(t *testing.T) {
 // context.DeadlineExceeded.
 func TestSolveTimeout(t *testing.T) {
 	g := stencilivc.MustGrid2D(1024, 1024)
-	for v := range g.W {
-		g.W[v] = int64(v%17) + 1
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, int64(v%17)+1)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
@@ -54,12 +56,14 @@ func TestSolveTimeout(t *testing.T) {
 func TestBestParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g2 := stencilivc.MustGrid2D(20, 20)
-	for v := range g2.W {
-		g2.W[v] = rng.Int63n(10)
+	for v := range g2.Len() {
+		i, j := g2.Coords(v)
+		g2.Set(i, j, rng.Int63n(10))
 	}
 	g3 := stencilivc.MustGrid3D(5, 6, 4)
-	for v := range g3.W {
-		g3.W[v] = rng.Int63n(10)
+	for v := range g3.Len() {
+		i, j, k := g3.Coords(v)
+		g3.Set(i, j, k, rng.Int63n(10))
 	}
 
 	seq2, alg2, err := stencilivc.Best2D(g2)
@@ -92,8 +96,9 @@ func TestBestParallelMatchesSequential(t *testing.T) {
 // solve's span holds BDP's two phases.
 func TestSolveStats(t *testing.T) {
 	g := stencilivc.MustGrid2D(10, 10)
-	for v := range g.W {
-		g.W[v] = int64(v % 5)
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, int64(v%5))
 	}
 	var stats stencilivc.Stats
 	rec := stencilivc.NewFlightRecorder(64, nil)
@@ -159,8 +164,9 @@ func TestAlgorithmRegistry(t *testing.T) {
 // TestPortfolioSubset: the public Portfolio honors a caller-chosen list.
 func TestPortfolioSubset(t *testing.T) {
 	g := stencilivc.MustGrid2D(8, 8)
-	for v := range g.W {
-		g.W[v] = int64(v % 7)
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, int64(v%7))
 	}
 	algs := []stencilivc.Algorithm{stencilivc.BD, stencilivc.BDP}
 	c, winner, err := stencilivc.Portfolio(g, algs, nil)

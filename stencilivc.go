@@ -12,10 +12,13 @@
 //
 // # Quick start
 //
-//	g := stencilivc.MustGrid2D(4, 4)
-//	for v := range g.W {
-//		g.W[v] = int64(v % 5)
-//	}
+//	g, err := stencilivc.FromWeights2D(4, 4, []int64{
+//		0, 1, 2, 3,
+//		4, 0, 1, 2,
+//		3, 4, 0, 1,
+//		2, 3, 4, 0,
+//	})
+//	if err != nil { ... }
 //	c, err := stencilivc.Solve2D(stencilivc.BDP, g)
 //	if err != nil { ... }
 //	fmt.Println("colors:", c.MaxColor(g), "lower bound:", stencilivc.LowerBound2D(g))

@@ -8,8 +8,9 @@ import (
 
 func random2D(rng *rand.Rand, x, y int) *Grid2D {
 	g := MustGrid2D(x, y)
-	for v := range g.W {
-		g.W[v] = rng.Int63n(10)
+	for v := range g.Len() {
+		i, j := g.Coords(v)
+		g.Set(i, j, rng.Int63n(10))
 	}
 	return g
 }
@@ -35,8 +36,9 @@ func TestSolve2DAllAlgorithms(t *testing.T) {
 func TestSolve3DAllAlgorithms(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := MustGrid3D(3, 3, 3)
-	for v := range g.W {
-		g.W[v] = rng.Int63n(10)
+	for v := range g.Len() {
+		i, j, k := g.Coords(v)
+		g.Set(i, j, k, rng.Int63n(10))
 	}
 	lb := LowerBound3D(g)
 	for _, alg := range Algorithms() {
@@ -77,8 +79,9 @@ func TestBest2DPicksMinimum(t *testing.T) {
 
 func TestBest3D(t *testing.T) {
 	g := MustGrid3D(2, 2, 2)
-	for v := range g.W {
-		g.W[v] = 2
+	for v := range g.Len() {
+		i, j, k := g.Coords(v)
+		g.Set(i, j, k, 2)
 	}
 	best, _, err := Best3D(g)
 	if err != nil {
@@ -111,8 +114,9 @@ func TestOptimal2DProvesSmallInstances(t *testing.T) {
 
 func TestOptimal3DSmall(t *testing.T) {
 	g := MustGrid3D(2, 2, 2)
-	for v := range g.W {
-		g.W[v] = int64(v % 3)
+	for v := range g.Len() {
+		i, j, k := g.Coords(v)
+		g.Set(i, j, k, int64(v%3))
 	}
 	res := Optimal3D(g, 500_000)
 	if !res.Optimal {
@@ -139,7 +143,7 @@ func TestInstanceRoundTrip(t *testing.T) {
 		t.Fatal("round trip mangled the instance")
 	}
 	g3d := MustGrid3D(2, 2, 2)
-	g3d.W[3] = 9
+	g3d.Set(1, 1, 0, 9)
 	buf.Reset()
 	if err := WriteInstance3D(&buf, g3d); err != nil {
 		t.Fatal(err)
@@ -148,7 +152,7 @@ func TestInstanceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.W[3] != 9 {
+	if back.Weight(3) != 9 {
 		t.Fatal("3D round trip lost weights")
 	}
 }
