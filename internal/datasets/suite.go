@@ -95,15 +95,15 @@ func Suite2D(opts SuiteOptions) ([]Instance2D, error) {
 						if err != nil {
 							return nil, err
 						}
-						// The instance takes over the weights of a
-						// grid nothing else holds.
-						w, x, y, _ := g.Lattice()
+						// The instance keeps the weights of a grid
+						// nothing else holds.
+						w, _, _, _ := g.Lattice()
 						out = append(out, Instance2D{
 							Dataset:    name,
 							Projection: proj,
 							Bandwidth:  bw,
-							X:          x,
-							Y:          y,
+							X:          g.X,
+							Y:          g.Y,
 							Weights:    w,
 						})
 					}
@@ -133,13 +133,13 @@ func Suite3D(opts SuiteOptions) ([]Instance3D, error) {
 						if err != nil {
 							return nil, err
 						}
-						w, x, y, z := g.Lattice()
+						w, _, _, _ := g.Lattice()
 						out = append(out, Instance3D{
 							Dataset:   name,
 							Bandwidth: bw,
-							X:         x,
-							Y:         y,
-							Z:         z,
+							X:         g.X,
+							Y:         g.Y,
+							Z:         g.Z,
 							Weights:   w,
 						})
 					}

@@ -301,9 +301,9 @@ func (s *Server) retire(j *job) {
 // — the batch-stall fault site, the deadline shed check, the
 // worker-panic fault site, registry dispatch under the job's context
 // and tenant, and result classification — and accounts the busy-worker
-// gauge. It is the worker's panic boundary: a panic (a
-// worker bug, or the injected worker-panic fault) fails this job alone
-// and the worker keeps serving.
+// gauge. It is the worker's panic boundary: a panic (a worker bug, or
+// the injected worker-panic fault) fails this job alone and the worker
+// keeps serving.
 func (s *Server) runJob(j *job) {
 	s.metrics.WorkersBusy.Set(s.busy.Add(1))
 	defer func() { s.metrics.WorkersBusy.Set(s.busy.Add(-1)) }()
