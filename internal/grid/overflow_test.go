@@ -90,7 +90,7 @@ func TestFromWeightsTotalOverflow(t *testing.T) {
 func TestSetWeightTotalOverflow(t *testing.T) {
 	g := MustGrid2D(2, 2)
 	// One huge cell among zeros is legal via FromWeights2D, so Set must
-	// accept it too (the old per-cell cap of MaxInt64/len(w) did not).
+	// accept it too (the old per-cell cap of MaxInt64/len(W) did not).
 	g.Set(0, 0, math.MaxInt64-1)
 	g.Set(0, 1, 1) // total exactly MaxInt64: boundary accepted
 	mustPanic(t, "2D Set past total", func() { g.Set(1, 0, 1) })

@@ -43,7 +43,7 @@ func (g *Grid2D) ZOrder() []int { return ZOrder2D(g) }
 // CliqueBlocks returns the K4 blocks when both dimensions exceed 1,
 // otherwise the edge pairs of the degenerate chain (or, on a 1×1 grid,
 // the lone vertex).
-func (g *Grid2D) CliqueBlocks() Cover { return cliqueCover(g.w, g.X, g.Y, 1) }
+func (g *Grid2D) CliqueBlocks() Cover { return cliqueCover(g.Lattice()) }
 
 // Dims returns 3.
 func (g *Grid3D) Dims() int { return 3 }
@@ -57,4 +57,4 @@ func (g *Grid3D) ZOrder() []int { return ZOrder3D(g) }
 // CliqueBlocks returns the K8 blocks of a non-degenerate grid. A grid
 // with a unit dimension falls back to the K4 blocks of its plane, in any
 // orientation, and a doubly-degenerate grid to chain pairs.
-func (g *Grid3D) CliqueBlocks() Cover { return cliqueCover(g.w, g.X, g.Y, g.Z) }
+func (g *Grid3D) CliqueBlocks() Cover { return cliqueCover(g.Lattice()) }
