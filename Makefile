@@ -163,5 +163,8 @@ stkde:
 cover:
 	$(GO) test -cover ./...
 
+# clean removes the untracked outputs of the build, smoke and bench
+# targets. It leaves results/ alone: its CSV series are committed and
+# cited by EXPERIMENTS.md.
 clean:
-	rm -rf results .smoke-ivc
+	rm -f .smoke-ivc BENCH_LOCAL.json BENCH_LOCAL.metrics.prom

@@ -66,12 +66,14 @@ func PartitionLoads1D(loads []int64, k int) (cuts []int, bottleneck int64, err e
 // PartitionGrid2D computes a load-balanced rectilinear partition of a 2D
 // weight grid by alternating exact per-axis refinement.
 func PartitionGrid2D(g *Grid2D, kx, ky, rounds int) (cutsX, cutsY []int, bottleneck int64, err error) {
-	return rectpart.Partition2D(g, kx, ky, rounds)
+	cuts, bottleneck, err := rectpart.Partition(g, [3]int{kx, ky, 1}, rounds)
+	return cuts[0], cuts[1], bottleneck, err
 }
 
 // PartitionGrid3D is PartitionGrid2D for 3D weight grids.
 func PartitionGrid3D(g *Grid3D, kx, ky, kz, rounds int) (cutsX, cutsY, cutsZ []int, bottleneck int64, err error) {
-	return rectpart.Partition3D(g, kx, ky, kz, rounds)
+	cuts, bottleneck, err := rectpart.Partition(g, [3]int{kx, ky, kz}, rounds)
+	return cuts[0], cuts[1], cuts[2], bottleneck, err
 }
 
 // ColorClasses partitions the positive vertices into conflict-free

@@ -133,7 +133,7 @@ func BenchmarkFig4Voxelize(b *testing.B) {
 func BenchmarkFig5a2DRuntime(b *testing.B) {
 	loadBenchData(b)
 	g := benchData.g2
-	b.Logf("instance: %dx%d", g.X, g.Y)
+	b.Logf("instance: %dx%d", g.X(), g.Y())
 	for _, alg := range Algorithms() {
 		b.Run(string(alg), func(b *testing.B) {
 			var colors int64
@@ -220,7 +220,7 @@ func BenchmarkFig6PerDataset(b *testing.B) {
 func BenchmarkFig7a3DRuntime(b *testing.B) {
 	loadBenchData(b)
 	g := benchData.g3
-	b.Logf("instance: %dx%dx%d", g.X, g.Y, g.Z)
+	b.Logf("instance: %dx%dx%d", g.X(), g.Y(), g.Z())
 	for _, alg := range Algorithms() {
 		b.Run(string(alg), func(b *testing.B) {
 			var colors int64

@@ -158,13 +158,13 @@ func run() (err error) {
 	if g2 != nil {
 		rep := bounds.Report2D(g2, cycleBudget)
 		s, lb = g2, rep.Best()
-		fmt.Printf("instance: 9-pt stencil %dx%d, %d vertices\n", g2.X, g2.Y, g2.Len())
+		fmt.Printf("instance: 9-pt stencil %dx%d, %d vertices\n", g2.X(), g2.Y(), g2.Len())
 		fmt.Print(render.Weights2D(g2))
 		fmt.Println(rep)
 	} else {
 		rep := bounds.Report3D(g3, cycleBudget)
 		s, lb = g3, rep.Best()
-		fmt.Printf("instance: 27-pt stencil %dx%dx%d, %d vertices\n", g3.X, g3.Y, g3.Z, g3.Len())
+		fmt.Printf("instance: 27-pt stencil %dx%dx%d, %d vertices\n", g3.X(), g3.Y(), g3.Z(), g3.Len())
 		fmt.Println(rep)
 	}
 

@@ -28,7 +28,7 @@ func main() {
 	}
 	g := layout.Grid
 	fmt.Printf("reduction: %dx%dx%d stencil (%d cells; weights 0, 3, and 7)\n",
-		g.X, g.Y, g.Z, g.Len())
+		g.X(), g.Y(), g.Z(), g.Len())
 
 	// Direction 1: a satisfying assignment yields a 14-coloring.
 	assignment := inst.Solve()

@@ -49,8 +49,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nbest coloring (%s): each region's color interval\n", winner)
-	for j := 0; j < g.Y; j++ {
-		for i := 0; i < g.X; i++ {
+	for j := 0; j < g.Y(); j++ {
+		for i := 0; i < g.X(); i++ {
 			v := g.ID(i, j)
 			fmt.Printf("[%2d,%2d) ", c.Start[v], c.Start[v]+g.Weight(v))
 		}

@@ -45,7 +45,7 @@ func main() {
 
 	g := app.BoxGrid()
 	fmt.Printf("events: %d, box grid: %dx%dx%d (27-pt stencil), lower bound %d colors\n",
-		len(points), g.X, g.Y, g.Z, stencilivc.LowerBound3D(g))
+		len(points), g.X(), g.Y(), g.Z(), stencilivc.LowerBound3D(g))
 
 	t0 := time.Now()
 	seq := app.Sequential()

@@ -35,12 +35,11 @@ type UniformWeighter interface {
 // weight. Graphs implementing UniformWeighter (CSR, whose private
 // weight slice makes a cached verdict sound) answer in O(1), and that
 // verdict takes precedence; a Lattice is scanned through its weight
-// slice, any other graph through Weight. The grids deliberately do NOT
-// cache: their weight slices are exported and written directly all
-// over the codebase, so a construction-time verdict could silently
-// survive a mutation to mixed weights and corrupt placements. Callers
-// that place many vertices should compute this once per solve, not per
-// placement — FitScratch caches it when it binds.
+// slice, any other graph through Weight. The grids keep no verdict:
+// Set, their one weight writer, would have to keep it current through
+// every update, so a grid is scanned instead. Callers that place many
+// vertices should compute this once per solve, not per placement —
+// FitScratch caches it when it binds.
 func UniformWeight(g Graph) (int64, bool) {
 	if uw, ok := g.(UniformWeighter); ok {
 		return uw.UniformWeight()

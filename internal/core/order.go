@@ -4,10 +4,10 @@ import "math"
 
 // WeightDescKey maps a weight onto an OrderByKey key whose ascending
 // order is the weight's descending order, over all of int64: MaxInt64
-// maps to 0 and MinInt64 to MaxUint64, so weights that overflowed
-// through direct writes still order exactly as a signed comparison
-// would. Sorting ids listed in increasing order by this key yields
-// (weight desc, id asc), the tie rule of every weight-ordered visit.
+// maps to 0 and MinInt64 to MaxUint64, so every int64, negative ones
+// included, orders exactly as a signed comparison would. Sorting ids
+// listed in increasing order by this key yields (weight desc, id asc),
+// the tie rule of every weight-ordered visit.
 func WeightDescKey(w int64) uint64 { return uint64(math.MaxInt64) - uint64(w) }
 
 // OrderByKey returns the permutation of 0..len(keys)-1 that lists the

@@ -102,8 +102,8 @@ func Suite2D(opts SuiteOptions) ([]Instance2D, error) {
 							Dataset:    name,
 							Projection: proj,
 							Bandwidth:  bw,
-							X:          g.X,
-							Y:          g.Y,
+							X:          g.X(),
+							Y:          g.Y(),
 							Weights:    w,
 						})
 					}
@@ -137,9 +137,9 @@ func Suite3D(opts SuiteOptions) ([]Instance3D, error) {
 						out = append(out, Instance3D{
 							Dataset:   name,
 							Bandwidth: bw,
-							X:         g.X,
-							Y:         g.Y,
-							Z:         g.Z,
+							X:         g.X(),
+							Y:         g.Y(),
+							Z:         g.Z(),
 							Weights:   w,
 						})
 					}

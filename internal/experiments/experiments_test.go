@@ -253,8 +253,8 @@ func TestFig10InstancesAllBuildable(t *testing.T) {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}
 		g := app.BoxGrid()
-		if g.X != cfg.Boxes[0] || g.Y != cfg.Boxes[1] || g.Z != cfg.Boxes[2] {
-			t.Fatalf("%s: box grid %dx%dx%d != config %v", cfg.Name, g.X, g.Y, g.Z, cfg.Boxes)
+		if g.X() != cfg.Boxes[0] || g.Y() != cfg.Boxes[1] || g.Z() != cfg.Boxes[2] {
+			t.Fatalf("%s: box grid %dx%dx%d != config %v", cfg.Name, g.X(), g.Y(), g.Z(), cfg.Boxes)
 		}
 	}
 }

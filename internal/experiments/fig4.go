@@ -33,9 +33,9 @@ func Fig4(seed int64) (map[datasets.Name]string, error) {
 			maxW = max(maxW, g.Weight(v))
 		}
 		var b strings.Builder
-		fmt.Fprintf(&b, "%s (%d events, %dx%d)\n", name, len(ds.Points), g.X, g.Y)
-		for j := g.Y - 1; j >= 0; j-- {
-			for i := 0; i < g.X; i++ {
+		fmt.Fprintf(&b, "%s (%d events, %dx%d)\n", name, len(ds.Points), g.X(), g.Y())
+		for j := g.Y() - 1; j >= 0; j-- {
+			for i := 0; i < g.X(); i++ {
 				w := g.At(i, j)
 				idx := 0
 				if w > 0 {

@@ -17,6 +17,16 @@
 // and a boundary vertex's from Neighbors, the grid's one neighbor
 // enumeration, and so runs allocation-free.
 //
+// A 9-pt grid is the 27-pt stencil one layer deep, and one unexported
+// lattice type implements both: Grid2D embeds it with Z = 1, Grid3D
+// with any Z. Adjacency, degree, the axis relaxation, the line and
+// Morton orders, the clique cover, tilings and the text writer each
+// have one body; the grid types add only their dimension (Dims), cell
+// addressing in two or three coordinates (ID, Coords, At, Set), Clone,
+// String and, for Grid3D, Layer. Extents are fixed at construction and
+// read through X, Y and Z, and a cell outside them panics in ID, At and
+// Set.
+//
 // A grid owns its weights. One unexported store holds the slice and its
 // running total for both grid types; Set and the constructors are the
 // only writers, each keeping the total exact and refusing any weight set

@@ -38,9 +38,9 @@ func FuzzRead(f *testing.F) {
 			return
 		}
 		switch {
-		case g2 != nil && (r2 == nil || !slices.Equal(g2.w, r2.w) || g2.X != r2.X || g2.Y != r2.Y):
+		case g2 != nil && (r2 == nil || !slices.Equal(g2.w, r2.w) || g2.X() != r2.X() || g2.Y() != r2.Y()):
 			t.Fatalf("Read built %v %v, reference tokenizer %v", g2, g2.w, r2)
-		case g3 != nil && (r3 == nil || !slices.Equal(g3.w, r3.w) || g3.X != r3.X || g3.Y != r3.Y || g3.Z != r3.Z):
+		case g3 != nil && (r3 == nil || !slices.Equal(g3.w, r3.w) || g3.X() != r3.X() || g3.Y() != r3.Y() || g3.Z() != r3.Z()):
 			t.Fatalf("Read built %v %v, reference tokenizer %v", g3, g3.w, r3)
 		}
 		var buf bytes.Buffer
@@ -53,7 +53,7 @@ func FuzzRead(f *testing.F) {
 			if err != nil {
 				t.Fatalf("reparse failed: %v", err)
 			}
-			if b2.X != g2.X || b2.Y != g2.Y {
+			if b2.X() != g2.X() || b2.Y() != g2.Y() {
 				t.Fatalf("round trip changed dims")
 			}
 			for v := range g2.Len() {
@@ -69,7 +69,7 @@ func FuzzRead(f *testing.F) {
 			if err != nil {
 				t.Fatalf("reparse failed: %v", err)
 			}
-			if b3.X != g3.X || b3.Y != g3.Y || b3.Z != g3.Z {
+			if b3.X() != g3.X() || b3.Y() != g3.Y() || b3.Z() != g3.Z() {
 				t.Fatalf("round trip changed dims")
 			}
 			for v := range g3.Len() {

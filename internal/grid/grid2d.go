@@ -9,15 +9,15 @@ import (
 
 // Grid2D is an X×Y grid whose conflict graph is the 9-pt 2D stencil:
 // vertices (i,j) and (i',j') are adjacent iff |i−i'| ≤ 1 and |j−j'| ≤ 1
-// (and they differ). Vertex ids are row-major: id = j*X + i. The grid
-// owns its weights: Set and the constructors write them, Weight and At
-// read one, and Lattice returns the slice for reading.
+// (and they differ). Vertex ids are row-major: id = j*X + i. It is the
+// 27-pt stencil one layer deep and shares Grid3D's stencil methods,
+// with Z = 1. The grid owns its weights: Set and the constructors write
+// them, Weight and At read one, and Lattice returns the slice for
+// reading. Its extents are fixed at construction and read through X, Y
+// and Z.
 type Grid2D struct {
-	X, Y int
-	weightStore
+	lattice
 }
-
-var _ core.Graph = (*Grid2D)(nil)
 
 // NewGrid2D allocates a zero-weight X×Y grid. Dimensions must be >= 1.
 // Construction is overflow-safe: the per-axis caps are checked before
@@ -29,7 +29,7 @@ func NewGrid2D(x, y int) (*Grid2D, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Grid2D{X: x, Y: y, weightStore: weightStore{w: make([]int64, cells)}}, nil
+	return &Grid2D{lattice{x, y, 1, weightStore{w: make([]int64, cells)}}}, nil
 }
 
 // cells2D validates 2D dimensions and returns the cell count X*Y
@@ -92,78 +92,29 @@ func FromWeights2D(x, y int, weights []int64) (*Grid2D, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Grid2D{X: x, Y: y, weightStore: ws}, nil
+	return &Grid2D{lattice{x, y, 1, ws}}, nil
 }
 
-// Len returns the number of vertices X*Y.
-func (g *Grid2D) Len() int { return g.X * g.Y }
+// Dims returns 2.
+func (g *Grid2D) Dims() int { return 2 }
 
-// Weight returns the weight of vertex v.
-func (g *Grid2D) Weight(v int) int64 { return g.w[v] }
-
-// ID returns the vertex id of cell (i,j).
-func (g *Grid2D) ID(i, j int) int { return j*g.X + i }
+// ID returns the vertex id of cell (i,j). A cell outside the grid
+// panics.
+func (g *Grid2D) ID(i, j int) int { return g.id(i, j, 0) }
 
 // Coords returns the (i,j) cell of vertex v.
-func (g *Grid2D) Coords(v int) (i, j int) { return v % g.X, v / g.X }
+func (g *Grid2D) Coords(v int) (i, j int) { return v % g.x, v / g.x }
 
-// At returns the weight of cell (i,j).
+// At returns the weight of cell (i,j). A cell outside the grid panics.
 func (g *Grid2D) At(i, j int) int64 { return g.w[g.ID(i, j)] }
 
-// Set assigns the weight of cell (i,j). Negative weights, and updates
-// that would push the grid's total weight past int64 (wrapping solver
-// interval arithmetic), panic — exactly the assignments the
-// constructors reject, so any grid buildable via FromWeights2D is
+// Set assigns the weight of cell (i,j). A cell outside the grid, a
+// negative weight, and an update that would push the grid's total
+// weight past int64 (wrapping solver interval arithmetic) panic, and
+// leave the grid unchanged. The last two are exactly the assignments
+// the constructors reject, so any grid buildable via FromWeights2D is
 // buildable via Set.
 func (g *Grid2D) Set(i, j int, w int64) { g.set(g.ID(i, j), w) }
-
-// Neighbors appends the 9-pt stencil neighbors of v (up to 8) to buf.
-func (g *Grid2D) Neighbors(v int, buf []int) []int {
-	i, j := g.Coords(v)
-	for dj := -1; dj <= 1; dj++ {
-		nj := j + dj
-		if nj < 0 || nj >= g.Y {
-			continue
-		}
-		for di := -1; di <= 1; di++ {
-			ni := i + di
-			if ni < 0 || ni >= g.X || (di == 0 && dj == 0) {
-				continue
-			}
-			buf = append(buf, nj*g.X+ni)
-		}
-	}
-	return buf
-}
-
-// Lattice returns the weight slice and the extents X, Y, 1: a 9-pt grid
-// is a lattice one layer deep (core.Lattice). The slice is the grid's
-// own storage and is read-only; Set is the one way to change a weight.
-func (g *Grid2D) Lattice() ([]int64, int, int, int) { return g.w, g.X, g.Y, 1 }
-
-// Degree returns the 9-pt degree of v in O(1) from its coordinates.
-func (g *Grid2D) Degree(v int) int {
-	i, j := g.Coords(v)
-	return span(i, g.X)*span(j, g.Y) - 1
-}
-
-// span returns how many cells the closed range [c-1, c+1] covers inside
-// a dimension of extent n.
-func span(c, n int) int {
-	s := 3
-	if c == 0 {
-		s--
-	}
-	if c == n-1 {
-		s--
-	}
-	return s
-}
-
-var (
-	_ core.Lattice     = (*Grid2D)(nil)
-	_ core.DegreeGraph = (*Grid2D)(nil)
-)
 
 // FivePt is the 5-pt relaxation of a Grid2D: only the 4 axis neighbors
 // conflict. It is bipartite (checkerboard), which is what makes the 5-pt
@@ -173,7 +124,7 @@ type FivePt struct {
 	G *Grid2D
 }
 
-var _ core.Graph = FivePt{}
+var _ core.DegreeGraph = FivePt{}
 
 // Len returns the number of vertices.
 func (f FivePt) Len() int { return f.G.Len() }
@@ -182,46 +133,21 @@ func (f FivePt) Len() int { return f.G.Len() }
 func (f FivePt) Weight(v int) int64 { return f.G.w[v] }
 
 // Neighbors appends the 5-pt (axis-only) neighbors of v to buf.
-func (f FivePt) Neighbors(v int, buf []int) []int {
-	g := f.G
-	i, j := g.Coords(v)
-	if i > 0 {
-		buf = append(buf, v-1)
-	}
-	if i < g.X-1 {
-		buf = append(buf, v+1)
-	}
-	if j > 0 {
-		buf = append(buf, v-g.X)
-	}
-	if j < g.Y-1 {
-		buf = append(buf, v+g.X)
-	}
-	return buf
-}
+func (f FivePt) Neighbors(v int, buf []int) []int { return f.G.axisNeighbors(v, buf) }
 
 // Parity returns the checkerboard side of vertex v ((i+j) mod 2), the
 // natural bipartition of the 5-pt relaxation.
-func (f FivePt) Parity(v int) int {
-	i, j := f.G.Coords(v)
-	return (i + j) % 2
-}
+func (f FivePt) Parity(v int) int { return f.G.parity(v) }
 
 // Degree returns the 5-pt degree of v in O(1) from its coordinates.
-func (f FivePt) Degree(v int) int {
-	g := f.G
-	i, j := g.Coords(v)
-	return span(i, g.X) + span(j, g.Y) - 2
-}
-
-var _ core.DegreeGraph = FivePt{}
+func (f FivePt) Degree(v int) int { return f.G.axisDegree(v) }
 
 // Clone returns a deep copy of the grid.
 func (g *Grid2D) Clone() *Grid2D {
-	return &Grid2D{X: g.X, Y: g.Y, weightStore: g.clone()}
+	return &Grid2D{lattice{g.x, g.y, 1, g.clone()}}
 }
 
 // String summarizes the grid's shape and total weight.
 func (g *Grid2D) String() string {
-	return fmt.Sprintf("Grid2D(%dx%d, total=%d)", g.X, g.Y, g.total)
+	return fmt.Sprintf("Grid2D(%dx%d, total=%d)", g.x, g.y, g.total)
 }

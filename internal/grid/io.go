@@ -22,36 +22,32 @@ import (
 
 // Write2D encodes g in the instance text format, one row per line.
 func Write2D(w io.Writer, g *Grid2D) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "ivc2d %d %d\n", g.X, g.Y)
-	for j := 0; j < g.Y; j++ {
-		for i := 0; i < g.X; i++ {
-			if i > 0 {
-				bw.WriteByte(' ')
-			}
-			bw.WriteString(strconv.FormatInt(g.At(i, j), 10))
-		}
-		bw.WriteByte('\n')
-	}
-	return bw.Flush()
+	return writeText(w, fmt.Sprintf("ivc2d %d %d\n", g.x, g.y), &g.lattice)
 }
 
 // Write3D encodes g in the instance text format, one row per line with a
 // blank line between layers.
 func Write3D(w io.Writer, g *Grid3D) error {
+	return writeText(w, fmt.Sprintf("ivc3d %d %d %d\n", g.x, g.y, g.z), &g.lattice)
+}
+
+// writeText writes header and then l's weights, one row per line with
+// a blank line between layers.
+func writeText(w io.Writer, header string, l *lattice) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "ivc3d %d %d %d\n", g.X, g.Y, g.Z)
-	for k := 0; k < g.Z; k++ {
-		for j := 0; j < g.Y; j++ {
-			for i := 0; i < g.X; i++ {
+	bw.WriteString(header)
+	var num [20]byte
+	for k := range l.z {
+		if k > 0 {
+			bw.WriteByte('\n')
+		}
+		for j := range l.y {
+			for i, wt := range l.w[(k*l.y+j)*l.x:][:l.x] {
 				if i > 0 {
 					bw.WriteByte(' ')
 				}
-				bw.WriteString(strconv.FormatInt(g.At(i, j, k), 10))
+				bw.Write(strconv.AppendInt(num[:0], wt, 10))
 			}
-			bw.WriteByte('\n')
-		}
-		if k+1 < g.Z {
 			bw.WriteByte('\n')
 		}
 	}
@@ -72,55 +68,49 @@ func Read(r io.Reader) (*Grid2D, *Grid3D, error) {
 		return nil, nil, fmt.Errorf("grid: missing header: %w", err)
 	}
 	header := strings.Fields(string(line))
+	var dims int
 	switch header[0] {
 	case "ivc2d":
-		if len(header) != 3 {
-			return nil, nil, fmt.Errorf("grid: ivc2d header wants 2 dims, got %d", len(header)-1)
-		}
-		x, err1 := strconv.Atoi(header[1])
-		y, err2 := strconv.Atoi(header[2])
-		if err1 != nil || err2 != nil {
-			return nil, nil, fmt.Errorf("grid: bad ivc2d dimensions %q %q", header[1], header[2])
-		}
-		n, err := cells2D(x, y)
-		if err != nil {
-			return nil, nil, err
-		}
-		weights, err := readWeights(sc, n)
-		if err != nil {
-			return nil, nil, err
-		}
-		ws, err := adoptWeights(n, weights)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &Grid2D{X: x, Y: y, weightStore: ws}, nil, nil
+		dims = 2
 	case "ivc3d":
-		if len(header) != 4 {
-			return nil, nil, fmt.Errorf("grid: ivc3d header wants 3 dims, got %d", len(header)-1)
-		}
-		x, err1 := strconv.Atoi(header[1])
-		y, err2 := strconv.Atoi(header[2])
-		z, err3 := strconv.Atoi(header[3])
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, nil, fmt.Errorf("grid: bad ivc3d dimensions")
-		}
-		n, err := cells3D(x, y, z)
-		if err != nil {
-			return nil, nil, err
-		}
-		weights, err := readWeights(sc, n)
-		if err != nil {
-			return nil, nil, err
-		}
-		ws, err := adoptWeights(n, weights)
-		if err != nil {
-			return nil, nil, err
-		}
-		return nil, &Grid3D{X: x, Y: y, Z: z, weightStore: ws}, nil
+		dims = 3
 	default:
 		return nil, nil, fmt.Errorf("grid: unknown header %q", header[0])
 	}
+	if len(header) != dims+1 {
+		return nil, nil, fmt.Errorf("grid: %s header wants %d dims, got %d", header[0], dims, len(header)-1)
+	}
+	ext := [3]int{1, 1, 1}
+	for d, f := range header[1:] {
+		if ext[d], err = strconv.Atoi(f); err != nil {
+			if dims == 2 {
+				return nil, nil, fmt.Errorf("grid: bad ivc2d dimensions %q %q", header[1], header[2])
+			}
+			return nil, nil, fmt.Errorf("grid: bad ivc3d dimensions")
+		}
+	}
+	var n int
+	if dims == 2 {
+		n, err = cells2D(ext[0], ext[1])
+	} else {
+		n, err = cells3D(ext[0], ext[1], ext[2])
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	weights, err := readWeights(sc, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	ws, err := adoptWeights(n, weights)
+	if err != nil {
+		return nil, nil, err
+	}
+	l := lattice{ext[0], ext[1], ext[2], ws}
+	if dims == 2 {
+		return &Grid2D{l}, nil, nil
+	}
+	return nil, &Grid3D{l}, nil
 }
 
 // nextLine returns the next line holding a field, with its comment cut

@@ -22,8 +22,8 @@ func TestWriteRead2DRoundTrip(t *testing.T) {
 	if g3 != nil {
 		t.Fatal("Read returned a 3D grid")
 	}
-	if g2.X != 3 || g2.Y != 2 {
-		t.Fatalf("dims %dx%d", g2.X, g2.Y)
+	if g2.X() != 3 || g2.Y() != 2 {
+		t.Fatalf("dims %dx%d", g2.X(), g2.Y())
 	}
 	for v := 0; v < g.Len(); v++ {
 		if g2.Weight(v) != g.Weight(v) {
@@ -48,8 +48,8 @@ func TestWriteRead3DRoundTrip(t *testing.T) {
 	if g2 != nil {
 		t.Fatal("Read returned a 2D grid")
 	}
-	if g3.X != 2 || g3.Y != 3 || g3.Z != 2 {
-		t.Fatalf("dims %dx%dx%d", g3.X, g3.Y, g3.Z)
+	if g3.X() != 2 || g3.Y() != 3 || g3.Z() != 2 {
+		t.Fatalf("dims %dx%dx%d", g3.X(), g3.Y(), g3.Z())
 	}
 	for v := 0; v < g.Len(); v++ {
 		if g3.Weight(v) != g.Weight(v) {

@@ -30,31 +30,3 @@ var (
 	_ Stencil = (*Grid2D)(nil)
 	_ Stencil = (*Grid3D)(nil)
 )
-
-// Dims returns 2.
-func (g *Grid2D) Dims() int { return 2 }
-
-// LineOrder returns the row-major GLL traversal.
-func (g *Grid2D) LineOrder() []int { return LineByLine2D(g) }
-
-// ZOrder returns the Morton-order GZO traversal.
-func (g *Grid2D) ZOrder() []int { return ZOrder2D(g) }
-
-// CliqueBlocks returns the K4 blocks when both dimensions exceed 1,
-// otherwise the edge pairs of the degenerate chain (or, on a 1×1 grid,
-// the lone vertex).
-func (g *Grid2D) CliqueBlocks() Cover { return cliqueCover(g.Lattice()) }
-
-// Dims returns 3.
-func (g *Grid3D) Dims() int { return 3 }
-
-// LineOrder returns the plane-by-plane, row-major GLL traversal.
-func (g *Grid3D) LineOrder() []int { return LineByLine3D(g) }
-
-// ZOrder returns the Morton-order GZO traversal.
-func (g *Grid3D) ZOrder() []int { return ZOrder3D(g) }
-
-// CliqueBlocks returns the K8 blocks of a non-degenerate grid. A grid
-// with a unit dimension falls back to the K4 blocks of its plane, in any
-// orientation, and a doubly-degenerate grid to chain pairs.
-func (g *Grid3D) CliqueBlocks() Cover { return cliqueCover(g.Lattice()) }

@@ -123,13 +123,3 @@ func (tl *Tiling) AppendBoundary(t Tile, buf []int) []int {
 	}
 	return buf
 }
-
-// Tiling partitions the 2D grid into size×size tiles.
-func (g *Grid2D) Tiling(size int) (*Tiling, error) {
-	return NewTiling(g.X, g.Y, 1, size)
-}
-
-// Tiling partitions the 3D grid into size×size×size bricks.
-func (g *Grid3D) Tiling(size int) (*Tiling, error) {
-	return NewTiling(g.X, g.Y, g.Z, size)
-}

@@ -37,50 +37,34 @@ func spread3(v uint64) uint64 {
 	return v
 }
 
-// ZOrder2D returns the vertices of g sorted by their 2D Morton key.
-// The result is a permutation of 0..g.Len()-1. Morton keys are unique,
-// so the order needs no tie-break.
-func ZOrder2D(g *Grid2D) []int {
-	keys := make([]uint64, 0, g.Len())
-	for j := range g.Y {
-		for i := range g.X {
-			keys = append(keys, Morton2D(i, j))
-		}
+// LineOrder returns the line-by-line GLL traversal: layers in
+// increasing k, rows in increasing j, cells in increasing i. Vertex ids
+// are x-fastest, so this is the identity.
+func (l *lattice) LineOrder() []int {
+	order := make([]int, l.Len())
+	for v := range order {
+		order[v] = v
 	}
-	return core.OrderByKey(keys)
+	return order
 }
 
-// ZOrder3D returns the vertices of g sorted by their 3D Morton key.
-func ZOrder3D(g *Grid3D) []int {
-	keys := make([]uint64, 0, g.Len())
-	for k := range g.Z {
-		for j := range g.Y {
-			for i := range g.X {
-				keys = append(keys, Morton3D(i, j, k))
+// ZOrder returns the vertices sorted by their Morton key, the GZO
+// traversal. The result is a permutation of 0..Len()-1; Morton keys are
+// unique, so the order needs no tie-break. A one-layer grid is keyed by
+// Morton2D: Morton3D(i, j, 0) sorts it the same way but spreads the
+// keys over more bytes, which slows the radix sort.
+func (l *lattice) ZOrder() []int {
+	keys := make([]uint64, 0, l.Len())
+	for k := range l.z {
+		for j := range l.y {
+			for i := range l.x {
+				if l.z == 1 {
+					keys = append(keys, Morton2D(i, j))
+				} else {
+					keys = append(keys, Morton3D(i, j, k))
+				}
 			}
 		}
 	}
 	return core.OrderByKey(keys)
-}
-
-// LineByLine2D returns the row-major traversal used by the Greedy
-// Line-by-Line heuristic (GLL): rows in increasing j, each row in
-// increasing i. Vertex ids are already row-major, so this is the identity.
-func LineByLine2D(g *Grid2D) []int {
-	order := make([]int, g.Len())
-	for v := range order {
-		order[v] = v
-	}
-	return order
-}
-
-// LineByLine3D returns the plane-by-plane, line-by-line traversal (GLL in
-// 3D): planes in increasing k, rows in increasing j, cells in increasing i.
-// Vertex ids are x-fastest, so this is the identity.
-func LineByLine3D(g *Grid3D) []int {
-	order := make([]int, g.Len())
-	for v := range order {
-		order[v] = v
-	}
-	return order
 }

@@ -70,7 +70,7 @@ func TestMortonInjectiveQuick(t *testing.T) {
 func TestZOrder2DIsPermutation(t *testing.T) {
 	for _, dims := range [][2]int{{1, 1}, {4, 4}, {5, 3}, {7, 2}} {
 		g := MustGrid2D(dims[0], dims[1])
-		order := ZOrder2D(g)
+		order := g.ZOrder()
 		if err := core.CheckPermutation(order, g.Len()); err != nil {
 			t.Errorf("%dx%d: %v", dims[0], dims[1], err)
 		}
@@ -80,7 +80,7 @@ func TestZOrder2DIsPermutation(t *testing.T) {
 func TestZOrder2DPowerOfTwoPrefix(t *testing.T) {
 	// On a 4x4 grid, the first 4 vertices in Z-order form the 2x2 corner.
 	g := MustGrid2D(4, 4)
-	order := ZOrder2D(g)
+	order := g.ZOrder()
 	want := map[int]bool{g.ID(0, 0): true, g.ID(1, 0): true, g.ID(0, 1): true, g.ID(1, 1): true}
 	for _, v := range order[:4] {
 		if !want[v] {
@@ -92,7 +92,7 @@ func TestZOrder2DPowerOfTwoPrefix(t *testing.T) {
 func TestZOrder3DIsPermutation(t *testing.T) {
 	for _, dims := range [][3]int{{1, 1, 1}, {2, 2, 2}, {3, 4, 2}, {5, 1, 3}} {
 		g := MustGrid3D(dims[0], dims[1], dims[2])
-		order := ZOrder3D(g)
+		order := g.ZOrder()
 		if err := core.CheckPermutation(order, g.Len()); err != nil {
 			t.Errorf("%v: %v", dims, err)
 		}
@@ -101,17 +101,17 @@ func TestZOrder3DIsPermutation(t *testing.T) {
 
 func TestLineByLineOrders(t *testing.T) {
 	g2 := MustGrid2D(3, 2)
-	order := LineByLine2D(g2)
+	order := g2.LineOrder()
 	if err := core.CheckPermutation(order, 6); err != nil {
 		t.Fatal(err)
 	}
 	for v, got := range order {
 		if got != v {
-			t.Fatalf("LineByLine2D[%d] = %d", v, got)
+			t.Fatalf("LineOrder()[%d] = %d", v, got)
 		}
 	}
 	g3 := MustGrid3D(2, 2, 2)
-	order3 := LineByLine3D(g3)
+	order3 := g3.LineOrder()
 	if err := core.CheckPermutation(order3, 8); err != nil {
 		t.Fatal(err)
 	}

@@ -56,10 +56,10 @@ func TestAllAlgorithmsValid2D(t *testing.T) {
 		for _, alg := range All() {
 			c, err := Run(alg, g, nil)
 			if err != nil {
-				t.Fatalf("%s on %dx%d: %v", alg, g.X, g.Y, err)
+				t.Fatalf("%s on %dx%d: %v", alg, g.X(), g.Y(), err)
 			}
 			if err := c.Validate(g); err != nil {
-				t.Fatalf("%s on %dx%d invalid: %v", alg, g.X, g.Y, err)
+				t.Fatalf("%s on %dx%d invalid: %v", alg, g.X(), g.Y(), err)
 			}
 			if mc := c.MaxColor(g); mc < lb {
 				t.Fatalf("%s produced %d colors, below lower bound %d", alg, mc, lb)

@@ -33,7 +33,7 @@ func layeredPost(s grid.Stencil, opts *core.SolveOptions) (core.Coloring, error)
 	g := s.(*grid.Grid3D)
 	c := core.Coloring{Start: make([]int64, g.Len())}
 	var lc int64
-	for k := 0; k < g.Z; k++ {
+	for k := 0; k < g.Z(); k++ {
 		layer := g.Layer(k)
 		lcol, err := decomposePost(layer, opts)
 		if err != nil {
@@ -42,7 +42,7 @@ func layeredPost(s grid.Stencil, opts *core.SolveOptions) (core.Coloring, error)
 		copy(c.Start[k*layer.Len():], lcol.Start)
 		lc = max(lc, lcol.MaxColor(layer))
 	}
-	liftOdd(c.Start, g.X*g.Y, lc)
+	liftOdd(c.Start, g.X()*g.Y(), lc)
 	if err := recolor(g, c, postOrder(g, c, g.CliqueBlocks()), opts); err != nil {
 		return core.Coloring{}, err
 	}

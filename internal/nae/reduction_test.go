@@ -34,8 +34,8 @@ func TestBuildRejectsInvalidInstance(t *testing.T) {
 func TestBuildDimensions(t *testing.T) {
 	in := Instance{NumVars: 3, Clauses: [][3]int{{0, 1, 2}, {0, 1, 2}}}
 	l := mustBuild(t, in)
-	if l.Grid.X != 12 || l.Grid.Y != 9 || l.Grid.Z != 8 {
-		t.Fatalf("grid %dx%dx%d, want 12x9x8", l.Grid.X, l.Grid.Y, l.Grid.Z)
+	if l.Grid.X() != 12 || l.Grid.Y() != 9 || l.Grid.Z() != 8 {
+		t.Fatalf("grid %dx%dx%d, want 12x9x8", l.Grid.X(), l.Grid.Y(), l.Grid.Z())
 	}
 	if l.U != 9 {
 		t.Errorf("U = %d, want 9", l.U)

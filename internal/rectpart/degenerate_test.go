@@ -87,16 +87,16 @@ func TestPartition2DStrips(t *testing.T) {
 		i, j := g.Coords(v)
 		g.Set(i, j, int64(v+1))
 	}
-	cutsX, cutsY, b, err := Partition2D(g, 1, 4, 0)
+	cuts, b, err := Partition(g, [3]int{1, 4, 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCuts(t, "strip-x", cutsX, 1, 1)
-	checkCuts(t, "strip-y", cutsY, 4, 12)
-	if got := Bottleneck2D(g, cutsX, cutsY); got != b {
+	checkCuts(t, "strip-x", cuts[0], 1, 1)
+	checkCuts(t, "strip-y", cuts[1], 4, 12)
+	if got := Bottleneck(g, cuts); got != b {
 		t.Fatalf("claimed bottleneck %d, realized %d", b, got)
 	}
-	if _, _, _, err := Partition2D(g, 2, 4, 0); err == nil {
+	if _, _, err := Partition(g, [3]int{2, 4, 1}, 0); err == nil {
 		t.Error("kx=2 accepted on a 1-wide grid")
 	}
 
@@ -106,7 +106,7 @@ func TestPartition2DStrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, bt, err := Partition2D(gt, 4, 1, 0)
+	_, bt, err := Partition(gt, [3]int{4, 1, 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,12 +122,12 @@ func TestPartition2DAxisSaturated(t *testing.T) {
 		i, j := g.Coords(v)
 		g.Set(i, j, int64(v%7)+1)
 	}
-	cutsX, cutsY, b, err := Partition2D(g, 3, 4, 0)
+	cuts, b, err := Partition(g, [3]int{3, 4, 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCuts(t, "sat-x", cutsX, 3, 3)
-	checkCuts(t, "sat-y", cutsY, 4, 4)
+	checkCuts(t, "sat-x", cuts[0], 3, 3)
+	checkCuts(t, "sat-y", cuts[1], 4, 4)
 	var heaviest int64
 	for v := range g.Len() {
 		heaviest = max(heaviest, g.Weight(v))
@@ -136,10 +136,10 @@ func TestPartition2DAxisSaturated(t *testing.T) {
 		t.Fatalf("saturated bottleneck = %d, want heaviest cell %d", b, heaviest)
 	}
 	// One past the axis size errors.
-	if _, _, _, err := Partition2D(g, 4, 4, 0); err == nil {
+	if _, _, err := Partition(g, [3]int{4, 4, 1}, 0); err == nil {
 		t.Error("kx > g.X accepted")
 	}
-	if _, _, _, err := Partition2D(g, 3, 5, 0); err == nil {
+	if _, _, err := Partition(g, [3]int{3, 5, 1}, 0); err == nil {
 		t.Error("ky > g.Y accepted")
 	}
 }
@@ -153,19 +153,19 @@ func TestPartition2DZeroWeightRows(t *testing.T) {
 			g.Set(i, j, int64(i+j))
 		}
 	}
-	cutsX, cutsY, b, err := Partition2D(g, 3, 3, 0)
+	cuts, b, err := Partition(g, [3]int{3, 3, 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCuts(t, "zero-x", cutsX, 3, 8)
-	checkCuts(t, "zero-y", cutsY, 3, 8)
-	if got := Bottleneck2D(g, cutsX, cutsY); got != b {
+	checkCuts(t, "zero-x", cuts[0], 3, 8)
+	checkCuts(t, "zero-y", cuts[1], 3, 8)
+	if got := Bottleneck(g, cuts); got != b {
 		t.Fatalf("claimed bottleneck %d, realized %d", b, got)
 	}
 
 	// The fully zero grid partitions with bottleneck zero.
 	z := grid.MustGrid2D(6, 6)
-	_, _, zb, err := Partition2D(z, 2, 3, 0)
+	_, zb, err := Partition(z, [3]int{2, 3, 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,14 +184,14 @@ func TestPartition3DDegenerate(t *testing.T) {
 			}
 		}
 	}
-	cutsX, cutsY, cutsZ, b, err := Partition3D(g, 2, 2, 3, 0)
+	cuts, b, err := Partition(g, [3]int{2, 2, 3}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCuts(t, "3d-x", cutsX, 2, 4)
-	checkCuts(t, "3d-y", cutsY, 2, 4)
-	checkCuts(t, "3d-z", cutsZ, 3, 3)
-	if got := Bottleneck3D(g, cutsX, cutsY, cutsZ); got != b {
+	checkCuts(t, "3d-x", cuts[0], 2, 4)
+	checkCuts(t, "3d-y", cuts[1], 2, 4)
+	checkCuts(t, "3d-z", cuts[2], 3, 3)
+	if got := Bottleneck(g, cuts); got != b {
 		t.Fatalf("claimed bottleneck %d, realized %d", b, got)
 	}
 
@@ -201,15 +201,15 @@ func TestPartition3DDegenerate(t *testing.T) {
 		i, j, k := tube.Coords(v)
 		tube.Set(i, j, k, 1)
 	}
-	_, _, cutsZ, b, err = Partition3D(tube, 1, 1, 3, 0)
+	cuts, b, err = Partition(tube, [3]int{1, 1, 3}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCuts(t, "tube-z", cutsZ, 3, 9)
+	checkCuts(t, "tube-z", cuts[2], 3, 9)
 	if b != 3 {
 		t.Fatalf("tube bottleneck = %d, want 3", b)
 	}
-	if _, _, _, _, err := Partition3D(tube, 2, 1, 3, 0); err == nil {
+	if _, _, err := Partition(tube, [3]int{2, 1, 3}, 0); err == nil {
 		t.Error("kx=2 accepted on a 1-wide tube")
 	}
 }

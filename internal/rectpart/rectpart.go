@@ -6,19 +6,20 @@
 // tightens the K4/K8 bound, so the partitioner is a natural companion to
 // the coloring algorithms.
 //
-// The 1D problem (contiguous partition of an array minimizing the
-// maximum part sum) is solved exactly with the classic probe algorithm:
-// binary search on the bottleneck, greedy feasibility check. The 2D and
-// 3D generalized block distributions are NP-hard; Nicol's alternating
-// refinement fixes the cuts of all but one dimension and optimally
-// re-partitions that dimension (an exact 1D solve against per-slab
-// prefix sums), iterating to a local optimum.
+// One probe solves every 1D problem exactly: binary search on the
+// bottleneck, greedy feasibility scan. Partition1D is its one-slab case.
+// The generalized block distribution of a lattice is NP-hard; Partition
+// runs Nicol's alternating refinement on a lattice of either depth (a
+// 9-pt grid is one layer deep): it fixes the cuts of all but one axis
+// and re-solves that axis with the probe, each line of the axis loaded
+// per slab of the fixed axes' blocks, iterating to a local optimum.
 package rectpart
 
 import (
 	"fmt"
+	"slices"
 
-	"stencilivc/internal/grid"
+	"stencilivc/internal/core"
 )
 
 // Partition1D splits loads into k contiguous parts minimizing the
@@ -27,7 +28,6 @@ import (
 // [1, len(loads)]; parts are allowed to be empty only when k exceeds the
 // number of positive entries, in which case trailing parts may be empty.
 func Partition1D(loads []int64, k int) ([]int, int64, error) {
-	n := len(loads)
 	if k < 1 {
 		return nil, 0, fmt.Errorf("rectpart: k = %d < 1", k)
 	}
@@ -36,202 +36,165 @@ func Partition1D(loads []int64, k int) ([]int, int64, error) {
 			return nil, 0, fmt.Errorf("rectpart: negative load %d", l)
 		}
 	}
-	prefix := make([]int64, n+1)
-	for i, l := range loads {
-		prefix[i+1] = prefix[i] + l
-	}
-	// Binary search the smallest bottleneck b such that the array splits
-	// into <= k parts each of sum <= b.
-	lo, hi := int64(0), prefix[n]
-	feasible := func(b int64) bool {
-		parts, cur := 1, int64(0)
-		for _, l := range loads {
-			if l > b {
-				return false
-			}
-			if cur+l > b {
-				parts++
-				cur = 0
-			}
-			cur += l
-		}
-		return parts <= k
-	}
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if feasible(mid) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	// Greedily realize the cuts for bottleneck lo.
-	cuts := make([]int, 0, k-1)
-	var cur int64
-	for i, l := range loads {
-		if cur+l > lo && len(cuts) < k-1 {
-			cuts = append(cuts, i)
-			cur = 0
-		}
-		cur += l
-	}
-	for len(cuts) < k-1 {
-		cuts = append(cuts, n) // empty trailing parts
-	}
-	return cuts, lo, nil
+	cuts, b := probe(loads, 1, k)
+	return cuts, b, nil
 }
 
-// Bottleneck2D returns the heaviest block weight of a 2D grid under the
-// given interior cuts (cutsX partitions columns, cutsY rows).
-func Bottleneck2D(g *grid.Grid2D, cutsX, cutsY []int) int64 {
-	xs := boundsFromCuts(cutsX, g.X)
-	ys := boundsFromCuts(cutsY, g.Y)
-	var worst int64
-	for bi := 0; bi+1 < len(xs); bi++ {
-		for bj := 0; bj+1 < len(ys); bj++ {
-			var sum int64
-			for j := ys[bj]; j < ys[bj+1]; j++ {
-				for i := xs[bi]; i < xs[bi+1]; i++ {
-					sum += g.At(i, j)
-				}
-			}
-			worst = max(worst, sum)
+// Partition computes a k[0]×k[1]×k[2] rectilinear partition of l (k[2]
+// = 1 for a 9-pt grid) with Nicol's alternating refinement, starting
+// from uniform cuts. A round re-solves the x, y and z cuts in turn,
+// each against the other two axes' current cuts; an axis in one part
+// has no cuts to re-solve. Rounds stop when one no longer lowers the
+// bottleneck, or after maxRounds (10 when maxRounds < 1). Partition
+// returns the interior cut positions per axis and the bottleneck block
+// weight.
+func Partition(l core.Lattice, k [3]int, maxRounds int) ([3][]int, int64, error) {
+	w, x, y, z := l.Lattice()
+	ext := [3]int{x, y, z}
+	var cuts [3][]int
+	for a, n := range ext {
+		if k[a] < 1 || k[a] > n {
+			return [3][]int{}, 0, fmt.Errorf("rectpart: partition %dx%dx%d invalid for grid %dx%dx%d",
+				k[0], k[1], k[2], x, y, z)
 		}
-	}
-	return worst
-}
-
-// Partition2D computes a kx×ky rectilinear partition of g with Nicol's
-// alternating refinement, starting from uniform cuts. It returns the
-// interior cut positions per axis and the bottleneck block weight.
-func Partition2D(g *grid.Grid2D, kx, ky, maxRounds int) ([]int, []int, int64, error) {
-	if kx < 1 || kx > g.X || ky < 1 || ky > g.Y {
-		return nil, nil, 0, fmt.Errorf("rectpart: partition %dx%d invalid for grid %dx%d",
-			kx, ky, g.X, g.Y)
+		cuts[a] = uniformCuts(n, k[a])
 	}
 	if maxRounds < 1 {
 		maxRounds = 10
 	}
-	cutsX := uniformCuts(g.X, kx)
-	cutsY := uniformCuts(g.Y, ky)
-	best := Bottleneck2D(g, cutsX, cutsY)
-	for round := 0; round < maxRounds; round++ {
-		// Re-optimize the x cuts against the current y strips: the load
-		// of column i is the per-strip sums; an x-interval's block weight
-		// is the max over strips of the strip-restricted sum. The probe
-		// algorithm applies with per-strip prefix sums.
-		nx, err := optimizeAxis(g, cutsY, kx, true)
-		if err != nil {
-			return nil, nil, 0, err
+	best := Bottleneck(l, cuts)
+	for range maxRounds {
+		for a := range ext {
+			if k[a] > 1 {
+				cuts[a] = refineAxis(w, ext, cuts, a, k[a])
+			}
 		}
-		cutsX = nx
-		ny, err := optimizeAxis(g, cutsX, ky, false)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		cutsY = ny
-		now := Bottleneck2D(g, cutsX, cutsY)
+		now := Bottleneck(l, cuts)
 		if now >= best {
-			best = min(best, now)
 			break
 		}
 		best = now
 	}
-	return cutsX, cutsY, best, nil
+	return cuts, best, nil
 }
 
-// optimizeAxis exactly re-partitions one axis given fixed cuts on the
-// other: binary search on the bottleneck with a greedy scan where the
-// cost of extending the current part by one column (row) is evaluated
-// per fixed strip.
-func optimizeAxis(g *grid.Grid2D, fixedCuts []int, k int, optimizeX bool) ([]int, error) {
-	var nAxis int
-	if optimizeX {
-		nAxis = g.X
-	} else {
-		nAxis = g.Y
+// Bottleneck returns the heaviest block weight of l under the given
+// interior cuts per axis; an axis in one part has none.
+func Bottleneck(l core.Lattice, cuts [3][]int) int64 {
+	w, x, y, z := l.Lattice()
+	var part [3][]int
+	var stride [3]int
+	n := 1
+	for a, e := range [3]int{x, y, z} {
+		part[a], stride[a] = partOf(cuts[a], e), n
+		n *= len(cuts[a]) + 1
 	}
-	if k > nAxis {
-		return nil, fmt.Errorf("rectpart: k %d exceeds axis size %d", k, nAxis)
-	}
-	var fixedN int
-	if optimizeX {
-		fixedN = g.Y
-	} else {
-		fixedN = g.X
-	}
-	strips := boundsFromCuts(fixedCuts, fixedN)
-	ns := len(strips) - 1
-	// lineLoad[s][i] = weight of line i restricted to strip s.
-	lineLoad := make([][]int64, ns)
-	for s := range lineLoad {
-		lineLoad[s] = make([]int64, nAxis)
-		for i := 0; i < nAxis; i++ {
-			var sum int64
-			for f := strips[s]; f < strips[s+1]; f++ {
-				if optimizeX {
-					sum += g.At(i, f)
-				} else {
-					sum += g.At(f, i)
-				}
-			}
-			lineLoad[s][i] = sum
+	return slices.Max(blockSums(w, part, stride, n))
+}
+
+// refineAxis exactly re-partitions axis a into k parts given the other
+// two axes' cuts: each line of axis a is loaded per slab, one block of
+// the fixed axes, and the probe cuts the lines.
+func refineAxis(w []int64, ext [3]int, cuts [3][]int, a, k int) []int {
+	var part [3][]int
+	var stride [3]int
+	slabs := 1
+	for b, e := range ext {
+		if b != a {
+			part[b], stride[b] = partOf(cuts[b], e), slabs
+			slabs *= len(cuts[b]) + 1
 		}
 	}
+	part[a], stride[a] = make([]int, ext[a]), slabs
+	for i := range part[a] {
+		part[a][i] = i
+	}
+	refined, _ := probe(blockSums(w, part, stride, ext[a]*slabs), slabs, k)
+	return refined
+}
+
+// probe splits lines into k contiguous parts minimizing the bottleneck,
+// where a part weighs the most that any one slab puts in it: load holds
+// slabs loads per line, line i's in load[i*slabs:(i+1)*slabs]. It binary
+// searches the smallest bottleneck the greedy scan meets and returns
+// that scan's k-1 cuts, trailing empty parts cut at the line count.
+func probe(load []int64, slabs, k int) ([]int, int64) {
+	n := len(load) / slabs
 	var total int64
-	for s := 0; s < ns; s++ {
-		for i := 0; i < nAxis; i++ {
-			total += lineLoad[s][i]
-		}
+	for _, l := range load {
+		total += l
 	}
-	feasible := func(b int64) ([]int, bool) {
-		cuts := make([]int, 0, k-1)
-		cur := make([]int64, ns)
-		for i := 0; i < nAxis; i++ {
-			over := false
-			for s := 0; s < ns; s++ {
-				if cur[s]+lineLoad[s][i] > b {
-					over = true
+	cur := make([]int64, slabs)
+	cuts := make([]int, 0, k-1)
+	// scan greedily cuts before a line that would push some slab's part
+	// past b, and reports whether k parts suffice.
+	scan := func(b int64) bool {
+		cuts = cuts[:0]
+		clear(cur)
+		for i := range n {
+			line := load[i*slabs : (i+1)*slabs]
+			for s, l := range line {
+				if cur[s]+l > b {
+					if len(cuts) == k-1 {
+						return false
+					}
+					cuts = append(cuts, i)
+					clear(cur)
 					break
 				}
 			}
-			if over {
-				if len(cuts) == k-1 {
-					return nil, false
+			for s, l := range line {
+				if cur[s] += l; cur[s] > b {
+					return false
 				}
-				cuts = append(cuts, i)
-				for s := range cur {
-					cur[s] = 0
-				}
-				for s := 0; s < ns; s++ {
-					if lineLoad[s][i] > b {
-						return nil, false
-					}
-				}
-			}
-			for s := 0; s < ns; s++ {
-				cur[s] += lineLoad[s][i]
 			}
 		}
 		for len(cuts) < k-1 {
-			cuts = append(cuts, nAxis)
+			cuts = append(cuts, n)
 		}
-		return cuts, true
+		return true
 	}
 	lo, hi := int64(0), total
 	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if _, ok := feasible(mid); ok {
+		if mid := lo + (hi-lo)/2; scan(mid) {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	cuts, ok := feasible(lo)
-	if !ok {
-		return nil, fmt.Errorf("rectpart: internal probe inconsistency")
+	scan(lo)
+	return cuts, lo
+}
+
+// blockSums adds each cell's weight to its block: cell (i,j,k) of the
+// x-fastest weight slice w lies in block part[0][i]*stride[0] +
+// part[1][j]*stride[1] + part[2][k]*stride[2] of n.
+func blockSums(w []int64, part [3][]int, stride [3]int, n int) []int64 {
+	sums := make([]int64, n)
+	v := 0
+	for _, pk := range part[2] {
+		for _, pj := range part[1] {
+			for _, pi := range part[0] {
+				sums[pi*stride[0]+pj*stride[1]+pk*stride[2]] += w[v]
+				v++
+			}
+		}
 	}
-	return cuts, nil
+	return sums
+}
+
+// partOf maps each coordinate of an n-axis to the index of the part
+// the interior cuts put it in.
+func partOf(cuts []int, n int) []int {
+	part := make([]int, n)
+	p := 0
+	for c := range part {
+		for p < len(cuts) && cuts[p] <= c {
+			p++
+		}
+		part[c] = p
+	}
+	return part
 }
 
 // uniformCuts returns k-1 evenly spaced interior cuts of an n-axis.
@@ -241,14 +204,4 @@ func uniformCuts(n, k int) []int {
 		cuts[i-1] = i * n / k
 	}
 	return cuts
-}
-
-// boundsFromCuts converts interior cuts into a bounds array
-// [0, c1, ..., ck-1, n].
-func boundsFromCuts(cuts []int, n int) []int {
-	out := make([]int, 0, len(cuts)+2)
-	out = append(out, 0)
-	out = append(out, cuts...)
-	out = append(out, n)
-	return out
 }

@@ -102,12 +102,12 @@ func TestPartition2DNeverWorseThanUniform(t *testing.T) {
 			g.Set(i, j, rng.Int63n(20))
 		}
 		kx, ky := 2+rng.Intn(3), 2+rng.Intn(3)
-		uniform := Bottleneck2D(g, uniformCuts(g.X, kx), uniformCuts(g.Y, ky))
-		cx, cy, b, err := Partition2D(g, kx, ky, 10)
+		uniform := Bottleneck(g, [3][]int{uniformCuts(g.X(), kx), uniformCuts(g.Y(), ky), nil})
+		cuts, b, err := Partition(g, [3]int{kx, ky, 1}, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := Bottleneck2D(g, cx, cy); got != b {
+		if got := Bottleneck(g, cuts); got != b {
 			t.Fatalf("claimed bottleneck %d, realized %d", b, got)
 		}
 		if b > uniform {
@@ -125,8 +125,8 @@ func TestPartition2DBalancesSkew(t *testing.T) {
 			g.Set(i, j, 10)
 		}
 	}
-	uniform := Bottleneck2D(g, uniformCuts(8, 2), uniformCuts(8, 2))
-	_, _, b, err := Partition2D(g, 2, 2, 10)
+	uniform := Bottleneck(g, [3][]int{uniformCuts(8, 2), uniformCuts(8, 2), nil})
+	_, b, err := Partition(g, [3]int{2, 2, 1}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,10 +137,10 @@ func TestPartition2DBalancesSkew(t *testing.T) {
 
 func TestPartition2DErrors(t *testing.T) {
 	g := grid.MustGrid2D(3, 3)
-	if _, _, _, err := Partition2D(g, 0, 2, 5); err == nil {
+	if _, _, err := Partition(g, [3]int{0, 2, 1}, 5); err == nil {
 		t.Error("kx=0 accepted")
 	}
-	if _, _, _, err := Partition2D(g, 4, 2, 5); err == nil {
+	if _, _, err := Partition(g, [3]int{4, 2, 1}, 5); err == nil {
 		t.Error("kx > X accepted")
 	}
 }
@@ -150,7 +150,74 @@ func TestBottleneck2DFullGridSinglePart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b := Bottleneck2D(g, nil, nil); b != 10 {
+	if b := Bottleneck(g, [3][]int{}); b != 10 {
 		t.Fatalf("single block bottleneck = %d, want 10", b)
+	}
+}
+
+func TestPartition3DNeverWorseThanUniform(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 10; trial++ {
+		g := grid.MustGrid3D(3+rng.Intn(5), 3+rng.Intn(5), 3+rng.Intn(5))
+		for v := range g.Len() {
+			i, j, k := g.Coords(v)
+			g.Set(i, j, k, rng.Int63n(15))
+		}
+		kx, ky, kz := 2, 2, 2
+		uniform := Bottleneck(g,
+			[3][]int{uniformCuts(g.X(), kx), uniformCuts(g.Y(), ky), uniformCuts(g.Z(), kz)})
+		cuts, b, err := Partition(g, [3]int{kx, ky, kz}, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := Bottleneck(g, cuts); got != b {
+			t.Fatalf("claimed bottleneck %d, realized %d", b, got)
+		}
+		if b > uniform {
+			t.Fatalf("refinement worse than uniform: %d > %d", b, uniform)
+		}
+	}
+}
+
+func TestPartition3DSkewedCorner(t *testing.T) {
+	g := grid.MustGrid3D(6, 6, 6)
+	for k := 0; k < 3; k++ {
+		for j := 0; j < 3; j++ {
+			for i := 0; i < 3; i++ {
+				g.Set(i, j, k, 8)
+			}
+		}
+	}
+	uniform := Bottleneck(g, [3][]int{uniformCuts(6, 2), uniformCuts(6, 2), uniformCuts(6, 2)})
+	_, b, err := Partition(g, [3]int{2, 2, 2}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b >= uniform {
+		t.Fatalf("refinement %d did not beat uniform %d on skewed 3D grid", b, uniform)
+	}
+}
+
+func TestPartition3DErrors(t *testing.T) {
+	g := grid.MustGrid3D(2, 2, 2)
+	if _, _, err := Partition(g, [3]int{3, 1, 1}, 5); err == nil {
+		t.Error("kx > X accepted")
+	}
+	if _, _, err := Partition(g, [3]int{0, 1, 1}, 5); err == nil {
+		t.Error("kx=0 accepted")
+	}
+}
+
+func TestBottleneck3DWholeGrid(t *testing.T) {
+	g := grid.MustGrid3D(2, 2, 2)
+	for v := range g.Len() {
+		i, j, k := g.Coords(v)
+		g.Set(i, j, k, 1)
+	}
+	if b := Bottleneck(g, [3][]int{}); b != 8 {
+		t.Fatalf("bottleneck = %d, want 8", b)
+	}
+	if b := Bottleneck(g, [3][]int{{1}, {1}, {1}}); b != 1 {
+		t.Fatalf("unit blocks bottleneck = %d, want 1", b)
 	}
 }

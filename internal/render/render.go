@@ -23,8 +23,8 @@ func Weights2D(g *grid.Grid2D) string {
 		maxW = max(maxW, g.Weight(v))
 	}
 	var b strings.Builder
-	for j := g.Y - 1; j >= 0; j-- {
-		for i := 0; i < g.X; i++ {
+	for j := g.Y() - 1; j >= 0; j-- {
+		for i := 0; i < g.X(); i++ {
 			w := g.At(i, j)
 			idx := 0
 			if w > 0 {
@@ -42,8 +42,8 @@ func Weights2D(g *grid.Grid2D) string {
 func Intervals2D(g *grid.Grid2D, c core.Coloring) string {
 	var b strings.Builder
 	width := len(fmt.Sprintf("%d", c.MaxColor(g)))
-	for j := 0; j < g.Y; j++ {
-		for i := 0; i < g.X; i++ {
+	for j := 0; j < g.Y(); j++ {
+		for i := 0; i < g.X(); i++ {
 			v := g.ID(i, j)
 			fmt.Fprintf(&b, "[%*d,%*d) ", width, c.Start[v], width, c.Start[v]+g.Weight(v))
 		}

@@ -119,7 +119,7 @@ func headField(key string) bool {
 	return false
 }
 
-// httpError writes a JSON error body.
+// writeError writes a JSON error body with the given status.
 func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
 }

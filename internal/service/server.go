@@ -269,8 +269,8 @@ func (s *Server) shed(j *job, reason string, counted bool) {
 	s.retire(j)
 }
 
-// remember registers j for GET /jobs/{id}, pruning the oldest finished
-// jobs past the retention bound.
+// remember registers j for GET /jobs/{id}. It prunes nothing: retire
+// drops the oldest finished jobs past the retention bound.
 func (s *Server) remember(j *job) {
 	s.jobsMu.Lock()
 	defer s.jobsMu.Unlock()

@@ -51,9 +51,9 @@ func NewRectilinear(points []datasets.Point, bounds datasets.Bounds,
 
 // NewBalanced builds an STKDE run whose box partition is load-balanced
 // with Nicol's rectilinear refinement: the points are first histogrammed
-// on a fine helper grid, Partition3D chooses the cuts, and the cuts are
-// converted back to coordinates. The box shape constraint (>= twice the
-// bandwidth) is enforced by bounding each axis's part count.
+// on a fine helper grid, rectpart.Partition chooses the cuts, and the
+// cuts are converted back to coordinates. The box shape constraint (>=
+// twice the bandwidth) is enforced by bounding each axis's part count.
 func NewBalanced(points []datasets.Point, bounds datasets.Bounds,
 	vx, vy, vt, bx, by, bt int, bwS, bwT float64, refine int) (*App, error) {
 
@@ -73,7 +73,7 @@ func NewBalanced(points []datasets.Point, bounds datasets.Bounds,
 	if err != nil {
 		return nil, err
 	}
-	cx, cy, ct, _, err := rectpart.Partition3D(hist, bx, by, bt, refine)
+	cuts, _, err := rectpart.Partition(hist, [3]int{bx, by, bt}, refine)
 	if err != nil {
 		return nil, err
 	}
@@ -95,9 +95,9 @@ func NewBalanced(points []datasets.Point, bounds datasets.Bounds,
 		return out
 	}
 	return NewRectilinear(points, bounds, vx, vy, vt,
-		toCoord(cx, bounds.MinX, bounds.SpanX(), hx, 2*bwS),
-		toCoord(cy, bounds.MinY, bounds.SpanY(), hy, 2*bwS),
-		toCoord(ct, bounds.MinT, bounds.SpanT(), ht, 2*bwT),
+		toCoord(cuts[0], bounds.MinX, bounds.SpanX(), hx, 2*bwS),
+		toCoord(cuts[1], bounds.MinY, bounds.SpanY(), hy, 2*bwS),
+		toCoord(cuts[2], bounds.MinT, bounds.SpanT(), ht, 2*bwT),
 		bwS, bwT)
 }
 

@@ -47,8 +47,8 @@ func TestRectilinearBinning(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := app.BoxGrid()
-	if g.X != 2 || g.Y != 1 || g.Z != 1 {
-		t.Fatalf("box grid %dx%dx%d, want 2x1x1", g.X, g.Y, g.Z)
+	if g.X() != 2 || g.Y() != 1 || g.Z() != 1 {
+		t.Fatalf("box grid %dx%dx%d, want 2x1x1", g.X(), g.Y(), g.Z())
 	}
 	if g.At(0, 0, 0) != 1 {
 		t.Errorf("left box weight = %d, want 1", g.At(0, 0, 0))

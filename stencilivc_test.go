@@ -139,7 +139,7 @@ func TestInstanceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g3 != nil || g2.X != 4 || g2.Y != 3 {
+	if g3 != nil || g2.X() != 4 || g2.Y() != 3 {
 		t.Fatal("round trip mangled the instance")
 	}
 	g3d := MustGrid3D(2, 2, 2)
