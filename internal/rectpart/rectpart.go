@@ -17,6 +17,7 @@ package rectpart
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"stencilivc/internal/core"
@@ -27,14 +28,21 @@ import (
 // loads[cuts[i-1]:cuts[i]]) and the bottleneck value. k must be in
 // [1, len(loads)]; parts are allowed to be empty only when k exceeds the
 // number of positive entries, in which case trailing parts may be empty.
+// Loads must be non-negative with a total that fits in int64, the
+// probe's upper bound.
 func Partition1D(loads []int64, k int) ([]int, int64, error) {
 	if k < 1 {
 		return nil, 0, fmt.Errorf("rectpart: k = %d < 1", k)
 	}
+	var total int64
 	for _, l := range loads {
 		if l < 0 {
 			return nil, 0, fmt.Errorf("rectpart: negative load %d", l)
 		}
+		if total > math.MaxInt64-l {
+			return nil, 0, fmt.Errorf("rectpart: total load overflows int64")
+		}
+		total += l
 	}
 	cuts, b := probe(loads, 1, k)
 	return cuts, b, nil

@@ -1,6 +1,7 @@
 package rectpart
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -77,6 +78,9 @@ func TestPartition1DErrors(t *testing.T) {
 	}
 	if _, _, err := Partition1D([]int64{1, -2}, 1); err == nil {
 		t.Error("negative load accepted")
+	}
+	if _, _, err := Partition1D([]int64{math.MaxInt64, 1, 5}, 2); err == nil {
+		t.Error("loads whose total overflows int64 accepted")
 	}
 }
 
