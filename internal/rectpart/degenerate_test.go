@@ -7,7 +7,7 @@ import (
 )
 
 // checkCuts asserts interior cuts are sorted and within [0, n] — the
-// contract boundsFromCuts relies on even for degenerate inputs.
+// contract Bottleneck's part maps rely on even for degenerate inputs.
 func checkCuts(t *testing.T, name string, cuts []int, k, n int) {
 	t.Helper()
 	if len(cuts) != k-1 {
