@@ -60,7 +60,10 @@ check: fmt-check vet race fuzz-short doclint linkcheck benchdiff-smoke serve-smo
 
 # cache-check is the result-cache tier: the content-addressed cache and
 # its persistence stores under the race detector (the concurrent
-# get/put/evict storm and the shared view's tests run here), plus the
+# get/put/evict storm and the shared view's tests run here), the grid's
+# kept digest ten times under the race detector (one Best hashes a
+# fresh grid once, also with four portfolio members digesting it at
+# once, and Set, Clone and Layer key their own weights), plus the
 # dispatch-layer guards — the nil-cache path stays 0 allocs/op and a
 # cache hit skips the solver — and the daemon's ownership rules, ten
 # times under the race detector: a finished job holds no grid, a hit's
@@ -68,6 +71,7 @@ check: fmt-check vet race fuzz-short doclint linkcheck benchdiff-smoke serve-smo
 # shared answers under evictions all get a direct solve's bytes.
 cache-check:
 	$(GO) test -race ./internal/resultcache/...
+	$(GO) test -race -count=10 -run 'TestBestHashesOnce|TestDigestFollowsWeights|TestDigestNativeMatchesEncoded' ./internal/grid
 	$(GO) test -run 'TestNilCacheLookupNoAllocs|TestRunCacheHitSkipsSolver' ./internal/heuristics
 	$(GO) test -race -count=10 -run 'TestFinishedJobHoldsNoGrid|TestServiceHitSharesCacheEntry|TestServiceSharedAnswersConcurrent|TestServiceCacheHitByteIdentical' ./internal/service
 
@@ -78,11 +82,13 @@ cache-check:
 # stalled worker fills the per-tenant queue bound, concurrent tenants
 # all finish, and the weighted fair scheduler's unit tests. It then runs
 # the request-decoder benchmark (JSON and text bodies of a 96² and a 20³
-# instance) at a short -benchtime, so the decode path stays exercised
-# and its allocs/op are printed.
+# instance), the served cache-hit benchmark (a best and a GLL hit
+# through the daemon's handler, JSON on 96², text on 20³) and the result
+# encoder's at a short -benchtime, so those paths stay exercised and
+# their allocs/op are printed.
 serve-check:
 	$(GO) test -race -count=10 -run 'TestServiceWorkConserving|TestServiceBatchStallShedsExpired|TestServiceQueueBoundSheds|TestServiceConcurrentTenants|TestScheduler' ./internal/service
-	$(GO) test -run '^$$' -bench 'DecodeRequest' -benchmem -benchtime 100x ./internal/service
+	$(GO) test -run '^$$' -bench 'DecodeRequest|ServeHit|EncodeResult' -benchmem -benchtime 100x ./internal/service
 
 # bench-kernel is the quick placement-kernel tier: the PlaceLowest
 # micro-benchmarks (interval, streaming, and packed free-map paths, and

@@ -43,12 +43,23 @@ func (c Coloring) Interval(g Graph, v int) Interval {
 }
 
 // MaxColor returns maxcolor = max_v start(v)+w(v) over colored vertices.
-// An empty or fully-uncolored coloring has maxcolor 0.
+// An empty or fully-uncolored coloring has maxcolor 0. A Lattice's
+// weights are read from its slice, as UniformWeight reads them, with no
+// interface call per vertex; any other graph's go through Weight.
 func (c Coloring) MaxColor(g Graph) int64 {
 	var mc int64
-	for v := range c.Start {
-		if c.Colored(v) {
-			mc = max(mc, c.Start[v]+g.Weight(v))
+	if l, ok := g.(Lattice); ok {
+		w, _, _, _ := l.Lattice()
+		for v, s := range c.Start {
+			if s != Unset {
+				mc = max(mc, s+w[v])
+			}
+		}
+		return mc
+	}
+	for v, s := range c.Start {
+		if s != Unset {
+			mc = max(mc, s+g.Weight(v))
 		}
 	}
 	return mc

@@ -32,5 +32,8 @@
 // only writers, each keeping the total exact and refusing any weight set
 // whose total overflows int64, so every interval end a solver computes
 // fits. Weight and At read one weight, Lattice returns the slice for
-// reading, and Clone and Layer return independent copies.
+// reading, and Clone and Layer return independent copies. Digest, the
+// SHA-256 of a grid's extents and weights that result-cache keys are
+// built on, is computed once and kept until Set clears it; a grid from
+// a constructor, Read, Clone or Layer starts without one.
 package grid

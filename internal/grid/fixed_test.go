@@ -70,7 +70,9 @@ func TestRelaxedDegrees(t *testing.T) {
 // TestPlaceFixedMatchesGeneric: a kernel bound to a grid (the lattice
 // path of PlaceLowest) and one sharing that binding through BindAs
 // return the same start as the generic path, over random partial
-// colorings, every vertex and every skip argument.
+// colorings, every vertex and every skip argument. MaxColor's lattice
+// path agrees with its generic path on the same colorings, which hold
+// Unset starts and zero weights, and on every prefix of them.
 func TestPlaceFixedMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, g := range latticeShapes() {
@@ -81,6 +83,12 @@ func TestPlaceFixedMatchesGeneric(t *testing.T) {
 		for v := range c.Start {
 			if rng.Intn(3) > 0 {
 				c.Start[v] = rng.Int63n(15)
+			}
+		}
+		for n := range len(c.Start) + 1 {
+			short := core.Coloring{Start: c.Start[:n]}
+			if got, want := short.MaxColor(g), short.MaxColor(genericOnly{g}); got != want {
+				t.Fatalf("%v first %d starts: lattice MaxColor=%d generic=%d", g, n, got, want)
 			}
 		}
 		var fast, owner, shared, slow core.FitScratch

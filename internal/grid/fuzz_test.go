@@ -158,7 +158,7 @@ func referenceRead(r io.Reader) (*Grid2D, *Grid3D, error) {
 		y, err2 := strconv.Atoi(header[2])
 		z, err3 := strconv.Atoi(header[3])
 		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, nil, fmt.Errorf("grid: bad ivc3d dimensions")
+			return nil, nil, fmt.Errorf("grid: bad ivc3d dimensions %q %q %q", header[1], header[2], header[3])
 		}
 		n, err := cells3D(x, y, z)
 		if err != nil {

@@ -86,7 +86,7 @@ func Read(r io.Reader) (*Grid2D, *Grid3D, error) {
 			if dims == 2 {
 				return nil, nil, fmt.Errorf("grid: bad ivc2d dimensions %q %q", header[1], header[2])
 			}
-			return nil, nil, fmt.Errorf("grid: bad ivc3d dimensions")
+			return nil, nil, fmt.Errorf("grid: bad ivc3d dimensions %q %q %q", header[1], header[2], header[3])
 		}
 	}
 	var n int
@@ -106,11 +106,10 @@ func Read(r io.Reader) (*Grid2D, *Grid3D, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	l := lattice{ext[0], ext[1], ext[2], ws}
 	if dims == 2 {
-		return &Grid2D{l}, nil, nil
+		return &Grid2D{newLattice(ext[0], ext[1], 1, ws)}, nil, nil
 	}
-	return nil, &Grid3D{l}, nil
+	return nil, &Grid3D{newLattice(ext[0], ext[1], ext[2], ws)}, nil
 }
 
 // nextLine returns the next line holding a field, with its comment cut

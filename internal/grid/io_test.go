@@ -95,4 +95,13 @@ func TestReadErrors(t *testing.T) {
 			t.Errorf("case %d accepted: %q", i, in)
 		}
 	}
+	// A malformed header names its fields in either dimension.
+	for in, want := range map[string]string{
+		"ivc2d a 2\n":   `grid: bad ivc2d dimensions "a" "2"`,
+		"ivc3d a 2 2\n": `grid: bad ivc3d dimensions "a" "2" "2"`,
+	} {
+		if _, _, err := Read(strings.NewReader(in)); err == nil || err.Error() != want {
+			t.Errorf("Read(%q) = %v, want %s", in, err, want)
+		}
+	}
 }

@@ -7,13 +7,20 @@ import (
 )
 
 // lattice is the one implementation behind both grid types: the
-// extents of an x×y×z box of cells with x-fastest ids, (k*y+j)*x+i, and
-// its weight store. Grid2D embeds it with z = 1, Grid3D with any z, so
-// every method here serves the 9-pt stencil as the 27-pt stencil one
-// layer deep.
+// extents of an x×y×z box of cells with x-fastest ids, (k*y+j)*x+i, its
+// weight store and the digest kept over both. Grid2D embeds it with
+// z = 1, Grid3D with any z, so every method here serves the 9-pt
+// stencil as the 27-pt stencil one layer deep.
 type lattice struct {
 	x, y, z int
 	weightStore
+	digest keptDigest
+}
+
+// newLattice returns the lattice of extents x, y, z over ws, with no
+// digest kept yet.
+func newLattice(x, y, z int, ws weightStore) lattice {
+	return lattice{x: x, y: y, z: z, weightStore: ws}
 }
 
 // X returns the grid's extent along x.
@@ -33,7 +40,10 @@ func (l *lattice) Weight(v int) int64 { return l.w[v] }
 
 // Lattice returns the weight slice and the extents X, Y, Z, with Z = 1
 // for a 9-pt grid (core.Lattice). The slice is the grid's own storage
-// and is read-only; Set is the one way to change a weight.
+// and is read-only; Set is the one way to change a weight. Result-cache
+// soundness rests on that: a write through the slice would leave the
+// kept Digest, and so every cache key of the grid, describing weights
+// the grid no longer has.
 func (l *lattice) Lattice() ([]int64, int, int, int) { return l.w, l.x, l.y, l.z }
 
 // id returns the vertex id of cell (i,j,k). A cell outside the grid

@@ -1,6 +1,8 @@
 package grid
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -113,5 +115,26 @@ func TestCellOutsideGridPanics(t *testing.T) {
 	}
 	if !slices.Equal(g3.w, w3) || g3.total != 78 {
 		t.Errorf("Grid3D changed to %v, total %d", g3.w, g3.total)
+	}
+}
+
+// TestDigestNativeMatchesEncoded holds Digest's fast path, one Write
+// of the weight slice's own bytes on a little-endian host, to the
+// portable loop that encodes 512 weights at a time: the same hash state
+// for weight counts below, at and across the loop's chunk, over random
+// values of either sign.
+func TestDigestNativeMatchesEncoded(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for _, n := range []int{0, 1, 7, 511, 512, 513, 1200, 4096} {
+		w := make([]int64, n)
+		for i := range w {
+			w[i] = rng.Int63() - rng.Int63()
+		}
+		native, encoded := sha256.New(), sha256.New()
+		writeWeights(native, w)
+		encodeWeights(encoded, w)
+		if a, b := native.Sum(nil), encoded.Sum(nil); !bytes.Equal(a, b) {
+			t.Errorf("%d weights: native %x, encoded %x", n, a, b)
+		}
 	}
 }

@@ -8,11 +8,14 @@
 //
 // The architecture is a hash-keyed index in front of blob storage:
 //
-//   - Fingerprint computes the content address: SHA-256 over the
-//     algorithm descriptor plus a canonical, domain-separated encoding
-//     of the instance (stencil kind + dims + a streaming weight digest
-//     for grids; the full sorted CSR walk for general graphs). No
-//     serialized copy of the instance is ever materialized.
+//   - Fingerprint computes the content address, a two-level key:
+//     SHA-256 over the format version, the algorithm name, the
+//     instance's kind tag and the instance's own digest. A grid's digest
+//     (dims plus weights) is computed once and kept on the grid until
+//     Set clears it, so the members of a portfolio share one pass over
+//     the weights; a CSR or generic graph is digested by its full
+//     sorted walk on every call. No serialized copy of the instance is
+//     ever materialized.
 //   - Cache is one byte-budget LRU over decoded entries under one lock,
 //     holding any entry up to its budget and implementing
 //     core.SolveCache so heuristics.Run can consult it through

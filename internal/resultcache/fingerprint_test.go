@@ -108,9 +108,9 @@ func TestFingerprintCanonicalization(t *testing.T) {
 	}
 }
 
-// TestFingerprintTracksMutation pins the digest-on-read rule: a grid
-// changed in place through Set must change its fingerprint (nothing
-// stale is cached on the instance).
+// TestFingerprintTracksMutation pins the kept digest's one rule: a grid
+// changed in place through Set must change its fingerprint (Set clears
+// the digest the first Fingerprint kept on the grid).
 func TestFingerprintTracksMutation(t *testing.T) {
 	g := grid2x3(t, []int64{1, 2, 3, 4, 5, 6})
 	before := Fingerprint("GLL", g)
@@ -150,7 +150,8 @@ func TestFingerprintLargeGridStreams(t *testing.T) {
 // addresses persisted entries by these keys, so a change to the
 // canonical encoding — or to how it is streamed into the hash — that
 // moved them would silently orphan every entry on disk. The 2D grid's
-// weights span several digester buffers; the 3D grid ends mid-buffer.
+// weights span several chunks of the grid digest's portable loop; the
+// 3D grid ends mid-chunk.
 func TestFingerprintGoldenKeys(t *testing.T) {
 	weights := func(n int) []int64 {
 		w := make([]int64, n)
@@ -174,9 +175,9 @@ func TestFingerprintGoldenKeys(t *testing.T) {
 		key  core.CacheKey
 		want string
 	}{
-		{"grid2d 40x30", Fingerprint("GLL", g2), "d505b4510a3b4e43c84f5d5d5f74cb99acb4070f98305364a2dbb8d05d279826"},
-		{"grid3d 9x8x7", Fingerprint("BDP", g3), "b2ae482cbf0d405901ae4686991923abf1fdbc8862ff662cd536c0a5ede010e2"},
-		{"csr 2x3", Fingerprint("GLF", csr), "5079ee69959bbbcecdb274007c6d17e5bbfc1bd46d95b25398bd36e73f3138d3"},
+		{"grid2d 40x30", Fingerprint("GLL", g2), "0d4a6de76cb87606a612ac7636c5b97b5abf2f825338a0b3aed6c5822fd8e739"},
+		{"grid3d 9x8x7", Fingerprint("BDP", g3), "831fca3c5d4e6a2430573c89c3ccfd1a74d117d4a107c052c93b9d8fdc174cd2"},
+		{"csr 2x3", Fingerprint("GLF", csr), "4853d17ed2ffd16e0e174c7292f18c4bc9cdc4e9ca46fb484f1770ea297987d4"},
 	} {
 		if got := tc.key.String(); got != tc.want {
 			t.Errorf("%s: key %s, want %s", tc.name, got, tc.want)

@@ -16,10 +16,11 @@ import (
 	"stencilivc/internal/grid"
 )
 
-// requestBody encodes a POST /solve body for an x×y(×z) instance with
-// seeded weights 1–9, in the ivc text form when text is set and the
-// structured form otherwise, as a client's json.Marshal writes it.
-func requestBody(tb testing.TB, x, y, z int, text bool) []byte {
+// requestBody encodes a POST /solve body asking alg for an x×y(×z)
+// instance with seeded weights 1–9, in the ivc text form when text is
+// set and the structured form otherwise, as a client's json.Marshal
+// writes it.
+func requestBody(tb testing.TB, alg string, x, y, z int, text bool) []byte {
 	tb.Helper()
 	n := x * y * max(z, 1)
 	rng := rand.New(rand.NewSource(int64(n)))
@@ -27,7 +28,7 @@ func requestBody(tb testing.TB, x, y, z int, text bool) []byte {
 	for i := range w {
 		w[i] = rng.Int63n(9) + 1
 	}
-	req := Request{Tenant: "bench", Alg: "GLL"}
+	req := Request{Tenant: "bench", Alg: alg}
 	switch {
 	case !text:
 		req.X, req.Y, req.Z, req.Weights = x, y, z, w
@@ -88,7 +89,7 @@ func TestDecodeRequestAllocs(t *testing.T) {
 	for _, text := range []bool{false, true} {
 		var allocs [2]float64
 		for k, n := range []int{32, 128} {
-			body := requestBody(t, n, n, 0, text)
+			body := requestBody(t, "GLL", n, n, 0, text)
 			r := bytes.NewReader(body)
 			allocs[k] = testing.AllocsPerRun(20, func() {
 				r.Reset(body)
@@ -171,7 +172,7 @@ func BenchmarkDecodeRequest(b *testing.B) {
 				name += fmt.Sprintf("x%d", dims[2])
 			}
 			b.Run(name, func(b *testing.B) {
-				body := requestBody(b, dims[0], dims[1], dims[2], text)
+				body := requestBody(b, "GLL", dims[0], dims[1], dims[2], text)
 				r := bytes.NewReader(body)
 				b.SetBytes(int64(len(body)))
 				b.ReportAllocs()

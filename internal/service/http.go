@@ -60,7 +60,10 @@ func writeResult(w http.ResponseWriter, status int, res Result) {
 // SetIndent("", "  ") does, trailing newline included. encoding/json
 // renders every other field, one line each, so escaping and float
 // formatting stay its own; the starts array is spliced in after the
-// last of the fields declared before it, one element per line, with
+// last of the fields declared before it, one element per line. The
+// buffer is allocated once, at its exact size. A start in 0–99, most of
+// a coloring's, is written as its whole line from smallLines, one
+// capacity check and one 8-byte store; any other start goes through
 // strconv.AppendInt.
 func encodeResult(res Result) ([]byte, error) {
 	starts := res.Starts
@@ -85,28 +88,69 @@ func encodeResult(res Result) ([]byte, error) {
 		at = cut + 1
 	}
 	more := js[cut-1] == ',' // a field follows starts
-	// A done job's starts have at most as many digits as its maxcolor,
-	// and each line adds an indent, a comma and a newline.
-	var digits [20]byte
-	b := make([]byte, 0, len(js)+len(starts)*(len(strconv.AppendInt(digits[:0], res.MaxColor, 10))+6))
+	const open, end = "\n  \"starts\": [\n", "  ]"
+	// One comma is added, after starts or before them, and the last
+	// start's is dropped.
+	size := len(js) + len(open) + len(end)
+	for _, v := range starts {
+		size += lineLen(v)
+	}
+	b := make([]byte, 0, size)
 	b = append(b, js[:cut]...)
 	if !more {
 		b = append(b, ',')
 	}
-	b = append(b, "\n  \"starts\": [\n"...)
-	for i, v := range starts {
+	b = append(b, open...)
+	for _, v := range starts {
+		if n := len(b); uint64(v) < uint64(len(smallLines)) && cap(b)-n >= 8 {
+			l := &smallLines[v]
+			b = b[:n+8]
+			*(*[8]byte)(b[n:]) = l.b
+			b = b[:n+l.n]
+			continue
+		}
 		b = append(b, "    "...)
 		b = strconv.AppendInt(b, v, 10)
-		if i < len(starts)-1 {
-			b = append(b, ',')
-		}
-		b = append(b, '\n')
+		b = append(b, ",\n"...)
 	}
-	b = append(b, "  ]"...)
+	// The last start takes no comma.
+	b[len(b)-2] = '\n'
+	b = append(b[:len(b)-1], end...)
 	if more {
 		b = append(b, ',')
 	}
 	return append(b, js[cut:]...), nil
+}
+
+// smallLine is the line of a start below 100, comma included: n bytes,
+// padded to 8 so that it is written with one store.
+type smallLine struct {
+	b [8]byte
+	n int
+}
+
+// smallLines holds the line of each start below 100.
+var smallLines = func() (lines [100]smallLine) {
+	for v := range lines {
+		lines[v].n = copy(lines[v].b[:], "    "+strconv.Itoa(v)+",\n")
+	}
+	return lines
+}()
+
+// lineLen returns the length of start v's line, comma included: the
+// indent, its decimal digits and sign, the comma and the newline.
+func lineLen(v int64) int {
+	if uint64(v) < uint64(len(smallLines)) {
+		return smallLines[v].n
+	}
+	n, u := 7, uint64(v)
+	if v < 0 {
+		n, u = n+1, -u
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
 }
 
 // headField reports whether key names a Result field declared before
