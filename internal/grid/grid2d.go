@@ -29,7 +29,7 @@ func NewGrid2D(x, y int) (*Grid2D, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Grid2D{newLattice(x, y, 1, weightStore{w: make([]int64, cells)})}, nil
+	return &Grid2D{lattice{x: x, y: y, z: 1, weightStore: weightStore{w: make([]int64, cells)}}}, nil
 }
 
 // cells2D validates 2D dimensions and returns the cell count X*Y
@@ -92,7 +92,7 @@ func FromWeights2D(x, y int, weights []int64) (*Grid2D, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Grid2D{newLattice(x, y, 1, ws)}, nil
+	return &Grid2D{lattice{x: x, y: y, z: 1, weightStore: ws}}, nil
 }
 
 // Dims returns 2.
@@ -144,7 +144,7 @@ func (f FivePt) Degree(v int) int { return f.G.axisDegree(v) }
 
 // Clone returns a deep copy of the grid.
 func (g *Grid2D) Clone() *Grid2D {
-	return &Grid2D{newLattice(g.x, g.y, 1, g.clone())}
+	return &Grid2D{lattice{x: g.x, y: g.y, z: 1, weightStore: g.clone()}}
 }
 
 // String summarizes the grid's shape and total weight.

@@ -25,7 +25,7 @@ func NewGrid3D(x, y, z int) (*Grid3D, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Grid3D{newLattice(x, y, z, weightStore{w: make([]int64, cells)})}, nil
+	return &Grid3D{lattice{x: x, y: y, z: z, weightStore: weightStore{w: make([]int64, cells)}}}, nil
 }
 
 // cells3D validates 3D dimensions and returns the cell count X*Y*Z
@@ -67,7 +67,7 @@ func FromWeights3D(x, y, z int, weights []int64) (*Grid3D, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Grid3D{newLattice(x, y, z, ws)}, nil
+	return &Grid3D{lattice{x: x, y: y, z: z, weightStore: ws}}, nil
 }
 
 // Dims returns 3.
@@ -121,12 +121,12 @@ func (g *Grid3D) Layer(k int) *Grid2D {
 	n := g.x * g.y
 	// A layer of a checked store passes the same checks.
 	ws, _ := copyWeights(n, g.w[k*n:(k+1)*n])
-	return &Grid2D{newLattice(g.x, g.y, 1, ws)}
+	return &Grid2D{lattice{x: g.x, y: g.y, z: 1, weightStore: ws}}
 }
 
 // Clone returns a deep copy of the grid.
 func (g *Grid3D) Clone() *Grid3D {
-	return &Grid3D{newLattice(g.x, g.y, g.z, g.clone())}
+	return &Grid3D{lattice{x: g.x, y: g.y, z: g.z, weightStore: g.clone()}}
 }
 
 // String summarizes the grid's shape and total weight.

@@ -107,9 +107,9 @@ func Read(r io.Reader) (*Grid2D, *Grid3D, error) {
 		return nil, nil, err
 	}
 	if dims == 2 {
-		return &Grid2D{newLattice(ext[0], ext[1], 1, ws)}, nil, nil
+		return &Grid2D{lattice{x: ext[0], y: ext[1], z: 1, weightStore: ws}}, nil, nil
 	}
-	return nil, &Grid3D{newLattice(ext[0], ext[1], ext[2], ws)}, nil
+	return nil, &Grid3D{lattice{x: ext[0], y: ext[1], z: ext[2], weightStore: ws}}, nil
 }
 
 // nextLine returns the next line holding a field, with its comment cut

@@ -17,12 +17,6 @@ type lattice struct {
 	digest keptDigest
 }
 
-// newLattice returns the lattice of extents x, y, z over ws, with no
-// digest kept yet.
-func newLattice(x, y, z int, ws weightStore) lattice {
-	return lattice{x: x, y: y, z: z, weightStore: ws}
-}
-
 // X returns the grid's extent along x.
 func (l *lattice) X() int { return l.x }
 

@@ -61,10 +61,11 @@ func writeResult(w http.ResponseWriter, status int, res Result) {
 // renders every other field, one line each, so escaping and float
 // formatting stay its own; the starts array is spliced in after the
 // last of the fields declared before it, one element per line. The
-// buffer is allocated once, at its exact size. A start in 0–99, most of
-// a coloring's, is written as its whole line from smallLines, one
-// capacity check and one 8-byte store; any other start goes through
-// strconv.AppendInt.
+// buffer is sized once from maxcolor's digit count, which bounds a done
+// job's starts. A start in 0–99 (all but about 3 in a million of the
+// starts perfbench's serve-hit and serve-miss responses carry) is
+// written as its whole line from smallLines, one capacity check and one
+// 8-byte store; any other start goes through strconv.AppendInt.
 func encodeResult(res Result) ([]byte, error) {
 	starts := res.Starts
 	res.Starts = nil
@@ -89,13 +90,11 @@ func encodeResult(res Result) ([]byte, error) {
 	}
 	more := js[cut-1] == ',' // a field follows starts
 	const open, end = "\n  \"starts\": [\n", "  ]"
-	// One comma is added, after starts or before them, and the last
-	// start's is dropped.
-	size := len(js) + len(open) + len(end)
-	for _, v := range starts {
-		size += lineLen(v)
-	}
-	b := make([]byte, 0, size)
+	// A done job's starts have at most as many digits as its maxcolor,
+	// and each line adds an indent, a comma and a newline.
+	var digits [20]byte
+	line := len(strconv.AppendInt(digits[:0], res.MaxColor, 10)) + 6
+	b := make([]byte, 0, len(js)+len(open)+len(end)+len(starts)*line)
 	b = append(b, js[:cut]...)
 	if !more {
 		b = append(b, ',')
@@ -136,22 +135,6 @@ var smallLines = func() (lines [100]smallLine) {
 	}
 	return lines
 }()
-
-// lineLen returns the length of start v's line, comma included: the
-// indent, its decimal digits and sign, the comma and the newline.
-func lineLen(v int64) int {
-	if uint64(v) < uint64(len(smallLines)) {
-		return smallLines[v].n
-	}
-	n, u := 7, uint64(v)
-	if v < 0 {
-		n, u = n+1, -u
-	}
-	for ; u >= 10; u /= 10 {
-		n++
-	}
-	return n
-}
 
 // headField reports whether key names a Result field declared before
 // Starts, and so encoded ahead of it.
