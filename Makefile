@@ -91,9 +91,11 @@ serve-check:
 	$(GO) test -run '^$$' -bench 'DecodeRequest|ServeHit|EncodeResult' -benchmem -benchtime 100x ./internal/service
 
 # bench-kernel is the quick placement-kernel tier: the PlaceLowest
-# micro-benchmarks (interval, streaming, and packed free-map paths, and
-# the Metrics rows that flush into a metrics bundle as the daemon does —
-# allocs/op must print 0) and the work-stealing scheduler scaling sweep.
+# micro-benchmarks (the uniform slot map, the colour map on full and
+# line-order neighborhoods, the streaming-scan fallback on the Heavy
+# rows, and the Metrics rows that flush into a metrics bundle as the
+# daemon does — allocs/op must print 0) and the work-stealing scheduler
+# scaling sweep.
 # Short -benchtime keeps it CI-cheap; the committed numbers come from
 # `make bench` (cmd/ivcbench), this tier just proves the benchmarks run
 # and the hot paths still execute allocation-free.

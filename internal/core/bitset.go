@@ -2,11 +2,14 @@ package core
 
 import "math/bits"
 
-// This file holds the pieces of the v2 placement rungs (PR 7): the
-// packed free map that FitScratch fills for uniform-weight instances and
-// the sort-free streaming min-gap scan for general weights. Both produce
-// bit-identical results to the sort+scan kernel of LowestFit — the v1
-// kernel stays as the long-list rung and the cross-check reference.
+// This file holds the bitmap and streaming rungs of the placement
+// kernel's ladder: uniform slot map → colour map → streaming scan →
+// sort. FitScratch fills the packed free map for uniform-weight
+// instances; for mixed weights it marks each neighbor's colors in the
+// same four-word map read as a colour map, and an occupancy that ends
+// past the map takes the sort-free streaming min-gap scan. All of them
+// produce bit-identical results to the sort+scan kernel of LowestFit —
+// that kernel stays as the long-list rung and the cross-check reference.
 //
 // The uniform-weight degeneracy (cf. the classic-coloring equivalence
 // for common weight w): every start a greedy placement can produce is a
@@ -15,6 +18,11 @@ import "math/bits"
 // Interval placement therefore degenerates to slot coloring — occupancy
 // is a <=26-bit mask over slots start/w, and first-fit is one
 // bits.TrailingZeros64 over the complement of the mask.
+//
+// The colour map is the same map with slots one color wide: the lowest
+// fit is a function of the set of occupied colors, so ORing each
+// interval into the map and finding the first run of w clear bits gives
+// LowestFit's answer in one pass over the list, whatever its order.
 
 // UniformWeighter is implemented by graphs that can report whether all
 // their vertex weights share one common positive value — the verdict
@@ -82,14 +90,16 @@ func ScanUniformWeight(g Graph) (int64, bool) {
 // The packed free-map covers freeMapWords*64 slots. One word is enough
 // for the stencils (first-fit over d <= 26 occupied slots always lands
 // in slot <= 26), but general graphs route through the same kernel, so
-// the map spills across multiple words for colors beyond 64*w.
+// the map spills across multiple words for colors beyond 64*w. Read as
+// a colour map it covers colors 0..freeMapSlots-1.
 const (
 	freeMapWords = 4
 	freeMapSlots = freeMapWords * 64
 )
 
 // freeMap is the packed slot-occupancy bitmap of the uniform-weight
-// fast path: bit s of word s/64 marks slot [s*w, (s+1)*w) occupied.
+// fast path: bit s of word s/64 marks slot [s*w, (s+1)*w) occupied. The
+// colour rung uses it with w = 1, one bit per color.
 type freeMap [freeMapWords]uint64
 
 // set marks slot s occupied. Slots beyond the map are ignored, which is
@@ -111,6 +121,108 @@ func (f *freeMap) firstFree() int64 {
 		}
 	}
 	return freeMapSlots
+}
+
+// fill marks colors [lo, hi) occupied, for 0 <= lo < hi <= freeMapSlots:
+// a partial first word, full middle words and a partial last word.
+func (f *freeMap) fill(lo, hi int64) {
+	i, j := lo>>6, (hi-1)>>6
+	first := ^uint64(0) << uint(lo&63)
+	last := ^uint64(0) >> uint(63-(hi-1)&63)
+	if i == j {
+		f[i] |= first & last
+		return
+	}
+	f[i] |= first
+	for k := i + 1; k < j; k++ {
+		f[k] = ^uint64(0)
+	}
+	f[j] |= last
+}
+
+// firstRun returns the lowest color c such that no color of [c, c+w) is
+// marked; every color past the map is clear, so w may exceed it. It
+// alternates two word scans, one mask or complement plus
+// bits.TrailingZeros64 per word: from the candidate c to the next
+// marked color p, which answers when p-c >= w or no color from c on is
+// marked, and from p to the next clear color, the next candidate.
+func (f *freeMap) firstRun(w int64) int64 {
+	var c int64
+	for {
+		i := c >> 6
+		word := f[i] &^ (1<<uint(c&63) - 1)
+		for word == 0 {
+			if i++; i == freeMapWords {
+				return c
+			}
+			word = f[i]
+		}
+		p := i<<6 + int64(bits.TrailingZeros64(word))
+		if p-c >= w {
+			return c
+		}
+		word = ^f[i] &^ (1<<uint(p&63) - 1)
+		for word == 0 {
+			if i++; i == freeMapWords {
+				return freeMapSlots
+			}
+			word = ^f[i]
+		}
+		c = i<<6 + int64(bits.TrailingZeros64(word))
+	}
+}
+
+// firstRunWord is firstRun on a map whose marked colors all lie below
+// 64, in x: the same two scans, on one word held in a register.
+func firstRunWord(x uint64, w int64) int64 {
+	var c int64
+	for {
+		m := x >> uint(c)
+		if m == 0 {
+			return c
+		}
+		gap := int64(bits.TrailingZeros64(m))
+		if gap >= w {
+			return c
+		}
+		c += gap
+		c += int64(bits.TrailingZeros64(^(x >> uint(c))))
+	}
+}
+
+// fitColors is the colour rung of FitScratch.Fit: one pass marks every
+// interval of occ in a colour map (intervals are clipped below at 0,
+// empty ones skipped), and the lowest fit of width w is the map's first
+// run of w clear colors. Colors below 64 are marked in a register word,
+// and the map's words are filled only once an interval ends past 64. It
+// reports false at the first interval that ends past freeMapSlots, the
+// map's reach; the caller then takes LowestFitStream, which gives the
+// same answer on any list.
+func fitColors(occ []Interval, w int64) (int64, bool) {
+	if w <= 0 {
+		return 0, true
+	}
+	var low uint64
+	var f freeMap
+	wide := false
+	for _, iv := range occ {
+		lo := max(iv.Start, 0)
+		switch {
+		case iv.End <= lo:
+		case iv.End <= 64:
+			low |= (1<<uint(iv.End) - 1) &^ (1<<uint(lo) - 1)
+		case iv.End <= freeMapSlots:
+			f.fill(lo, iv.End)
+			wide = true
+		default:
+			return 0, false
+		}
+	}
+	if !wide {
+		return firstRunWord(low, w), true
+	}
+	f[0] |= low
+	return f.firstRun(w), true
 }
 
 // slotOf converts a uniform-weight start to its slot index, reporting
@@ -139,10 +251,11 @@ func slotOf(start, w int64) (int64, bool) {
 // Unlike LowestFit it never mutates occ and moves no data, trading the
 // insertion sort's O(d^2/4) writes for a few branch-lean read-only
 // passes; on the <=26-entry lists stencils produce it is measurably
-// faster (see BenchmarkPlaceLowest and DESIGN.md section 14). Worst
-// case (occupancy sorted by strictly descending start) is O(d^2)
-// compares, so callers with large general-graph lists should prefer the
-// sorting kernel; FitScratch dispatches on length.
+// faster than the sort (see BenchmarkPlaceLowest and DESIGN.md section
+// 14). Worst case (occupancy sorted by strictly descending start) is
+// O(d^2) compares, so callers with large general-graph lists should
+// prefer the sorting kernel. FitScratch takes it for a short list whose
+// occupancy ends past the colour map.
 func LowestFitStream(occ []Interval, w int64) int64 {
 	if w <= 0 {
 		return 0

@@ -157,20 +157,110 @@ func TestLowestFitUniformRefusals(t *testing.T) {
 	}
 }
 
-// TestKernelsAgreeRandom hammers the three rungs against the brute
-// reference on random occupancies, both general and uniform-shaped.
+// inColorMap reports whether the colour map must answer occ: every
+// interval that holds a non-negative color ends by freeMapSlots.
+func inColorMap(occ []Interval) bool {
+	for _, iv := range occ {
+		if iv.End > max(iv.Start, 0) && iv.End > freeMapSlots {
+			return false
+		}
+	}
+	return true
+}
+
+// kernelFit runs the kernel's interval-rung dispatch, FitScratch.Fit, on
+// a copy of occ for a vertex of weight w.
+func kernelFit(occ []Interval, w int64) int64 {
+	var s FitScratch
+	s.Bind(MustCSRGraph([]int64{w}, nil))
+	return s.Fit(append([]Interval{}, occ...), 0)
+}
+
+// TestFitColorsEdges pins the colour map at its word boundaries, at its
+// 256-color reach, where it must hand the list to the streaming scan,
+// and on the intervals it skips or clips; every rung and the kernel's
+// dispatch must agree with the reference on each case.
+func TestFitColorsEdges(t *testing.T) {
+	cases := []struct {
+		name  string
+		occ   []Interval
+		w     int64
+		want  int64
+		inMap bool
+	}{
+		{"ends at 63", []Interval{{0, 63}}, 1, 63, true},
+		{"ends at 64", []Interval{{0, 64}}, 1, 64, true},
+		{"ends at 65", []Interval{{0, 65}}, 1, 65, true},
+		{"gap below a word edge", []Interval{{0, 60}, {64, 70}}, 4, 60, true},
+		{"gap across a word edge", []Interval{{0, 62}, {66, 80}}, 4, 62, true},
+		{"gap one short", []Interval{{0, 62}, {66, 80}}, 5, 80, true},
+		{"ends at 127", []Interval{{10, 127}}, 11, 127, true},
+		{"ends at 128", []Interval{{0, 128}}, 1, 128, true},
+		{"ends at 255", []Interval{{0, 255}}, 1, 255, true},
+		{"ends at 256", []Interval{{0, 256}}, 1, 256, true},
+		{"ends at 257", []Interval{{0, 257}}, 1, 257, false},
+		{"starts at 256", []Interval{{256, 260}}, 256, 0, false},
+		{"starts at 256, w past it", []Interval{{256, 260}}, 257, 260, false},
+		{"register and map words meet", []Interval{{0, 30}, {40, 100}}, 11, 100, true},
+		{"spans three words", []Interval{{50, 150}}, 51, 150, true},
+		{"three-word gap fits", []Interval{{0, 10}, {150, 200}}, 140, 10, true},
+		{"spans four words", []Interval{{1, 255}}, 2, 255, true},
+		{"w past 64", []Interval{{0, 10}, {80, 90}}, 71, 90, true},
+		{"w past 256", []Interval{{0, 10}, {20, 30}}, 300, 30, true},
+		{"past the map stops the pass", []Interval{{0, 10}, {250, 300}, {10, 20}}, 5, 20, false},
+		{"zero-width intervals", []Interval{{5, 5}, {0, 3}, {300, 300}}, 2, 3, true},
+		{"zero-width at 256", []Interval{{256, 256}, {0, 4}}, 1, 4, true},
+		{"inverted interval", []Interval{{10, 4}}, 5, 0, true},
+		{"negative start", []Interval{{-5, 3}}, 1, 3, true},
+		{"w = 0", []Interval{{0, 10}}, 0, 0, true},
+		{"w = 0 past the map", []Interval{{0, 300}}, 0, 0, true},
+		{"no intervals", nil, 300, 0, true},
+	}
+	for _, tc := range cases {
+		if ref := bruteLowestFit(tc.occ, tc.w); ref != tc.want {
+			t.Fatalf("%s: the case expects %d, the reference says %d", tc.name, tc.want, ref)
+		}
+		if got, ok := fitColors(tc.occ, tc.w); ok != tc.inMap || ok && got != tc.want {
+			t.Errorf("%s: fitColors = (%d, %v), want (%d, %v)", tc.name, got, ok, tc.want, tc.inMap)
+		}
+		if got := LowestFitStream(tc.occ, tc.w); got != tc.want {
+			t.Errorf("%s: LowestFitStream = %d, want %d", tc.name, got, tc.want)
+		}
+		if got := LowestFit(append([]Interval{}, tc.occ...), tc.w); got != tc.want {
+			t.Errorf("%s: LowestFit = %d, want %d", tc.name, got, tc.want)
+		}
+		if got := kernelFit(tc.occ, tc.w); got != tc.want {
+			t.Errorf("%s: FitScratch.Fit = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestKernelsAgreeRandom hammers the rungs and the kernel's dispatch
+// against the brute reference on random occupancies, both general and
+// uniform-shaped. Trials cycle through three shapes: ends in the colour
+// map's first word; ends across all four words, now and then past the
+// map; and starts up to 300 with widths and w up to 299, mostly past
+// it. Lists run to 40 intervals, past the sort rung's threshold.
 func TestKernelsAgreeRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	shapes := [...]struct{ start, width, w int }{{50, 6, 7}, {190, 70, 70}, {301, 300, 300}}
 	for trial := 0; trial < 5000; trial++ {
-		n := rng.Intn(27)
-		w := int64(rng.Intn(7))
+		sh := shapes[trial%len(shapes)]
+		n := rng.Intn(41)
+		w := int64(rng.Intn(sh.w))
 		occ := make([]Interval, n)
 		for i := range occ {
-			occ[i] = NewInterval(int64(rng.Intn(50)), int64(rng.Intn(6)))
+			occ[i] = NewInterval(int64(rng.Intn(sh.start)), int64(rng.Intn(sh.width)))
 		}
 		want := bruteLowestFit(occ, w)
 		if got := LowestFitStream(occ, w); got != want {
 			t.Fatalf("trial %d: LowestFitStream(%v, %d) = %d, want %d", trial, occ, w, got, want)
+		}
+		if got, ok := fitColors(occ, w); ok != (w <= 0 || inColorMap(occ)) || ok && got != want {
+			t.Fatalf("trial %d: fitColors(%v, %d) = (%d, %v), want %d", trial, occ, w, got, ok, want)
+		}
+		if got := kernelFit(occ, w); got != want {
+			t.Fatalf("trial %d: FitScratch.Fit(%v, %d) = %d, want %d", trial, occ, w, got, want)
 		}
 		if got := LowestFit(append([]Interval{}, occ...), w); got != want {
 			t.Fatalf("trial %d: LowestFit(%v, %d) = %d, want %d", trial, occ, w, got, want)
@@ -204,14 +294,20 @@ func TestLowestFitStreamDescending(t *testing.T) {
 	}
 }
 
-// TestV2KernelsNoAllocs pins the zero-allocation contract of both v2
-// rungs.
+// TestV2KernelsNoAllocs pins the zero-allocation contract of the
+// streaming scan, the colour map and the uniform rung.
 func TestV2KernelsNoAllocs(t *testing.T) {
 	occ := []Interval{{Start: 4, End: 6}, {Start: 0, End: 2}, {Start: 8, End: 10}}
 	if n := testing.AllocsPerRun(100, func() {
 		LowestFitStream(occ, 2)
 	}); n != 0 {
 		t.Errorf("LowestFitStream allocates %v/op, want 0", n)
+	}
+	wide := []Interval{{Start: 0, End: 60}, {Start: 70, End: 200}, {Start: 100, End: 256}}
+	if n := testing.AllocsPerRun(100, func() {
+		fitColors(wide, 9)
+	}); n != 0 {
+		t.Errorf("the colour map allocates %v/op, want 0", n)
 	}
 	s, c := uniformStar(occ, 2)
 	if n := testing.AllocsPerRun(100, func() {

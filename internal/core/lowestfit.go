@@ -70,8 +70,9 @@ const occTallyLen = 33
 // vertices through: the greedy engine, the block sweeps, BD's
 // recoloring pass, the tile workers of the parallel solver,
 // order.Repair and the exact search. It owns the one gather loop over
-// a vertex's colored neighbors, the one dispatch ladder (packed free
-// map when all weights are equal, then the streaming scan, then the
+// a vertex's colored neighbors, the one dispatch ladder (the uniform
+// slot map when all weights are equal, then the colour map for
+// occupancies that end by color 256, then the streaming scan, then the
 // sort for long general-graph lists), and per-solve tallies of the
 // work done, which Flush hands to the stats sink and metrics bundle
 // once per solve.
@@ -251,14 +252,20 @@ func (s *FitScratch) Gather(occ []Interval, c Coloring, nb []int) []Interval {
 
 // Fit is the second half of Place's interval rung: it tallies one
 // placement of v against occ and returns the lowest start whose
-// interval avoids all of occ, scanning short lists and sorting long
-// ones (which it may reorder).
+// interval avoids all of occ. A list of at most smallSortMax intervals
+// is marked in a 256-color map and answered from it, or, when one of
+// its intervals ends past the map, by the streaming scan; a longer list
+// is sorted (Fit may reorder it).
 func (s *FitScratch) Fit(occ []Interval, v int) int64 {
 	s.tally(len(occ))
-	if len(occ) <= smallSortMax {
-		return LowestFitStream(occ, s.w[v])
+	w := s.w[v]
+	if len(occ) > smallSortMax {
+		return LowestFit(occ, w)
 	}
-	return LowestFit(occ, s.w[v])
+	if start, ok := fitColors(occ, w); ok {
+		return start
+	}
+	return LowestFitStream(occ, w)
 }
 
 // placeSlots is the uniform-weight rung of Place: each colored

@@ -149,24 +149,39 @@ func TestPlaceLowestNoAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkPlaceLowest measures the steady-state placement kernel on
-// fully colored interior neighborhoods (the hot case of every greedy
-// solver). The acceptance bar for PR 2 is 0 allocs/op. Each sweep over
-// the grid, and the run, ends with a flush of the kernel's tallies, as
-// a solve does; the Metrics rows flush into a metrics bundle, the
-// daemon's configuration.
+// BenchmarkPlaceLowest measures the steady-state placement kernel. The
+// 9pt, 27pt, Unit, Bitset and Metrics rows place against fully colored
+// neighborhoods (8 or 26 intervals, all below color 256 on the mixed
+// rows); the Line rows run a line-order greedy, where only the vertices
+// before v are colored (at most 4 or 13 intervals), and the Heavy rows
+// the same greedy with weights 60–99, whose neighborhoods mostly end
+// past the colour map and take the streaming scan. Every row must read
+// 0 allocs/op. Each sweep over the grid, and the run, ends with a flush
+// of the kernel's tallies, as a solve does; the Metrics rows flush into
+// a metrics bundle, the daemon's configuration.
 func BenchmarkPlaceLowest(b *testing.B) {
-	sweep := func(b *testing.B, g Stencil, c core.Coloring, opts *core.SolveOptions) {
+	// sweep places the vertices in id order. With greedy set it writes
+	// each start into c and clears c after every sweep, so the run is a
+	// line-order greedy solve repeated.
+	sweep := func(b *testing.B, g Stencil, c core.Coloring, opts *core.SolveOptions, greedy bool) {
 		var s core.FitScratch
 		b.ReportAllocs()
 		b.ResetTimer()
 		v := 0
 		for i := 0; i < b.N; i++ {
-			s.PlaceLowest(g, c, v, -1)
+			start := s.PlaceLowest(g, c, v, -1)
+			if greedy {
+				c.Start[v] = start
+			}
 			v++
 			if v == g.Len() {
 				v = 0
 				s.Flush(opts)
+				if greedy {
+					for u := range c.Start {
+						c.Start[u] = core.Unset
+					}
+				}
 			}
 		}
 		s.Flush(opts)
@@ -180,7 +195,15 @@ func BenchmarkPlaceLowest(b *testing.B) {
 		for v := range c.Start {
 			c.Start[v] = rng.Int63n(60)
 		}
-		sweep(b, g, c, opts)
+		sweep(b, g, c, opts, false)
+	}
+	// line runs the line-order greedy with weights lo..hi.
+	line := func(b *testing.B, g Stencil, lo, hi int64) {
+		rng := rand.New(rand.NewSource(1))
+		for v := range g.Len() {
+			setWeight(g, v, lo+rng.Int63n(hi-lo+1))
+		}
+		sweep(b, g, core.NewColoring(g.Len()), nil, true)
 	}
 	// Uniform-weight variants route through the packed free-map kernel
 	// (weight 1 is the classic-coloring degenerate case, weight 5 a
@@ -194,7 +217,7 @@ func BenchmarkPlaceLowest(b *testing.B) {
 		for v := range c.Start {
 			c.Start[v] = rng.Int63n(12) * wv
 		}
-		sweep(b, g, c, nil)
+		sweep(b, g, c, nil, false)
 	}
 	metered := &core.SolveOptions{Metrics: obsv.NewSolveMetrics(obsv.NewRegistry())}
 	b.Run("9pt", func(b *testing.B) { run(b, MustGrid2D(64, 64), nil) })
@@ -205,4 +228,8 @@ func BenchmarkPlaceLowest(b *testing.B) {
 	b.Run("Bitset/27pt", func(b *testing.B) { runUniform(b, MustGrid3D(16, 16, 16), 5) })
 	b.Run("Metrics/9pt", func(b *testing.B) { run(b, MustGrid2D(64, 64), metered) })
 	b.Run("Metrics/27pt", func(b *testing.B) { run(b, MustGrid3D(16, 16, 16), metered) })
+	b.Run("Line/9pt", func(b *testing.B) { line(b, MustGrid2D(64, 64), 1, 9) })
+	b.Run("Line/27pt", func(b *testing.B) { line(b, MustGrid3D(16, 16, 16), 1, 9) })
+	b.Run("Heavy/9pt", func(b *testing.B) { line(b, MustGrid2D(64, 64), 60, 99) })
+	b.Run("Heavy/27pt", func(b *testing.B) { line(b, MustGrid3D(16, 16, 16), 60, 99) })
 }
