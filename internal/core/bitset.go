@@ -209,7 +209,9 @@ func fitColors(occ []Interval, w int64) (int64, bool) {
 		lo := max(iv.Start, 0)
 		switch {
 		case iv.End <= lo:
+			// Empty, or wholly below color 0: it occupies nothing.
 		case iv.End <= 64:
+			// A shift by 64 gives 0, so End = 64 fills the word's top.
 			low |= (1<<uint(iv.End) - 1) &^ (1<<uint(lo) - 1)
 		case iv.End <= freeMapSlots:
 			f.fill(lo, iv.End)
