@@ -91,7 +91,7 @@ serve-check:
 	$(GO) test -run '^$$' -bench 'DecodeRequest|ServeHit|EncodeResult' -benchmem -benchtime 100x ./internal/service
 
 # bench-kernel is the quick placement-kernel tier: the PlaceLowest
-# micro-benchmarks (the uniform slot map, the colour map on full and
+# micro-benchmarks (the uniform slot map, the color map on full and
 # line-order neighborhoods, the streaming-scan fallback on the Heavy
 # rows, and the Metrics rows that flush into a metrics bundle as the
 # daemon does — allocs/op must print 0) and the work-stealing scheduler

@@ -3,10 +3,10 @@ package core
 import "math/bits"
 
 // This file holds the bitmap and streaming rungs of the placement
-// kernel's ladder: uniform slot map → colour map → streaming scan →
+// kernel's ladder: uniform slot map → color map → streaming scan →
 // sort. FitScratch fills the packed free map for uniform-weight
 // instances; for mixed weights it marks each neighbor's colors in the
-// same four-word map read as a colour map, and an occupancy that ends
+// same four-word map read as a color map, and an occupancy that ends
 // past the map takes the sort-free streaming min-gap scan. All of them
 // produce bit-identical results to the sort+scan kernel of LowestFit —
 // that kernel stays as the long-list rung and the cross-check reference.
@@ -19,7 +19,7 @@ import "math/bits"
 // is a <=26-bit mask over slots start/w, and first-fit is one
 // bits.TrailingZeros64 over the complement of the mask.
 //
-// The colour map is the same map with slots one color wide: the lowest
+// The color map is the same map with slots one color wide: the lowest
 // fit is a function of the set of occupied colors, so ORing each
 // interval into the map and finding the first run of w clear bits gives
 // LowestFit's answer in one pass over the list, whatever its order.
@@ -91,7 +91,7 @@ func ScanUniformWeight(g Graph) (int64, bool) {
 // for the stencils (first-fit over d <= 26 occupied slots always lands
 // in slot <= 26), but general graphs route through the same kernel, so
 // the map spills across multiple words for colors beyond 64*w. Read as
-// a colour map it covers colors 0..freeMapSlots-1.
+// a color map it covers colors 0..freeMapSlots-1.
 const (
 	freeMapWords = 4
 	freeMapSlots = freeMapWords * 64
@@ -99,7 +99,7 @@ const (
 
 // freeMap is the packed slot-occupancy bitmap of the uniform-weight
 // fast path: bit s of word s/64 marks slot [s*w, (s+1)*w) occupied. The
-// colour rung uses it with w = 1, one bit per color.
+// color rung uses it with w = 1, one bit per color.
 type freeMap [freeMapWords]uint64
 
 // set marks slot s occupied. Slots beyond the map are ignored, which is
@@ -190,8 +190,8 @@ func firstRunWord(x uint64, w int64) int64 {
 	}
 }
 
-// fitColors is the colour rung of FitScratch.Fit: one pass marks every
-// interval of occ in a colour map (intervals are clipped below at 0,
+// fitColors is the color rung of FitScratch.Fit: one pass marks every
+// interval of occ in a color map (intervals are clipped below at 0,
 // empty ones skipped), and the lowest fit of width w is the map's first
 // run of w clear colors. Colors below 64 are marked in a register word,
 // and the map's words are filled only once an interval ends past 64. It
@@ -257,7 +257,7 @@ func slotOf(start, w int64) (int64, bool) {
 // 14). Worst case (occupancy sorted by strictly descending start) is
 // O(d^2) compares, so callers with large general-graph lists should
 // prefer the sorting kernel. FitScratch takes it for a short list whose
-// occupancy ends past the colour map.
+// occupancy ends past the color map.
 func LowestFitStream(occ []Interval, w int64) int64 {
 	if w <= 0 {
 		return 0

@@ -157,7 +157,7 @@ func TestLowestFitUniformRefusals(t *testing.T) {
 	}
 }
 
-// inColorMap reports whether the colour map must answer occ: every
+// inColorMap reports whether the color map must answer occ: every
 // interval that holds a non-negative color ends by freeMapSlots.
 func inColorMap(occ []Interval) bool {
 	for _, iv := range occ {
@@ -176,7 +176,7 @@ func kernelFit(occ []Interval, w int64) int64 {
 	return s.Fit(append([]Interval{}, occ...), 0)
 }
 
-// TestFitColorsEdges pins the colour map at its word boundaries, at its
+// TestFitColorsEdges pins the color map at its word boundaries, at its
 // 256-color reach, where it must hand the list to the streaming scan,
 // and on the intervals it skips or clips; every rung and the kernel's
 // dispatch must agree with the reference on each case.
@@ -237,7 +237,7 @@ func TestFitColorsEdges(t *testing.T) {
 
 // TestKernelsAgreeRandom hammers the rungs and the kernel's dispatch
 // against the brute reference on random occupancies, both general and
-// uniform-shaped. Trials cycle through three shapes: ends in the colour
+// uniform-shaped. Trials cycle through three shapes: ends in the color
 // map's first word; ends across all four words, now and then past the
 // map; and starts up to 300 with widths and w up to 299, mostly past
 // it. Lists run to 40 intervals, past the sort rung's threshold.
@@ -295,7 +295,7 @@ func TestLowestFitStreamDescending(t *testing.T) {
 }
 
 // TestV2KernelsNoAllocs pins the zero-allocation contract of the
-// streaming scan, the colour map and the uniform rung.
+// streaming scan, the color map and the uniform rung.
 func TestV2KernelsNoAllocs(t *testing.T) {
 	occ := []Interval{{Start: 4, End: 6}, {Start: 0, End: 2}, {Start: 8, End: 10}}
 	if n := testing.AllocsPerRun(100, func() {
@@ -307,7 +307,7 @@ func TestV2KernelsNoAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		fitColors(wide, 9)
 	}); n != 0 {
-		t.Errorf("the colour map allocates %v/op, want 0", n)
+		t.Errorf("the color map allocates %v/op, want 0", n)
 	}
 	s, c := uniformStar(occ, 2)
 	if n := testing.AllocsPerRun(100, func() {
@@ -318,9 +318,9 @@ func TestV2KernelsNoAllocs(t *testing.T) {
 }
 
 // TestGreedyColorKernelEquivalence: greedy colorings through the v2
-// dispatch (uniform free-map or streaming scan) are byte-identical to
-// colorings forced through the v1 interval kernel, on uniform and
-// mixed weights alike.
+// dispatch (uniform free-map, color map or streaming scan) are
+// byte-identical to colorings forced through the interval rungs, on
+// uniform and mixed weights alike.
 func TestGreedyColorKernelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {

@@ -21,8 +21,9 @@
 //     every solver binds one per solve (the tile workers share one
 //     binding: weight slice, interior offset table and uniform-weight
 //     verdict), places through its single gather loop and dispatch
-//     ladder (packed free map for uniform weights, streaming scan, sort
-//     for long general-graph lists), and flushes its plain per-solve
+//     ladder (packed free map for uniform weights, a 256-color map for
+//     mixed weights, the streaming scan past the map's reach, sort for
+//     long general-graph lists), and flushes its plain per-solve
 //     tallies into the Stats sink and the obsv metrics bundle with
 //     Flush — the only writer of the placement, probe and
 //     occupancy-length counters.

@@ -4,11 +4,11 @@ import "testing"
 
 // FuzzLowestFit cross-checks every placement rung — the v1 sort+scan
 // (LowestFit), the v2 sort-free streaming scan (LowestFitStream), the
-// colour map (fitColors), the kernel's dispatch over them
+// color map (fitColors), the kernel's dispatch over them
 // (FitScratch.Fit), and, on uniform-shaped occupancies, the kernel's
 // packed free-map rung (FitScratch.placeSlots) — against the
 // color-by-color reference on fuzzer-chosen occupations. Starts and
-// widths fold to 0–300, so intervals end on either side of the colour
+// widths fold to 0–300, so intervals end on either side of the color
 // map's word boundaries and of its 256-color reach; w runs 0–127 and,
 // doubled, 256–510.
 func FuzzLowestFit(f *testing.F) {

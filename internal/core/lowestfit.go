@@ -71,7 +71,7 @@ const occTallyLen = 33
 // recoloring pass, the tile workers of the parallel solver,
 // order.Repair and the exact search. It owns the one gather loop over
 // a vertex's colored neighbors, the one dispatch ladder (the uniform
-// slot map when all weights are equal, then the colour map for
+// slot map when all weights are equal, then the color map for
 // occupancies that end by color 256, then the streaming scan, then the
 // sort for long general-graph lists), and per-solve tallies of the
 // work done, which Flush hands to the stats sink and metrics bundle

@@ -155,7 +155,7 @@ func TestPlaceLowestNoAllocs(t *testing.T) {
 // rows); the Line rows run a line-order greedy, where only the vertices
 // before v are colored (at most 4 or 13 intervals), and the Heavy rows
 // the same greedy with weights 60–99, whose neighborhoods mostly end
-// past the colour map and take the streaming scan. Every row must read
+// past the color map and take the streaming scan. Every row must read
 // 0 allocs/op. Each sweep over the grid, and the run, ends with a flush
 // of the kernel's tallies, as a solve does; the Metrics rows flush into
 // a metrics bundle, the daemon's configuration.
