@@ -32,7 +32,8 @@ linkcheck:
 
 # fuzz-short runs every Fuzz* target in the tree for FUZZTIME each
 # (Go allows one -fuzz pattern per invocation, hence the loop). The
-# targets discovered today: FuzzLowestFit and FuzzOrderByKey (core),
+# targets discovered today: FuzzLowestFit, FuzzOrderByKey and
+# FuzzOrderByWeightDesc (core),
 # FuzzRead and FuzzPlaceLattice (grid), FuzzGreedyRepair (parallel),
 # FuzzInjectionSchedule (chaos), FuzzParseRequest (service),
 # FuzzDecodeEntry (resultcache) — but the loop finds new ones
@@ -94,13 +95,16 @@ serve-check:
 # micro-benchmarks (the uniform slot map, the color map on full and
 # line-order neighborhoods, the streaming-scan fallback on the Heavy
 # rows, and the Metrics rows that flush into a metrics bundle as the
-# daemon does — allocs/op must print 0) and the work-stealing scheduler
-# scaling sweep.
+# daemon does — allocs/op must print 0), the work-stealing scheduler
+# scaling sweep, and the solve orders and PGLL's sweep: the walked
+# Morton order (ZOrder), the counted block and vertex weight orders
+# (WeightOrder) and one face sweep of the repair loop (ConflictSweep),
+# each printing its allocs/op.
 # Short -benchtime keeps it CI-cheap; the committed numbers come from
 # `make bench` (cmd/ivcbench), this tier just proves the benchmarks run
 # and the hot paths still execute allocation-free.
 bench-kernel:
-	$(GO) test -run '^$$' -bench 'PlaceLowest|StealScheduler' -benchmem -benchtime 100x ./internal/grid ./internal/parallel
+	$(GO) test -run '^$$' -bench 'PlaceLowest|StealScheduler|ZOrder|WeightOrder|ConflictSweep' -benchmem -benchtime 100x ./internal/grid ./internal/parallel
 
 # serve-smoke boots `ivc -serve` on an ephemeral port, POSTs one 9-pt
 # and one 27-pt job through the HTTP job API, checks /healthz and the

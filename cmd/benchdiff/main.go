@@ -24,6 +24,12 @@
 // with the code change; allocs/op rows gate either way, because an
 // allocation count does not depend on the host.
 //
+// When both reports carry calibration_us, ivcbench's timing of a fixed
+// kernel on the measuring host, the header prints both and a "cal"
+// column quotes each ns/op delta with each side divided by its own
+// calibration: what the delta would read on two hosts of equal speed.
+// The column informs; it does not gate.
+//
 // A ns/op regression is new > old*(1+threshold). An allocs/op
 // regression is any increase from zero (the 0 allocs/op pins are exact
 // contracts, not noisy measurements) or an increase beyond the
@@ -161,6 +167,9 @@ type Snapshot struct {
 	// only); "" and 0 when unknown.
 	CPUModel string
 	NumCPU   int
+	// CalibrationUS is the report's host calibration (ivcbench reports
+	// since they carry one); 0 when unknown.
+	CalibrationUS float64
 	// Benches maps benchmark name to measurement.
 	Benches map[string]Bench
 	// Order preserves the input's benchmark order for stable output.
@@ -171,9 +180,10 @@ type Snapshot struct {
 // needs; unknown fields (sampler summaries, speedups) pass through
 // unharmed.
 type jsonReport struct {
-	CPUModel string `json:"cpu_model"`
-	NumCPU   int    `json:"num_cpu"`
-	Git      *struct {
+	CPUModel      string  `json:"cpu_model"`
+	NumCPU        int     `json:"num_cpu"`
+	CalibrationUS float64 `json:"calibration_us"`
+	Git           *struct {
 		Commit string `json:"commit"`
 		Dirty  bool   `json:"dirty"`
 	} `json:"git"`
@@ -207,7 +217,7 @@ func parseJSON(path string, data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("%s: no benchmark results", path)
 	}
 	s := &Snapshot{Path: path, Label: path, Benches: map[string]Bench{},
-		CPUModel: rep.CPUModel, NumCPU: rep.NumCPU}
+		CPUModel: rep.CPUModel, NumCPU: rep.NumCPU, CalibrationUS: rep.CalibrationUS}
 	if rep.Git != nil && rep.Git.Commit != "" {
 		s.Label = shortCommit(rep.Git.Commit, rep.Git.Dirty)
 	}
@@ -279,6 +289,9 @@ type Delta struct {
 	Old, New Bench
 	// NsRatio is New.NsPerOp / Old.NsPerOp (1.0 = unchanged).
 	NsRatio float64
+	// CalRatio is NsRatio with each side's ns/op divided by its
+	// snapshot's calibration; 0 when either calibration is unknown.
+	CalRatio float64
 	// NsRegressed marks a ns/op increase beyond the threshold; it gates
 	// only when both snapshots come from one host.
 	NsRegressed bool
@@ -316,6 +329,9 @@ func diff(oldSnap, newSnap *Snapshot, threshold float64) *Diff {
 		if ob.NsPerOp > 0 {
 			dl.NsRatio = nb.NsPerOp / ob.NsPerOp
 			dl.NsRegressed = dl.NsRatio > 1+threshold
+			if oldSnap.CalibrationUS > 0 && newSnap.CalibrationUS > 0 {
+				dl.CalRatio = dl.NsRatio * oldSnap.CalibrationUS / newSnap.CalibrationUS
+			}
 		}
 		dl.AllocsRegressed = allocsRegressed(ob.AllocsOp, nb.AllocsOp, threshold)
 		d.Deltas = append(d.Deltas, dl)
@@ -354,6 +370,7 @@ func render(d *Diff, oldSnap, newSnap *Snapshot) string {
 	fmt.Fprintf(&b, "benchdiff: %s (%s) -> %s (%s), threshold %.0f%%\n",
 		oldSnap.Path, oldSnap.Label, newSnap.Path, newSnap.Label, d.Threshold*100)
 	fmt.Fprintf(&b, "hosts: old %s; new %s\n", oldSnap.host(), newSnap.host())
+	fmt.Fprintf(&b, "calibration: old %s; new %s\n", fmtCal(oldSnap.CalibrationUS), fmtCal(newSnap.CalibrationUS))
 	if d.CrossHost {
 		b.WriteString("note: cross-host comparison: ns/op deltas mix the host change with the code change, so only allocs/op gates\n")
 	}
@@ -363,8 +380,8 @@ func render(d *Diff, oldSnap, newSnap *Snapshot) string {
 			w = len(dl.Name)
 		}
 	}
-	fmt.Fprintf(&b, "%-*s %14s %14s %8s %8s %8s  %s\n",
-		w, "benchmark", "old ns/op", "new ns/op", "delta", "old al", "new al", "verdict")
+	fmt.Fprintf(&b, "%-*s %14s %14s %8s %8s %8s %8s  %s\n",
+		w, "benchmark", "old ns/op", "new ns/op", "delta", "cal", "old al", "new al", "verdict")
 	for _, dl := range d.Deltas {
 		verdict := "ok"
 		nsGated := dl.NsRegressed && !d.CrossHost
@@ -380,8 +397,8 @@ func render(d *Diff, oldSnap, newSnap *Snapshot) string {
 		case dl.NsRatio > 0 && dl.NsRatio < 1-d.Threshold:
 			verdict = "improved"
 		}
-		fmt.Fprintf(&b, "%-*s %14.1f %14.1f %+7.1f%% %8s %8s  %s\n",
-			w, dl.Name, dl.Old.NsPerOp, dl.New.NsPerOp, (dl.NsRatio-1)*100,
+		fmt.Fprintf(&b, "%-*s %14.1f %14.1f %+7.1f%% %8s %8s %8s  %s\n",
+			w, dl.Name, dl.Old.NsPerOp, dl.New.NsPerOp, (dl.NsRatio-1)*100, fmtCalDelta(dl.CalRatio),
 			fmtAllocs(dl.Old.AllocsOp), fmtAllocs(dl.New.AllocsOp), verdict)
 	}
 	for _, name := range d.Added {
@@ -402,6 +419,23 @@ func (s *Snapshot) host() string {
 		model = strconv.Quote(s.CPUModel)
 	}
 	return fmt.Sprintf("cpu_model %s num_cpu %d", model, s.NumCPU)
+}
+
+// fmtCal renders a snapshot's calibration for the header.
+func fmtCal(us float64) string {
+	if us <= 0 {
+		return "unknown"
+	}
+	return strconv.FormatFloat(us, 'f', 1, 64) + " us"
+}
+
+// fmtCalDelta renders a calibrated-delta cell; "-" when either side's
+// calibration is unknown.
+func fmtCalDelta(r float64) string {
+	if r <= 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%+.1f%%", (r-1)*100)
 }
 
 // fmtAllocs renders an allocs/op cell; unknown counts render as "-".

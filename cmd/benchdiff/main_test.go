@@ -337,3 +337,50 @@ func TestCrossHostNote(t *testing.T) {
 		t.Errorf("cross-host render does not name both hosts:\n%s", out)
 	}
 }
+
+// TestCalibratedDelta: reports that carry calibration_us print both
+// calibrations and a calibrated delta, each side's ns/op divided by its
+// own calibration, beside the raw delta; a report without one prints
+// "unknown" and "-". The gate reads the raw delta either way.
+func TestCalibratedDelta(t *testing.T) {
+	report := func(cal, ns float64) *Snapshot {
+		t.Helper()
+		s, err := parseJSON("r.json", []byte(fmt.Sprintf(`{"cpu_model": "Intel Xeon", "num_cpu": 2,
+			"calibration_us": %g, "results": [{"name": "PGLL", "ns_op": %g, "allocs_op": 9}]}`, cal, ns)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	oldSnap := report(300, 1000)
+	if oldSnap.CalibrationUS != 300 {
+		t.Fatalf("calibration_us parsed as %g, want 300", oldSnap.CalibrationUS)
+	}
+	for _, tc := range []struct {
+		cal, ns float64
+		header  string
+		cell    string
+		exit    int
+	}{
+		// The host ran 20% slower and so did the row: no change.
+		{360, 1200, "calibration: old 300.0 us; new 360.0 us", "+20.0%    +0.0%", 1},
+		// Same host speed: the calibrated delta is the raw one.
+		{300, 900, "calibration: old 300.0 us; new 300.0 us", "-10.0%   -10.0%", 0},
+		// A faster host hides a slower change from the raw delta.
+		{240, 1080, "calibration: old 300.0 us; new 240.0 us", "+8.0%   +35.0%", 0},
+		{0, 1000, "calibration: old 300.0 us; new unknown", "+0.0%        -", 0},
+	} {
+		newSnap := report(tc.cal, tc.ns)
+		d := diff(oldSnap, newSnap, 0.10)
+		out := render(d, oldSnap, newSnap)
+		if !strings.Contains(out, tc.header) {
+			t.Errorf("cal %g: render missing %q:\n%s", tc.cal, tc.header, out)
+		}
+		if !strings.Contains(out, tc.cell) {
+			t.Errorf("cal %g: render missing delta cells %q:\n%s", tc.cal, tc.cell, out)
+		}
+		if got := exitStatus(d); got != tc.exit {
+			t.Errorf("cal %g: exit status %d, want %d (the raw delta gates):\n%s", tc.cal, got, tc.exit, out)
+		}
+	}
+}

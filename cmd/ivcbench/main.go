@@ -28,6 +28,10 @@
 //     GLL on large grids at increasing worker counts,
 //   - a warm content-addressed cache hit on the large 2D instance
 //     (CacheHit — what the result cache saves on repeats).
+//
+// The report also records calibration_us, the median time of a fixed
+// kernel of this program's own (calibrate.go) before and after the
+// suite, so benchdiff can quote each delta against the host's speed.
 package main
 
 import (
@@ -102,6 +106,11 @@ type Report struct {
 	CPUModel      string   `json:"cpu_model"` // see cpuModel; benchdiff flags cross-host pairs by it
 	Quick         bool     `json:"quick"`
 	Git           *GitInfo `json:"git,omitempty"`
+	// CalibrationUS is the median time of a fixed kernel (calibrate.go)
+	// over runs before and after the suite: the host's speed while the
+	// snapshot was taken. benchdiff divides each side's ns/op by it for
+	// its calibrated delta.
+	CalibrationUS float64 `json:"calibration_us"`
 	// Runtime summarizes what the runtime sampler saw across the whole
 	// run: GC pauses, scheduler latencies, heap and goroutine peaks —
 	// the measurement conditions behind the numbers.
@@ -227,6 +236,7 @@ func run() error {
 		Git:           gitInfo(),
 	}
 
+	cal := calibrate(nil)
 	size2, size3 := 2048, 128
 	if *quick {
 		size2, size3 = 256, 32
@@ -251,6 +261,8 @@ func run() error {
 		}
 		return benchCacheHit(ctx, rep, size2, sm)
 	}()
+	rep.CalibrationUS = calibrationUS(calibrate(cal))
+	note("host calibration: %.1f us", rep.CalibrationUS)
 	if errors.Is(err, errInterrupted) {
 		rep.Interrupted = true
 		note("interrupted — writing partial report (%d results)", len(rep.Results))
@@ -340,15 +352,21 @@ func note(format string, args ...any) {
 // noisy-neighbor interference only ever inflates a measurement, never
 // deflates it, so the minimum is the least-biased estimator of the true
 // cost — single-shot numbers made cross-snapshot diffs flap by ±20% on
-// otherwise identical code. Allocation stats come from the same kept
-// run (they are deterministic across reps).
+// otherwise identical code. Allocation stats are the lowest of the reps
+// too: a collection that lands inside a timed solve makes the pools it
+// empties allocate again, which is the runtime's count, not the
+// solver's.
 func measure(fn func(b *testing.B)) testing.BenchmarkResult {
 	best := testing.Benchmark(fn)
+	allocs, bytes := best.AllocsPerOp(), best.AllocedBytesPerOp()
 	for i := 1; i < benchReps; i++ {
-		if r := testing.Benchmark(fn); r.NsPerOp() < best.NsPerOp() {
+		r := testing.Benchmark(fn)
+		allocs, bytes = min(allocs, r.AllocsPerOp()), min(bytes, r.AllocedBytesPerOp())
+		if r.NsPerOp() < best.NsPerOp() {
 			best = r
 		}
 	}
+	best.MemAllocs, best.MemBytes = uint64(allocs)*uint64(best.N), uint64(bytes)*uint64(best.N)
 	return best
 }
 
@@ -627,6 +645,15 @@ func benchParallel(ctx context.Context, rep *Report, size2, size3 int, seed int6
 		var mc int64
 		var solveErr error
 		br := measure(func(b *testing.B) {
+			// An untimed solve first fills PGLL's buffer pools, so the
+			// row counts a warm solve's allocations whatever collections
+			// emptied the pools since the last row.
+			b.StopTimer()
+			if _, err := stencilivc.Solve(alg, s, &stencilivc.SolveOptions{Parallelism: par}); err != nil {
+				solveErr = err
+				b.FailNow()
+			}
+			b.StartTimer()
 			for i := 0; i < b.N; i++ {
 				c, err := stencilivc.Solve(alg, s, &stencilivc.SolveOptions{Parallelism: par, Metrics: sm, TraceCtx: tc})
 				if err != nil {

@@ -10,10 +10,55 @@ import "math"
 // the tie rule of every weight-ordered visit.
 func WeightDescKey(w int64) uint64 { return uint64(math.MaxInt64) - uint64(w) }
 
+// OrderByWeightDesc returns the permutation of 0..len(w)-1 that lists
+// the indices by non-increasing weight, equal weights in increasing
+// index order: OrderByKey over the keys WeightDescKey(w[i]). It is the
+// visit order of GLF and of the clique-block heuristics.
+//
+// Weights that span at most len(w) values, max(w)-min(w) < len(w), are
+// ordered by one stable counting pass: a histogram over max(w)-w[i],
+// as long as the span, its prefix sums, and one scatter into the
+// result. Wider ranges build the keys and sort them with OrderByKey.
+func OrderByWeightDesc(w []int64) []int {
+	n := len(w)
+	if n == 0 {
+		return []int{}
+	}
+	lo, hi := w[0], w[0]
+	for _, x := range w[1:] {
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	// As unsigned, hi-lo is the exact span even where the int64
+	// difference would overflow.
+	if uint64(hi)-uint64(lo) >= uint64(n) {
+		keys := make([]uint64, n)
+		for i, x := range w {
+			keys[i] = WeightDescKey(x)
+		}
+		return OrderByKey(keys)
+	}
+	counts := make([]int, hi-lo+1)
+	for _, x := range w {
+		counts[hi-x]++
+	}
+	sum := 0
+	for b, c := range counts {
+		counts[b] = sum
+		sum += c
+	}
+	out := make([]int, n)
+	for i, x := range w {
+		b := hi - x
+		out[counts[b]] = i
+		counts[b]++
+	}
+	return out
+}
+
 // OrderByKey returns the permutation of 0..len(keys)-1 that lists the
 // indices by ascending key, equal keys in increasing index order. It is
-// the one ordering kernel behind every ordered visit of the heuristics:
-// the Morton order, the weight order, and the clique-block order.
+// the ordering kernel behind the weight orders whose range is too wide
+// to count (OrderByWeightDesc) and behind the repair pass's start order.
 //
 // The sort is a least-significant-byte radix sort: one histogram pass
 // over the keys, then one stable scatter pass per key byte on which the

@@ -131,3 +131,91 @@ func TestOrderByKeyAllocs(t *testing.T) {
 		}
 	}
 }
+
+// checkOrderByWeightDesc checks OrderByWeightDesc against OrderByKey
+// over the WeightDescKey keys, which TestOrderByKeyMatchesStableSort
+// ties to the stable library sort.
+func checkOrderByWeightDesc(t *testing.T, label string, w []int64) {
+	t.Helper()
+	keys := make([]uint64, len(w))
+	for i, x := range w {
+		keys[i] = WeightDescKey(x)
+	}
+	want := OrderByKey(keys)
+	if got := OrderByWeightDesc(slices.Clone(w)); !slices.Equal(got, want) {
+		t.Fatalf("%s: OrderByWeightDesc(%v) = %v, want %v", label, w, got, want)
+	}
+}
+
+// TestOrderByWeightDescMatchesKeySort: the counting pass (a weight
+// range of at most len(w) values) and the key sort it falls back to
+// give the key sort's order, on either side of the cut, on all-equal
+// and all-zero weights, and on weights up to 2^40 and past int64's
+// ends.
+func TestOrderByWeightDescMatchesKeySort(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	randW := func(n int, lo, span int64) []int64 {
+		w := make([]int64, n)
+		for i := range w {
+			w[i] = lo + rng.Int63n(span)
+		}
+		return w
+	}
+	cases := []struct {
+		name string
+		w    []int64
+	}{
+		{"empty", nil},
+		{"one", []int64{7}},
+		{"two", []int64{1, 2}},
+		{"all equal", randW(300, 5, 1)},
+		{"all zero", make([]int64, 300)},
+		{"span n-1 (counted)", append(randW(998, 3, 1000), 3, 1002)},
+		{"span n (keys)", append(randW(998, 3, 1001), 3, 1003)},
+		{"weights 1-9", randW(4096, 1, 9)},
+		{"block sums 8-792", randW(3375, 8, 785)},
+		{"negative, counted", randW(500, -250, 400)},
+		{"up to 2^40", randW(2000, 0, 1<<40)},
+		{"2^40 offset, counted", randW(2000, 1<<40, 1000)},
+		{"int64 ends", []int64{math.MaxInt64, math.MinInt64, 0, math.MaxInt64, -1, math.MinInt64}},
+		{"near MaxInt64, counted", []int64{math.MaxInt64, math.MaxInt64 - 2, math.MaxInt64 - 1, math.MaxInt64}},
+		{"near MinInt64, counted", []int64{math.MinInt64 + 2, math.MinInt64, math.MinInt64 + 1, math.MinInt64}},
+	}
+	for _, tc := range cases {
+		checkOrderByWeightDesc(t, tc.name, tc.w)
+	}
+}
+
+// FuzzOrderByWeightDesc checks OrderByWeightDesc against the key sort on
+// fuzzer-chosen weights. A small modulus keeps the range under the item
+// count, so the counting pass runs; modulus 0 keeps the full int64
+// weights, whose wide range takes the key sort.
+func FuzzOrderByWeightDesc(f *testing.F) {
+	f.Add([]byte{}, uint64(0), int64(0))
+	f.Add([]byte("weights 1-9 on a grid of sixty-four cells, some more bytes..."), uint64(9), int64(1))
+	f.Add([]byte("range just under the item count: eight bytes a weight........"), uint64(7), int64(-3))
+	f.Add([]byte("full-width weights, wide range, the key sort's side of the cut"), uint64(0), int64(0))
+	f.Fuzz(func(t *testing.T, data []byte, mod uint64, base int64) {
+		w := make([]int64, len(data)/8)
+		for i := range w {
+			x := binary.LittleEndian.Uint64(data[8*i:])
+			if mod != 0 {
+				x %= mod
+			}
+			w[i] = base + int64(x)
+		}
+		checkOrderByWeightDesc(t, "fuzz", w)
+	})
+}
+
+// TestOrderByWeightDescAllocs: a counted order allocates its histogram
+// and its result; a wide range its keys and OrderByKey's buffers.
+func TestOrderByWeightDescAllocs(t *testing.T) {
+	w := make([]int64, 4096)
+	for i := range w {
+		w[i] = int64(i%99 + 1)
+	}
+	if n := testing.AllocsPerRun(20, func() { OrderByWeightDesc(w) }); n != 2 {
+		t.Errorf("OrderByWeightDesc allocs = %v on weights 1-99, want 2", n)
+	}
+}

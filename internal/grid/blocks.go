@@ -27,15 +27,9 @@ type Cover struct {
 func (cv Cover) Len() int { return len(cv.Anchor) }
 
 // ByWeightDesc returns the block indices by non-increasing weight, ties
-// by anchor: the visit order of GKF, SGK and BDP's recoloring pass. It
-// is a stable sort by core.WeightDescKey over the increasing anchors.
-func (cv Cover) ByWeightDesc() []int {
-	keys := make([]uint64, len(cv.Weight))
-	for b, w := range cv.Weight {
-		keys[b] = core.WeightDescKey(w)
-	}
-	return core.OrderByKey(keys)
-}
+// by anchor: the visit order of GKF, SGK and BDP's recoloring pass
+// (core.OrderByWeightDesc over the increasing anchors).
+func (cv Cover) ByWeightDesc() []int { return core.OrderByWeightDesc(cv.Weight) }
 
 // MaxWeight returns the largest block weight; an empty cover, or one whose
 // blocks all weigh less than 0, gives 0.
@@ -74,17 +68,46 @@ func cliqueCover(w []int64, x, y, z int) Cover {
 	}
 	ext := [3]int{max(ax[0]-1, 1), max(ax[1]-1, 1), max(ax[2]-1, 1)}
 	n := ext[0] * ext[1] * ext[2]
-	cv := Cover{Offsets: offsets, Anchor: make([]int, 0, n), Weight: make([]int64, 0, n)}
+	cv := Cover{Offsets: offsets, Anchor: make([]int, n), Weight: make([]int64, n)}
+	b := 0
 	for k := range ext[2] {
 		for j := range ext[1] {
 			row := j*stride[1] + k*stride[2]
-			for a := row; a < row+ext[0]; a++ {
-				var sum int64
-				for _, off := range offsets {
-					sum += w[a+off]
+			anchors, sums := cv.Anchor[b:b+ext[0]], cv.Weight[b:b+ext[0]]
+			b += ext[0]
+			for i := range anchors {
+				anchors[i] = row + i
+			}
+			// Block row+i sums columns i and i+1 of the block's rows, the
+			// one, two or four row slices at the offsets without an x
+			// step; each column's sum serves the blocks on both its sides.
+			// A lone vertex is its own block.
+			r0 := w[row : row+ax[0]]
+			switch m {
+			case 0:
+				sums[0] = r0[0]
+			case 1:
+				for i := range sums {
+					sums[i] = r0[i] + r0[i+1]
 				}
-				cv.Anchor = append(cv.Anchor, a)
-				cv.Weight = append(cv.Weight, sum)
+			case 2:
+				r1 := w[row+stride[1]:][:len(r0)]
+				prev := r0[0] + r1[0]
+				for i := range sums {
+					next := r0[i+1] + r1[i+1]
+					sums[i] = prev + next
+					prev = next
+				}
+			case 3:
+				r1 := w[row+stride[1]:][:len(r0)]
+				r2 := w[row+stride[2]:][:len(r0)]
+				r3 := w[row+stride[1]+stride[2]:][:len(r0)]
+				prev := r0[0] + r1[0] + r2[0] + r3[0]
+				for i := range sums {
+					next := r0[i+1] + r1[i+1] + r2[i+1] + r3[i+1]
+					sums[i] = prev + next
+					prev = next
+				}
 			}
 		}
 	}

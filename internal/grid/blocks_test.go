@@ -2,10 +2,13 @@ package grid
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
+
+	"stencilivc/internal/order"
 )
 
 // members lists block b's vertex ids in stored order.
@@ -117,6 +120,24 @@ func TestBlocks3DEnumeration(t *testing.T) {
 	checkBlockWeights(t, cv, g.w)
 }
 
+// TestCoverWeightsAreMemberSums: on random weights, every block weight
+// of the row-slice sums equals the sum of its members, on K8, K4, pair
+// and single-vertex covers in every orientation.
+func TestCoverWeightsAreMemberSums(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, sh := range [][3]int{
+		{1, 1, 1}, {6, 1, 1}, {1, 6, 1}, {1, 1, 6}, {5, 4, 1}, {5, 1, 4},
+		{1, 5, 4}, {2, 2, 2}, {4, 3, 5}, {7, 6, 3},
+	} {
+		g := MustGrid3D(sh[0], sh[1], sh[2])
+		for v := range g.Len() {
+			i, j, k := g.Coords(v)
+			g.Set(i, j, k, rng.Int63n(1000))
+		}
+		checkBlockWeights(t, g.CliqueBlocks(), g.w)
+	}
+}
+
 func TestBlocks3DMutualAdjacency(t *testing.T) {
 	checkMutualAdjacency(t, MustGrid3D(3, 3, 2))
 }
@@ -190,5 +211,35 @@ func TestPairBlocksAndMaxWeight(t *testing.T) {
 	}
 	if (Cover{}).MaxWeight() != 0 {
 		t.Error("MaxWeight of an empty cover != 0")
+	}
+}
+
+// BenchmarkWeightOrder times the weight orders on the solve-batch
+// shapes with weights 1–9: the clique cover built and ordered by block
+// weight (GKF, SGK, BDP) and the vertices ordered by weight (GLF).
+func BenchmarkWeightOrder(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, sh := range [][3]int{{256, 256, 1}, {40, 40, 40}} {
+		w := make([]int64, sh[0]*sh[1]*sh[2])
+		for v := range w {
+			w[v] = rng.Int63n(9) + 1
+		}
+		g, err := FromWeights3D(sh[0], sh[1], sh[2], w)
+		if err != nil {
+			b.Fatal(err)
+		}
+		name := fmt.Sprintf("%dx%dx%d", sh[0], sh[1], sh[2])
+		b.Run("blocks/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				g.CliqueBlocks().ByWeightDesc()
+			}
+		})
+		b.Run("vertices/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				order.ByWeightDesc(g)
+			}
+		})
 	}
 }

@@ -68,14 +68,14 @@ func TestOneLayerLattice(t *testing.T) {
 			if !slices.Equal(t2.Tiles, t3.Tiles) {
 				t.Fatalf("%s size %d: tiles differ", name, size)
 			}
-			for v := range g2.Len() {
-				if t2.TileOf(v) != t3.TileOf(v) {
-					t.Fatalf("%s size %d: TileOf(%d) %d, one-layer %d", name, size, v, t2.TileOf(v), t3.TileOf(v))
-				}
-			}
 			for _, tile := range t2.Tiles {
-				if !slices.Equal(t2.AppendBoundary(tile, nil), t3.AppendBoundary(tile, nil)) {
-					t.Fatalf("%s size %d tile %d: boundaries differ", name, size, tile.ID)
+				if !slices.Equal(t2.AppendLowFaces(tile, nil), t3.AppendLowFaces(tile, nil)) {
+					t.Fatalf("%s size %d tile %d: low faces differ", name, size, tile.ID)
+				}
+				for _, v := range tile.AppendVertices(nil) {
+					if t2.Halo(tile, v) != t3.Halo(tile, v) {
+						t.Fatalf("%s size %d: Halo(%d) %+v, one-layer %+v", name, size, v, t2.Halo(tile, v), t3.Halo(tile, v))
+					}
 				}
 			}
 		}

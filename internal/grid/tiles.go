@@ -85,41 +85,100 @@ func NewTiling(gx, gy, gz, size int) (*Tiling, error) {
 	return tl, nil
 }
 
-// TileOf returns the ID of the tile containing vertex v.
-func (tl *Tiling) TileOf(v int) int {
-	i := v % tl.gx
-	v /= tl.gx
-	j := v % tl.gy
-	k := v / tl.gy
-	return (k/tl.Size*tl.nty+j/tl.Size)*tl.ntx + i/tl.Size
+// LowFaceLen returns the number of tile t's cells on a low face shared
+// with another tile (x = X0 > 0, y = Y0 > 0 or z = Z0 > 0): the length
+// of AppendLowFaces' list.
+func (tl *Tiling) LowFaceLen(t Tile) int {
+	inner := 1
+	for _, d := range [3][2]int{{t.X0, t.X1}, {t.Y0, t.Y1}, {t.Z0, t.Z1}} {
+		if d[0] > 0 {
+			d[0]++
+		}
+		inner *= d[1] - d[0]
+	}
+	return t.Len() - inner
 }
 
-// AppendBoundary appends the vertex ids of tile t that lie on a tile
-// face shared with another tile — the halo cells whose stencil
-// neighborhoods cross the partition. Only these vertices can be involved
-// in cross-tile conflicts, so the speculative solver's detection sweep
-// scans exactly this set.
-func (tl *Tiling) AppendBoundary(t Tile, buf []int) []int {
-	onFace := func(c, lo, hi, extent int) bool {
-		return (c == lo && lo > 0) || (c == hi-1 && hi < extent)
-	}
+// AppendLowFaces appends, in increasing id order, the vertex ids of tile
+// t that lie on a low face shared with another tile: x = X0 > 0,
+// y = Y0 > 0 or z = Z0 > 0. A neighbor in an earlier tile (lower ID)
+// lies across at least one low face, so these are the only cells of t
+// that can conflict with an earlier tile, and the speculative solver's
+// detection sweep scans exactly them.
+func (tl *Tiling) AppendLowFaces(t Tile, buf []int) []int {
 	for k := t.Z0; k < t.Z1; k++ {
-		zf := onFace(k, t.Z0, t.Z1, tl.gz)
+		zf := k == t.Z0 && k > 0
 		for j := t.Y0; j < t.Y1; j++ {
-			yf := onFace(j, t.Y0, t.Y1, tl.gy)
 			base := k*t.sxy + j*t.sx
-			if zf || yf {
-				for i := t.X0; i < t.X1; i++ {
-					buf = append(buf, base+i)
+			hi := t.X1
+			if !zf && !(j == t.Y0 && j > 0) {
+				if t.X0 == 0 {
+					continue
 				}
-				continue
+				hi = t.X0 + 1
 			}
-			for i := t.X0; i < t.X1; i++ {
-				if onFace(i, t.X0, t.X1, tl.gx) {
-					buf = append(buf, base+i)
-				}
+			for i := t.X0; i < hi; i++ {
+				buf = append(buf, base+i)
 			}
 		}
 	}
 	return buf
+}
+
+// Halo tells which tile each stencil neighbor of one cell lies in, from
+// the faces of the cell's own tile that the cell lies on: a neighbor
+// offset that steps across such a face reaches the adjacent tile, and
+// any other offset stays inside. It divides nothing per neighbor.
+type Halo struct {
+	v int
+	// The cell's layer is ids [layer, layerEnd) and its row [row,
+	// rowEnd); a neighbor outside either is moved into it by a grid
+	// stride (sxy, sx) before the next axis is read.
+	layer, layerEnd, row, rowEnd, sx, sxy int
+	// The tile-ID step across each face the cell lies on: -1 and +1 for
+	// the low and high x faces, -/+ the tiles per row for y, -/+ the
+	// tiles per layer for z; 0 where the cell is not on that face or the
+	// face is the grid's edge. x holds the x steps by offset: x[0] for
+	// the cell before, x[2] for the cell after.
+	ylo, yhi, zlo, zhi int
+	x                  [3]int
+}
+
+// Halo returns vertex v's halo in its tile t.
+func (tl *Tiling) Halo(t Tile, v int) Halo {
+	i, j := v%tl.gx, v/tl.gx
+	j, k := j%tl.gy, j/tl.gy
+	h := Halo{v: v, layer: k * t.sxy, row: v - i, sx: t.sx, sxy: t.sxy}
+	h.layerEnd, h.rowEnd = h.layer+t.sxy, h.row+t.sx
+	step := func(c, lo, hi, extent, d int) (int, int) {
+		a, b := 0, 0
+		if c == lo && lo > 0 {
+			a = -d
+		}
+		if c == hi-1 && hi < extent {
+			b = d
+		}
+		return a, b
+	}
+	h.x[0], h.x[2] = step(i, t.X0, t.X1, tl.gx, 1)
+	h.ylo, h.yhi = step(j, t.Y0, t.Y1, tl.gy, tl.ntx)
+	h.zlo, h.zhi = step(k, t.Z0, t.Z1, tl.gz, tl.ntx*tl.nty)
+	return h
+}
+
+// Cross returns the ID of neighbor u's tile minus the ID of the cell's
+// own: 0 when u shares the cell's tile, negative when u's tile comes
+// earlier in the tiling. u must be a stencil neighbor of the cell.
+func (h *Halo) Cross(u int) (d int) {
+	if u < h.layer {
+		d, u = h.zlo, u+h.sxy
+	} else if u >= h.layerEnd {
+		d, u = h.zhi, u-h.sxy
+	}
+	if u < h.row {
+		d, u = d+h.ylo, u+h.sx
+	} else if u >= h.rowEnd {
+		d, u = d+h.yhi, u-h.sx
+	}
+	return d + h.x[u-h.v+1]
 }

@@ -1,13 +1,24 @@
 package grid
 
 import (
+	"slices"
 	"sort"
 	"testing"
 )
 
+// tileOf is the reference tile lookup the halo arithmetic replaces: the
+// ID of the tile containing vertex v, from v's coordinates by division.
+func tileOf(tl *Tiling, v int) int {
+	i := v % tl.gx
+	v /= tl.gx
+	j := v % tl.gy
+	k := v / tl.gy
+	return (k/tl.Size*tl.nty+j/tl.Size)*tl.ntx + i/tl.Size
+}
+
 // TestTilingPartition: across shapes and tile sizes, the tiles cover
 // every vertex exactly once, AppendVertices agrees with the tile bounds,
-// and TileOf maps each vertex back to its owning tile.
+// and the reference tileOf maps each vertex back to its owning tile.
 func TestTilingPartition(t *testing.T) {
 	shapes := [][3]int{
 		{1, 1, 1}, {1, 7, 1}, {7, 1, 1}, {13, 9, 1}, {32, 32, 1},
@@ -37,8 +48,8 @@ func TestTilingPartition(t *testing.T) {
 						t.Fatalf("%v size=%d tile %d: vertex %d out of range", sh, size, ti, v)
 					}
 					seen[v]++
-					if got := tl.TileOf(v); got != tile.ID {
-						t.Fatalf("%v size=%d: TileOf(%d) = %d, want %d", sh, size, v, got, tile.ID)
+					if got := tileOf(tl, v); got != tile.ID {
+						t.Fatalf("%v size=%d: tileOf(%d) = %d, want %d", sh, size, v, got, tile.ID)
 					}
 				}
 			}
@@ -54,12 +65,11 @@ func TestTilingPartition(t *testing.T) {
 	}
 }
 
-// TestTilingBoundary checks AppendBoundary against a brute-force
-// definition: a cell is a boundary cell iff some stencil neighbor lies in
-// a different tile. AppendBoundary may only over-approximate by cells on
-// interior tile faces, but here the two definitions coincide for the full
-// 9-pt/27-pt stencils because every face cell has a neighbor across the
-// face.
+// TestTilingBoundary checks AppendLowFaces against a brute-force
+// definition: a cell is listed iff some stencil neighbor lies in an
+// earlier tile, and LowFaceLen counts the list. On the full 9-pt/27-pt
+// stencils every cell on a shared low face has a neighbor across it, so
+// the two definitions coincide.
 func TestTilingBoundary(t *testing.T) {
 	cases := []struct {
 		g    Stencil
@@ -68,8 +78,10 @@ func TestTilingBoundary(t *testing.T) {
 		{MustGrid2D(13, 9), 4},
 		{MustGrid2D(8, 8), 3},
 		{MustGrid2D(5, 1), 2},
+		{MustGrid2D(1, 9), 1},
 		{MustGrid3D(6, 5, 4), 2},
 		{MustGrid3D(8, 8, 8), 3},
+		{MustGrid3D(9, 1, 1), 2},
 		{MustGrid3D(3, 3, 3), 5}, // single tile: no boundary at all
 	}
 	for _, tc := range cases {
@@ -78,27 +90,52 @@ func TestTilingBoundary(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, tile := range tl.Tiles {
-			got := tl.AppendBoundary(tile, nil)
+			got := tl.AppendLowFaces(tile, nil)
 			if !sort.IntsAreSorted(got) {
-				t.Fatalf("%v size=%d tile %d: boundary not ascending", tc.g, tc.size, tile.ID)
+				t.Fatalf("%v size=%d tile %d: low faces not ascending", tc.g, tc.size, tile.ID)
+			}
+			if n := tl.LowFaceLen(tile); n != len(got) {
+				t.Fatalf("%v size=%d tile %d: LowFaceLen %d, %d cells listed", tc.g, tc.size, tile.ID, n, len(got))
 			}
 			var want []int
 			for _, v := range tile.AppendVertices(nil) {
 				for _, u := range tc.g.Neighbors(v, nil) {
-					if tl.TileOf(u) != tile.ID {
+					if tileOf(tl, u) < tile.ID {
 						want = append(want, v)
 						break
 					}
 				}
 			}
-			if len(got) != len(want) {
-				t.Fatalf("%v size=%d tile %d: boundary %v, want %v",
-					tc.g, tc.size, tile.ID, got, want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%v size=%d tile %d: low faces %v, want %v", tc.g, tc.size, tile.ID, got, want)
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%v size=%d tile %d: boundary %v, want %v",
-						tc.g, tc.size, tile.ID, got, want)
+		}
+	}
+}
+
+// TestHaloCross: for every cell and every stencil neighbor, on shapes
+// with unit and clipped edges and tile sizes 1, 2, 3 and 16, Cross gives
+// the difference of the neighbor's and the cell's tile IDs.
+func TestHaloCross(t *testing.T) {
+	for _, sh := range [][3]int{
+		{1, 1, 1}, {1, 9, 1}, {9, 1, 1}, {2, 2, 1}, {13, 9, 1}, {33, 17, 1},
+		{9, 1, 1}, {1, 1, 9}, {1, 7, 5}, {3, 4, 5}, {9, 5, 7}, {17, 18, 19},
+	} {
+		g := &lattice{x: sh[0], y: sh[1], z: sh[2]}
+		for _, size := range []int{1, 2, 3, 16} {
+			tl, err := NewTiling(sh[0], sh[1], sh[2], size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var nb []int
+			for _, tile := range tl.Tiles {
+				for _, v := range tile.AppendVertices(nil) {
+					h := tl.Halo(tile, v)
+					for _, u := range g.Neighbors(v, nb[:0]) {
+						if got, want := h.Cross(u), tileOf(tl, u)-tile.ID; got != want {
+							t.Fatalf("%v size %d: Cross(%d) from %d = %d, want %d", sh, size, u, v, got, want)
+						}
+					}
 				}
 			}
 		}

@@ -1,11 +1,113 @@
 package grid
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"stencilivc/internal/core"
 )
+
+// Morton2D interleaves the low 21 bits of i and j into a Z-order key:
+// bit b of i lands at position 2b, bit b of j at position 2b+1. Sorting
+// the cells by it is the reference the walked ZOrder must reproduce.
+func Morton2D(i, j int) uint64 {
+	return spread2(uint64(i)) | spread2(uint64(j))<<1
+}
+
+// Morton3D interleaves the low 21 bits of i, j, and k into a 3D Z-order key.
+func Morton3D(i, j, k int) uint64 {
+	return spread3(uint64(i)) | spread3(uint64(j))<<1 | spread3(uint64(k))<<2
+}
+
+// spread2 spaces the low 32 bits of v so consecutive bits are 2 apart.
+func spread2(v uint64) uint64 {
+	v &= 0xffffffff
+	v = (v | v<<16) & 0x0000ffff0000ffff
+	v = (v | v<<8) & 0x00ff00ff00ff00ff
+	v = (v | v<<4) & 0x0f0f0f0f0f0f0f0f
+	v = (v | v<<2) & 0x3333333333333333
+	v = (v | v<<1) & 0x5555555555555555
+	return v
+}
+
+// spread3 spaces the low 21 bits of v so consecutive bits are 3 apart.
+func spread3(v uint64) uint64 {
+	v &= 0x1fffff
+	v = (v | v<<32) & 0x1f00000000ffff
+	v = (v | v<<16) & 0x1f0000ff0000ff
+	v = (v | v<<8) & 0x100f00f00f00f00f
+	v = (v | v<<4) & 0x10c30c30c30c30c3
+	v = (v | v<<2) & 0x1249249249249249
+	return v
+}
+
+// mortonSorted is the key-sorting Z-order: every cell's Morton key
+// (Morton2D on a one-layer grid, Morton3D otherwise) radix-sorted by
+// core.OrderByKey. Morton keys are unique, so the order has no ties.
+func mortonSorted(x, y, z int) []int {
+	keys := make([]uint64, 0, x*y*z)
+	for k := range z {
+		for j := range y {
+			for i := range x {
+				if z == 1 {
+					keys = append(keys, Morton2D(i, j))
+				} else {
+					keys = append(keys, Morton3D(i, j, k))
+				}
+			}
+		}
+	}
+	return core.OrderByKey(keys)
+}
+
+// TestZOrderMatchesMortonSort: the walked Z-order is the Morton-key sort
+// on every 2D shape with sides 1–33, every 3D shape with sides 1–17, and
+// the benchmark's 256² and 40³ and a ragged 128×37. Any reordering of
+// two cells fails it.
+func TestZOrderMatchesMortonSort(t *testing.T) {
+	check := func(x, y, z int) {
+		t.Helper()
+		l := &lattice{x: x, y: y, z: z}
+		if got, want := l.ZOrder(), mortonSorted(x, y, z); !slices.Equal(got, want) {
+			i := 0
+			for i < min(len(got), len(want)) && got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("%dx%dx%d: ZOrder differs from the Morton sort at position %d of %d/%d",
+				x, y, z, i, len(got), len(want))
+		}
+	}
+	for x := 1; x <= 33; x++ {
+		for y := 1; y <= 33; y++ {
+			check(x, y, 1)
+		}
+	}
+	for x := 1; x <= 17; x++ {
+		for y := 1; y <= 17; y++ {
+			for z := 2; z <= 17; z++ {
+				check(x, y, z)
+			}
+		}
+	}
+	check(256, 256, 1)
+	check(40, 40, 40)
+	check(128, 37, 1)
+}
+
+// BenchmarkZOrder times GZO's visit order on the solve-batch shapes.
+func BenchmarkZOrder(b *testing.B) {
+	for _, sh := range [][3]int{{256, 256, 1}, {40, 40, 40}} {
+		l := &lattice{x: sh[0], y: sh[1], z: sh[2]}
+		b.Run(fmt.Sprintf("%dx%dx%d", sh[0], sh[1], sh[2]), func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				l.ZOrder()
+			}
+		})
+	}
+}
 
 func TestMorton2DKnown(t *testing.T) {
 	cases := []struct {

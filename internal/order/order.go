@@ -26,13 +26,19 @@ func Identity(n int) []int {
 
 // ByWeightDesc orders vertices by non-increasing weight, ties by id: the
 // GLF visit order (Section V-A), shared by the GLF/PGLF solvers and the
-// exact solvers' incumbents. It runs in linear time on core.OrderByKey.
+// exact solvers' incumbents. It runs in linear time on
+// core.OrderByWeightDesc, over a lattice's own weight slice or a copy of
+// any other graph's weights.
 func ByWeightDesc(g core.Graph) []int {
-	keys := make([]uint64, g.Len())
-	for v := range keys {
-		keys[v] = core.WeightDescKey(g.Weight(v))
+	if lg, ok := g.(core.Lattice); ok {
+		w, _, _, _ := lg.Lattice()
+		return core.OrderByWeightDesc(w)
 	}
-	return core.OrderByKey(keys)
+	w := make([]int64, g.Len())
+	for v := range w {
+		w[v] = g.Weight(v)
+	}
+	return core.OrderByWeightDesc(w)
 }
 
 // ByDegreeDesc is Welsh & Powell's Largest First: vertices by

@@ -1,15 +1,21 @@
 package parallel
 
-import "sync"
+import (
+	"sync"
+
+	"stencilivc/internal/grid"
+)
 
 // The solve-buffer arena (PR 7). One tile-parallel solve allocates a
-// family of buffers whose sizes depend only on the instance shape:
-// per-tile boundary and loser lists, the repair-round mark stamps, the
-// scheduler deques, and the per-worker scratches. The service daemon
-// solves a steady stream of same-shaped jobs, so before this arena it
-// paid the full buffer warm-up on every request. Both pools retain
-// grown capacity; acquire re-slices (and re-zeroes what must start
-// clean) instead of allocating when the pooled object is big enough.
+// family of buffers whose sizes depend only on the instance shape: the
+// loser spans, the repair-round mark stamps, the scheduler deques, and
+// the per-worker scratches. The service daemon solves a steady stream
+// of same-shaped jobs, so before this arena it paid the full buffer
+// warm-up on every request. Both pools retain grown capacity; acquire
+// re-slices (and re-zeroes what must start clean) instead of allocating
+// when the pooled object is big enough. Every buffer is one flat slice,
+// so even a cold solve, whose pools a GC emptied, allocates a handful
+// of objects whatever its tile count.
 
 // scratchPool recycles worker scratches across forEach calls and
 // solves; the warm win is the grown verts buffer (one tile's worth of
@@ -19,11 +25,12 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // solveBufs carries the per-solve buffers of the tile-parallel solver.
 type solveBufs struct {
-	// boundary holds each tile's halo cells; losers the per-tile
-	// conflict losers of the current repair round. Inner slices keep
-	// their capacity across solves.
-	boundary [][]int
-	losers   [][]int
+	// losers holds the conflict losers of the current repair round, tile
+	// i's in losers[loserOff[i]:loserEnd[i]]. A tile's span is as long as
+	// its low-face cell list, the most it can lose, so the workers of a
+	// detection sweep write disjoint spans.
+	losers             []int
+	loserOff, loserEnd []int
 	// mark is the repair-round loser stamp array (see run.mark); it
 	// must start all-zero because round stamps restart at 0 each solve.
 	mark []int32
@@ -36,25 +43,28 @@ type solveBufs struct {
 // bufsPool recycles solveBufs across solves.
 var bufsPool = sync.Pool{New: func() any { return new(solveBufs) }}
 
-// acquireBufs returns a solveBufs sized for tiles tiles, n vertices,
+// acquireBufs returns a solveBufs sized for the tiling tl, n vertices,
 // and par workers, reusing pooled capacity where it suffices.
-func acquireBufs(tiles, n, par int) *solveBufs {
+func acquireBufs(tl *grid.Tiling, n, par int) *solveBufs {
 	b := bufsPool.Get().(*solveBufs)
-	b.boundary = resizeLists(b.boundary, tiles)
-	b.losers = resizeLists(b.losers, tiles)
+	b.loserOff = resize(b.loserOff, len(tl.Tiles)+1)
+	b.loserEnd = resize(b.loserEnd, len(tl.Tiles))
+	off := 0
+	for i, t := range tl.Tiles {
+		b.loserOff[i] = off
+		off += tl.LowFaceLen(t)
+	}
+	b.loserOff[len(tl.Tiles)] = off
+	b.losers = resize(b.losers, off)
 	if cap(b.mark) < n {
 		b.mark = make([]int32, n)
 	} else {
 		b.mark = b.mark[:n]
 		clear(b.mark)
 	}
-	if cap(b.queues) < par {
-		// Never copy a wsRange (it embeds an atomic word): grow by
-		// allocating fresh, not by append.
-		b.queues = make([]wsRange, par)
-	} else {
-		b.queues = b.queues[:par]
-	}
+	// Never copy a wsRange (it embeds an atomic word): resize grows by
+	// allocating fresh, not by append.
+	b.queues = resize(b.queues, par)
 	b.groups = b.groups[:0]
 	return b
 }
@@ -67,13 +77,11 @@ func releaseBufs(b *solveBufs) {
 	}
 }
 
-// resizeLists re-slices a slice-of-slices to length n, preserving the
-// warm inner slices it already has and growing only when needed.
-func resizeLists(s [][]int, n int) [][]int {
+// resize re-slices s to length n, allocating a fresh slice only when
+// its capacity is short; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		grown := make([][]int, n)
-		copy(grown, s[:cap(s)])
-		return grown
+		return make([]T, n)
 	}
 	return s[:n]
 }

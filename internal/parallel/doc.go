@@ -11,10 +11,11 @@
 // construction. Cross-tile (halo) neighbors are read optimistically —
 // whatever start the neighbor currently has, including "uncolored" — so
 // two adjacent tiles racing on a boundary edge may produce overlapping
-// intervals. A conflict-detection sweep over the tile boundaries then
-// finds every overlapping cross-tile pair and recolors the pair's loser —
-// the vertex with the higher (tile-id, vertex-id) — and the
-// detect/recolor loop runs to a fixpoint. Config.SpeculateBlind instead
+// intervals. A conflict-detection sweep over each tile's low faces (the
+// cells with a neighbor in an earlier tile) then finds every overlapping
+// cross-tile pair and recolors the pair's loser — the vertex with the
+// higher (tile-id, vertex-id) — and the detect/recolor loop runs to a
+// fixpoint. Config.SpeculateBlind instead
 // ignores cross-tile neighbors during speculation entirely, trading
 // speed for a deterministic outcome.
 //

@@ -174,7 +174,7 @@ func speculative(lg core.Lattice, s grid.Stencil, cfg Config, opts *core.SolveOp
 		maxRounds = defaultMaxRounds
 	}
 	par := min(opts.Par(), len(tl.Tiles))
-	bufs := acquireBufs(len(tl.Tiles), s.Len(), max(par, 1))
+	bufs := acquireBufs(tl, s.Len(), max(par, 1))
 	defer releaseBufs(bufs)
 	r := &run{
 		g: lg, s: s, tl: tl, cfg: cfg, opts: opts,
@@ -224,8 +224,6 @@ type run struct {
 	// engaged, so the fallback counter is bumped once per solve.
 	seqRepair bool
 
-	// boundary caches each tile's halo cells (built lazily by fixpoint).
-	boundary [][]int
 	// mark stamps each vertex with the repair round in which it was a
 	// conflict loser; round is the current stamp. Written only by the
 	// coordinator between rounds, read-only inside a round, so parallel
@@ -287,15 +285,17 @@ const (
 
 // place computes the lowest-fit start of v against the shared state
 // (the kernel reads neighbor starts atomically and treats Unset as
-// free). ownTile is v's tile id: the blindCross and skipMarked modes
-// drop the neighbors they hide from the kernel's list before it
-// gathers.
-func (r *run) place(w *scratch, v, ownTile, mode int) int64 {
+// free). t is v's tile: the blindCross and skipMarked modes drop the
+// neighbors they hide from the kernel's list before it gathers, telling
+// a cross-tile neighbor from the faces of t that v lies on. readAll
+// reads no tile, and t may be nil.
+func (r *run) place(w *scratch, v int, t *grid.Tile, mode int) int64 {
 	nb := w.fit.Neighbors(v)
 	if mode != readAll {
+		h := r.tl.Halo(*t, v)
 		k := 0
 		for _, u := range nb {
-			if (mode == skipMarked && r.mark[u] != r.round) || r.tl.TileOf(u) == ownTile {
+			if (mode == skipMarked && r.mark[u] != r.round) || h.Cross(u) == 0 {
 				nb[k] = u
 				k++
 			}
@@ -389,9 +389,9 @@ func (r *run) contain(w *scratch, i int, fn func(w *scratch, i int) error) (err 
 }
 
 // tileOrder fills w.verts with tile t's cells in the configured
-// tile-local visit order.
+// tile-local visit order. The buffer grows at most once per tile shape.
 func (r *run) tileOrder(w *scratch, t grid.Tile) []int {
-	w.verts = t.AppendVertices(w.verts[:0])
+	w.verts = t.AppendVertices(slices.Grow(w.verts[:0], t.Len()))
 	if r.cfg.Order == OrderWeightDesc {
 		// slices.SortFunc, not sort.Slice: the generic sort moves
 		// elements directly instead of through a reflect-based swapper,
@@ -418,7 +418,7 @@ func (r *run) speculate(tc *obsv.TraceContext) error {
 		if err := r.opts.Err(); err != nil {
 			return err
 		}
-		tile := r.tl.Tiles[i]
+		tile := &r.tl.Tiles[i]
 		if r.inj != nil {
 			// Worker-level faults: a stall (the injector sleeps inside
 			// Inject) or an induced panic (contained by forEach).
@@ -431,7 +431,7 @@ func (r *run) speculate(tc *obsv.TraceContext) error {
 		if r.cfg.SpeculateBlind {
 			mode = blindCross
 		}
-		for k, v := range r.tileOrder(w, tile) {
+		for k, v := range r.tileOrder(w, *tile) {
 			if k%core.CtxCheckInterval == core.CtxCheckInterval-1 {
 				if err := r.opts.Err(); err != nil {
 					return err
@@ -444,41 +444,43 @@ func (r *run) speculate(tc *obsv.TraceContext) error {
 				// conflicts that plants.
 				m = blindCross
 			}
-			atomic.StoreInt64(&start[v], r.place(w, v, tile.ID, m))
+			atomic.StoreInt64(&start[v], r.place(w, v, tile, m))
 		}
 		return nil
 	})
 }
 
-// detect sweeps every tile's boundary cells and collects, per tile, the
-// conflict losers: for each overlapping cross-tile pair the vertex with
-// the higher (tile-id, vertex-id) must move. Boundary lists are in
-// ascending vertex-id order, so concatenating the per-tile loser lists
-// in tile order yields the deterministic repair order for free.
-func (r *run) detect(losersByTile [][]int) (total int, err error) {
-	g, tl, start := r.g, r.tl, r.c.Start
+// detect sweeps every tile's low-face cells and collects, per tile, the
+// conflict losers into the tile's span of bufs.losers: for each
+// overlapping cross-tile pair the vertex in the later tile (the higher
+// tile id) must move. A neighbor in an earlier tile lies across a low
+// face, so the low-face cells are the only candidates, and the cell's
+// halo tells each neighbor's tile without a division. The low-face
+// lists are in ascending vertex-id order, so concatenating the per-tile
+// loser lists in tile order yields the deterministic repair order for
+// free.
+func (r *run) detect() (total int, err error) {
+	g, tl, start, b := r.g, r.tl, r.c.Start, r.bufs
 	err = r.forEach(len(tl.Tiles), func(w *scratch, i int) error {
 		if err := r.opts.Err(); err != nil {
 			return err
 		}
-		losersByTile[i] = losersByTile[i][:0]
-		tid := tl.Tiles[i].ID
-		for _, v := range r.boundary[i] {
+		tile := tl.Tiles[i]
+		end := b.loserOff[i]
+		w.verts = tl.AppendLowFaces(tile, w.verts[:0])
+		for _, v := range w.verts {
 			sv := atomic.LoadInt64(&start[v])
 			wv := g.Weight(v)
 			if sv == core.Unset || wv <= 0 {
 				continue
 			}
 			iv := core.Interval{Start: sv, End: sv + wv}
+			h := tl.Halo(tile, v)
 			for _, u := range w.fit.Neighbors(v) {
-				tu := tl.TileOf(u)
-				if tu == tid {
-					continue
-				}
 				// Only the loser side records the conflict, so each
 				// conflicting vertex is appended exactly once (by its
 				// own tile's sweep) and winners are left untouched.
-				if tu > tid || (tu == tid && u > v) {
+				if h.Cross(u) >= 0 {
 					continue
 				}
 				su := atomic.LoadInt64(&start[u])
@@ -487,26 +489,29 @@ func (r *run) detect(losersByTile [][]int) (total int, err error) {
 					continue
 				}
 				if iv.Overlaps(core.Interval{Start: su, End: su + wu}) {
-					losersByTile[i] = append(losersByTile[i], v)
+					b.losers[end] = v
+					end++
 					break
 				}
 			}
 		}
+		b.loserEnd[i] = end
 		return nil
 	})
 	if err != nil {
 		return 0, err
 	}
-	for _, l := range losersByTile {
-		total += len(l)
+	for i, end := range b.loserEnd {
+		total += end - b.loserOff[i]
 	}
 	return total, nil
 }
 
-// tileGroup is one repair round's loser set for a single tile. The
-// whole group is recolored sequentially by one worker (in ascending
-// vertex-id order), so a parallel round can never create an intra-tile
-// conflict and the round's outcome depends only on the conflict set.
+// tileGroup is one repair round's loser set for a single tile (an index
+// into the tiling's Tiles, which is also its ID). The whole group is
+// recolored sequentially by one worker (in ascending vertex-id order),
+// so a parallel round can never create an intra-tile conflict and the
+// round's outcome depends only on the conflict set.
 type tileGroup struct {
 	tile  int
 	verts []int
@@ -524,22 +529,14 @@ type tileGroup struct {
 // bundle counts detected conflicts, repaired losers, and completed
 // rounds.
 func (r *run) fixpoint(tc *obsv.TraceContext, maxRounds int) error {
-	tl, start := r.tl, r.c.Start
+	start, b := r.c.Start, r.bufs
 	meters := r.opts.Meters()
-	r.boundary = r.bufs.boundary
-	if err := r.forEach(len(tl.Tiles), func(_ *scratch, i int) error {
-		r.boundary[i] = tl.AppendBoundary(tl.Tiles[i], r.boundary[i][:0])
-		return nil
-	}); err != nil {
-		return err
-	}
-	losersByTile := r.bufs.losers
 	prev := -1
 	for round := 0; ; round++ {
 		rsp := tc.Start("round")
 		rtc := rsp.Context()
 		ssp := rtc.Start("sweep")
-		nconf, err := r.detect(losersByTile)
+		nconf, err := r.detect()
 		ssp.EndDetail("", int64(nconf))
 		if err != nil {
 			rsp.EndDetail("", int64(round))
@@ -566,24 +563,25 @@ func (r *run) fixpoint(tc *obsv.TraceContext, maxRounds int) error {
 		// conflicting intervals; stamp them so skipMarked placements can
 		// tell this round's losers apart from settled vertices.
 		r.round++
-		groups := r.bufs.groups[:0]
-		for i, verts := range losersByTile {
+		groups := b.groups[:0]
+		for i, end := range b.loserEnd {
+			verts := b.losers[b.loserOff[i]:end]
 			for _, v := range verts {
 				atomic.StoreInt64(&start[v], core.Unset)
 				r.mark[v] = r.round
 			}
 			if len(verts) > 0 {
-				groups = append(groups, tileGroup{tile: tl.Tiles[i].ID, verts: verts})
+				groups = append(groups, tileGroup{tile: i, verts: verts})
 			}
 		}
-		r.bufs.groups = groups
+		b.groups = groups
 		csp, detail := rtc.Start("recolor"), ""
 		if sequential {
 			detail = "sequential"
 			w := r.newScratch()
 			for _, g := range groups {
 				for _, v := range g.verts {
-					atomic.StoreInt64(&start[v], r.place(w, v, g.tile, readAll))
+					atomic.StoreInt64(&start[v], r.place(w, v, nil, readAll))
 				}
 			}
 			r.release(w)
@@ -600,7 +598,7 @@ func (r *run) fixpoint(tc *obsv.TraceContext, maxRounds int) error {
 					// the completion sweep after the fixpoint places it.
 					continue
 				}
-				atomic.StoreInt64(&start[v], r.place(w, v, groups[i].tile, skipMarked))
+				atomic.StoreInt64(&start[v], r.place(w, v, &r.tl.Tiles[groups[i].tile], skipMarked))
 			}
 			return nil
 		}); err != nil {
@@ -638,7 +636,7 @@ func (r *run) complete(tc *obsv.TraceContext) error {
 		if w == nil {
 			w = r.newScratch()
 		}
-		atomic.StoreInt64(&start[v], r.place(w, v, r.tl.TileOf(v), readAll))
+		atomic.StoreInt64(&start[v], r.place(w, v, nil, readAll))
 		n++
 	}
 	if w == nil {

@@ -102,7 +102,11 @@ func TestForEachCoversAllIndices(t *testing.T) {
 	g := rand2D(t, 8, 8, 5, 21)
 	for _, par := range []int{1, 2, 3, 7, 16} {
 		for _, n := range []int{1, 2, 13, 64, 100} {
-			bufs := acquireBufs(1, g.Len(), par)
+			tl, err := g.Tiling(8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bufs := acquireBufs(tl, g.Len(), par)
 			r := &run{g: g, s: g, opts: &core.SolveOptions{Parallelism: par}, par: par, bufs: bufs}
 			hits := make([]atomic.Int32, n)
 			if err := r.forEach(n, func(_ *scratch, i int) error {
