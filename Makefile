@@ -92,19 +92,20 @@ serve-check:
 	$(GO) test -run '^$$' -bench 'DecodeRequest|ServeHit|EncodeResult' -benchmem -benchtime 100x ./internal/service
 
 # bench-kernel is the quick placement-kernel tier: the PlaceLowest
-# micro-benchmarks (the uniform slot map, the color map on full and
-# line-order neighborhoods, the streaming-scan fallback on the Heavy
-# rows, and the Metrics rows that flush into a metrics bundle as the
-# daemon does — allocs/op must print 0), the work-stealing scheduler
-# scaling sweep, and the solve orders and PGLL's sweep: the walked
-# Morton order (ZOrder), the counted block and vertex weight orders
-# (WeightOrder) and one face sweep of the repair loop (ConflictSweep),
-# each printing its allocs/op.
+# micro-benchmarks (the uniform slot map, the color map on full,
+# line-order and GLF weight-order neighborhoods, the streaming-scan
+# fallback on the Heavy rows, and the Metrics rows that flush into a
+# metrics bundle as the daemon does — allocs/op must print 0), SGK's 2D
+# block search on its member color maps (BlockSearch, 0 allocs/op too),
+# the work-stealing scheduler scaling sweep, and the solve orders and
+# PGLL's sweep: the walked Morton order (ZOrder), the counted block and
+# vertex weight orders (WeightOrder) and one face sweep of the repair
+# loop (ConflictSweep), each printing its allocs/op.
 # Short -benchtime keeps it CI-cheap; the committed numbers come from
 # `make bench` (cmd/ivcbench), this tier just proves the benchmarks run
 # and the hot paths still execute allocation-free.
 bench-kernel:
-	$(GO) test -run '^$$' -bench 'PlaceLowest|StealScheduler|ZOrder|WeightOrder|ConflictSweep' -benchmem -benchtime 100x ./internal/grid ./internal/parallel
+	$(GO) test -run '^$$' -bench 'PlaceLowest|BlockSearch|StealScheduler|ZOrder|WeightOrder|ConflictSweep' -benchmem -benchtime 100x ./internal/grid ./internal/heuristics ./internal/parallel
 
 # serve-smoke boots `ivc -serve` on an ephemeral port, POSTs one 9-pt
 # and one 27-pt job through the HTTP job API, checks /healthz and the
@@ -123,11 +124,12 @@ serve-smoke:
 # Export, chaos-stormed PGLL/BDP solves scraped concurrently under
 # -race, `ivc -trace`/`-stats`/`-log` on a PGLL solve, BD/BDP/BDL's
 # span trees and placement counts, and the disabled-path 0-alloc pins)
-# rides along. Its last line runs without the race detector, under
-# which TestOrderedHeuristicsAllocsSizeIndependent skips itself, so that
-# pin (the ordered heuristics, BD and BDP allocate the same count on a
-# grid 4× or 8× larger) runs there, with TestFlightRingOverwrite (a full
-# flight ring keeps exactly its newest records).
+# rides along. Its last line runs, without the race detector, the
+# allocation pin TestOrderedHeuristicsAllocsSizeIndependent (the ordered
+# heuristics, BD and BDP allocate the same count on a grid 4× or 8×
+# larger; `make race` runs it under the detector too) and
+# TestFlightRingOverwrite (a full flight ring keeps exactly its newest
+# records).
 trace-check:
 	$(GO) build -o .smoke-ivc ./cmd/ivc
 	$(GO) run ./cmd/servesmoke -bin ./.smoke-ivc -flight

@@ -190,21 +190,38 @@ func firstRunWord(x uint64, w int64) int64 {
 	}
 }
 
-// fitColors is the color rung of FitScratch.Fit: one pass marks every
-// interval of occ in a color map (intervals are clipped below at 0,
-// empty ones skipped), and the lowest fit of width w is the map's first
-// run of w clear colors. Colors below 64 are marked in a register word,
-// and the map's words are filled only once an interval ends past 64. It
-// reports false at the first interval that ends past freeMapSlots, the
-// map's reach; the caller then takes LowestFitStream, which gives the
-// same answer on any list.
-func fitColors(occ []Interval, w int64) (int64, bool) {
-	if w <= 0 {
-		return 0, true
-	}
-	var low uint64
-	var f freeMap
-	wide := false
+// ColorMap marks the colors a list of intervals occupies, up to color
+// freeMapSlots (256), and counts the intervals marked: colors below 64
+// in one word, the map's four words only once an interval ends past 64.
+// It is the color rung's map, and fit its one marking loop: Fit marks
+// a gathered list and scans it in one call, and SGK marks each
+// uncolored block member's fixed neighborhood once (Mark) and fits each
+// trial order against a copy (FitScratch.FitMap). The zero value is the
+// empty map.
+type ColorMap struct {
+	low  uint64 // colors 0..63
+	wide bool   // f holds marks past color 64
+	f    freeMap
+	n    int // intervals marked, the placement's tally
+}
+
+// Mark marks every interval of occ, clipped below at 0 (an empty one
+// marks nothing but is counted, as Fit counts it), and reports false at
+// the first interval that ends past the map's reach; m then no longer
+// maps what was marked.
+func (m *ColorMap) Mark(occ []Interval) bool {
+	_, ok := m.fit(occ, 0)
+	return ok
+}
+
+// fit marks occ as Mark does, colors below 64 in a register word and
+// the map's words only once an interval ends past 64, and then returns
+// the lowest color c such that no color of [c, c+w) is marked (0 when
+// w <= 0, with no scan). The scan is one register word while every
+// mark lies below 64, else the four words with the low word folded
+// into the first. One function does both so Fit makes one call.
+func (m *ColorMap) fit(occ []Interval, w int64) (int64, bool) {
+	low, wide := m.low, m.wide
 	for _, iv := range occ {
 		lo := max(iv.Start, 0)
 		switch {
@@ -214,29 +231,35 @@ func fitColors(occ []Interval, w int64) (int64, bool) {
 			// A shift by 64 gives 0, so End = 64 fills the word's top.
 			low |= (1<<uint(iv.End) - 1) &^ (1<<uint(lo) - 1)
 		case iv.End <= freeMapSlots:
-			f.fill(lo, iv.End)
+			m.f.fill(lo, iv.End)
 			wide = true
 		default:
 			return 0, false
 		}
 	}
-	if !wide {
+	m.low, m.wide = low, wide
+	m.n += len(occ)
+	switch {
+	case w <= 0:
+		return 0, true
+	case !wide:
 		return firstRunWord(low, w), true
 	}
-	f[0] |= low
-	return f.firstRun(w), true
+	m.f[0] |= low
+	return m.f.firstRun(w), true
 }
 
-// slotOf converts a uniform-weight start to its slot index, reporting
-// false when the start is not a multiple of w (a coloring the bitset
-// kernel cannot represent, produced only by hand-built colorings —
-// greedy placements keep the invariant inductively).
-func slotOf(start, w int64) (int64, bool) {
-	if w == 1 {
+// slotOf converts a uniform-weight start to its slot index, dividing
+// by w's bound reciprocal, and reports false when the start is not a
+// multiple of w (a coloring the bitset kernel cannot represent,
+// produced only by hand-built colorings — greedy placements keep the
+// invariant inductively). start must not be negative.
+func slotOf(start int64, w Divisor) (int64, bool) {
+	if w.d == 1 {
 		return start, true
 	}
-	slot := start / w
-	if slot*w != start {
+	slot := int64(w.Div(uint64(start)))
+	if slot*int64(w.d) != start {
 		return 0, false
 	}
 	return slot, true

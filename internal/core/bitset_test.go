@@ -121,7 +121,7 @@ func uniformStar(occ []Interval, w int64) (*FitScratch, Coloring) {
 // intervals must all have width w.
 func placeSlots(occ []Interval, w int64) (int64, bool) {
 	s, c := uniformStar(occ, w)
-	return s.placeSlots(c.Start, s.Neighbors(0))
+	return s.placeSlots(c.Start, 0, s.Neighbors(0))
 }
 
 // TestLowestFitUniformRefusals: the kernel's uniform rung must report
@@ -155,6 +155,17 @@ func TestLowestFitUniformRefusals(t *testing.T) {
 	if s, ok := placeSlots([]Interval{{Start: Unset}, {Start: 0, End: 2}}, 2); !ok || s != 2 {
 		t.Errorf("uncolored neighbor not ignored: got (%d, %v), want (2, true)", s, ok)
 	}
+}
+
+// fitColors runs the color rung alone, as Fit does for a vertex of
+// weight w: a zero width fits at 0 without a map, else the map marks
+// occ and answers, or reports false when occ reaches past it.
+func fitColors(occ []Interval, w int64) (int64, bool) {
+	if w <= 0 {
+		return 0, true
+	}
+	var m ColorMap
+	return m.fit(occ, w)
 }
 
 // inColorMap reports whether the color map must answer occ: every
@@ -265,6 +276,25 @@ func TestKernelsAgreeRandom(t *testing.T) {
 		if got := LowestFit(append([]Interval{}, occ...), w); got != want {
 			t.Fatalf("trial %d: LowestFit(%v, %d) = %d, want %d", trial, occ, w, got, want)
 		}
+		// Split the list into a marked part and an extra part, as SGK's
+		// search does: FitMap answers when the extra part stays inside
+		// the map, tallies the whole list and leaves the map unchanged.
+		k := rng.Intn(n + 1)
+		var m ColorMap
+		if m.Mark(occ[:k]) {
+			kept := m
+			var s FitScratch
+			s.Bind(MustCSRGraph([]int64{w}, nil))
+			got, ok := s.FitMap(&m, occ[k:], 0)
+			if ok != inColorMap(occ[k:]) || ok && got != want || m != kept {
+				t.Fatalf("trial %d: FitMap(%v + %v, %d) = (%d, %v), want %d", trial, occ[:k], occ[k:], w, got, ok, want)
+			}
+			var st Stats
+			s.Flush(&SolveOptions{Stats: &st})
+			if wantN := int64(n); ok && (st.Placements() != 1 || st.Probes() != wantN) || !ok && st.Placements() != 0 {
+				t.Fatalf("trial %d: FitMap tallied %d placements against %d intervals, want 1 against %d", trial, st.Placements(), st.Probes(), wantN)
+			}
+		}
 		if w > 0 {
 			uocc := make([]Interval, n)
 			for i := range uocc {
@@ -311,7 +341,7 @@ func TestV2KernelsNoAllocs(t *testing.T) {
 	}
 	s, c := uniformStar(occ, 2)
 	if n := testing.AllocsPerRun(100, func() {
-		s.placeSlots(c.Start, s.Neighbors(0))
+		s.placeSlots(c.Start, 0, s.Neighbors(0))
 	}); n != 0 {
 		t.Errorf("the uniform rung allocates %v/op, want 0", n)
 	}

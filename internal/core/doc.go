@@ -19,23 +19,36 @@
 //
 //   - One placement kernel. FitScratch is the only lowest-fit engine:
 //     every solver binds one per solve (the tile workers share one
-//     binding: weight slice, interior offset table and uniform-weight
-//     verdict), places through its single gather loop and dispatch
-//     ladder (packed free map for uniform weights, a 256-color map for
-//     mixed weights, the streaming scan past the map's reach, sort for
-//     long general-graph lists), and flushes its plain per-solve
-//     tallies into the Stats sink and the obsv metrics bundle with
-//     Flush — the only writer of the placement, probe and
-//     occupancy-length counters.
+//     binding: weight slice, interior offset table, the reciprocals of
+//     the lattice's extents and uniform-weight verdict), places through
+//     its single gather loop and dispatch ladder (packed free map for
+//     uniform weights, a 256-color map for mixed weights, the streaming
+//     scan past the map's reach, sort for long general-graph lists),
+//     and flushes its plain per-solve tallies into the Stats sink and
+//     the obsv metrics bundle with Flush — the only writer of the
+//     placement, probe and occupancy-length counters.
+//
+//   - One pass per placement. Place reads an interior Lattice vertex's
+//     neighbors as v plus the bound offsets, builds no neighbor list,
+//     and gathers without a branch on whether a neighbor is colored:
+//     every neighbor's interval is written, and the list's end advances
+//     only past the colored, weighted ones. PlaceAmong runs the same
+//     loop over a filtered list, read as offsets from 0. Whether a
+//     vertex is interior, and a uniform start's slot, take a multiply
+//     by a bound reciprocal (Divisor), not a divide. The color map
+//     (ColorMap) is the one map builder: Fit marks a gathered list in
+//     it, and SGK's permutation search marks each block member's fixed
+//     neighborhood once and fits every trial order against a copy
+//     (FitMap).
 //
 //   - An allocation-free hot path. A placement on a Lattice (both
 //     stencils) performs zero heap allocations: an interior vertex's
 //     neighbors come from the bound offset table and a boundary
-//     vertex's from the grid's Neighbors, both written into a
-//     fixed-size array inside the kernel, as is the occupancy list,
-//     sized by MaxFixedDegree = 26, the 27-pt stencil's degree; weights
-//     are read from the bound slice. Tests pin this to 0 allocs/op,
-//     including when flushing into Stats and a metrics bundle.
+//     vertex's from the grid's Neighbors, written into a fixed-size
+//     array inside the kernel, as is the occupancy list, sized by
+//     MaxFixedDegree = 26, the 27-pt stencil's degree; weights are read
+//     from the bound slice. Tests pin this to 0 allocs/op, including
+//     when flushing into Stats and a metrics bundle.
 //
 // SolveOptions threads the cross-cutting concerns — context cancellation,
 // parallelism, a Stats sink, and the obsv trace/metrics handles — through

@@ -70,24 +70,24 @@ const occTallyLen = 33
 // vertices through: the greedy engine, the block sweeps, BD's
 // recoloring pass, the tile workers of the parallel solver,
 // order.Repair and the exact search. It owns the one gather loop over
-// a vertex's colored neighbors, the one dispatch ladder (the uniform
-// slot map when all weights are equal, then the color map for
-// occupancies that end by color 256, then the streaming scan, then the
-// sort for long general-graph lists), and per-solve tallies of the
-// work done, which Flush hands to the stats sink and metrics bundle
-// once per solve.
+// a vertex's neighbors, the one dispatch ladder (the uniform slot map
+// when all weights are equal, then the color map for occupancies that
+// end by color 256, then the streaming scan, then the sort for long
+// general-graph lists), and per-solve tallies of the work done, which
+// Flush hands to the stats sink and metrics bundle once per solve.
 //
 // A kernel is bound to one graph at a time and caches, when it binds,
 // the graph's weights as one slice, its uniform-weight verdict and, for
-// a Lattice, its interior offset table. The zero value is ready to use:
-// PlaceLowest binds on first use and rebinds whenever it is handed a
-// different graph. A FitScratch is not safe for concurrent use; each
-// tile worker embeds its own.
+// a Lattice, its interior offset table and the reciprocals of its
+// extents. The zero value is ready to use: PlaceLowest binds on first
+// use and rebinds whenever it is handed a different graph. A FitScratch
+// is not safe for concurrent use; each tile worker embeds its own.
 type FitScratch struct {
 	binding
 	// fixN and fixI back placements with at most MaxFixedDegree
-	// neighbors (every Lattice placement): ids and occupied intervals
-	// live in fixed-size arrays, so the gather allocates nothing.
+	// neighbors (every Lattice placement): a boundary vertex's ids and
+	// the gathered intervals live in fixed-size arrays, so a placement
+	// allocates nothing.
 	fixN [MaxFixedDegree]int
 	fixI [MaxFixedDegree]Interval
 	// nbuf and occ are the growable buffers of general graphs.
@@ -107,28 +107,32 @@ type FitScratch struct {
 type binding struct {
 	g    Graph
 	uniW int64   // the common weight of every vertex of g, 0 when mixed
+	uniD Divisor // divides a start by uniW, when uniW > 0
 	w    []int64 // the weight of every vertex of g, by id
-	// x, y and z are a bound Lattice's extents, and off[:deg] the ids
-	// of an interior vertex's neighbors relative to its own, in
-	// Neighbors' (dk, dj, di) order: 8 in-plane offsets when z = 1,
-	// else 26. deg is 0 for any other graph.
+	// x, y and z are a bound Lattice's extents, rx and ry divide by x
+	// and y, and off[:deg] holds the ids of an interior vertex's
+	// neighbors relative to its own, in Neighbors' (dk, dj, di) order:
+	// 8 in-plane offsets when z = 1, else 26. deg is 0 for any other
+	// graph.
 	x, y, z int
+	rx, ry  Divisor
 	off     [MaxFixedDegree]int
 	deg     int
 }
 
 // Bind points the kernel at g and caches what every placement would
 // otherwise recompute: g's weights as one slice, its uniform-weight
-// verdict and, when g is a Lattice, its extents and interior offset
-// table. A Lattice's or CSRGraph's own weight slice is bound as it is;
-// any other graph's weights are copied, so the gather reads a slice on
-// every graph. Solvers bind once per solve; tallies are kept across a
-// rebind.
+// verdict and, when g is a Lattice, its extents, their reciprocals and
+// its interior offset table. A Lattice's or CSRGraph's own weight slice
+// is bound as it is; any other graph's weights are copied, so the
+// gather reads a slice on every graph. Solvers bind once per solve;
+// tallies are kept across a rebind.
 func (s *FitScratch) Bind(g Graph) {
 	b := binding{g: g}
 	switch l := g.(type) {
 	case Lattice:
 		b.w, b.x, b.y, b.z = l.Lattice()
+		b.rx, b.ry = NewDivisor(int64(b.x)), NewDivisor(int64(b.y))
 		// A lattice one layer deep has exactly its plane's neighbors.
 		dk := min(b.z-1, 1)
 		for k := -dk; k <= dk; k++ {
@@ -150,6 +154,9 @@ func (s *FitScratch) Bind(g Graph) {
 		}
 	}
 	b.uniW, _ = UniformWeight(g)
+	if b.uniW > 0 {
+		b.uniD = NewDivisor(b.uniW)
+	}
 	s.binding = b
 }
 
@@ -157,6 +164,11 @@ func (s *FitScratch) Bind(g Graph) {
 // instead of rescanning the weights, so the tile workers of one solve
 // share a single bind.
 func (s *FitScratch) BindAs(o *FitScratch) { s.binding = o.binding }
+
+// Weights returns the bound graph's weight slice, indexed by vertex id.
+// It is read-only: on a Lattice or a CSRGraph it is the graph's own
+// storage.
+func (s *FitScratch) Weights() []int64 { return s.w }
 
 // PlaceLowest computes the lowest feasible start for vertex v given the
 // colored neighbors in c, ignoring vertex skip (pass -1 to ignore none;
@@ -166,88 +178,134 @@ func (s *FitScratch) PlaceLowest(g Graph, c Coloring, v int, skip int) int64 {
 	if g != s.g {
 		s.Bind(g)
 	}
-	nb := s.Neighbors(v)
-	if skip >= 0 {
-		nb = slices.DeleteFunc(nb, func(u int) bool { return u == skip })
+	if skip < 0 {
+		return s.Place(c, v)
 	}
-	return s.Place(c, v, nb)
+	nb := slices.DeleteFunc(s.Neighbors(v), func(u int) bool { return u == skip })
+	return s.PlaceAmong(c, v, nb)
+}
+
+// around returns v's neighbors in the bound graph as offsets from a
+// base: from v itself, the bound offset table, for an interior Lattice
+// vertex; from 0, a list of ids in one of the kernel's buffers, for any
+// other vertex. Vertex 0 lies on a face, so an interior base is never 0.
+func (s *FitScratch) around(v int) (base int, offs []int) {
+	switch {
+	case s.deg == 0:
+		s.nbuf = s.g.Neighbors(v, s.nbuf[:0])
+		return 0, s.nbuf
+	case s.interior(v):
+		return v, s.off[:s.deg]
+	default:
+		return 0, s.g.Neighbors(v, s.fixN[:0])
+	}
 }
 
 // Neighbors lists v's neighbors in the bound graph, in the kernel's own
 // buffer (valid until the next call). Callers may drop entries before
-// passing the list to Place: that is how visibility rules, such as the
-// parallel solver's blind speculation, reach the kernel.
+// passing the list to PlaceAmong: that is how visibility rules, such as
+// the parallel solver's blind speculation, reach the kernel.
 //
 // On a Lattice an interior vertex's list comes from the offset table
 // and a boundary vertex's from the grid's Neighbors, both in the fixed
 // array.
 func (s *FitScratch) Neighbors(v int) []int {
-	if s.deg == 0 {
-		s.nbuf = s.g.Neighbors(v, s.nbuf[:0])
-		return s.nbuf
+	base, offs := s.around(v)
+	if base == 0 {
+		return offs
 	}
-	if !s.interior(v) {
-		return s.g.Neighbors(v, s.fixN[:0])
-	}
-	nb := s.fixN[:s.deg]
-	for k, off := range s.off[:s.deg] {
-		nb[k] = v + off
+	nb := s.fixN[:len(offs)]
+	for k, off := range offs {
+		nb[k] = base + off
 	}
 	return nb
 }
 
 // interior reports whether v lies off every face of the bound lattice,
-// so that all of off[:deg] are its neighbors: one divide when z = 1,
-// two otherwise.
+// so that all of off[:deg] are its neighbors. The one or two quotients
+// are taken by the bound reciprocals, a multiply each.
 func (s *FitScratch) interior(v int) bool {
-	q := v / s.x
+	q := int(s.rx.Div(uint64(v)))
 	if i := v - q*s.x; i == 0 || i == s.x-1 {
 		return false
 	}
 	if s.z == 1 {
 		return q > 0 && q < s.y-1
 	}
-	k := q / s.y
+	k := int(s.ry.Div(uint64(q)))
 	j := q - k*s.y
 	return j > 0 && j < s.y-1 && k > 0 && k < s.z-1
 }
 
 // Place returns the lowest start for v whose interval avoids every
-// colored vertex of nb in c, and tallies the placement. nb is a list
-// from Neighbors, possibly filtered. Starts are read atomically, so
-// tile workers can place against a coloring other workers are writing.
-func (s *FitScratch) Place(c Coloring, v int, nb []int) int64 {
+// colored neighbor of v in c, and tallies the placement. An interior
+// Lattice vertex is placed straight from the bound offset table, with
+// no neighbor list built. Starts are read atomically, so tile workers
+// can place against a coloring other workers are writing.
+func (s *FitScratch) Place(c Coloring, v int) int64 {
+	base, offs := s.around(v)
+	return s.placeAt(c, v, base, offs)
+}
+
+// PlaceAmong is Place against the colored vertices of nb only: a list
+// from Neighbors, possibly filtered.
+func (s *FitScratch) PlaceAmong(c Coloring, v int, nb []int) int64 {
+	return s.placeAt(c, v, 0, nb)
+}
+
+// placeAt places v against the vertices base+off, off in offs: the one
+// body behind Place and PlaceAmong, which reads a list as offsets from
+// base 0.
+func (s *FitScratch) placeAt(c Coloring, v, base int, offs []int) int64 {
 	if s.uniW > 0 {
-		if start, ok := s.placeSlots(c.Start, nb); ok {
+		if start, ok := s.placeSlots(c.Start, base, offs); ok {
 			return start
 		}
 	}
-	if len(nb) > len(s.fixI) {
-		s.occ = s.Gather(s.occ[:0], c, nb)
-		return s.Fit(s.occ, v)
+	occ := s.fixI[:]
+	if len(offs) > len(occ) {
+		s.occ = slices.Grow(s.occ[:0], len(offs))
+		occ = s.occ[:len(offs)]
 	}
-	return s.Fit(s.Gather(s.fixI[:0], c, nb), v)
+	return s.Fit(s.gather(occ, c.Start, base, offs), v)
 }
 
-// Gather appends to occ the interval of every colored vertex of nb in c
-// (zero-weight vertices occupy none) and returns the extended list; it
-// is the first half of Place's interval rung, and the kernel's only
-// gather loop. A caller that places one vertex many times against a
-// partly fixed neighborhood, like SGK's permutation search, gathers the
-// fixed part once and appends the rest before each Fit. Starts are read
-// atomically, as in Place.
-func (s *FitScratch) Gather(occ []Interval, c Coloring, nb []int) []Interval {
-	w, start := s.w, c.Start
-	for _, u := range nb {
+// gather is the kernel's only gather loop. It writes the interval of
+// every vertex base+off into occ, which must hold len(offs) intervals,
+// and returns the prefix of those that are colored and weigh something:
+// each interval is written at the prefix's end, which advances by the
+// sign bit of (x | -x) & -wu, x = su - Unset, set iff su != Unset and
+// wu > 0. The loop has no branch on whether a neighbor is colored,
+// which no predictor can learn when the visit order is not a sweep.
+// Starts are read atomically. The weights are cut to the starts'
+// length, so one bounds check covers both reads.
+func (s *FitScratch) gather(occ []Interval, start []int64, base int, offs []int) []Interval {
+	w := s.w[:len(start)]
+	occ = occ[:len(offs)]
+	n := 0
+	for _, off := range offs {
+		u := base + off
 		su := atomic.LoadInt64(&start[u])
-		if su == Unset {
-			continue
-		}
-		if wu := w[u]; wu > 0 {
-			occ = append(occ, Interval{Start: su, End: su + wu})
-		}
+		wu := w[u]
+		iv := &occ[n]
+		iv.Start, iv.End = su, su+wu
+		x := su - Unset
+		n += int(uint64((x|-x)&-wu) >> 63)
 	}
-	return occ
+	return occ[:n]
+}
+
+// Gather appends to occ the interval of every colored neighbor of v in
+// c (zero-weight vertices occupy none) and returns the extended list,
+// through the same loop as Place. A caller that places one vertex many
+// times against a partly fixed neighborhood, like SGK's permutation
+// search, gathers the fixed part once and marks it in a ColorMap, or
+// appends the rest before each Fit.
+func (s *FitScratch) Gather(occ []Interval, c Coloring, v int) []Interval {
+	base, offs := s.around(v)
+	m := len(occ)
+	occ = slices.Grow(occ, len(offs))
+	return occ[:m+len(s.gather(occ[m:m+len(offs)], c.Start, base, offs))]
 }
 
 // Fit is the second half of Place's interval rung: it tallies one
@@ -259,13 +317,31 @@ func (s *FitScratch) Gather(occ []Interval, c Coloring, nb []int) []Interval {
 func (s *FitScratch) Fit(occ []Interval, v int) int64 {
 	s.tally(len(occ))
 	w := s.w[v]
-	if len(occ) > smallSortMax {
+	switch {
+	case w <= 0:
+		return 0
+	case len(occ) > smallSortMax:
 		return LowestFit(occ, w)
 	}
-	if start, ok := fitColors(occ, w); ok {
+	var m ColorMap
+	if start, ok := m.fit(occ, w); ok {
 		return start
 	}
 	return LowestFitStream(occ, w)
+}
+
+// FitMap tallies one placement of v against the intervals marked in m
+// plus extra and returns the lowest start whose interval avoids them
+// all, leaving m as it was: extra is marked in a copy. It reports false,
+// tallying nothing, when an interval of extra ends past the map; the
+// caller then fits the full list with Fit, which gives the same answer.
+func (s *FitScratch) FitMap(m *ColorMap, extra []Interval, v int) (int64, bool) {
+	t := *m
+	start, ok := t.fit(extra, s.w[v])
+	if ok {
+		s.tally(t.n)
+	}
+	return start, ok
 }
 
 // placeSlots is the uniform-weight rung of Place: each colored
@@ -275,16 +351,15 @@ func (s *FitScratch) Fit(occ []Interval, v int) int64 {
 // false, tallying nothing, when a start breaks the multiple-of-w
 // invariant or the occupancy could overflow the map; Place then takes
 // the interval rungs, which give the same answer.
-func (s *FitScratch) placeSlots(start []int64, nb []int) (int64, bool) {
-	w := s.uniW
+func (s *FitScratch) placeSlots(start []int64, base int, offs []int) (int64, bool) {
 	var f freeMap
 	m := 0
-	for _, u := range nb {
-		su := atomic.LoadInt64(&start[u])
+	for _, off := range offs {
+		su := atomic.LoadInt64(&start[base+off])
 		if su < 0 {
 			continue // Unset
 		}
-		slot, ok := slotOf(su, w)
+		slot, ok := slotOf(su, s.uniD)
 		if !ok {
 			return 0, false
 		}
@@ -295,7 +370,7 @@ func (s *FitScratch) placeSlots(start []int64, nb []int) (int64, bool) {
 		return 0, false
 	}
 	s.tally(m)
-	return f.firstFree() * w, true
+	return f.firstFree() * s.uniW, true
 }
 
 // tally records one placement against m occupied intervals.
@@ -376,7 +451,7 @@ func GreedyColorOpts(g Graph, order []int, opts *SolveOptions) (Coloring, error)
 				return Coloring{}, err
 			}
 		}
-		c.Start[v] = s.Place(c, v, s.Neighbors(v))
+		c.Start[v] = s.Place(c, v)
 	}
 	return c, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -223,6 +224,36 @@ func TestFlushTallies(t *testing.T) {
 	b := sm.OccLen.Buckets()
 	if got := b[len(b)-1].CumulativeCount - b[len(b)-2].CumulativeCount; got != 3 || sm.OccLen.Count() != 4 {
 		t.Errorf("occupancy histogram: %d long lists of %d, want 3 of 4", got, sm.OccLen.Count())
+	}
+}
+
+// TestGatherColoredWeighted: the branch-free gather keeps exactly the
+// neighbors that are colored and weigh something, in list order,
+// whatever lies between them: Place answers against those alone, Gather
+// lists them, and the placement tallies one probe for each.
+func TestGatherColoredWeighted(t *testing.T) {
+	// Leaf 1 is colored with weight 0, leaf 3 uncolored with weight 0,
+	// leaves 4 and 8 uncolored, leaf 6 colored with weight 0; leaves 2,
+	// 5 and 7 occupy [1,4), [7,11) and [4,6).
+	weights := []int64{2, 0, 3, 0, 1, 4, 0, 2, 5}
+	c := Coloring{Start: []int64{Unset, 0, 1, Unset, Unset, 7, 3, 4, Unset}}
+	var edges []Edge
+	for leaf := 1; leaf < len(weights); leaf++ {
+		edges = append(edges, Edge{U: 0, V: leaf})
+	}
+	var s FitScratch
+	s.Bind(MustCSRGraph(weights, edges))
+	want := []Interval{{1, 4}, {7, 11}, {4, 6}}
+	if got := s.Gather([]Interval{{0, 1}}, c, 0); !slices.Equal(got, append([]Interval{{0, 1}}, want...)) {
+		t.Errorf("Gather = %v, want [{0 1}] + %v", got, want)
+	}
+	if got := s.Place(c, 0); got != 11 {
+		t.Errorf("Place = %d, want 11", got)
+	}
+	var st Stats
+	s.Flush(&SolveOptions{Stats: &st})
+	if st.Placements() != 1 || st.Probes() != int64(len(want)) {
+		t.Errorf("tallied %d placements against %d intervals, want 1 against %d", st.Placements(), st.Probes(), len(want))
 	}
 }
 

@@ -84,7 +84,7 @@ func (s *orderSearch) dfs(placed int, curMax int64) {
 		if s.used[v] {
 			continue
 		}
-		start := s.scratch.Place(s.cur, v, s.scratch.Neighbors(v))
+		start := s.scratch.Place(s.cur, v)
 		end := start + s.g.Weight(v)
 		if max(curMax, end) >= s.best {
 			continue // cannot improve on the incumbent

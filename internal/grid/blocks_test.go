@@ -15,9 +15,18 @@ import (
 func members(cv Cover, b int) []int {
 	var vs []int
 	for _, off := range cv.Offsets {
-		vs = append(vs, cv.Anchor[b]+off)
+		vs = append(vs, cv.Anchor(b)+off)
 	}
 	return vs
+}
+
+// anchors lists every block's anchor, by block index.
+func anchors(cv Cover) []int {
+	as := make([]int, cv.Len())
+	for b := range as {
+		as[b] = cv.Anchor(b)
+	}
+	return as
 }
 
 // checkBlockWeights asserts every block weight is the sum of its members'.
@@ -32,7 +41,7 @@ func checkBlockWeights(t *testing.T, cv Cover, w []int64) {
 			sum += w[v]
 		}
 		if sum != cv.Weight[b] {
-			t.Errorf("block %d (anchor %d): weight %d != member sum %d", b, cv.Anchor[b], cv.Weight[b], sum)
+			t.Errorf("block %d (anchor %d): weight %d != member sum %d", b, cv.Anchor(b), cv.Weight[b], sum)
 		}
 	}
 }
@@ -67,8 +76,8 @@ func TestBlocks2DEnumeration(t *testing.T) {
 		t.Errorf("K4 offsets = %v, want [0 1 3 4]", cv.Offsets)
 	}
 	// One block per anchor (i,j), i < X-1 and j < Y-1, in id order.
-	if !slices.Equal(cv.Anchor, []int{0, 1, 3, 4}) {
-		t.Errorf("anchors = %v, want [0 1 3 4]", cv.Anchor)
+	if got := anchors(cv); !slices.Equal(got, []int{0, 1, 3, 4}) {
+		t.Errorf("anchors = %v, want [0 1 3 4]", got)
 	}
 	// Anchor (0,0): vertices 0,1,3,4 with weights 1+2+4+5 = 12.
 	if cv.Weight[0] != 12 {
@@ -86,14 +95,14 @@ func TestBlocks2DMutualAdjacency(t *testing.T) {
 func TestBlocks2DDegenerate(t *testing.T) {
 	for _, g := range []*Grid2D{MustGrid2D(1, 5), MustGrid2D(5, 1)} {
 		cv := g.CliqueBlocks()
-		if !slices.Equal(cv.Offsets, []int{0, 1}) || !slices.Equal(cv.Anchor, []int{0, 1, 2, 3}) {
-			t.Errorf("%v: offsets %v anchors %v, want the chain pairs", g, cv.Offsets, cv.Anchor)
+		if !slices.Equal(cv.Offsets, []int{0, 1}) || !slices.Equal(anchors(cv), []int{0, 1, 2, 3}) {
+			t.Errorf("%v: offsets %v anchors %v, want the chain pairs", g, cv.Offsets, anchors(cv))
 		}
 	}
 	one := MustGrid2D(1, 1)
 	one.Set(0, 0, 7)
 	cv := one.CliqueBlocks()
-	if !slices.Equal(cv.Offsets, []int{0}) || !slices.Equal(cv.Anchor, []int{0}) || cv.Weight[0] != 7 {
+	if !slices.Equal(cv.Offsets, []int{0}) || !slices.Equal(anchors(cv), []int{0}) || cv.Weight[0] != 7 {
 		t.Errorf("1x1: %+v, want one block {0} of weight 7", cv)
 	}
 }
@@ -122,7 +131,9 @@ func TestBlocks3DEnumeration(t *testing.T) {
 
 // TestCoverWeightsAreMemberSums: on random weights, every block weight
 // of the row-slice sums equals the sum of its members, on K8, K4, pair
-// and single-vertex covers in every orientation.
+// and single-vertex covers in every orientation; and the computed
+// anchors are exactly the cells that lie before the last cell along
+// every axis longer than 1, in id order.
 func TestCoverWeightsAreMemberSums(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, sh := range [][3]int{
@@ -130,11 +141,19 @@ func TestCoverWeightsAreMemberSums(t *testing.T) {
 		{1, 5, 4}, {2, 2, 2}, {4, 3, 5}, {7, 6, 3},
 	} {
 		g := MustGrid3D(sh[0], sh[1], sh[2])
+		var want []int
 		for v := range g.Len() {
 			i, j, k := g.Coords(v)
 			g.Set(i, j, k, rng.Int63n(1000))
+			if (i < sh[0]-1 || sh[0] == 1) && (j < sh[1]-1 || sh[1] == 1) && (k < sh[2]-1 || sh[2] == 1) {
+				want = append(want, v)
+			}
 		}
-		checkBlockWeights(t, g.CliqueBlocks(), g.w)
+		cv := g.CliqueBlocks()
+		if got := anchors(cv); !slices.Equal(got, want) {
+			t.Errorf("%v: anchors %v, want %v", sh, got, want)
+		}
+		checkBlockWeights(t, cv, g.w)
 	}
 }
 
@@ -157,7 +176,7 @@ func TestCoverOrientations(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, want := g.CliqueBlocks(), flat.CliqueBlocks()
-		if !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Anchor, want.Anchor) ||
+		if !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(anchors(got), anchors(want)) ||
 			!slices.Equal(got.Weight, want.Weight) {
 			t.Errorf("%v: cover %+v, want the 4x3 cover %+v", sh, got, want)
 		}
@@ -168,15 +187,14 @@ func TestCoverOrientations(t *testing.T) {
 // TestSortBlocksByWeightDesc: blocks come heaviest first, ties by anchor,
 // exactly as a stable sort by descending weight over the anchors.
 func TestSortBlocksByWeightDesc(t *testing.T) {
-	cv := Cover{Offsets: []int{0}, Anchor: []int{0, 1, 2, 3}, Weight: []int64{5, 9, 9, 1}}
+	cv := Cover{Offsets: []int{0}, Weight: []int64{5, 9, 9, 1}}
 	if got := cv.ByWeightDesc(); !slices.Equal(got, []int{1, 2, 0, 3}) {
 		t.Errorf("order = %v, want [1 2 0 3]", got)
 	}
 	rng := rand.New(rand.NewSource(3))
 	for _, spread := range []int64{4, 1 << 20, math.MaxInt64} {
 		cv := Cover{Offsets: []int{0}}
-		for b := range 500 {
-			cv.Anchor = append(cv.Anchor, 3*b)
+		for range 500 {
 			w := rng.Int63n(spread)
 			if rng.Intn(4) == 0 {
 				w = -w

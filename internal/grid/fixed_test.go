@@ -8,6 +8,7 @@ import (
 
 	"stencilivc/internal/core"
 	"stencilivc/internal/obsv"
+	"stencilivc/internal/order"
 )
 
 // genericOnly strips a stencil down to the plain core.Graph method set,
@@ -155,27 +156,34 @@ func TestPlaceLowestNoAllocs(t *testing.T) {
 // rows); the Line rows run a line-order greedy, where only the vertices
 // before v are colored (at most 4 or 13 intervals), and the Heavy rows
 // the same greedy with weights 60–99, whose neighborhoods mostly end
-// past the color map and take the streaming scan. Every row must read
-// 0 allocs/op. Each sweep over the grid, and the run, ends with a flush
-// of the kernel's tallies, as a solve does; the Metrics rows flush into
-// a metrics bundle, the daemon's configuration.
+// past the color map and take the streaming scan. The Order rows run
+// the greedy in GLF's visit order (non-increasing weight, weights 1–9),
+// where whether a neighbor is already colored follows no pattern a
+// branch predictor could learn. Every row must read 0 allocs/op. Each
+// sweep over the grid, and the run, ends with a flush of the kernel's
+// tallies, as a solve does; the Metrics rows flush into a metrics
+// bundle, the daemon's configuration.
 func BenchmarkPlaceLowest(b *testing.B) {
-	// sweep places the vertices in id order. With greedy set it writes
-	// each start into c and clears c after every sweep, so the run is a
-	// line-order greedy solve repeated.
-	sweep := func(b *testing.B, g Stencil, c core.Coloring, opts *core.SolveOptions, greedy bool) {
+	// sweep places the vertices in visit order (id order when visit is
+	// nil). With greedy set it writes each start into c and clears c
+	// after every sweep, so the run is a greedy solve repeated.
+	sweep := func(b *testing.B, g Stencil, c core.Coloring, opts *core.SolveOptions, greedy bool, visit []int) {
 		var s core.FitScratch
 		b.ReportAllocs()
 		b.ResetTimer()
-		v := 0
+		k := 0
 		for i := 0; i < b.N; i++ {
+			v := k
+			if visit != nil {
+				v = visit[k]
+			}
 			start := s.PlaceLowest(g, c, v, -1)
 			if greedy {
 				c.Start[v] = start
 			}
-			v++
-			if v == g.Len() {
-				v = 0
+			k++
+			if k == g.Len() {
+				k = 0
 				s.Flush(opts)
 				if greedy {
 					for u := range c.Start {
@@ -195,15 +203,20 @@ func BenchmarkPlaceLowest(b *testing.B) {
 		for v := range c.Start {
 			c.Start[v] = rng.Int63n(60)
 		}
-		sweep(b, g, c, opts, false)
+		sweep(b, g, c, opts, false, nil)
 	}
-	// line runs the line-order greedy with weights lo..hi.
-	line := func(b *testing.B, g Stencil, lo, hi int64) {
+	// line runs the line-order greedy with weights lo..hi, or with
+	// byWeight GLF's weight order.
+	line := func(b *testing.B, g Stencil, lo, hi int64, byWeight bool) {
 		rng := rand.New(rand.NewSource(1))
 		for v := range g.Len() {
 			setWeight(g, v, lo+rng.Int63n(hi-lo+1))
 		}
-		sweep(b, g, core.NewColoring(g.Len()), nil, true)
+		var visit []int
+		if byWeight {
+			visit = order.ByWeightDesc(g)
+		}
+		sweep(b, g, core.NewColoring(g.Len()), nil, true, visit)
 	}
 	// Uniform-weight variants route through the packed free-map kernel
 	// (weight 1 is the classic-coloring degenerate case, weight 5 a
@@ -217,7 +230,7 @@ func BenchmarkPlaceLowest(b *testing.B) {
 		for v := range c.Start {
 			c.Start[v] = rng.Int63n(12) * wv
 		}
-		sweep(b, g, c, nil, false)
+		sweep(b, g, c, nil, false, nil)
 	}
 	metered := &core.SolveOptions{Metrics: obsv.NewSolveMetrics(obsv.NewRegistry())}
 	b.Run("9pt", func(b *testing.B) { run(b, MustGrid2D(64, 64), nil) })
@@ -228,8 +241,10 @@ func BenchmarkPlaceLowest(b *testing.B) {
 	b.Run("Bitset/27pt", func(b *testing.B) { runUniform(b, MustGrid3D(16, 16, 16), 5) })
 	b.Run("Metrics/9pt", func(b *testing.B) { run(b, MustGrid2D(64, 64), metered) })
 	b.Run("Metrics/27pt", func(b *testing.B) { run(b, MustGrid3D(16, 16, 16), metered) })
-	b.Run("Line/9pt", func(b *testing.B) { line(b, MustGrid2D(64, 64), 1, 9) })
-	b.Run("Line/27pt", func(b *testing.B) { line(b, MustGrid3D(16, 16, 16), 1, 9) })
-	b.Run("Heavy/9pt", func(b *testing.B) { line(b, MustGrid2D(64, 64), 60, 99) })
-	b.Run("Heavy/27pt", func(b *testing.B) { line(b, MustGrid3D(16, 16, 16), 60, 99) })
+	b.Run("Line/9pt", func(b *testing.B) { line(b, MustGrid2D(64, 64), 1, 9, false) })
+	b.Run("Line/27pt", func(b *testing.B) { line(b, MustGrid3D(16, 16, 16), 1, 9, false) })
+	b.Run("Heavy/9pt", func(b *testing.B) { line(b, MustGrid2D(64, 64), 60, 99, false) })
+	b.Run("Heavy/27pt", func(b *testing.B) { line(b, MustGrid3D(16, 16, 16), 60, 99, false) })
+	b.Run("Order/9pt", func(b *testing.B) { line(b, MustGrid2D(64, 64), 1, 9, true) })
+	b.Run("Order/27pt", func(b *testing.B) { line(b, MustGrid3D(16, 16, 16), 1, 9, true) })
 }

@@ -182,9 +182,12 @@ func referenceRead(r io.Reader) (*Grid2D, *Grid3D, error) {
 // generic path: on a grid of fuzzed extents (1–6 per axis, 2D or 3D)
 // under a seeded partial coloring, a kernel bound to the grid and one
 // bound to genericOnly{g} return the same start for every vertex, with
-// no skip or with each of its neighbors skipped. Weights are mixed 0–9,
-// or one common weight with slot-aligned starts so the free-map rung
-// runs.
+// no skip or with each of its neighbors skipped, and tally the same
+// placements and probes. On every vertex the lattice kernel's Place,
+// which reads an interior vertex's neighbors off the offset table,
+// agrees with PlaceAmong over its Neighbors list. Weights are mixed
+// 0–9, or one common weight with slot-aligned starts so the free-map
+// rung runs.
 func FuzzPlaceLattice(f *testing.F) {
 	// Extents are given minus one: (4, 3, 0) is a 5×4×1 grid.
 	f.Add(false, uint8(5), uint8(4), uint8(0), int64(1), uint8(0), uint8(2))
@@ -216,7 +219,8 @@ func FuzzPlaceLattice(f *testing.F) {
 				c.Start[v] = rng.Int63n(12) * max(uni, 1)
 			}
 		}
-		var lattice, generic core.FitScratch
+		var lattice, generic, list core.FitScratch
+		list.Bind(g)
 		for v := 0; v < g.Len(); v++ {
 			for _, skip := range append([]int{-1}, g.Neighbors(v, nil)...) {
 				got := lattice.PlaceLowest(g, c, v, skip)
@@ -224,6 +228,19 @@ func FuzzPlaceLattice(f *testing.F) {
 					t.Fatalf("%v vertex %d skip %d: lattice=%d generic=%d", g, v, skip, got, want)
 				}
 			}
+			if got, want := lattice.Place(c, v), list.PlaceAmong(c, v, list.Neighbors(v)); got != want {
+				t.Fatalf("%v vertex %d: Place=%d, PlaceAmong(Neighbors)=%d", g, v, got, want)
+			}
+		}
+		var lt, gt, pt core.Stats
+		lattice.Flush(&core.SolveOptions{Stats: &lt})
+		generic.Flush(&core.SolveOptions{Stats: &gt})
+		list.Flush(&core.SolveOptions{Stats: &pt})
+		// The lattice kernel placed each vertex once more than the
+		// generic one, through Place, and the list kernel each once.
+		if lt.Placements() != gt.Placements()+pt.Placements() || lt.Probes() != gt.Probes()+pt.Probes() {
+			t.Fatalf("%v: lattice tallied %d/%d, generic %d/%d plus list %d/%d", g,
+				lt.Placements(), lt.Probes(), gt.Placements(), gt.Probes(), pt.Placements(), pt.Probes())
 		}
 	})
 }

@@ -28,9 +28,6 @@ func solveAllocs(t *testing.T, alg Algorithm, s grid.Stencil) float64 {
 // larger. A per-row, per-block or per-vertex allocation would show as a
 // count that grows with the grid.
 func TestOrderedHeuristicsAllocsSizeIndependent(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation turns SGK's per-block append-of-make into an allocation")
-	}
 	rng := rand.New(rand.NewSource(13))
 	pairs := []struct{ small, large grid.Stencil }{
 		{random2D(rng, 64, 64, 9), random2D(rng, 128, 128, 9)},

@@ -110,7 +110,7 @@ func postOrder(g core.Graph, c core.Coloring, cv grid.Cover) []int {
 	var members []int
 	for _, b := range cv.ByWeightDesc() {
 		members = members[:0]
-		a := cv.Anchor[b]
+		a := cv.Anchor(b)
 		for _, off := range cv.Offsets {
 			v := a + off
 			if seen[v] {
@@ -153,7 +153,7 @@ func recolor(g core.Graph, c core.Coloring, order []int, opts *core.SolveOptions
 			}
 		}
 		c.Start[v] = core.Unset
-		c.Start[v] = s.Place(c, v, s.Neighbors(v))
+		c.Start[v] = s.Place(c, v)
 	}
 	return nil
 }

@@ -49,7 +49,7 @@ func sweepBlocks(g core.Graph, cv grid.Cover, opts *core.SolveOptions,
 				return core.Coloring{}, err
 			}
 		}
-		visit(c, &s, cv.Anchor[b])
+		visit(c, &s, cv.Anchor(b))
 	}
 	// Blocks cover every vertex on all supported grids, but guard anyway:
 	// any straggler is colored greedily.
@@ -67,7 +67,7 @@ func greedyBlocksFirst(g core.Graph, cv grid.Cover, opts *core.SolveOptions) (co
 	return sweepBlocks(g, cv, opts, func(c core.Coloring, s *core.FitScratch, a int) {
 		for _, off := range cv.Offsets {
 			if v := a + off; !c.Colored(v) {
-				c.Start[v] = s.Place(c, v, s.Neighbors(v))
+				c.Start[v] = s.Place(c, v)
 			}
 		}
 	})
@@ -82,7 +82,7 @@ func colorStragglers(g core.Graph, c core.Coloring, s *core.FitScratch, opts *co
 			}
 		}
 		if !c.Colored(v) {
-			c.Start[v] = s.Place(c, v, s.Neighbors(v))
+			c.Start[v] = s.Place(c, v)
 		}
 	}
 	return nil
@@ -103,36 +103,51 @@ func mustBlocks(c core.Coloring, err error) core.Coloring {
 // the one minimizing the block's local maxcolor is committed
 // (Section V-A).
 func smartBlocksPermuted(g core.Graph, cv grid.Cover, opts *core.SolveOptions) (core.Coloring, error) {
-	ps := permSearch{g: g}
+	var ps permSearch
 	return sweepBlocks(g, cv, opts, func(c core.Coloring, s *core.FitScratch, a int) {
-		ps.c, ps.s = c, s
+		ps.c, ps.s, ps.w = c, s, s.Weights()
 		ps.commitBest(cv.Offsets, a)
 	})
 }
 
+// maxBlock is the most members a clique block has: the eight of a K8.
+const maxBlock = 8
+
 // permSearch is SGK's block-internal permutation search. One value
 // serves every block of a solve, so the search allocates nothing per
-// block: members holds the current block, uncolored its still-uncolored
-// members in stored order, perm the order under trial, and best the
-// starts (aligned with uncolored) of the best order found so far.
+// block. Its arrays are indexed by member index j < m, the block's
+// still-uncolored members in stored order, and perm holds the member
+// indices in the order under trial.
 //
 // Only the uncolored members change during a block's search, so each
 // one's occupancy from the rest of the coloring is gathered once, into
-// occ (aligned with perm, and permuted with it). A trial placement of
-// perm[k] copies occ[k] into trial, gathers the members placed before
-// it, perm[:k] (a block is a clique), and runs the kernel's fit; it
-// tallies one placement against as many intervals as a full re-gather
-// would.
+// occ[j], and marked once into the color map maps[j]. A trial placement
+// of member j fits against a copy of maps[j] with the intervals of the
+// members placed before it in the trial order ORed in (a block is a
+// clique); while every color is below 64 that is one register word. A
+// list that reaches past the map's 256 colors is fitted as occ[j] plus
+// those intervals instead. Either way the trial tallies one placement
+// against as many intervals as a full re-gather would.
 type permSearch struct {
-	g core.Graph
 	c core.Coloring
 	s *core.FitScratch
+	w []int64 // the bound weight slice
 
-	members, uncolored, perm []int
-	occ                      [][]core.Interval
-	trial                    []core.Interval
-	best                     []int64
-	bestLocal                int64
+	m         int
+	ids, perm [maxBlock]int
+	occ       [maxBlock][]core.Interval
+	maps      [maxBlock]core.ColorMap
+	mapped    [maxBlock]bool // maps[j] holds all of occ[j]
+	// extra holds the intervals of the weighted members placed so far
+	// in the trial order, start their starts by member index, and best
+	// the starts of the best order found so far.
+	extra       [maxBlock]core.Interval
+	start, best [maxBlock]int64
+	bestLocal   int64
+	// occBuf and trialBuf back occ and the list a trial past the map
+	// fits, so a lattice's search never grows a slice.
+	occBuf   [maxBlock][core.MaxFixedDegree]core.Interval
+	trialBuf [core.MaxFixedDegree + maxBlock]core.Interval
 }
 
 // commitBest tries every placement order of the uncolored members of the
@@ -140,64 +155,70 @@ type permSearch struct {
 // block's maximum interval end; ties prefer the first order generated,
 // which keeps the algorithm deterministic.
 func (ps *permSearch) commitBest(offsets []int, a int) {
-	ps.members, ps.uncolored = ps.members[:0], ps.uncolored[:0]
+	c, s := ps.c, ps.s
+	ps.m = 0
+	var fixed int64 // the block's maximum end over its colored members
 	for _, off := range offsets {
 		v := a + off
-		ps.members = append(ps.members, v)
-		if !ps.c.Colored(v) {
-			ps.uncolored = append(ps.uncolored, v)
+		if st := c.Start[v]; st != core.Unset {
+			fixed = max(fixed, st+ps.w[v])
+			continue
 		}
+		ps.ids[ps.m], ps.perm[ps.m] = v, ps.m
+		ps.m++
 	}
-	if len(ps.uncolored) == 0 {
+	if ps.m == 0 {
 		return
 	}
-	ps.perm = append(ps.perm[:0], ps.uncolored...)
-	for len(ps.occ) < len(ps.uncolored) {
-		ps.occ = append(ps.occ, make([]core.Interval, 0, core.MaxFixedDegree))
+	for j := range ps.m {
+		ps.occ[j] = s.Gather(ps.occBuf[j][:0], c, ps.ids[j])
+		ps.maps[j] = core.ColorMap{}
+		ps.mapped[j] = ps.maps[j].Mark(ps.occ[j])
 	}
-	for i, v := range ps.uncolored {
-		ps.occ[i] = ps.s.Gather(ps.occ[i][:0], ps.c, ps.s.Neighbors(v))
-	}
-	ps.best = append(ps.best[:0], make([]int64, len(ps.uncolored))...)
 	ps.bestLocal = math.MaxInt64
-	ps.try(0)
-	for i, v := range ps.uncolored {
-		ps.c.Start[v] = ps.best[i]
+	ps.try(0, 0, fixed)
+	for j := range ps.m {
+		c.Start[ps.ids[j]] = ps.best[j]
 	}
 }
 
-// try places perm[k:] in every order, recursively, restoring perm and
-// the coloring on the way back.
-func (ps *permSearch) try(k int) {
-	g, c := ps.g, ps.c
-	if k == len(ps.perm) {
-		// Evaluate the block-local maxcolor under this placement.
-		var local int64
-		for _, v := range ps.members {
-			if c.Colored(v) {
-				local = max(local, c.Start[v]+g.Weight(v))
-			}
-		}
+// try places the members perm[k:] in every order, recursively,
+// restoring perm on the way back; extra[:e] are the intervals of the
+// members placed so far, and local their block's maximum end.
+func (ps *permSearch) try(k, e int, local int64) {
+	if k == ps.m {
 		if local < ps.bestLocal {
 			ps.bestLocal = local
-			for i, v := range ps.uncolored {
-				ps.best[i] = c.Start[v]
-			}
+			ps.best = ps.start
 		}
 		return
 	}
-	perm, occ := ps.perm, ps.occ
-	for i := k; i < len(perm); i++ {
+	perm := &ps.perm
+	for i := k; i < ps.m; i++ {
 		perm[k], perm[i] = perm[i], perm[k]
-		occ[k], occ[i] = occ[i], occ[k]
-		v := perm[k]
-		ps.trial = ps.s.Gather(append(ps.trial[:0], occ[k]...), c, perm[:k])
-		c.Start[v] = ps.s.Fit(ps.trial, v)
-		ps.try(k + 1)
-		c.Start[v] = core.Unset
-		occ[k], occ[i] = occ[i], occ[k]
+		j := perm[k]
+		v := ps.ids[j]
+		st := ps.fit(j, v, ps.extra[:e])
+		ps.start[j] = st
+		wv := ps.w[v]
+		ne := e
+		if wv > 0 {
+			ps.extra[e] = core.Interval{Start: st, End: st + wv}
+			ne++
+		}
+		ps.try(k+1, ne, max(local, st+wv))
 		perm[k], perm[i] = perm[i], perm[k]
 	}
+}
+
+// fit places member j, vertex v, against its fixed occupancy and extra.
+func (ps *permSearch) fit(j, v int, extra []core.Interval) int64 {
+	if ps.mapped[j] {
+		if st, ok := ps.s.FitMap(&ps.maps[j], extra, v); ok {
+			return st
+		}
+	}
+	return ps.s.Fit(append(append(ps.trialBuf[:0], ps.occ[j]...), extra...), v)
 }
 
 // smartBlocksSorted is SGK's 3D engine. Trying all 8! = 40320 orders per
@@ -224,7 +245,7 @@ func smartBlocksSorted(g core.Graph, cv grid.Cover, opts *core.SolveOptions) (co
 			}
 		}
 		for _, v := range uncolored {
-			c.Start[v] = s.Place(c, v, s.Neighbors(v))
+			c.Start[v] = s.Place(c, v)
 		}
 	})
 }

@@ -134,7 +134,7 @@ func Recolor(g core.Graph, c core.Coloring, order []int) {
 	s.Bind(g)
 	for _, v := range order {
 		c.Start[v] = core.Unset
-		c.Start[v] = s.Place(c, v, s.Neighbors(v))
+		c.Start[v] = s.Place(c, v)
 	}
 }
 

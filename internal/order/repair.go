@@ -42,7 +42,7 @@ func Repair(g core.Graph, c core.Coloring) int {
 			c.Start[v] = old[v]
 			continue
 		}
-		c.Start[v] = s.Place(c, v, nb)
+		c.Start[v] = s.PlaceAmong(c, v, nb)
 		if c.Start[v] != old[v] {
 			changed++
 		}

@@ -288,21 +288,22 @@ const (
 // free). t is v's tile: the blindCross and skipMarked modes drop the
 // neighbors they hide from the kernel's list before it gathers, telling
 // a cross-tile neighbor from the faces of t that v lies on. readAll
-// reads no tile, and t may be nil.
+// places against every neighbor with no list, reads no tile, and t may
+// be nil.
 func (r *run) place(w *scratch, v int, t *grid.Tile, mode int) int64 {
-	nb := w.fit.Neighbors(v)
-	if mode != readAll {
-		h := r.tl.Halo(*t, v)
-		k := 0
-		for _, u := range nb {
-			if (mode == skipMarked && r.mark[u] != r.round) || h.Cross(u) == 0 {
-				nb[k] = u
-				k++
-			}
-		}
-		nb = nb[:k]
+	if mode == readAll {
+		return w.fit.Place(r.c, v)
 	}
-	return w.fit.Place(r.c, v, nb)
+	nb := w.fit.Neighbors(v)
+	h := r.tl.Halo(*t, v)
+	k := 0
+	for _, u := range nb {
+		if (mode == skipMarked && r.mark[u] != r.round) || h.Cross(u) == 0 {
+			nb[k] = u
+			k++
+		}
+	}
+	return w.fit.PlaceAmong(r.c, v, nb[:k])
 }
 
 // forEach runs fn(worker-scratch, i) for i in [0, n) on r.par
