@@ -353,9 +353,10 @@ func note(format string, args ...any) {
 // deflates it, so the minimum is the least-biased estimator of the true
 // cost — single-shot numbers made cross-snapshot diffs flap by ±20% on
 // otherwise identical code. Allocation stats are the lowest of the reps
-// too: a collection that lands inside a timed solve makes the pools it
-// empties allocate again, which is the runtime's count, not the
-// solver's.
+// too. No solver keeps buffers between solves, so the only count that
+// still varies is PGLL's at two or more workers: its repair-round
+// count, and with it the goroutines the rounds start, depends on worker
+// timing.
 func measure(fn func(b *testing.B)) testing.BenchmarkResult {
 	best := testing.Benchmark(fn)
 	allocs, bytes := best.AllocsPerOp(), best.AllocedBytesPerOp()

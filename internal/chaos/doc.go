@@ -19,7 +19,7 @@
 // honest. The sites, by subsystem:
 //
 //	pgreedy/worker-stall     tile-parallel solver; per tile: worker sleeps inside Inject
-//	pgreedy/worker-panic     tile-parallel solver; per tile task and repair batch: induced panic, contained to a sequential fallback
+//	pgreedy/worker-panic     tile-parallel solver; per tile task and repair-round tile with losers: induced panic, contained to a sequential fallback
 //	pgreedy/halo-read        tile-parallel solver; per speculative placement: placement goes blind to cross-tile neighbors
 //	pgreedy/repair-drop      tile-parallel solver; per repaired loser: the recolor is dropped for the next fixpoint round to catch
 //	service/enqueue-drop     solve service; per admission: the job is shed between admission and the fair queue

@@ -273,11 +273,11 @@ func slotOf(start int64, w Divisor) (int64, bool) {
 // blocked it, so every start below the final cur was excluded by some
 // interval.
 //
-// Unlike LowestFit it never mutates occ and moves no data, trading the
-// insertion sort's O(d^2/4) writes for a few branch-lean read-only
-// passes; on the <=26-entry lists stencils produce it is measurably
-// faster than the sort (see BenchmarkPlaceLowest and DESIGN.md section
-// 14). Worst case (occupancy sorted by strictly descending start) is
+// Unlike LowestFit it never mutates occ and moves no data, trading a
+// sort's writes for a few branch-lean read-only passes; on the
+// <=26-entry lists stencils produce it measured faster than the inline
+// insertion sort LowestFit then used (see BenchmarkPlaceLowest and
+// DESIGN.md section 14). Worst case (occupancy sorted by strictly descending start) is
 // O(d^2) compares, so callers with large general-graph lists should
 // prefer the sorting kernel. FitScratch takes it for a short list whose
 // occupancy ends past the color map.

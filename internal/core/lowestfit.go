@@ -6,11 +6,10 @@ import (
 	"sync/atomic"
 )
 
-// smallSortMax is the occupancy-list length up to which LowestFit sorts
-// with an inline insertion sort instead of slices.SortFunc. Stencil
-// degrees are at most 26, so the greedy hot path always stays on the
-// inline branch; the library sort (O(d log d), but with an indirect
-// comparator call) remains only for large general-graph neighborhoods.
+// smallSortMax is the longest occupancy list Fit answers without a sort,
+// from the color map or the streaming scan. Stencil degrees are at most
+// 26, so every stencil placement stays below it; only general-graph
+// neighborhoods longer than 32 reach LowestFit's sort.
 const smallSortMax = 32
 
 // LowestFit returns the smallest non-negative start s such that [s, s+w)
@@ -25,11 +24,7 @@ func LowestFit(occ []Interval, w int64) int64 {
 	if w <= 0 {
 		return 0
 	}
-	if len(occ) <= smallSortMax {
-		insertionSortByStart(occ)
-	} else {
-		slices.SortFunc(occ, byStart)
-	}
+	slices.SortFunc(occ, byStart)
 	var cur int64
 	for _, iv := range occ {
 		if iv.Empty() {
@@ -41,22 +36,6 @@ func LowestFit(occ []Interval, w int64) int64 {
 		cur = max(cur, iv.End)
 	}
 	return cur
-}
-
-// insertionSortByStart sorts occ by byStart without allocating. It is the
-// right sort for the d <= 26 occupancy lists stencils produce: branchy
-// but tiny, with no closure, no interface dispatch, and no reflect-based
-// swapper.
-func insertionSortByStart(occ []Interval) {
-	for i := 1; i < len(occ); i++ {
-		iv := occ[i]
-		j := i - 1
-		for j >= 0 && byStart(occ[j], iv) > 0 {
-			occ[j+1] = occ[j]
-			j--
-		}
-		occ[j+1] = iv
-	}
 }
 
 // occTallyLen is the number of exact cells in a kernel's occupancy

@@ -6,9 +6,9 @@ import (
 )
 
 // TestLowestFitSortCrossover pins LowestFit against the brute-force
-// reference at occupancy sizes straddling the smallSortMax threshold, so
-// the insertion-sort branch and the slices.SortFunc fallback are both checked
-// on the same distribution.
+// reference at list lengths on both sides of smallSortMax: the short
+// lists Fit answers without LowestFit, and the long general-graph lists
+// it sorts.
 func TestLowestFitSortCrossover(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{0, 1, 2, smallSortMax - 1, smallSortMax, smallSortMax + 1, 64, 100} {
@@ -28,28 +28,10 @@ func TestLowestFitSortCrossover(t *testing.T) {
 	}
 }
 
-// TestInsertionSortByStart: the inline sort agrees with the byStart order
-// on adversarial patterns (sorted, reversed, duplicates, empty runs).
-func TestInsertionSortByStart(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(smallSortMax + 1)
-		occ := make([]Interval, n)
-		for i := range occ {
-			occ[i] = NewInterval(rng.Int63n(8), rng.Int63n(4))
-		}
-		insertionSortByStart(occ)
-		for i := 1; i < n; i++ {
-			if byStart(occ[i-1], occ[i]) > 0 {
-				t.Fatalf("trial %d: not sorted at %d: %v", trial, i, occ)
-			}
-		}
-	}
-}
-
-// TestLowestFitSmallNoAllocs: for stencil-sized occupancy lists, LowestFit
-// must not touch the heap — this is the contract the tile-parallel
-// solver's per-placement cost model relies on.
+// TestLowestFitSmallNoAllocs: LowestFit sorts in place with
+// slices.SortFunc and touches no heap, here on a stencil-sized list. Fit
+// hands it only general-graph lists longer than smallSortMax, so this
+// pins the sort itself, not a stencil hot path.
 func TestLowestFitSmallNoAllocs(t *testing.T) {
 	occ := make([]Interval, MaxFixedDegree)
 	rng := rand.New(rand.NewSource(3))

@@ -3,12 +3,12 @@ package grid
 import "stencilivc/internal/core"
 
 // Stencil is the dimension-generic view of a stencil instance: the
-// weighted graph plus the iteration hooks the solver registry needs. Both
-// Grid2D and Grid3D implement it, which is what lets one registry entry
-// and one portfolio runner serve the 9-pt and 27-pt cases without the
-// per-dimension switch blocks the package used to carry.
+// weighted lattice plus the iteration hooks the solver registry needs.
+// Both Grid2D and Grid3D implement it, which is what lets one registry
+// entry and one portfolio runner serve the 9-pt and 27-pt cases without
+// the per-dimension switch blocks the package used to carry.
 type Stencil interface {
-	core.Graph
+	core.Lattice
 	// Dims returns the dimensionality: 2 for a 9-pt grid, 3 for 27-pt.
 	Dims() int
 	// LineOrder returns the line-by-line traversal (GLL's visit order).

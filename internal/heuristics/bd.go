@@ -1,8 +1,6 @@
 package heuristics
 
 import (
-	"fmt"
-
 	"stencilivc/internal/core"
 	"stencilivc/internal/grid"
 	"stencilivc/internal/special"
@@ -35,11 +33,7 @@ func init() {
 // either dimension. Cancellation is polled once per row, and the chain
 // placements reach opts' sinks through the placement kernel's flush.
 func decompose(s grid.Stencil, opts *core.SolveOptions) (core.Coloring, int64, error) {
-	l, ok := s.(core.Lattice)
-	if !ok {
-		return core.Coloring{}, 0, fmt.Errorf("BD: unsupported stencil type %T", s)
-	}
-	w, x, y, _ := l.Lattice()
+	w, x, y, _ := s.Lattice()
 	c := core.Coloring{Start: make([]int64, len(w))}
 	var bound, lc int64
 	for layer := 0; layer < len(w); layer += x * y {

@@ -37,6 +37,6 @@
 // phases go through sync/atomic, so the solver is clean under the race
 // detector; the final coloring is published by the worker joins. The
 // solve is observable end to end: the speculate and repair phases, every
-// tile, and every repair round record flight-recorder spans, and
-// per-worker counters flush into the metrics bundle on dedicated shards.
+// tile, and every repair round record flight-recorder spans, and the
+// per-worker counters flush into the metrics bundle once per solve.
 package parallel

@@ -176,7 +176,7 @@ func TestCancellationPropagatesThroughChaos(t *testing.T) {
 func TestSolveErrorSiteThreadsThrough(t *testing.T) {
 	g := testGrid2D(t)
 	inj, _ := fireOnce(SiteWorkerPanic, 1, func() { panic(core.InjectedPanic{Site: SiteWorkerPanic}) })
-	_, err := speculative(g, g, Config{TileSize: 32}, &core.SolveOptions{Parallelism: 2, Injector: inj})
+	_, err := speculative(g, Config{TileSize: 32}, &core.SolveOptions{Parallelism: 2, Injector: inj})
 	var se *core.SolveError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want *core.SolveError", err)

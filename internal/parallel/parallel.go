@@ -22,10 +22,10 @@ const (
 	// worker, maximally skewing cross-tile halo read timing.
 	SiteWorkerStall = core.FaultSite("pgreedy/worker-stall")
 	// SiteWorkerPanic fires once per tile task (speculation) and once
-	// per repair group (parallel recolor); a chaos injector panics with
-	// core.InjectedPanic to model a crashing worker. The solver recovers
-	// the panic into a typed core.SolveError and falls back to the
-	// guaranteed sequential path.
+	// per tile with losers in a parallel repair round; a chaos injector
+	// panics with core.InjectedPanic to model a crashing worker. The
+	// solver recovers the panic into a typed core.SolveError and falls
+	// back to the guaranteed sequential path.
 	SiteWorkerPanic = core.FaultSite("pgreedy/worker-panic")
 	// SiteHaloRead fires once per speculative placement; when it fires
 	// the placement ignores every cross-tile neighbor — a forced halo
@@ -43,7 +43,7 @@ func init() {
 	core.RegisterFaultSite(SiteWorkerStall,
 		"tile-parallel speculation, once per tile: a Stalling rule sleeps the worker, skewing halo read timing")
 	core.RegisterFaultSite(SiteWorkerPanic,
-		"tile-parallel speculation and repair groups: a Panicking rule crashes the worker; recovered into the sequential fallback")
+		"tile-parallel speculation and each repair round's tiles with losers: a Panicking rule crashes the worker; recovered into the sequential fallback")
 	core.RegisterFaultSite(SiteHaloRead,
 		"per speculative placement: firing blinds the placement to cross-tile neighbors (forced halo misread)")
 	core.RegisterFaultSite(SiteRepairDrop,
@@ -119,13 +119,7 @@ type Config struct {
 // Cancellation is never masked by the fallback: a canceled context
 // propagates as the context's error.
 func Greedy(s grid.Stencil, cfg Config, opts *core.SolveOptions) (core.Coloring, error) {
-	lg, ok := s.(core.Lattice)
-	if !ok {
-		// Future stencil types that are not lattices still solve
-		// correctly, just sequentially.
-		return core.GreedyColorOpts(s, s.LineOrder(), opts)
-	}
-	c, err := speculative(lg, s, cfg, opts)
+	c, err := speculative(s, cfg, opts)
 	if err == nil {
 		return c, nil
 	}
@@ -156,7 +150,7 @@ func fallbackOrder(s grid.Stencil, cfg Config) []int {
 // speculative runs the speculate/repair/complete pipeline, containing
 // worker panics as typed errors for Greedy to act on. When tracing, the
 // pgreedy/speculate span's arg is the tile count.
-func speculative(lg core.Lattice, s grid.Stencil, cfg Config, opts *core.SolveOptions) (core.Coloring, error) {
+func speculative(s grid.Stencil, cfg Config, opts *core.SolveOptions) (core.Coloring, error) {
 	size := cfg.TileSize
 	if size <= 0 {
 		if s.Dims() == 3 {
@@ -173,20 +167,8 @@ func speculative(lg core.Lattice, s grid.Stencil, cfg Config, opts *core.SolveOp
 	if maxRounds <= 0 {
 		maxRounds = defaultMaxRounds
 	}
-	par := min(opts.Par(), len(tl.Tiles))
-	bufs := acquireBufs(tl, s.Len(), max(par, 1))
-	defer releaseBufs(bufs)
-	r := &run{
-		g: lg, s: s, tl: tl, cfg: cfg, opts: opts,
-		inj:  opts.Faults(),
-		c:    core.NewColoring(s.Len()),
-		par:  par,
-		bufs: bufs,
-		mark: bufs.mark,
-	}
-	// One bind per solve: every worker kernel shares its binding (BindAs)
-	// instead of rescanning the weights.
-	r.fit.Bind(lg)
+	r := newRun(s, tl, cfg, opts)
+	defer r.flush()
 
 	sp := opts.FlightCtx().Start("pgreedy/speculate")
 	err = r.speculate(sp.Context())
@@ -203,9 +185,9 @@ func speculative(lg core.Lattice, s grid.Stencil, cfg Config, opts *core.SolveOp
 	return r.c, nil
 }
 
-// run holds the shared state of one solve.
+// run holds the shared state of one solve and owns everything the solve
+// allocates; nothing outlives it.
 type run struct {
-	g    core.Lattice
 	s    grid.Stencil
 	tl   *grid.Tiling
 	cfg  Config
@@ -215,28 +197,37 @@ type run struct {
 	inj core.Injector
 	c   core.Coloring
 	par int
-	// fit is bound to g once per solve; worker kernels copy its binding.
+	// fit is bound to s once per solve; worker kernels copy its binding.
 	fit core.FitScratch
-	// bufs holds the arena-pooled per-solve buffers; released by
-	// speculative when the solve returns.
-	bufs *solveBufs
+	// workers holds one scratch per worker slot: forEach's worker k uses
+	// workers[k], and workers[0] also serves the coordinator (par <= 1,
+	// the sequential repair pass and the completion sweep).
+	workers []scratch
+	// queues are the work-stealing deques, one per worker when par > 1.
+	queues []wsRange
+	// losers holds the conflict losers of the current repair round, tile
+	// i's in losers[loserOff[i]:loserEnd[i]]. A tile's span is as long as
+	// its low-face cell list, the most it can lose, so the workers of a
+	// detection sweep write disjoint spans.
+	losers             []int
+	loserOff, loserEnd []int
 	// seqRepair records that the guaranteed sequential repair pass
 	// engaged, so the fallback counter is bumped once per solve.
 	seqRepair bool
 
 	// mark stamps each vertex with the repair round in which it was a
-	// conflict loser; round is the current stamp. Written only by the
-	// coordinator between rounds, read-only inside a round, so parallel
-	// repair placements can deterministically ignore cross-tile peers of
-	// the same round (skipMarked).
+	// conflict loser; round is the current stamp. The first repair round
+	// allocates it. Written only by the coordinator between rounds,
+	// read-only inside a round, so parallel repair placements can
+	// deterministically ignore cross-tile peers of the same round
+	// (skipMarked).
 	mark  []int32
 	round int32
 }
 
 // scratch is the per-worker state: the placement kernel with its
-// fixed-size neighbor and occupancy arrays and its tallies (kept in one
-// heap object per worker so a placement allocates nothing) plus
-// reusable buffers and counters.
+// fixed-size neighbor and occupancy arrays and its tallies, a tile's
+// vertex buffer, and the worker's steal count.
 type scratch struct {
 	fit   core.FitScratch
 	verts []int
@@ -245,24 +236,47 @@ type scratch struct {
 	steals int64
 }
 
-// newScratch acquires a worker scratch from the arena, binding its
-// kernel to the run's graph. Counterpart of release.
-func (r *run) newScratch() *scratch {
-	w := scratchPool.Get().(*scratch)
-	w.fit.BindAs(&r.fit)
-	return w
+// newRun sets up a solve of s over the tiling tl: the coloring, each
+// tile's loser span, and a kernel bound once and shared by every
+// worker's scratch (BindAs) instead of rescanning the weights.
+func newRun(s grid.Stencil, tl *grid.Tiling, cfg Config, opts *core.SolveOptions) *run {
+	par := min(opts.Par(), len(tl.Tiles))
+	r := &run{
+		s: s, tl: tl, cfg: cfg, opts: opts,
+		inj:      opts.Faults(),
+		c:        core.NewColoring(s.Len()),
+		par:      par,
+		workers:  make([]scratch, max(par, 1)),
+		loserOff: make([]int, len(tl.Tiles)),
+		loserEnd: make([]int, len(tl.Tiles)),
+	}
+	if par > 1 {
+		r.queues = make([]wsRange, par)
+	}
+	off := 0
+	for i, t := range tl.Tiles {
+		r.loserOff[i] = off
+		off += tl.LowFaceLen(t)
+	}
+	r.losers = make([]int, off)
+	r.fit.Bind(s)
+	for k := range r.workers {
+		r.workers[k].fit.BindAs(&r.fit)
+	}
+	return r
 }
 
-// release flushes a worker scratch's tallies and steal count and
-// returns it to the arena; the grown verts buffer stays warm for the
-// next worker.
-func (r *run) release(w *scratch) {
-	w.fit.Flush(r.opts)
-	if m := r.opts.Meters(); m != nil {
-		m.Steals.Add(w.steals)
+// flush hands every worker's placement tallies and steal count to the
+// solve's sinks; the solve calls it once, when it returns.
+func (r *run) flush() {
+	var steals int64
+	for k := range r.workers {
+		r.workers[k].fit.Flush(r.opts)
+		steals += r.workers[k].steals
 	}
-	w.steals = 0
-	scratchPool.Put(w)
+	if m := r.opts.Meters(); m != nil {
+		m.Steals.Add(steals)
+	}
 }
 
 // Visibility modes of a placement: which neighbors it is allowed to
@@ -311,10 +325,9 @@ func (r *run) place(w *scratch, v int, t *grid.Tile, mode int) int64 {
 // k starts on the contiguous range [k·n/par, (k+1)·n/par) — consecutive
 // indices follow the space-filling tile order, so a worker's tiles
 // share halo rows — and a worker that drains its range steals half of
-// a victim's remainder instead of idling. The first error
-// (cancellation, recovered worker panic) stops all workers promptly;
-// scratch tallies (including steal counts) are flushed into the sinks
-// on return.
+// a victim's remainder instead of idling. Worker k works on the scratch
+// r.workers[k]. The first error (cancellation, recovered worker panic)
+// stops all workers promptly.
 //
 // Worker panics are contained here: each call runs under a recover that
 // converts the panic into a *core.SolveError (keeping the injection
@@ -323,16 +336,14 @@ func (r *run) place(w *scratch, v int, t *grid.Tile, mode int) int64 {
 func (r *run) forEach(n int, fn func(w *scratch, i int) error) error {
 	par := min(r.par, n)
 	if par <= 1 {
-		w := r.newScratch()
-		defer r.release(w)
 		for i := 0; i < n; i++ {
-			if err := r.contain(w, i, fn); err != nil {
+			if err := r.contain(&r.workers[0], i, fn); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	qs := r.bufs.queues[:par]
+	qs := r.queues[:par]
 	chunk, rem := n/par, n%par
 	lo := 0
 	for k := 0; k < par; k++ {
@@ -353,8 +364,7 @@ func (r *run) forEach(n int, fn func(w *scratch, i int) error) error {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			w := r.newScratch()
-			defer r.release(w)
+			w := &r.workers[k]
 			for !stop.Load() {
 				i, ok := qs[k].pop()
 				if !ok {
@@ -398,7 +408,7 @@ func (r *run) tileOrder(w *scratch, t grid.Tile) []int {
 		// elements directly instead of through a reflect-based swapper,
 		// allocates nothing, and inlines the comparator. Pinned by
 		// TestTileOrderNoAllocs.
-		g := r.g
+		g := r.s
 		slices.SortFunc(w.verts, func(a, b int) int {
 			if wa, wb := g.Weight(a), g.Weight(b); wa != wb {
 				return cmp.Compare(wb, wa) // heavier first
@@ -452,7 +462,7 @@ func (r *run) speculate(tc *obsv.TraceContext) error {
 }
 
 // detect sweeps every tile's low-face cells and collects, per tile, the
-// conflict losers into the tile's span of bufs.losers: for each
+// conflict losers into the tile's span of r.losers: for each
 // overlapping cross-tile pair the vertex in the later tile (the higher
 // tile id) must move. A neighbor in an earlier tile lies across a low
 // face, so the low-face cells are the only candidates, and the cell's
@@ -461,13 +471,13 @@ func (r *run) speculate(tc *obsv.TraceContext) error {
 // loser lists in tile order yields the deterministic repair order for
 // free.
 func (r *run) detect() (total int, err error) {
-	g, tl, start, b := r.g, r.tl, r.c.Start, r.bufs
+	g, tl, start := r.s, r.tl, r.c.Start
 	err = r.forEach(len(tl.Tiles), func(w *scratch, i int) error {
 		if err := r.opts.Err(); err != nil {
 			return err
 		}
 		tile := tl.Tiles[i]
-		end := b.loserOff[i]
+		end := r.loserOff[i]
 		w.verts = tl.AppendLowFaces(tile, w.verts[:0])
 		for _, v := range w.verts {
 			sv := atomic.LoadInt64(&start[v])
@@ -490,47 +500,42 @@ func (r *run) detect() (total int, err error) {
 					continue
 				}
 				if iv.Overlaps(core.Interval{Start: su, End: su + wu}) {
-					b.losers[end] = v
+					r.losers[end] = v
 					end++
 					break
 				}
 			}
 		}
-		b.loserEnd[i] = end
+		r.loserEnd[i] = end
 		return nil
 	})
 	if err != nil {
 		return 0, err
 	}
-	for i, end := range b.loserEnd {
-		total += end - b.loserOff[i]
+	for i, end := range r.loserEnd {
+		total += end - r.loserOff[i]
 	}
 	return total, nil
 }
 
-// tileGroup is one repair round's loser set for a single tile (an index
-// into the tiling's Tiles, which is also its ID). The whole group is
-// recolored sequentially by one worker (in ascending vertex-id order),
-// so a parallel round can never create an intra-tile conflict and the
-// round's outcome depends only on the conflict set.
-type tileGroup struct {
-	tile  int
-	verts []int
-}
+// tileLosers returns tile i's losers of the current repair round, in
+// ascending vertex-id order.
+func (r *run) tileLosers(i int) []int { return r.losers[r.loserOff[i]:r.loserEnd[i]] }
 
 // fixpoint drives the detect/recolor loop until no cross-tile conflict
 // remains. Parallel repair rounds recolor the losers of each tile
-// sequentially within the tile (one worker per tile group) so no new
-// intra-tile conflict can appear; if the conflict set ever fails to
-// shrink strictly — or maxRounds is exhausted — one sequential pass over
-// the remaining losers finishes the job deterministically. When tracing,
-// every round records a "round" span under tc, with the round number as
-// its arg and nested "sweep" (arg: conflicts found) and "recolor"
-// (detail "sequential" on the sequential pass) spans; the metrics
-// bundle counts detected conflicts, repaired losers, and completed
-// rounds.
+// sequentially within the tile (one worker walks the tile's whole loser
+// span, in ascending vertex-id order) so no new intra-tile conflict can
+// appear and the round's outcome depends only on the conflict set; if
+// the conflict set ever fails to shrink strictly — or maxRounds is
+// exhausted — one sequential pass over the remaining losers finishes
+// the job deterministically. When tracing, every round records a
+// "round" span under tc, with the round number as its arg and nested
+// "sweep" (arg: conflicts found) and "recolor" (detail "sequential" on
+// the sequential pass) spans; the metrics bundle counts detected
+// conflicts, repaired losers, and completed rounds.
 func (r *run) fixpoint(tc *obsv.TraceContext, maxRounds int) error {
-	start, b := r.c.Start, r.bufs
+	start := r.c.Start
 	meters := r.opts.Meters()
 	prev := -1
 	for round := 0; ; round++ {
@@ -563,43 +568,42 @@ func (r *run) fixpoint(tc *obsv.TraceContext, maxRounds int) error {
 		// placements see losers as uncolored rather than as their stale
 		// conflicting intervals; stamp them so skipMarked placements can
 		// tell this round's losers apart from settled vertices.
+		if r.mark == nil {
+			r.mark = make([]int32, len(start))
+		}
 		r.round++
-		groups := b.groups[:0]
-		for i, end := range b.loserEnd {
-			verts := b.losers[b.loserOff[i]:end]
-			for _, v := range verts {
+		for i := range r.tl.Tiles {
+			for _, v := range r.tileLosers(i) {
 				atomic.StoreInt64(&start[v], core.Unset)
 				r.mark[v] = r.round
 			}
-			if len(verts) > 0 {
-				groups = append(groups, tileGroup{tile: i, verts: verts})
-			}
 		}
-		b.groups = groups
 		csp, detail := rtc.Start("recolor"), ""
 		if sequential {
 			detail = "sequential"
-			w := r.newScratch()
-			for _, g := range groups {
-				for _, v := range g.verts {
-					atomic.StoreInt64(&start[v], r.place(w, v, nil, readAll))
+			for i := range r.tl.Tiles {
+				for _, v := range r.tileLosers(i) {
+					atomic.StoreInt64(&start[v], r.place(&r.workers[0], v, nil, readAll))
 				}
 			}
-			r.release(w)
-		} else if err := r.forEach(len(groups), func(w *scratch, i int) error {
+		} else if err := r.forEach(len(r.tl.Tiles), func(w *scratch, i int) error {
+			losers := r.tileLosers(i)
+			if len(losers) == 0 {
+				return nil
+			}
 			if err := r.opts.Err(); err != nil {
 				return err
 			}
 			if r.inj != nil {
 				r.inj.Inject(SiteWorkerPanic)
 			}
-			for _, v := range groups[i].verts {
+			for _, v := range losers {
 				if r.inj != nil && r.inj.Inject(SiteRepairDrop) {
 					// Dropped repair update: the loser stays uncolored;
 					// the completion sweep after the fixpoint places it.
 					continue
 				}
-				atomic.StoreInt64(&start[v], r.place(w, v, &r.tl.Tiles[groups[i].tile], skipMarked))
+				atomic.StoreInt64(&start[v], r.place(w, v, &r.tl.Tiles[i], skipMarked))
 			}
 			return nil
 		}); err != nil {
@@ -628,22 +632,17 @@ func (r *run) fixpoint(tc *obsv.TraceContext, maxRounds int) error {
 // solve.fallback event under tc.
 func (r *run) complete(tc *obsv.TraceContext) error {
 	start := r.c.Start
-	var w *scratch
 	var n int64
 	for v := range start {
 		if atomic.LoadInt64(&start[v]) != core.Unset {
 			continue
 		}
-		if w == nil {
-			w = r.newScratch()
-		}
-		atomic.StoreInt64(&start[v], r.place(w, v, nil, readAll))
+		atomic.StoreInt64(&start[v], r.place(&r.workers[0], v, nil, readAll))
 		n++
 	}
-	if w == nil {
+	if n == 0 {
 		return nil
 	}
-	r.release(w)
 	if m := r.opts.Meters(); m != nil {
 		m.Repairs.Add(n)
 	}

@@ -22,9 +22,9 @@ import "sync/atomic"
 //
 // Determinism is unaffected: every index is still processed exactly
 // once by exactly one worker, and the repair path's (tile-id,
-// vertex-id) tie-break never depended on which worker runs a group —
-// skipMarked placements are a pure function of the round's conflict
-// set. Panic containment is also unchanged; contain() wraps every fn
+// vertex-id) tie-break never depends on which worker recolors a tile's
+// losers — skipMarked placements are a pure function of the round's
+// conflict set. Panic containment is also unchanged; contain() wraps every fn
 // call exactly as before.
 
 // wsRange is one worker's range deque: the packed half-open interval

@@ -100,14 +100,13 @@ func TestWSRangeConcurrent(t *testing.T) {
 // n not divisible by par.
 func TestForEachCoversAllIndices(t *testing.T) {
 	g := rand2D(t, 8, 8, 5, 21)
+	tl, err := g.Tiling(1) // 64 tiles: room for every worker count below
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, par := range []int{1, 2, 3, 7, 16} {
 		for _, n := range []int{1, 2, 13, 64, 100} {
-			tl, err := g.Tiling(8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bufs := acquireBufs(tl, g.Len(), par)
-			r := &run{g: g, s: g, opts: &core.SolveOptions{Parallelism: par}, par: par, bufs: bufs}
+			r := newRun(g, tl, Config{}, &core.SolveOptions{Parallelism: par})
 			hits := make([]atomic.Int32, n)
 			if err := r.forEach(n, func(_ *scratch, i int) error {
 				hits[i].Add(1)
@@ -120,27 +119,35 @@ func TestForEachCoversAllIndices(t *testing.T) {
 					t.Fatalf("par=%d n=%d: index %d visited %d times", par, n, i, got)
 				}
 			}
-			releaseBufs(bufs)
 		}
 	}
 }
 
-// TestStealCounterFlushed: worker steal counts flush into the
-// ivc_tile_steals_total counter alongside the placement counters.
+// TestStealCounterFlushed: the solve's one flush adds every worker's
+// steal count into the ivc_tile_steals_total counter and every worker's
+// placements into the vertex counter.
 func TestStealCounterFlushed(t *testing.T) {
 	reg := obsv.NewRegistry()
 	sm := obsv.NewSolveMetrics(reg)
 	g := rand2D(t, 4, 4, 3, 5)
-	r := &run{g: g, s: g, opts: &core.SolveOptions{Metrics: sm}}
-	w := r.newScratch()
-	w.steals = 3
-	w.fit.AddPlacements(7)
-	r.release(w)
-	if got := sm.Steals.Value(); got != 3 {
-		t.Errorf("Steals = %d, want 3", got)
+	tl, err := g.Tiling(2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := sm.Vertices.Value(); got != 7 {
-		t.Errorf("Vertices = %d, want 7", got)
+	r := newRun(g, tl, Config{}, &core.SolveOptions{Parallelism: 2, Metrics: sm})
+	if len(r.workers) != 2 {
+		t.Fatalf("%d worker scratches, want 2", len(r.workers))
+	}
+	r.workers[0].steals = 3
+	r.workers[0].fit.AddPlacements(7)
+	r.workers[1].steals = 2
+	r.workers[1].fit.AddPlacements(4)
+	r.flush()
+	if got := sm.Steals.Value(); got != 5 {
+		t.Errorf("Steals = %d, want 5", got)
+	}
+	if got := sm.Vertices.Value(); got != 11 {
+		t.Errorf("Vertices = %d, want 11", got)
 	}
 }
 
@@ -154,7 +161,7 @@ func TestTileOrderNoAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &run{g: g, s: g, cfg: Config{Order: OrderWeightDesc}, opts: nil}
+	r := &run{s: g, cfg: Config{Order: OrderWeightDesc}}
 	w := &scratch{}
 	tile := tl.Tiles[len(tl.Tiles)/2]
 	r.tileOrder(w, tile) // grow verts once

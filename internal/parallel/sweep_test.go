@@ -3,7 +3,6 @@ package parallel
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -64,7 +63,6 @@ func TestDetectMatchesReference(t *testing.T) {
 		rand3D(t, 18, 17, 19, 5, 8),
 	}
 	for si, s := range stencils {
-		lg := s.(core.Lattice)
 		for _, size := range []int{1, 2, 3, 16, 1 << 10} {
 			tl, err := s.Tiling(size)
 			if err != nil {
@@ -77,20 +75,18 @@ func TestDetectMatchesReference(t *testing.T) {
 					c.Start[v] = rng.Int63n(12)
 				}
 			}
-			want := refDetect(lg, tl, c.Start)
+			want := refDetect(s, tl, c.Start)
 			for _, par := range []int{1, 3} {
 				name := fmt.Sprintf("%v size %d par %d", s, size, par)
-				bufs := acquireBufs(tl, s.Len(), par)
-				r := &run{g: lg, s: s, tl: tl, opts: &core.SolveOptions{Parallelism: par},
-					c: c, par: par, bufs: bufs, mark: bufs.mark}
-				r.fit.Bind(lg)
+				r := newRun(s, tl, Config{}, &core.SolveOptions{Parallelism: par})
+				r.c = c
 				total, err := r.detect()
 				if err != nil {
 					t.Fatal(err)
 				}
 				n := 0
 				for i := range tl.Tiles {
-					got := bufs.losers[bufs.loserOff[i]:bufs.loserEnd[i]]
+					got := r.tileLosers(i)
 					if !slices.Equal(got, want[i]) {
 						t.Fatalf("%s tile %d: losers %v, want %v", name, i, got, want[i])
 					}
@@ -99,32 +95,28 @@ func TestDetectMatchesReference(t *testing.T) {
 				if total != n {
 					t.Fatalf("%s: detect counted %d losers, the tiles hold %d", name, total, n)
 				}
-				releaseBufs(bufs)
 			}
 		}
 	}
 }
 
-// TestColdSolveAllocs pins a cold PGLL solve on 64³ (64 bricks of 16³),
-// its arena pools emptied by two collections, under a fixed allocation
-// count at one and two workers: the solver's buffers are flat slices,
-// so nothing is allocated per tile.
-func TestColdSolveAllocs(t *testing.T) {
+// TestSolveAllocs pins every PGLL solve on 64³ (64 bricks of 16³) under
+// a fixed allocation count at one and two workers. The solver's buffers
+// are flat slices, so nothing is allocated per tile, and a solve keeps
+// nothing from the last one, so the count does not depend on when the
+// collector ran. At two workers every forEach call adds its goroutines.
+func TestSolveAllocs(t *testing.T) {
 	g := rand3D(t, 64, 64, 64, 9, 11)
-	for _, par := range []int{1, 2} {
-		solve := func() {
-			if _, err := Greedy(g, Config{}, &core.SolveOptions{Parallelism: par}); err != nil {
+	for _, tc := range []struct {
+		par  int
+		most float64
+	}{{1, 16}, {2, 64}} {
+		if n := testing.AllocsPerRun(3, func() {
+			if _, err := Greedy(g, Config{}, &core.SolveOptions{Parallelism: tc.par}); err != nil {
 				t.Fatal(err)
 			}
-		}
-		// AllocsPerRun's own warm-up call fills the pools that the
-		// collections then empty.
-		if n := testing.AllocsPerRun(1, func() {
-			runtime.GC()
-			runtime.GC()
-			solve()
-		}); n > 64 {
-			t.Errorf("par %d: a cold 64³ solve made %v allocations, want at most 64", par, n)
+		}); n > tc.most {
+			t.Errorf("par %d: a 64³ solve made %v allocations, want at most %v", tc.par, n, tc.most)
 		}
 	}
 }
@@ -138,12 +130,7 @@ func BenchmarkConflictSweep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := &core.SolveOptions{Parallelism: 1}
-	bufs := acquireBufs(tl, g.Len(), 1)
-	defer releaseBufs(bufs)
-	r := &run{g: g, s: g, tl: tl, cfg: Config{SpeculateBlind: true}, opts: opts,
-		c: core.NewColoring(g.Len()), par: 1, bufs: bufs, mark: bufs.mark}
-	r.fit.Bind(g)
+	r := newRun(g, tl, Config{SpeculateBlind: true}, &core.SolveOptions{Parallelism: 1})
 	if err := r.speculate(nil); err != nil {
 		b.Fatal(err)
 	}

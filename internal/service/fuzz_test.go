@@ -7,8 +7,6 @@ import (
 	"io"
 	"reflect"
 	"testing"
-
-	"stencilivc/internal/core"
 )
 
 // FuzzParseRequest feeds arbitrary POST /solve bodies through the same
@@ -126,11 +124,7 @@ func FuzzParseRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		l, ok := s.(core.Lattice)
-		if !ok {
-			t.Fatalf("accepted request built a %T", s)
-		}
-		w, _, _, _ := l.Lattice()
+		w, _, _, _ := s.Lattice()
 		if len(w) != s.Len() {
 			t.Fatalf("stencil has %d vertices but %d weights", s.Len(), len(w))
 		}
