@@ -81,14 +81,16 @@ cache-check:
 # idle workers take two jobs side by side (work conservation), stalled
 # dispatches shed the expired tail while the queue front completes, a
 # stalled worker fills the per-tenant queue bound, concurrent tenants
-# all finish, and the weighted fair scheduler's unit tests. It then runs
+# all finish, a best job whose deadline lands mid-portfolio answers with
+# a partial coloring (TestServiceDeadlinePartial), and the weighted fair
+# scheduler's unit tests. It then runs
 # the request-decoder benchmark (JSON and text bodies of a 96² and a 20³
 # instance), the served cache-hit benchmark (a best and a GLL hit
 # through the daemon's handler, JSON on 96², text on 20³) and the result
 # encoder's at a short -benchtime, so those paths stay exercised and
 # their allocs/op are printed.
 serve-check:
-	$(GO) test -race -count=10 -run 'TestServiceWorkConserving|TestServiceBatchStallShedsExpired|TestServiceQueueBoundSheds|TestServiceConcurrentTenants|TestScheduler' ./internal/service
+	$(GO) test -race -count=10 -run 'TestServiceWorkConserving|TestServiceBatchStallShedsExpired|TestServiceQueueBoundSheds|TestServiceConcurrentTenants|TestServiceDeadlinePartial|TestScheduler' ./internal/service
 	$(GO) test -run '^$$' -bench 'DecodeRequest|ServeHit|EncodeResult' -benchmem -benchtime 100x ./internal/service
 
 # bench-kernel is the quick placement-kernel tier: the PlaceLowest

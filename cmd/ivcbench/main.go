@@ -354,9 +354,10 @@ func note(format string, args ...any) {
 // cost — single-shot numbers made cross-snapshot diffs flap by ±20% on
 // otherwise identical code. Allocation stats are the lowest of the reps
 // too. No solver keeps buffers between solves, so the only count that
-// still varies is PGLL's at two or more workers: its repair-round
-// count, and with it the goroutines the rounds start, depends on worker
-// timing.
+// still varies is PGLL's at two or more workers: whether optimistic
+// speculation leaves a conflict depends on worker timing, and a
+// conflicted solve runs the repair pass and a second sweep, whose
+// goroutines allocate.
 func measure(fn func(b *testing.B)) testing.BenchmarkResult {
 	best := testing.Benchmark(fn)
 	allocs, bytes := best.AllocsPerOp(), best.AllocedBytesPerOp()

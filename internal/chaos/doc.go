@@ -1,9 +1,9 @@
 // Package chaos is the deterministic fault-injection harness for the
 // solve pipeline. It implements core.Injector with a seeded, named-site
 // rule table: tests (and the fuzz target) build an Injector that fires
-// specific faults — induced panics, forced halo misreads, dropped
-// repair updates, worker stalls — at exact or pseudo-random visits of
-// the sites the solvers consult via core.SolveOptions.Fault.
+// specific faults — induced panics, forced halo misreads, worker
+// stalls — at exact or pseudo-random visits of the sites the solvers
+// consult via core.SolveOptions.Fault.
 //
 // Everything is reproducible from the construction parameters: the same
 // rules and seed produce the same fire schedule on a sequential solve,
@@ -19,9 +19,8 @@
 // honest. The sites, by subsystem:
 //
 //	pgreedy/worker-stall     tile-parallel solver; per tile: worker sleeps inside Inject
-//	pgreedy/worker-panic     tile-parallel solver; per tile task and repair-round tile with losers: induced panic, contained to a sequential fallback
+//	pgreedy/worker-panic     tile-parallel solver; per tile task: induced panic, contained to a sequential fallback
 //	pgreedy/halo-read        tile-parallel solver; per speculative placement: placement goes blind to cross-tile neighbors
-//	pgreedy/repair-drop      tile-parallel solver; per repaired loser: the recolor is dropped for the next fixpoint round to catch
 //	service/enqueue-drop     solve service; per admission: the job is shed between admission and the fair queue
 //	service/batch-stall      solve service; per job dispatch, before the deadline check: the worker stalls inside Inject
 //	service/worker-panic     solve service; per job run: induced panic, contained to a typed job error

@@ -20,7 +20,7 @@ import (
 //
 // Schedule encoding, 4 bytes per rule (up to 12 rules):
 //
-//	byte 0: site   (mod 4 → stall, panic, halo, drop)
+//	byte 0: site   (mod 3 → stall, panic, halo)
 //	byte 1: kind   (mod 4 → OnNth, EveryNth+budget, WithProb, WithProb+Panicking)
 //	byte 2: magnitude (visit, period, or probability numerator)
 //	byte 3: budget (EveryNth only)
@@ -28,13 +28,12 @@ func FuzzInjectionSchedule(f *testing.F) {
 	f.Add(uint64(1), []byte{})                         // no faults
 	f.Add(uint64(2), []byte{1, 0, 2, 0})               // panic site, OnNth(3)
 	f.Add(uint64(3), []byte{2, 2, 128, 0})             // halo misreads, p≈0.25
-	f.Add(uint64(4), []byte{3, 1, 1, 0, 2, 3, 64, 0})  // drop every visit + panicking halo
+	f.Add(uint64(4), []byte{0, 1, 1, 0, 2, 3, 64, 0})  // stall every 2nd tile + panicking halo
 	f.Add(uint64(5), []byte{0, 1, 2, 4, 1, 3, 255, 0}) // stalls + always-panicking panic site
 	sites := []core.FaultSite{
 		parallel.SiteWorkerStall,
 		parallel.SiteWorkerPanic,
 		parallel.SiteHaloRead,
-		parallel.SiteRepairDrop,
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, data []byte) {
 		in := New(seed)

@@ -52,7 +52,7 @@ type SolveOptions struct {
 	Sampler *obsv.Sampler
 	// Injector, when non-nil, is the fault-injection hook: instrumented
 	// sites in the solve pipeline consult it and enact the faults it
-	// schedules (stalls, panics, halo misreads, dropped repair updates).
+	// schedules (stalls, panics, halo misreads).
 	// A nil Injector — the production configuration — disables every
 	// site at zero cost. See internal/chaos for the deterministic,
 	// seeded implementation.

@@ -15,11 +15,12 @@ type SolveMetrics struct {
 	// Conflicts counts cross-tile conflicts detected by the parallel
 	// solver's boundary sweeps — ivc_conflicts_detected_total.
 	Conflicts *Counter
-	// Repairs counts conflict losers recolored by repair rounds —
-	// ivc_conflicts_repaired_total.
+	// Repairs counts conflict losers recolored by the parallel solver's
+	// repair pass — ivc_conflicts_repaired_total.
 	Repairs *Counter
-	// RepairRounds counts completed detect/recolor rounds —
-	// ivc_repair_rounds_total.
+	// RepairRounds counts completed detect/recolor rounds: one repair
+	// pass for a parallel solve whose sweep found conflicts, none
+	// otherwise — ivc_repair_rounds_total.
 	RepairRounds *Counter
 	// Steals counts tile-range steals by the work-stealing scheduler:
 	// how often a worker that drained its own contiguous range took half
@@ -45,9 +46,9 @@ type SolveMetrics struct {
 	// down its degradation ladder (panic → SolveError → fallback →
 	// partial result) instead of completing on the happy path.
 
-	// Fallbacks counts engagements of a guaranteed sequential path after
-	// a parallel solver degraded (repair non-convergence, worker panic,
-	// dropped repair updates) — solver_fallbacks_total.
+	// Fallbacks counts tile-parallel solves that fell back to the
+	// guaranteed sequential greedy after a worker panic —
+	// solver_fallbacks_total.
 	Fallbacks *Counter
 	// PanicsRecovered counts solver panics recovered into typed errors
 	// instead of crashing the process — solver_panics_recovered_total.
@@ -70,7 +71,7 @@ func NewSolveMetrics(r *Registry) *SolveMetrics {
 		Conflicts: r.Counter("ivc_conflicts_detected_total",
 			"Cross-tile conflicts found by the parallel solver's boundary sweeps."),
 		Repairs: r.Counter("ivc_conflicts_repaired_total",
-			"Conflict losers recolored by parallel repair rounds."),
+			"Conflict losers recolored by the parallel solver's repair pass."),
 		RepairRounds: r.Counter("ivc_repair_rounds_total",
 			"Detect/recolor rounds completed by the parallel solver."),
 		Steals: r.Counter("ivc_tile_steals_total",

@@ -32,11 +32,11 @@ func decodeLines(t *testing.T, buf *bytes.Buffer) []streamLine {
 }
 
 // TestSolveEvents: a traced parallel solve streams one
-// pgreedy/speculate span whose arg is the tile count, then one round
-// span per fixpoint round, numbered in order from 0, each with a sweep
-// child whose arg is the conflicts it found: positive in every round
-// but the last, which finds none. Blind speculation forces halo
-// conflicts, so at least one repair round is guaranteed.
+// pgreedy/speculate span whose arg is the tile count, then exactly two
+// round spans, numbered 0 and 1, each with a sweep child whose arg is
+// the conflicts it found. Blind speculation forces halo conflicts, so
+// round 0's sweep finds some and runs the one repair pass (one recolor
+// span), and round 1's sweep finds none.
 func TestSolveEvents(t *testing.T) {
 	g := rand2D(t, 48, 48, 9, 23)
 	rec := obsv.NewFlightRecorder(4096, nil)
@@ -60,6 +60,7 @@ func TestSolveEvents(t *testing.T) {
 	roundOf := map[string]int64{} // round span id -> round number
 	var rounds []int64
 	var sweeps []streamLine
+	recolors := 0
 	for _, l := range lines {
 		switch l.Name {
 		case "pgreedy/speculate":
@@ -72,7 +73,9 @@ func TestSolveEvents(t *testing.T) {
 			rounds = append(rounds, l.Arg)
 		case "sweep":
 			sweeps = append(sweeps, l)
-		case "tile", "recolor", "pgreedy/repair", "solve.fallback":
+		case "recolor":
+			recolors++
+		case "tile", "pgreedy/repair":
 		default:
 			t.Errorf("unexpected record %+v", l)
 		}
@@ -80,28 +83,24 @@ func TestSolveEvents(t *testing.T) {
 	if speculate != 1 {
 		t.Errorf("got %d pgreedy/speculate spans, want 1", speculate)
 	}
-	if len(rounds) < 2 {
-		t.Fatalf("rounds %v: blind speculation must need at least one repair round", rounds)
+	if len(rounds) != 2 || rounds[0] != 0 || rounds[1] != 1 {
+		t.Fatalf("round spans %v, want [0 1]: one repair pass, then the confirming sweep", rounds)
 	}
-	for i, r := range rounds {
-		if r != int64(i) {
-			t.Errorf("round spans %v, want 0-based and ordered", rounds)
-			break
-		}
+	if recolors != 1 {
+		t.Errorf("%d recolor spans, want the one repair pass", recolors)
 	}
 	if len(sweeps) != len(rounds) {
 		t.Fatalf("%d sweeps for %d rounds, want one each", len(sweeps), len(rounds))
 	}
-	last := int64(len(rounds) - 1)
 	for _, sw := range sweeps {
 		r, ok := roundOf[sw.Parent]
 		switch {
 		case !ok:
 			t.Errorf("sweep %+v does not sit under a round", sw)
-		case r < last && sw.Arg <= 0:
-			t.Errorf("round %d sweep found %d conflicts, want > 0", r, sw.Arg)
-		case r == last && sw.Arg != 0:
-			t.Errorf("final round's sweep found %d conflicts, want 0", sw.Arg)
+		case r == 0 && sw.Arg <= 0:
+			t.Errorf("round 0 sweep found %d conflicts, want > 0", sw.Arg)
+		case r == 1 && sw.Arg != 0:
+			t.Errorf("round 1 sweep found %d conflicts, want 0", sw.Arg)
 		}
 	}
 }

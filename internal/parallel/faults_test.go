@@ -103,38 +103,6 @@ func TestWorkerPanicNonInjected(t *testing.T) {
 	}
 }
 
-// TestRepairDropCompletes: dropped repair updates leave vertices
-// uncolored mid-solve; the completion sweep must still deliver a
-// complete, valid coloring.
-func TestRepairDropCompletes(t *testing.T) {
-	g := testGrid2D(t)
-	var drops atomic.Int64
-	inj := core.InjectorFunc(func(s core.FaultSite) bool {
-		if s == SiteRepairDrop {
-			drops.Add(1)
-			return true // drop every parallel repair update
-		}
-		return false
-	})
-	m := newMetrics()
-	// SpeculateBlind guarantees cross-tile conflicts, hence repair work
-	// to drop; MaxRounds=1 forces the sequential pass early too.
-	opts := &core.SolveOptions{Parallelism: 4, Injector: inj, Metrics: m}
-	c, err := Greedy(g, Config{TileSize: 32, SpeculateBlind: true}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Validate(g); err != nil {
-		t.Fatalf("dropped updates broke completeness: %v", err)
-	}
-	if drops.Load() == 0 {
-		t.Skip("no parallel repair round ran (no conflicts to drop)")
-	}
-	if m.Fallbacks.Value() == 0 {
-		t.Error("solver_fallbacks_total = 0, want > 0 after dropped updates")
-	}
-}
-
 // TestHaloMisreadRepaired: forced halo misreads plant cross-tile
 // conflicts the fixpoint must fully repair.
 func TestHaloMisreadRepaired(t *testing.T) {
@@ -183,30 +151,6 @@ func TestSolveErrorSiteThreadsThrough(t *testing.T) {
 	}
 	if !se.Panicked || se.Site != SiteWorkerPanic {
 		t.Errorf("SolveError = %+v, want panicked at %s", se, SiteWorkerPanic)
-	}
-}
-
-// TestCompletionSweepNoopAllocs: with no injector the completion sweep
-// must not change results — pinned by comparing to a pre-hardening
-// equivalent (sequential greedy equality is covered elsewhere; here we
-// just re-check validity and determinism at par=1).
-func TestCompletionSweepNoop(t *testing.T) {
-	g := testGrid2D(t)
-	a, err := Greedy(g, Config{TileSize: 32}, &core.SolveOptions{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Greedy(g, Config{TileSize: 32}, &core.SolveOptions{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range a.Start {
-		if a.Start[v] != b.Start[v] {
-			t.Fatalf("par=1 solve not deterministic at vertex %d", v)
-		}
-	}
-	if err := a.Validate(g); err != nil {
-		t.Fatal(err)
 	}
 }
 

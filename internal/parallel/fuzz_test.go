@@ -43,8 +43,6 @@ func FuzzGreedyRepair(f *testing.F) {
 		}
 
 		cfg := Config{TileSize: tile, SpeculateBlind: blind}
-		// Small MaxRounds values exercise the sequential fallback too.
-		cfg.MaxRounds = int(tileR%3) + 1
 		c, err := Greedy(s, cfg, &core.SolveOptions{Parallelism: par})
 		if err != nil {
 			t.Fatal(err)

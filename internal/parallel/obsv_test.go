@@ -70,8 +70,8 @@ func TestTraceSpans(t *testing.T) {
 
 // TestSolveMetrics: the metrics bundle attached to a parallel solve
 // counts every placement at least once (repairs re-place) and keeps the
-// conflict ledger consistent: rounds only happen when conflicts exist,
-// and every detected conflict is eventually repaired.
+// conflict ledger consistent: a solve runs at most one repair pass, only
+// when conflicts exist, and that pass repairs every detected conflict.
 func TestSolveMetrics(t *testing.T) {
 	g := rand2D(t, 40, 40, 9, 29)
 	m := obsv.NewSolveMetrics(obsv.NewRegistry())
@@ -96,6 +96,9 @@ func TestSolveMetrics(t *testing.T) {
 	conflicts, repairs, rounds := m.Conflicts.Value(), m.Repairs.Value(), m.RepairRounds.Value()
 	if repairs != conflicts {
 		t.Errorf("repaired %d of %d detected conflicts; a valid coloring repairs all", repairs, conflicts)
+	}
+	if rounds > 1 {
+		t.Errorf("%d repair rounds, want at most one pass", rounds)
 	}
 	if conflicts > 0 && rounds == 0 {
 		t.Errorf("%d conflicts but 0 repair rounds", conflicts)

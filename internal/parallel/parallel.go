@@ -21,33 +21,25 @@ const (
 	// coloring; a chaos injector sleeps inside Inject to model a stalled
 	// worker, maximally skewing cross-tile halo read timing.
 	SiteWorkerStall = core.FaultSite("pgreedy/worker-stall")
-	// SiteWorkerPanic fires once per tile task (speculation) and once
-	// per tile with losers in a parallel repair round; a chaos injector
-	// panics with core.InjectedPanic to model a crashing worker. The
-	// solver recovers the panic into a typed core.SolveError and falls
-	// back to the guaranteed sequential path.
+	// SiteWorkerPanic fires once per tile task of the speculative
+	// phase; a chaos injector panics with core.InjectedPanic to model a
+	// crashing worker. The solver recovers the panic into a typed
+	// core.SolveError and falls back to the guaranteed sequential path.
 	SiteWorkerPanic = core.FaultSite("pgreedy/worker-panic")
 	// SiteHaloRead fires once per speculative placement; when it fires
 	// the placement ignores every cross-tile neighbor — a forced halo
 	// misread. The conflicts it plants must be found and repaired by the
 	// detect/recolor fixpoint.
 	SiteHaloRead = core.FaultSite("pgreedy/halo-read")
-	// SiteRepairDrop fires once per loser recolored by a parallel repair
-	// round; when it fires the update is dropped and the loser stays
-	// uncolored until the post-fixpoint completion sweep places it — the
-	// sweep, not the round, is the correctness backstop.
-	SiteRepairDrop = core.FaultSite("pgreedy/repair-drop")
 )
 
 func init() {
 	core.RegisterFaultSite(SiteWorkerStall,
 		"tile-parallel speculation, once per tile: a Stalling rule sleeps the worker, skewing halo read timing")
 	core.RegisterFaultSite(SiteWorkerPanic,
-		"tile-parallel speculation and each repair round's tiles with losers: a Panicking rule crashes the worker; recovered into the sequential fallback")
+		"tile-parallel speculation, once per tile: a Panicking rule crashes the worker; recovered into the sequential fallback")
 	core.RegisterFaultSite(SiteHaloRead,
 		"per speculative placement: firing blinds the placement to cross-tile neighbors (forced halo misread)")
-	core.RegisterFaultSite(SiteRepairDrop,
-		"per loser recolored by a parallel repair round: firing drops the update; the completion sweep re-places it")
 }
 
 // Order selects the tile-local visit order of the speculative phase.
@@ -71,12 +63,6 @@ const (
 	DefaultTileSize3D = 16
 )
 
-// defaultMaxRounds bounds the parallel repair rounds before the solver
-// falls back to the guaranteed single-pass sequential repair. The
-// strict-shrink argument makes the loop terminate on its own; the cap
-// only limits worst-case latency on adversarial schedules.
-const defaultMaxRounds = 16
-
 // Config tunes the tile-parallel solver. The zero value is a valid
 // default configuration.
 type Config struct {
@@ -85,15 +71,13 @@ type Config struct {
 	TileSize int
 	// Order is the tile-local visit order.
 	Order Order
-	// MaxRounds caps the parallel repair rounds before the sequential
-	// fallback; <= 0 picks defaultMaxRounds.
-	MaxRounds int
 	// SpeculateBlind makes the speculative phase ignore cross-tile
 	// neighbors entirely instead of reading their current state. Every
-	// halo conflict is then discovered by the repair loop, which makes
-	// the whole solve deterministic regardless of worker timing — and
-	// maximally stresses the repair machinery. Tests and the fuzz target
-	// rely on it; production solves are faster with optimistic reads.
+	// halo conflict is then found by the detection sweep and resolved by
+	// the repair pass, which makes the whole solve deterministic
+	// regardless of worker timing — and maximally stresses the repair.
+	// Tests and the fuzz target rely on it; production solves are faster
+	// with optimistic reads.
 	SpeculateBlind bool
 }
 
@@ -101,9 +85,7 @@ type Config struct {
 // running up to opts.Parallelism tile workers. The returned coloring is
 // always complete and valid: the solver only returns once the
 // conflict-detection sweep reaches a fixpoint (zero cross-tile
-// conflicts) and a completion sweep has re-placed any vertex a degraded
-// repair round left uncolored; intra-tile edges are valid by
-// construction.
+// conflicts); intra-tile edges are valid by construction.
 //
 // With Parallelism <= 1 the speculative phase degenerates to a
 // deterministic sequential tile sweep; with more workers the final
@@ -147,7 +129,7 @@ func fallbackOrder(s grid.Stencil, cfg Config) []int {
 	return s.LineOrder()
 }
 
-// speculative runs the speculate/repair/complete pipeline, containing
+// speculative runs the speculate/repair pipeline, containing
 // worker panics as typed errors for Greedy to act on. When tracing, the
 // pgreedy/speculate span's arg is the tile count.
 func speculative(s grid.Stencil, cfg Config, opts *core.SolveOptions) (core.Coloring, error) {
@@ -163,10 +145,6 @@ func speculative(s grid.Stencil, cfg Config, opts *core.SolveOptions) (core.Colo
 	if err != nil {
 		return core.Coloring{}, err
 	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = defaultMaxRounds
-	}
 	r := newRun(s, tl, cfg, opts)
 	defer r.flush()
 
@@ -177,7 +155,7 @@ func speculative(s grid.Stencil, cfg Config, opts *core.SolveOptions) (core.Colo
 		return core.Coloring{}, err
 	}
 	sp = opts.FlightCtx().Start("pgreedy/repair")
-	err = r.fixpoint(sp.Context(), maxRounds)
+	err = r.fixpoint(sp.Context())
 	sp.End()
 	if err != nil {
 		return core.Coloring{}, err
@@ -200,29 +178,17 @@ type run struct {
 	// fit is bound to s once per solve; worker kernels copy its binding.
 	fit core.FitScratch
 	// workers holds one scratch per worker slot: forEach's worker k uses
-	// workers[k], and workers[0] also serves the coordinator (par <= 1,
-	// the sequential repair pass and the completion sweep).
+	// workers[k], and workers[0] also serves the coordinator (par <= 1
+	// and the repair pass).
 	workers []scratch
 	// queues are the work-stealing deques, one per worker when par > 1.
 	queues []wsRange
-	// losers holds the conflict losers of the current repair round, tile
+	// losers holds the conflict losers of the last detection sweep, tile
 	// i's in losers[loserOff[i]:loserEnd[i]]. A tile's span is as long as
 	// its low-face cell list, the most it can lose, so the workers of a
 	// detection sweep write disjoint spans.
 	losers             []int
 	loserOff, loserEnd []int
-	// seqRepair records that the guaranteed sequential repair pass
-	// engaged, so the fallback counter is bumped once per solve.
-	seqRepair bool
-
-	// mark stamps each vertex with the repair round in which it was a
-	// conflict loser; round is the current stamp. The first repair round
-	// allocates it. Written only by the coordinator between rounds,
-	// read-only inside a round, so parallel repair placements can
-	// deterministically ignore cross-tile peers of the same round
-	// (skipMarked).
-	mark  []int32
-	round int32
 }
 
 // scratch is the per-worker state: the placement kernel with its
@@ -283,27 +249,19 @@ func (r *run) flush() {
 // observe.
 const (
 	// readAll observes every neighbor's current (atomic) state: the
-	// optimistic speculative phase and the sequential repair pass.
+	// optimistic speculative phase and the repair pass.
 	readAll = iota
 	// blindCross ignores cross-tile neighbors entirely
 	// (Config.SpeculateBlind's speculative phase).
 	blindCross
-	// skipMarked ignores cross-tile neighbors that are losers of the
-	// current repair round (r.mark[u] == r.round). Same-tile losers are
-	// still observed — they are recolored sequentially by the same
-	// worker — so a parallel repair round can never create an intra-tile
-	// conflict, and its outcome depends only on the conflict set, never
-	// on worker timing.
-	skipMarked
 )
 
 // place computes the lowest-fit start of v against the shared state
 // (the kernel reads neighbor starts atomically and treats Unset as
-// free). t is v's tile: the blindCross and skipMarked modes drop the
-// neighbors they hide from the kernel's list before it gathers, telling
-// a cross-tile neighbor from the faces of t that v lies on. readAll
-// places against every neighbor with no list, reads no tile, and t may
-// be nil.
+// free). t is v's tile: blindCross drops the cross-tile neighbors from
+// the kernel's list before it gathers, telling them from v's tile-mates
+// by the faces of t that v lies on. readAll places against every
+// neighbor with no list, reads no tile, and t may be nil.
 func (r *run) place(w *scratch, v int, t *grid.Tile, mode int) int64 {
 	if mode == readAll {
 		return w.fit.Place(r.c, v)
@@ -312,7 +270,7 @@ func (r *run) place(w *scratch, v int, t *grid.Tile, mode int) int64 {
 	h := r.tl.Halo(*t, v)
 	k := 0
 	for _, u := range nb {
-		if (mode == skipMarked && r.mark[u] != r.round) || h.Cross(u) == 0 {
+		if h.Cross(u) == 0 {
 			nb[k] = u
 			k++
 		}
@@ -518,142 +476,55 @@ func (r *run) detect() (total int, err error) {
 	return total, nil
 }
 
-// tileLosers returns tile i's losers of the current repair round, in
+// tileLosers returns tile i's losers of the last detection sweep, in
 // ascending vertex-id order.
 func (r *run) tileLosers(i int) []int { return r.losers[r.loserOff[i]:r.loserEnd[i]] }
 
 // fixpoint drives the detect/recolor loop until no cross-tile conflict
-// remains. Parallel repair rounds recolor the losers of each tile
-// sequentially within the tile (one worker walks the tile's whole loser
-// span, in ascending vertex-id order) so no new intra-tile conflict can
-// appear and the round's outcome depends only on the conflict set; if
-// the conflict set ever fails to shrink strictly — or maxRounds is
-// exhausted — one sequential pass over the remaining losers finishes
-// the job deterministically. When tracing, every round records a
-// "round" span under tc, with the round number as its arg and nested
-// "sweep" (arg: conflicts found) and "recolor" (detail "sequential" on
-// the sequential pass) spans; the metrics bundle counts detected
-// conflicts, repaired losers, and completed rounds.
-func (r *run) fixpoint(tc *obsv.TraceContext, maxRounds int) error {
+// remains. A sweep that finds conflicts clears every loser, then the
+// coordinator places the losers one at a time against all neighbors, in
+// tile order and ascending vertex id within a tile. Winners never move
+// and a loser placed later sees every loser placed before it, so one
+// pass leaves no conflict and the next sweep confirms the fixpoint. When
+// tracing, every sweep records a "round" span under tc, with the round
+// number as its arg and nested "sweep" (arg: conflicts found) and
+// "recolor" spans; the metrics bundle counts detected conflicts,
+// repaired losers, and completed repair passes.
+func (r *run) fixpoint(tc *obsv.TraceContext) error {
 	start := r.c.Start
 	meters := r.opts.Meters()
-	prev := -1
+	w := &r.workers[0]
 	for round := 0; ; round++ {
 		rsp := tc.Start("round")
 		rtc := rsp.Context()
 		ssp := rtc.Start("sweep")
 		nconf, err := r.detect()
 		ssp.EndDetail("", int64(nconf))
-		if err != nil {
+		if err != nil || nconf == 0 {
 			rsp.EndDetail("", int64(round))
 			return err
 		}
 		if meters != nil {
 			meters.Conflicts.Add(int64(nconf))
 		}
-		if nconf == 0 {
-			rsp.EndDetail("", int64(round))
-			return r.complete(tc)
-		}
-		sequential := round >= maxRounds || (prev >= 0 && nconf >= prev)
-		prev = nconf
-		if sequential && !r.seqRepair {
-			r.seqRepair = true
-			if meters != nil {
-				meters.Fallbacks.Add(1)
-			}
-			rtc.Event("solve.fallback", "pgreedy: repair rounds stopped shrinking; sequential repair pass", 0)
-		}
-		// Clear every loser before any recoloring starts, so a round's
-		// placements see losers as uncolored rather than as their stale
-		// conflicting intervals; stamp them so skipMarked placements can
-		// tell this round's losers apart from settled vertices.
-		if r.mark == nil {
-			r.mark = make([]int32, len(start))
-		}
-		r.round++
+		// Clear every loser before any is placed, so no placement sees a
+		// loser's stale conflicting interval.
 		for i := range r.tl.Tiles {
 			for _, v := range r.tileLosers(i) {
-				atomic.StoreInt64(&start[v], core.Unset)
-				r.mark[v] = r.round
+				start[v] = core.Unset
 			}
 		}
-		csp, detail := rtc.Start("recolor"), ""
-		if sequential {
-			detail = "sequential"
-			for i := range r.tl.Tiles {
-				for _, v := range r.tileLosers(i) {
-					atomic.StoreInt64(&start[v], r.place(&r.workers[0], v, nil, readAll))
-				}
+		csp := rtc.Start("recolor")
+		for i := range r.tl.Tiles {
+			for _, v := range r.tileLosers(i) {
+				start[v] = r.place(w, v, nil, readAll)
 			}
-		} else if err := r.forEach(len(r.tl.Tiles), func(w *scratch, i int) error {
-			losers := r.tileLosers(i)
-			if len(losers) == 0 {
-				return nil
-			}
-			if err := r.opts.Err(); err != nil {
-				return err
-			}
-			if r.inj != nil {
-				r.inj.Inject(SiteWorkerPanic)
-			}
-			for _, v := range losers {
-				if r.inj != nil && r.inj.Inject(SiteRepairDrop) {
-					// Dropped repair update: the loser stays uncolored;
-					// the completion sweep after the fixpoint places it.
-					continue
-				}
-				atomic.StoreInt64(&start[v], r.place(w, v, &r.tl.Tiles[i], skipMarked))
-			}
-			return nil
-		}); err != nil {
-			csp.End()
-			rsp.EndDetail("", int64(round))
-			return err
 		}
-		csp.EndDetail(detail, 0)
+		csp.End()
 		rsp.EndDetail("", int64(round))
 		if meters != nil {
 			meters.Repairs.Add(int64(nconf))
 			meters.RepairRounds.Add(1)
 		}
-		// The next detect sweep verifies the fixpoint.
 	}
-}
-
-// complete is the post-fixpoint completion sweep: any vertex still
-// uncolored — dropped repair updates under fault injection, or any
-// future bug that loses a placement — is re-placed sequentially against
-// the settled state, so Greedy's complete-and-valid contract holds on
-// every degraded path. With nothing uncolored (every production run)
-// the sweep is a read-only scan. Placements run one at a time in vertex
-// order against fully-settled neighbors, so they are deterministic and
-// can never introduce a new conflict. An engaged sweep records a
-// solve.fallback event under tc.
-func (r *run) complete(tc *obsv.TraceContext) error {
-	start := r.c.Start
-	var n int64
-	for v := range start {
-		if atomic.LoadInt64(&start[v]) != core.Unset {
-			continue
-		}
-		atomic.StoreInt64(&start[v], r.place(&r.workers[0], v, nil, readAll))
-		n++
-	}
-	if n == 0 {
-		return nil
-	}
-	if m := r.opts.Meters(); m != nil {
-		m.Repairs.Add(n)
-	}
-	if !r.seqRepair {
-		// The sweep acted as the guaranteed path for this solve; count
-		// the fallback engagement once.
-		r.seqRepair = true
-		if m := r.opts.Meters(); m != nil {
-			m.Fallbacks.Add(1)
-		}
-		tc.Event("solve.fallback", "pgreedy: completion sweep re-placed dropped vertices", 0)
-	}
-	return nil
 }

@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"stencilivc/internal/core"
@@ -46,7 +47,8 @@ func seqGreedy(t testing.TB, s grid.Stencil) core.Coloring {
 
 // TestGreedyValid sweeps grid shapes, tile sizes, parallelism, orders,
 // and both speculation modes; every run must produce a coloring the
-// validator accepts.
+// validator accepts, and a one-worker run, which colors the tiles in
+// order in either mode, must repeat its coloring exactly.
 func TestGreedyValid(t *testing.T) {
 	stencils := []grid.Stencil{
 		rand2D(t, 1, 1, 5, 1),
@@ -73,6 +75,14 @@ func TestGreedyValid(t *testing.T) {
 						if err := c.Validate(s); err != nil {
 							t.Fatalf("%dD tile=%d par=%d order=%d blind=%v: %v",
 								s.Dims(), tile, par, order, blind, err)
+						}
+						if par > 1 {
+							continue
+						}
+						again, err := Greedy(s, cfg, opts)
+						if err != nil || !slices.Equal(again.Start, c.Start) {
+							t.Fatalf("%dD tile=%d order=%d blind=%v: one-worker solve not repeatable (err %v)",
+								s.Dims(), tile, order, blind, err)
 						}
 					}
 				}
@@ -153,11 +163,12 @@ func TestDeterministicBlind(t *testing.T) {
 	}
 }
 
-// TestSequentialFallback: MaxRounds=1 forces the guaranteed sequential
-// repair pass; the result must still validate.
-func TestSequentialFallback(t *testing.T) {
+// TestRepairDenseConflicts: 2-cell tiles and blind speculation put
+// most cells on a tile face and make many of them losers; the one
+// repair pass must still leave a valid coloring.
+func TestRepairDenseConflicts(t *testing.T) {
 	g := rand2D(t, 29, 31, 9, 9)
-	c, err := Greedy(g, Config{TileSize: 2, MaxRounds: 1, SpeculateBlind: true},
+	c, err := Greedy(g, Config{TileSize: 2, SpeculateBlind: true},
 		&core.SolveOptions{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)

@@ -21,11 +21,10 @@ import "sync/atomic"
 //     ranges pull the heavy range apart instead of idling.
 //
 // Determinism is unaffected: every index is still processed exactly
-// once by exactly one worker, and the repair path's (tile-id,
-// vertex-id) tie-break never depends on which worker recolors a tile's
-// losers — skipMarked placements are a pure function of the round's
-// conflict set. Panic containment is also unchanged; contain() wraps every fn
-// call exactly as before.
+// once by exactly one worker, and the repair pass places the losers on
+// the coordinator in (tile-id, vertex-id) order, whichever worker swept
+// their tile. Panic containment is also unchanged; contain() wraps every
+// fn call exactly as before.
 
 // wsRange is one worker's range deque: the packed half-open interval
 // [lo, hi) of unclaimed indices, lo in the low 32 bits and hi in the

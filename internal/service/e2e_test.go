@@ -330,7 +330,7 @@ func TestServiceBatchStallShedsExpired(t *testing.T) {
 // job.
 func TestServiceDeadlinePartial(t *testing.T) {
 	_, ts := newTestService(t, Config{Workers: 1})
-	for _, n := range []int{80, 120, 180, 260} {
+	for _, n := range []int{80, 120, 180, 260, 380, 540} {
 		g, err := grid.FromWeights2D(n, n, gridWeights(n))
 		if err != nil {
 			t.Fatal(err)
@@ -349,8 +349,9 @@ func TestServiceDeadlinePartial(t *testing.T) {
 		// Budget enough for GLL with margin but well under the full
 		// portfolio, so the deadline lands mid-sweep. If this machine
 		// runs the whole portfolio too close to the GLL budget, grow the
-		// instance and try again. The portfolio runs about 12 GLLs of
-		// work, so twice the budget leaves the sweep a wide margin.
+		// instance and try again. The portfolio runs about 8 GLLs of
+		// work, so a size qualifies only once the fixed 5 ms is small
+		// against GLL: twice the budget is 6 GLLs plus 10 ms.
 		timeout := 3*gll + 5*time.Millisecond
 		if full < 2*timeout {
 			continue

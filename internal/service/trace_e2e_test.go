@@ -197,13 +197,11 @@ func TestServiceFlightExport(t *testing.T) {
 // recorded under the trace of the job it hit.
 func TestServiceStormFlightScrape(t *testing.T) {
 	// A 128² grid is 2×2 default PGLL tiles, so a forced halo misread
-	// plants real cross-tile conflicts for the repair rounds — and their
-	// dropped updates — to resolve. The worker-panic rule fires on every
-	// job without panicking: it puts one traced fault event into each
-	// job's trace.
+	// plants real cross-tile conflicts for the repair pass to resolve.
+	// The worker-panic rule fires on every job without panicking: it
+	// puts one traced fault event into each job's trace.
 	inj := chaos.New(20260808).
 		WithProb(parallel.SiteHaloRead, 0.05).
-		WithProb(parallel.SiteRepairDrop, 0.2).
 		EveryNth(SiteWorkerPanic, 1, 0)
 	srv, ts := newTestService(t, Config{Workers: 2, FlightEntries: 8192, Injector: inj})
 	inj.WithFlight(srv.Flight())
